@@ -37,7 +37,7 @@ assert abs(integral + survival - 1.0) < 1e-3
 print("\n== the pdf peaks just past the visible surface ==")
 ts = np.linspace(0.0, 12.0, 4001)
 points = origin[None, :] + ts[:, None] * direction[None, :]
-sigma, _ = scene.evaluate(points)
+sigma = scene.density(points)
 pdf = sigma * rf.transmittance_grid(scene, ray, ts)
 t_peak = ts[np.argmax(pdf)]
 t_surface = float(rf.surface_distance(blob, origin[None, :], direction[None, :])[0])

@@ -342,6 +342,11 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_bias_demo(args) -> int:
+    # Two coarse samples is the quadrature minimum; a standard error needs two trials.
+    if args.k < 2:
+        raise _InputError(f"--k must be >= 2, got {args.k}")
+    if args.n_trials < 2:
+        raise _InputError(f"--n-trials must be >= 2, got {args.n_trials}")
     started = time.perf_counter()
     result = estimlab.stratified_bias_demo(
         k=args.k, n_trials=args.n_trials, seed=args.seed or 0, hierarchical=args.hierarchical

@@ -43,6 +43,19 @@ NEUTRAL_COLOR = np.array([0.5, 0.5, 0.5])
 EMPTY_SEGMENT = -1
 
 
+def _mix(sigmas: np.ndarray, colors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Summed density (N,) and density-weighted mean color (N, 3) of
+    per-component densities (N, n) and colors (N, n, 3); NEUTRAL_COLOR where
+    the sum vanishes.  ``colors`` is overwritten (weighting it in place
+    spares an (N, n, 3) temporary)."""
+    total = sigmas.sum(axis=1)
+    live = total > 0.0
+    safe = np.where(live, total, 1.0)
+    color = np.multiply(colors, sigmas[:, :, None], out=colors).sum(axis=1) / safe[:, None]
+    color[~live] = NEUTRAL_COLOR
+    return total, color
+
+
 @dataclass(frozen=True)
 class CompositeScene:
     """Ordered fields sharing one space; ``t_far`` is the scene's default cutoff."""
@@ -78,18 +91,39 @@ class CompositeScene:
             return sigmas[0], colors[0]
         return sigmas, colors
 
+    def density_components(self, points):
+        """Per-component densities (N, n), bit-identical to
+        ``evaluate_components(...)[0]`` without the color work."""
+        pts, single = _check_points(points)
+        sigmas = np.empty((pts.shape[0], self.n))
+        for i, comp in enumerate(self.components):
+            sigmas[:, i] = comp.density(pts)
+        if single:
+            return sigmas[0]
+        return sigmas
+
+    def density(self, points):
+        """Total density, bit-identical to ``evaluate(...)[0]``."""
+        pts, single = _check_points(points)
+        total = self.density_components(pts).sum(axis=1)
+        if single:
+            return float(total[0])
+        return total
+
+    def evaluate_with_components(self, points):
+        """Total density (N,), mixed color (N, 3) and the per-component
+        densities (N, n) behind them, from one evaluation of each component."""
+        sigmas, colors = self.evaluate_components(points)
+        if self.n == 1:  # a lone component's color is its own: (s * c) / s may differ
+            return sigmas[:, 0], colors[:, 0], sigmas
+        total, color = _mix(sigmas, colors)
+        return total, color, sigmas
+
     def evaluate(self, points, direction=None):
         """Total density and density-weighted mean color (the field contract,
         so scenes slot into any transport routine)."""
-        if self.n == 1:
-            return self.components[0].evaluate(points, direction)
         pts, single = _check_points(points)
-        sigmas, colors = self.evaluate_components(pts, direction)
-        total = sigmas.sum(axis=1)
-        live = total > 0.0
-        safe = np.where(live, total, 1.0)
-        color = (sigmas[:, :, None] * colors).sum(axis=1) / safe[:, None]
-        color[~live] = NEUTRAL_COLOR
+        total, color, _ = self.evaluate_with_components(pts)
         if single:
             return float(total[0]), color[0]
         return total, color
@@ -126,11 +160,8 @@ def composite_eval(scene: CompositeScene, x, d=None) -> CompositePoint:
     Where total density vanishes the color is a flagged neutral gray.
     """
     sigmas, colors = scene.evaluate_components(np.asarray(x, dtype=np.float64))
-    total = float(sigmas.sum())
-    if total > 0.0:
-        color = (sigmas[:, None] * colors).sum(axis=0) / total
-        return CompositePoint(total, sigmas, color, True)
-    return CompositePoint(total, sigmas, NEUTRAL_COLOR.copy(), False)
+    total, color = _mix(sigmas[None], colors[None])
+    return CompositePoint(float(total[0]), sigmas, color[0], bool(total[0] > 0.0))
 
 
 def joint_depth_component_pdf(scene: CompositeScene, ray: Ray, t: float, quad: QuadratureConfig) -> np.ndarray:
@@ -138,21 +169,17 @@ def joint_depth_component_pdf(scene: CompositeScene, ray: Ray, t: float, quad: Q
     with T taken under the total density."""
     from .geometry import ray_at
 
-    sigmas, _ = scene.evaluate_components(ray_at(ray, float(t)), ray.direction)
+    sigmas = scene.density_components(ray_at(ray, float(t)))
     return sigmas * transport.transmittance(scene, ray, t, quad)
 
 
-def _marginals_from_batch(scene: CompositeScene, batch: dict) -> tuple[np.ndarray, np.ndarray]:
+def _marginals_from_batch(batch: dict) -> tuple[np.ndarray, np.ndarray]:
     """Component mass per ray from a render batch: sum over samples of
-    weight * sigma_i / sigma_total; residual is survival to t_far."""
-    n_rays, s = batch["sigma"].shape
-    pts = batch["points"].reshape(-1, 3)
-    share = np.zeros((n_rays, s, scene.n))
+    weight * sigma_i / sigma_total, with the per-component densities the
+    batch was composited from; residual is survival to t_far."""
+    share = batch["sigmas"]
     sig_tot = batch["sigma"]
     live = sig_tot > 0.0
-    for i, comp in enumerate(scene.components):
-        sig_i, _ = comp.evaluate(pts)
-        share[:, :, i] = sig_i.reshape(n_rays, s)
     with np.errstate(invalid="ignore", divide="ignore"):
         frac = np.where(live[:, :, None], share / np.where(live, sig_tot, 1.0)[:, :, None], 0.0)
     marginal = (batch["weights"][:, :, None] * frac).sum(axis=1)
@@ -166,7 +193,7 @@ def component_marginal(scene: CompositeScene, ray: Ray, quad: QuadratureConfig) 
     batch = transport._render_batch(
         scene, ray.origin[None, :], ray.direction[None, :], np.array([ray.t_far]), quad, rng
     )
-    marginal, residual = _marginals_from_batch(scene, batch)
+    marginal, residual = _marginals_from_batch(batch)
     return marginal[0], float(residual[0])
 
 
@@ -204,7 +231,7 @@ def composite_render(scene: CompositeScene, ray: Ray, quad: QuadratureConfig) ->
     batch = transport._render_batch(
         scene, ray.origin[None, :], ray.direction[None, :], np.array([ray.t_far]), quad, rng
     )
-    marginal, residual = _marginals_from_batch(scene, batch)
+    marginal, residual = _marginals_from_batch(batch)
     return CompositeRenderResult(transport._single_ray_result(batch), marginal[0], float(residual[0]))
 
 
@@ -256,7 +283,7 @@ def render_ray_grid(scene: CompositeScene, grid: RayGrid, quad: QuadratureConfig
                 None if u_fine is None else u_fine[lo:hi],
             ),
         )
-        marg, res = _marginals_from_batch(scene, batch)
+        marg, res = _marginals_from_batch(batch)
         color[lo:hi] = batch["color"]
         depth[lo:hi] = batch["depth"]
         depth_raw[lo:hi] = batch["depth_raw"]
@@ -309,6 +336,9 @@ class _MergedField(Field):
 
     def _raw(self, pts):
         return self._scene.evaluate(pts)
+
+    def _raw_density(self, pts):
+        return self._scene.density(pts)
 
     def params(self) -> np.ndarray:
         return self._scene.params()

@@ -82,6 +82,10 @@ class Field(abc.ABC):
     def _raw(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Uncapped density (N,) and unclipped color (N, 3) at ``pts``."""
 
+    @abc.abstractmethod
+    def _raw_density(self, pts: np.ndarray) -> np.ndarray:
+        """Uncapped density (N,) at ``pts``, equal to ``_raw(pts)[0]``."""
+
     def _raw_grad(self, pts: np.ndarray):
         raise UnsupportedGradient(f"field kind {self.kind!r} has no parameter gradients")
 
@@ -97,17 +101,35 @@ class Field(abc.ABC):
     def with_params(self, vector: np.ndarray) -> "Field":
         """New field of the same kind/structure with the given parameters."""
 
+    def _cap(self, raw: np.ndarray) -> np.ndarray:
+        sigma_max = getattr(self, "sigma_max", None)
+        return raw if sigma_max is None else np.minimum(raw, sigma_max)
+
     def evaluate(self, points, direction=None) -> tuple[np.ndarray, np.ndarray]:
         """Density and color at ``points``; direction is accepted but never
         changes density (all kinds here are Lambertian)."""
         pts, single = _check_points(points)
         raw, color = self._raw(pts)
-        sigma_max = getattr(self, "sigma_max", None)
-        sigma = raw if sigma_max is None else np.minimum(raw, sigma_max)
+        sigma = self._cap(raw)
         color = np.clip(color, 0.0, 1.0)
         if single:
             return float(sigma[0]), color[0]
         return sigma, color
+
+    def density(self, points):
+        """Density alone at ``points``, bit-identical to ``evaluate(...)[0]``
+        without the color work."""
+        pts, single = _check_points(points)
+        sigma = self._cap(self._raw_density(pts))
+        if single:
+            return float(sigma[0])
+        return sigma
+
+    def evaluate_with_components(self, points):
+        """Density (N,), color (N, 3) and per-component densities (N, 1) at
+        points (N, 3): a field is a one-component scene."""
+        sigma, color = self.evaluate(points)
+        return sigma, color, sigma[:, None]
 
     def evaluate_with_grad(self, points, direction=None):
         """Like evaluate(), plus d(sigma)/d(params) (N, P) and
@@ -165,9 +187,11 @@ class GaussianBlobField(Field):
         u = (pts - self.center) / self.scale
         return u, np.exp(-0.5 * np.sum(u * u, axis=1))
 
+    def _raw_density(self, pts):
+        return self.amplitude * self._bump(pts)[1]
+
     def _raw(self, pts):
-        _, g = self._bump(pts)
-        return self.amplitude * g, np.broadcast_to(self.color, (pts.shape[0], 3)).copy()
+        return self._raw_density(pts), np.broadcast_to(self.color, (pts.shape[0], 3)).copy()
 
     def _raw_grad(self, pts):
         u, g = self._bump(pts)
@@ -218,9 +242,11 @@ class SoftSphereField(Field):
         s = _sigmoid((self.radius - r) / self.softness)
         return diff, r, s
 
+    def _raw_density(self, pts):
+        return self.amplitude * self._parts(pts)[2]
+
     def _raw(self, pts):
-        _, _, s = self._parts(pts)
-        return self.amplitude * s, np.broadcast_to(self.color, (pts.shape[0], 3)).copy()
+        return self._raw_density(pts), np.broadcast_to(self.color, (pts.shape[0], 3)).copy()
 
     def _raw_grad(self, pts):
         diff, r, s = self._parts(pts)
@@ -274,9 +300,11 @@ class SoftBoxField(Field):
         s = _sigmoid(q)
         return diff, q, s, np.prod(s, axis=1)
 
+    def _raw_density(self, pts):
+        return self.amplitude * self._parts(pts)[3]
+
     def _raw(self, pts):
-        _, _, _, f = self._parts(pts)
-        return self.amplitude * f, np.broadcast_to(self.color, (pts.shape[0], 3)).copy()
+        return self._raw_density(pts), np.broadcast_to(self.color, (pts.shape[0], 3)).copy()
 
     def _raw_grad(self, pts):
         diff, q, s, f = self._parts(pts)
@@ -352,6 +380,9 @@ class GroundPlaneField(Field):
         on_dome = s_dome > s_plane
         color = np.where(on_dome[:, None], self.dome_color, plane_color)
         return color, checker_b, on_dome
+
+    def _raw_density(self, pts):
+        return self.amplitude * self._parts(pts)[3]
 
     def _raw(self, pts):
         s_plane, _, s_dome, union = self._parts(pts)
@@ -461,6 +492,10 @@ class PiecewiseConstantRayField(Field):
         idx = np.searchsorted(self.breakpoints, t, side="right") - 1
         valid = (idx >= 0) & (idx < self.sigmas.shape[0]) & (t >= self.breakpoints[0])
         return np.clip(idx, 0, self.sigmas.shape[0] - 1), valid
+
+    def _raw_density(self, pts):
+        idx, valid = self._interval_index(pts)
+        return np.where(valid, self.sigmas[idx], 0.0)
 
     def _raw(self, pts):
         idx, valid = self._interval_index(pts)

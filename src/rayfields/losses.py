@@ -120,11 +120,9 @@ def _draw_free_importance(rng, t_obs: np.ndarray, n_free: int):
 def _depth_nll_values(field, origin, direction, t_obs, eps, pos, q):
     """Single-draw depth NLL estimates, one per row of the draw arrays."""
     surf = origin + (t_obs + eps)[:, None] * direction
-    sig_surf, _ = field.evaluate(surf)
-    sig_surf = np.atleast_1d(sig_surf)
+    sig_surf = np.atleast_1d(field.density(surf))
     free_pts = origin[None, None, :] + pos[:, :, None] * direction
-    sig_free, _ = field.evaluate(free_pts.reshape(-1, 3))
-    sig_free = sig_free.reshape(pos.shape)
+    sig_free = field.density(free_pts.reshape(-1, 3)).reshape(pos.shape)
     if q is None:
         inner = t_obs * sig_free.mean(axis=1)
     else:
@@ -178,7 +176,7 @@ def overlap_loss(scene: CompositeScene, point) -> float:
     pt = np.asarray(point, dtype=np.float64)
     if pt.shape != (3,) or not np.all(np.isfinite(pt)):
         raise ValueError("point must be a finite 3-vector")
-    sigmas, _ = scene.evaluate_components(pt)
+    sigmas = scene.density_components(pt)
     return float(sigmas.sum() - sigmas.max())
 
 

@@ -183,8 +183,9 @@ def doc_to_scene(doc: dict) -> SceneDocument:
 
 
 def dumps_canonical(doc: dict) -> str:
-    """Byte-stable JSON: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    """Byte-stable JSON: sorted keys, two-space indent, trailing newline.
+    NaN and infinities raise ValueError (they are not valid JSON)."""
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True, allow_nan=False) + "\n"
 
 
 def save_scene(path: str | os.PathLike, doc: dict) -> None:

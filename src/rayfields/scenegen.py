@@ -381,8 +381,7 @@ def sample_observations(scene: CompositeScene, grid: RayGrid, seed: int,
         h = t_fars / n_panels
         mids = offsets[None, :] * t_fars[:, None]
         points = grid.origins[lo:hi, None, :] + mids[..., None] * grid.directions[lo:hi, None, :]
-        sigma, _ = scene.evaluate(points.reshape(-1, 3))
-        sigma = sigma.reshape(hi - lo, n_panels)
+        sigma = scene.density(points.reshape(-1, 3)).reshape(hi - lo, n_panels)
         cum = np.concatenate(
             [np.zeros((hi - lo, 1)), np.cumsum(sigma * h[:, None], axis=1)], axis=1)
         target = targets[lo:hi]

@@ -128,7 +128,7 @@ def transmittance(field, ray: Ray, t: float, quad: QuadratureConfig) -> float:
     n = quad.n_coarse
     h = t / n
     mids = (np.arange(n) + 0.5) * h
-    sigma, _ = field.evaluate(ray_at(ray, mids), ray.direction)
+    sigma = field.density(ray_at(ray, mids))
     return float(np.exp(-h * np.sum(sigma)))
 
 
@@ -146,7 +146,7 @@ def transmittance_grid(field, ray: Ray, ts, n_panels: int = 4096) -> np.ndarray:
         return np.ones_like(ts)
     edges = np.linspace(0.0, t_max, n_panels + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
-    sigma, _ = field.evaluate(ray_at(ray, mids), ray.direction)
+    sigma = field.density(ray_at(ray, mids))
     cum = np.concatenate([[0.0], np.cumsum(sigma * (t_max / n_panels))])
     return np.exp(-np.interp(ts, edges, cum))
 
@@ -156,7 +156,7 @@ def probability_balance(field, ray: Ray, n_panels: int = 4096) -> tuple[float, f
     [0, t_far], survival at t_far); the two must sum to ~1."""
     h = ray.t_far / n_panels
     mids = (np.arange(n_panels) + 0.5) * h
-    sigma, _ = field.evaluate(ray_at(ray, mids), ray.direction)
+    sigma = field.density(ray_at(ray, mids))
     optical = sigma * h
     cum = np.cumsum(optical)
     t_mid = np.exp(-(cum - 0.5 * optical))
@@ -166,8 +166,8 @@ def probability_balance(field, ray: Ray, n_panels: int = 4096) -> tuple[float, f
 
 def depth_pdf(field, ray: Ray, t: float, quad: QuadratureConfig) -> float:
     """Depth density sigma(r(t)) * T(t) (unnormalized; integrates to alpha)."""
-    sigma, _ = field.evaluate(ray_at(ray, float(t)), ray.direction)
-    return float(sigma) * transmittance(field, ray, t, quad)
+    sigma = field.density(ray_at(ray, float(t)))
+    return sigma * transmittance(field, ray, t, quad)
 
 
 def depth_cdf(field, ray: Ray, t: float, quad: QuadratureConfig) -> float:
@@ -243,28 +243,34 @@ def _coarse_positions(t_fars: np.ndarray, n_coarse: int, u_coarse) -> np.ndarray
 
 def _fine_positions(weights: np.ndarray, t_fars: np.ndarray, u_fine: np.ndarray) -> np.ndarray:
     """Inverse-CDF draws from the piecewise-constant density proportional to
-    coarse bin weights; rays with no weight fall back to a uniform proposal."""
+    coarse bin weights; rays with no weight fall back to a uniform proposal.
+
+    Bins are searched row by row, so a row's draws depend on that row alone
+    (and never on how many rows share the batch)."""
     n, k = weights.shape
     total = weights.sum(axis=1)
     w = np.where((total > EMPTY_WEIGHT_EPS)[:, None], weights, 1.0)
     cdf = np.cumsum(w, axis=1)
     cdf = cdf / cdf[:, -1:]
-    offsets = 2.0 * np.arange(n)[:, None]
-    flat_cdf = (cdf + offsets).ravel()
     u = np.clip(u_fine, 0.0, 1.0 - 1e-12)
-    flat_u = (u + offsets).ravel()
-    idx = np.searchsorted(flat_cdf, flat_u, side="left") - np.repeat(np.arange(n), u.shape[1]) * k
-    idx = np.clip(idx.reshape(u.shape), 0, k - 1)
+    idx = np.empty(u.shape, dtype=np.intp)
+    for row in range(n):
+        idx[row] = np.searchsorted(cdf[row], u[row], side="left")
+    idx = np.clip(idx, 0, k - 1)
     rows = np.arange(n)[:, None]
     hi = cdf[rows, idx]
     lo = np.where(idx > 0, cdf[rows, np.maximum(idx - 1, 0)], 0.0)
-    frac_in_bin = (u - lo) / np.maximum(hi - lo, 1e-300)
+    frac_in_bin = np.clip((u - lo) / np.maximum(hi - lo, 1e-300), 0.0, 1.0)
     bin_w = t_fars[:, None] / k
     return (idx + frac_in_bin) * bin_w
 
 
 def _render_batch(evaluator, origins, dirs, t_fars, quad: QuadratureConfig, rng, draws=None) -> dict:
     """Two-pass render of many rays; returns raw per-ray arrays.
+
+    The coarse pass evaluates density only; the fine pass evaluates each
+    component once and keeps its densities (``"sigmas"``, (N, S, n)) for
+    the component marginals.
 
     All randomness comes from ``rng`` in one pinned order (coarse uniforms,
     then fine uniforms) unless pre-drawn ``draws`` are handed in, so results
@@ -274,8 +280,7 @@ def _render_batch(evaluator, origins, dirs, t_fars, quad: QuadratureConfig, rng,
     u_coarse, u_fine = _draw_uniforms(rng, n, quad) if draws is None else draws
     t_c = _coarse_positions(t_fars, quad.n_coarse, u_coarse)
     pts = origins[:, None, :] + t_c[:, :, None] * dirs[:, None, :]
-    sigma_c, _ = evaluator.evaluate(pts.reshape(-1, 3))
-    sigma_c = sigma_c.reshape(n, quad.n_coarse)
+    sigma_c = evaluator.density(pts.reshape(-1, 3)).reshape(n, quad.n_coarse)
     w_c, _, _ = _composite_weights(sigma_c, _ownership_deltas(t_c, t_fars))
 
     if quad.n_fine > 0:
@@ -284,7 +289,7 @@ def _render_batch(evaluator, origins, dirs, t_fars, quad: QuadratureConfig, rng,
     else:
         t = t_c
     pts = origins[:, None, :] + t[:, :, None] * dirs[:, None, :]
-    sigma, color = evaluator.evaluate(pts.reshape(-1, 3))
+    sigma, color, sigmas = evaluator.evaluate_with_components(pts.reshape(-1, 3))
     s = t.shape[1]
     sigma = sigma.reshape(n, s)
     color = color.reshape(n, s, 3)
@@ -301,8 +306,8 @@ def _render_batch(evaluator, origins, dirs, t_fars, quad: QuadratureConfig, rng,
     depth[empty] = np.nan
     return {
         "t": t,
-        "points": pts,
         "sigma": sigma,
+        "sigmas": sigmas.reshape(n, s, -1),
         "weights": weights,
         "weight_sum": wsum,
         "color": out_color,

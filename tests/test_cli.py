@@ -235,6 +235,15 @@ class TestBiasDemo:
         _, b = run_cli(["bias-demo", "--k", "10", "--n-trials", "15", "--seed", "2"], capsys)
         assert a == b
 
+    @pytest.mark.parametrize("argv", [["--k", "0"], ["--k", "1"], ["--n-trials", "1"],
+                                      ["--n-trials", "0"]])
+    def test_unusable_sizes_exit_2(self, argv, capsys):
+        code = main(["bias-demo", *argv])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_hierarchical_flag(self, capsys):
         code, stdout = run_cli(
             ["bias-demo", "--k", "10", "--n-trials", "8", "--hierarchical"], capsys

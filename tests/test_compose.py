@@ -15,7 +15,8 @@ from rayfields.compose import (
     render_ray_grid,
     segment_ray,
 )
-from rayfields.fields import GaussianBlobField
+from rayfields import transport
+from rayfields.fields import GaussianBlobField, SoftSphereField
 from rayfields.geometry import Camera, Ray, pinhole_rays
 from rayfields.transport import QuadratureConfig, hierarchical_render
 
@@ -80,6 +81,26 @@ class TestCompositeEvaluate:
         scene2 = scene.with_params(moved)
         assert scene2.components[0].center[0] == scene.components[0].center[0] + 1.0
         assert np.array_equal(scene2.components[1].params(), scene.components[1].params())
+
+
+class TestDensity:
+    """The density-only path equals the density of the full evaluation."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_bit_identical_to_evaluate(self, n):
+        sphere = SoftSphereField(center=(6.0, 0.2, 0.0), radius=0.8, softness=0.05,
+                                 amplitude=20.0, color=(0.1, 0.9, 0.2))
+        scene = CompositeScene((*_two_blob_scene().components, sphere)[:n], t_far=12.0)
+        pts = np.random.default_rng(3).uniform(0, 12, (400, 3)) * [1, 0.1, 0.1]
+        pts[-1] = (0.0, 50.0, 50.0)  # vacuum: every density underflows to zero
+        for view in (scene, merged_field(scene)):
+            assert view.density(pts).tobytes() == view.evaluate(pts)[0].tobytes()
+            for i in (0, 17, 399):
+                single = view.density(pts[i])
+                assert type(single) is float and single == view.evaluate(pts[i])[0]
+        parts = scene.density_components(pts)
+        assert parts.tobytes() == scene.evaluate_components(pts)[0].tobytes()
+        assert np.array_equal(scene.density_components(pts[17]), parts[17])
 
 
 class TestMergedEquivalence:
@@ -181,6 +202,36 @@ class TestRenderGrid:
         assert np.array_equal(one.depth_raw, many.depth_raw)
         assert np.array_equal(one.marginals, many.marginals)
         assert np.array_equal(one.labels, many.labels)
+
+    def test_marginals_match_per_component_reevaluation(self, monkeypatch):
+        # 30x30 rays over 7 workers: two 512-row chunks.  The reference
+        # re-evaluates every component at the fine samples of one unchunked
+        # batch made from the same draws.
+        scene = _two_blob_scene()
+        cam = Camera(position=(0.0, 0.0, 0.0), look_at=(6.0, 0.0, 0.0),
+                     width=30, height=30, vertical_fov=0.4)
+        grid = pinhole_rays(cam, scene.t_far, clip_z=None)
+        quad = QuadratureConfig(n_coarse=24, n_fine=48, seed=4)
+        monkeypatch.setenv("OBSURF_THREADS", "7")
+        view = render_ray_grid(scene, grid, quad)
+
+        draws = transport._draw_uniforms(np.random.default_rng(quad.seed), len(grid), quad)
+        batch = transport._render_batch(scene, grid.origins, grid.directions, grid.t_fars,
+                                        quad, rng=None, draws=draws)
+        t = batch["t"]
+        pts = (grid.origins[:, None, :] + t[:, :, None] * grid.directions[:, None, :]).reshape(-1, 3)
+        sig_tot = scene.evaluate(pts)[0].reshape(t.shape)
+        weights, _, _ = transport._composite_weights(
+            sig_tot, transport._ownership_deltas(t, grid.t_fars))
+        share = np.zeros(t.shape + (scene.n,))
+        for i, comp in enumerate(scene.components):
+            share[:, :, i] = comp.evaluate(pts)[0].reshape(t.shape)
+        live = sig_tot > 0.0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            frac = np.where(live[:, :, None], share / np.where(live, sig_tot, 1.0)[:, :, None], 0.0)
+        expected = (weights[:, :, None] * frac).sum(axis=1)
+        assert expected.sum(axis=1).max() > 0.5  # some rays hit a blob
+        assert view.marginals.reshape(-1, scene.n).tobytes() == expected.tobytes()
 
     def test_depth_nan_only_on_empty(self):
         scene, grid = self._setup()

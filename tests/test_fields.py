@@ -75,6 +75,32 @@ class TestEvaluateContract:
             field_from_params("mystery", [0.0])
 
 
+def _density_fields():
+    """Every kind, plus one field whose amplitude exceeds its density cap."""
+    return _example_fields() + [
+        GaussianBlobField(center=(0.0, 0.0, 0.5), scale=(0.6, 0.6, 0.6),
+                          amplitude=25.0, color=(0.4, 0.4, 0.4)),
+        PiecewiseConstantRayField(axis_origin=(-2, 0, 0), axis_direction=(1, 0.2, 0),
+                                  breakpoints=[0.0, 1.0, 2.5, 4.0], sigmas=[0.5, 0.0, 3.0],
+                                  colors=[(1, 0, 0), (0, 0, 0), (0.2, 0.3, 0.4)]),
+    ]
+
+
+class TestDensity:
+    @pytest.mark.parametrize("field", _density_fields(), ids=lambda f: f.kind)
+    def test_bit_identical_to_evaluate(self, field):
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(-3, 3, (500, 3))
+        pts[:100] = rng.uniform(-0.3, 0.3, (100, 3)) + (0.0, 0.0, 0.5)
+        sigma = field.density(pts)
+        assert sigma.dtype == np.float64 and sigma.shape == (500,)
+        assert sigma.tobytes() == field.evaluate(pts)[0].tobytes()
+        for i in (0, 7, 250):
+            single = field.density(pts[i])
+            assert type(single) is float
+            assert single == field.evaluate(pts[i])[0]
+
+
 class TestGaussianBlob:
     def test_peak_and_falloff(self):
         f = GaussianBlobField(center=(1, 2, 3), scale=(0.5, 0.5, 0.5),

@@ -87,6 +87,11 @@ class TestCanonicalBytes:
         shuffled = dict(reversed(list(shuffled.items())))
         assert dumps_canonical(doc) == dumps_canonical(shuffled)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_numbers_rejected(self, value):
+        with pytest.raises(ValueError):
+            dumps_canonical({"std_error": value})
+
     def test_trailing_newline_and_ascii(self):
         text = dumps_canonical(scene_to_doc(two_blob_demo_scene()))
         assert text.endswith("}\n")

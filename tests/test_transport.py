@@ -20,6 +20,7 @@ from rayfields.transport import (
     transmittance,
     transmittance_grid,
 )
+from rayfields.transport import _fine_positions
 
 X_RAY = Ray((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 10.0)
 
@@ -221,6 +222,36 @@ class TestHierarchicalRender:
         quad = QuadratureConfig(n_coarse=8, n_fine=0, seed=0, stratified=False)
         res = hierarchical_render(field, X_RAY, quad)
         assert np.allclose(res.t, (np.arange(8) + 0.5) / 8 * 10.0)
+
+
+def _boundary_draws(tiny, offset, n=4096, k=64, f=32):
+    """Coarse weights with every third bin at ``tiny`` relative weight, and
+    fine uniforms placed ``offset`` above bin edges of the CDF."""
+    weights = np.ones((n, k))
+    weights[:, ::3] = tiny
+    cdf = np.cumsum(weights, axis=1)
+    cdf /= cdf[:, -1:]
+    edges = np.random.default_rng(0).integers(0, k - 1, (n, f))
+    return weights, np.take_along_axis(cdf, edges, axis=1) + offset
+
+
+class TestFinePositions:
+    def test_chunking_cannot_change_draws(self):
+        weights, u = _boundary_draws(1e-13, 0.0)
+        t_fars = np.full(weights.shape[0], 40.0)
+        whole = _fine_positions(weights, t_fars, u)
+        chunked = np.concatenate([
+            _fine_positions(weights[lo:lo + 512], t_fars[lo:lo + 512], u[lo:lo + 512])
+            for lo in range(0, weights.shape[0], 512)
+        ])
+        assert np.array_equal(whole, chunked)
+
+    def test_draws_stay_inside_the_ray(self):
+        weights, u = _boundary_draws(0.0, 1e-15)
+        t_fars = np.linspace(1.0, 40.0, weights.shape[0])
+        t = _fine_positions(weights, t_fars, u)
+        assert np.all(t >= 0.0)
+        assert np.all(t <= t_fars[:, None])
 
 
 class TestRaySamplesValidation:
