@@ -133,6 +133,14 @@ def _add_quad_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="sampling seed")
 
 
+def _require_positive(args, *flags: str) -> None:
+    """Reject an integer flag below 1 as bad input."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and value < 1:
+            raise _InputError(f"{flag} must be >= 1, got {value}")
+
+
 def _ensure_out_dir(path: str) -> None:
     os.makedirs(path, exist_ok=True)
 
@@ -141,6 +149,7 @@ def _ensure_out_dir(path: str) -> None:
 
 
 def _cmd_render(args) -> int:
+    _require_positive(args, "--resolution")
     doc = _load_document(args.scene)
     scene = doc.scene
     camera = doc.camera
@@ -175,6 +184,7 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    _require_positive(args, "--resolution")
     config = SceneGenConfig(
         n_objects_min=args.n_objects_min,
         n_objects_max=args.n_objects_max,
@@ -267,6 +277,7 @@ def _load_samples(data_dir: str, camera: Camera, t_far: float) -> list[RgbdSampl
 
 
 def _cmd_fit(args) -> int:
+    _require_positive(args, "--iterations", "--batch-size", "--trace-points")
     data_doc = _load_document(os.path.join(args.data, "scene.json"))
     if data_doc.camera is None:
         raise _InputError("dataset scene.json has no camera block")
@@ -286,14 +297,17 @@ def _cmd_fit(args) -> int:
         raise _InputError("a start point is required: --init SCENE or --init-random N_OBJECTS")
 
     samples = _load_samples(args.data, data_doc.camera, data_doc.scene.t_far)
-    loss = LossConfig(k_o_max=args.k_o_max) if args.k_o_max is not None else LossConfig()
-    config = FitConfig(
-        iterations=args.iterations,
-        batch_size=args.batch_size,
-        learning_rate=args.learning_rate,
-        seed=args.fit_seed,
-        loss=loss,
-    )
+    try:
+        loss = LossConfig(k_o_max=args.k_o_max) if args.k_o_max is not None else LossConfig()
+        config = FitConfig(
+            iterations=args.iterations,
+            batch_size=args.batch_size,
+            learning_rate=args.learning_rate,
+            seed=args.fit_seed,
+            loss=loss,
+        )
+    except ValueError as exc:
+        raise _InputError(f"bad fit settings: {exc}") from exc
     started = time.perf_counter()
     try:
         report = fit(init_scene, samples, config)

@@ -71,8 +71,8 @@ class CompositeScene:
             raise TypeError("components must be Field instances")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "t_far", float(self.t_far))
-        if not self.t_far > 0:
-            raise ValueError("t_far must be positive")
+        if not 0 < self.t_far < np.inf:
+            raise ValueError("t_far must be positive and finite")
 
     @property
     def n(self) -> int:

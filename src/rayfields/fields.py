@@ -3,8 +3,9 @@
 Every field kind obeys one contract: density is finite, non-negative, capped
 at ``sigma_max``, and independent of the viewing direction; colors land in
 [0, 1]^3 and stay defined even where density vanishes.  Each kind flattens to
-a parameter vector so optimizers can treat scenes as plain arrays; the
-differentiable kinds also return closed-form parameter gradients.
+a parameter vector, laid out by its ``layout`` table, so optimizers can treat
+scenes as plain arrays; the differentiable kinds also supply closed-form
+density gradients and the parameter slots their colors come from.
 """
 
 from __future__ import annotations
@@ -28,9 +29,6 @@ __all__ = [
     "PiecewiseConstantRayField",
     "FIELD_KINDS",
     "field_from_params",
-    "evaluate",
-    "param_vector",
-    "set_params",
     "positional_encoding",
 ]
 
@@ -77,6 +75,10 @@ class Field(abc.ABC):
     """Base contract shared by all field kinds."""
 
     kind: ClassVar[str]
+    # Parameter groups in vector order: (attribute, size, domain).  The domain
+    # names the box the fitter projects the group into ("free", "width",
+    # "nonneg" or "unit").  A kind without one overrides params/with_params.
+    layout: ClassVar[tuple[tuple[str, int, str], ...]] = ()
 
     @abc.abstractmethod
     def _raw(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -86,20 +88,42 @@ class Field(abc.ABC):
     def _raw_density(self, pts: np.ndarray) -> np.ndarray:
         """Uncapped density (N,) at ``pts``, equal to ``_raw(pts)[0]``."""
 
-    def _raw_grad(self, pts: np.ndarray):
+    def _raw_density_grad(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Uncapped density (N,), equal to ``_raw_density(pts)``, and its
+        parameter gradient (N, P), a fresh array the caller may overwrite."""
+        raise UnsupportedGradient(f"field kind {self.kind!r} has no parameter gradients")
+
+    def _color_source(self, pts: np.ndarray):
+        """Unclipped color (N, 3), equal to ``_raw(pts)[1]``, and where it
+        comes from: the parameter index of each point's red channel, one int
+        or (N,) ints, with green and blue right after it."""
         raise UnsupportedGradient(f"field kind {self.kind!r} has no parameter gradients")
 
     @property
     def n_params(self) -> int:
-        return self.params().shape[0]
+        return sum(size for _, size, _ in self.layout) or self.params().shape[0]
 
-    @abc.abstractmethod
     def params(self) -> np.ndarray:
         """Flat parameter vector; ``with_params`` inverts it."""
+        out, at = np.empty(self.n_params), 0
+        for name, size, _ in self.layout:
+            out[at : at + size] = getattr(self, name)
+            at += size
+        return out
 
-    @abc.abstractmethod
     def with_params(self, vector: np.ndarray) -> "Field":
         """New field of the same kind/structure with the given parameters."""
+        return replace(self, **self._groups(vector))
+
+    @classmethod
+    def _groups(cls, vector) -> dict:
+        """Attribute values of a parameter vector laid out by ``layout``."""
+        v = _vec(vector, (sum(size for _, size, _ in cls.layout),), "params")
+        groups, at = {}, 0
+        for name, size, _ in cls.layout:
+            groups[name] = v[at] if size == 1 else v[at : at + size]
+            at += size
+        return groups
 
     def _cap(self, raw: np.ndarray) -> np.ndarray:
         sigma_max = getattr(self, "sigma_max", None)
@@ -131,42 +155,63 @@ class Field(abc.ABC):
         sigma, color = self.evaluate(points)
         return sigma, color, sigma[:, None]
 
+    def _density_grad(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Capped density (N,) and its parameter gradient (N, P) at checked
+        points (N, 3); the gradient is zero where the cap binds."""
+        raw, d_raw = self._raw_density_grad(pts)
+        sigma_max = getattr(self, "sigma_max", None)
+        if sigma_max is None:
+            return raw, d_raw
+        d_raw *= (raw < sigma_max)[:, None]
+        return np.minimum(raw, sigma_max), d_raw
+
+    def _color_slots(self, pts: np.ndarray):
+        """Clipped color (N, 3) at checked points (N, 3), the channels whose
+        color has a gradient (N, 3), and the parameter index each channel
+        comes from (N, 3).  d(color)/d(param) is 1 at those indices in those
+        channels and 0 elsewhere; it stays alive exactly at 0 and 1, so a
+        descent step can leave the clip edge."""
+        color, offset = self._color_source(pts)
+        inside = (color >= 0.0) & (color <= 1.0)
+        slots = np.broadcast_to(np.asarray(offset)[..., None] + np.arange(3), color.shape)
+        return np.clip(color, 0.0, 1.0), inside, slots
+
     def evaluate_with_grad(self, points, direction=None):
         """Like evaluate(), plus d(sigma)/d(params) (N, P) and
         d(color)/d(params) (N, 3, P)."""
         pts, single = _check_points(points)
-        raw, color, d_raw, d_color = self._raw_grad(pts)
-        sigma_max = getattr(self, "sigma_max", None)
-        if sigma_max is None:
-            sigma = raw
-            d_sigma = d_raw
-        else:
-            sigma = np.minimum(raw, sigma_max)
-            d_sigma = d_raw * (raw < sigma_max)[:, None]
-        # Clip colors; keep the descent direction alive exactly at 0/1.
-        inside = (color >= 0.0) & (color <= 1.0)
-        d_color = d_color * inside[:, :, None]
-        color = np.clip(color, 0.0, 1.0)
+        sigma, d_sigma = self._density_grad(pts)
+        color, inside, slots = self._color_slots(pts)
+        n = pts.shape[0]
+        d_color = np.zeros((n, 3, d_sigma.shape[1]))
+        d_color[np.arange(n)[:, None], np.arange(3), slots] = inside
         if single:
             return float(sigma[0]), color[0], d_sigma[0], d_color[0]
         return sigma, color, d_sigma, d_color
 
 
-def _constant_color_block(pts_n: int, color: np.ndarray, n_params: int, offset: int) -> np.ndarray:
-    d_color = np.zeros((pts_n, 3, n_params))
-    for ch in range(3):
-        d_color[:, ch, offset + ch] = 1.0
-    return d_color
+class _ConstantColorField(Field):
+    """A kind with one color everywhere: the parameters at ``color_offset``."""
+
+    color_offset: ClassVar[int]
+
+    def _raw(self, pts):
+        return self._raw_density(pts), self._color_source(pts)[0]
+
+    def _color_source(self, pts):
+        return np.broadcast_to(self.color, (pts.shape[0], 3)), self.color_offset
 
 
 @dataclass(frozen=True)
-class GaussianBlobField(Field):
+class GaussianBlobField(_ConstantColorField):
     """Anisotropic Gaussian density bump with one constant color.
 
     Params: [center(3), scale(3), amplitude, color(3)].
     """
 
     kind: ClassVar[str] = "gaussian_blob"
+    layout = (("center", 3, "free"), ("scale", 3, "width"), ("amplitude", 1, "nonneg"), ("color", 3, "unit"))
+    color_offset: ClassVar[int] = 7
     center: np.ndarray
     scale: np.ndarray
     amplitude: float
@@ -190,36 +235,27 @@ class GaussianBlobField(Field):
     def _raw_density(self, pts):
         return self.amplitude * self._bump(pts)[1]
 
-    def _raw(self, pts):
-        return self._raw_density(pts), np.broadcast_to(self.color, (pts.shape[0], 3)).copy()
-
-    def _raw_grad(self, pts):
+    def _raw_density_grad(self, pts):
         u, g = self._bump(pts)
         raw = self.amplitude * g
-        n = pts.shape[0]
-        d_raw = np.zeros((n, 10))
+        d_raw = np.zeros((pts.shape[0], 10))
         d_raw[:, 0:3] = raw[:, None] * u / self.scale
         d_raw[:, 3:6] = raw[:, None] * (u * u) / self.scale
         d_raw[:, 6] = g
-        color = np.broadcast_to(self.color, (n, 3)).copy()
-        return raw, color, d_raw, _constant_color_block(n, self.color, 10, 7)
-
-    def params(self) -> np.ndarray:
-        return np.concatenate([self.center, self.scale, [self.amplitude], self.color])
-
-    def with_params(self, vector: np.ndarray) -> "GaussianBlobField":
-        v = _vec(vector, (10,), "params")
-        return replace(self, center=v[0:3], scale=v[3:6], amplitude=v[6], color=v[7:10])
+        return raw, d_raw
 
 
 @dataclass(frozen=True)
-class SoftSphereField(Field):
+class SoftSphereField(_ConstantColorField):
     """Sigmoid-edged solid sphere.
 
     Params: [center(3), radius, softness, amplitude, color(3)].
     """
 
     kind: ClassVar[str] = "soft_sphere"
+    layout = (("center", 3, "free"), ("radius", 1, "width"), ("softness", 1, "width"),
+              ("amplitude", 1, "nonneg"), ("color", 3, "unit"))
+    color_offset: ClassVar[int] = 6
     center: np.ndarray
     radius: float
     softness: float
@@ -245,39 +281,30 @@ class SoftSphereField(Field):
     def _raw_density(self, pts):
         return self.amplitude * self._parts(pts)[2]
 
-    def _raw(self, pts):
-        return self._raw_density(pts), np.broadcast_to(self.color, (pts.shape[0], 3)).copy()
-
-    def _raw_grad(self, pts):
+    def _raw_density_grad(self, pts):
         diff, r, s = self._parts(pts)
         raw = self.amplitude * s
         ds_dz = s * (1.0 - s)
         w = self.softness
-        n = pts.shape[0]
-        d_raw = np.zeros((n, 9))
+        d_raw = np.zeros((pts.shape[0], 9))
         d_raw[:, 0:3] = (self.amplitude * ds_dz / (r * w))[:, None] * diff
         d_raw[:, 3] = self.amplitude * ds_dz / w
         d_raw[:, 4] = self.amplitude * ds_dz * (r - self.radius) / w**2
         d_raw[:, 5] = s
-        color = np.broadcast_to(self.color, (n, 3)).copy()
-        return raw, color, d_raw, _constant_color_block(n, self.color, 9, 6)
-
-    def params(self) -> np.ndarray:
-        return np.concatenate([self.center, [self.radius, self.softness, self.amplitude], self.color])
-
-    def with_params(self, vector: np.ndarray) -> "SoftSphereField":
-        v = _vec(vector, (9,), "params")
-        return replace(self, center=v[0:3], radius=v[3], softness=v[4], amplitude=v[5], color=v[6:9])
+        return raw, d_raw
 
 
 @dataclass(frozen=True)
-class SoftBoxField(Field):
+class SoftBoxField(_ConstantColorField):
     """Axis-aligned box with sigmoid-softened faces.
 
     Params: [center(3), half_size(3), softness, amplitude, color(3)].
     """
 
     kind: ClassVar[str] = "soft_box"
+    layout = (("center", 3, "free"), ("half_size", 3, "width"), ("softness", 1, "width"),
+              ("amplitude", 1, "nonneg"), ("color", 3, "unit"))
+    color_offset: ClassVar[int] = 8
     center: np.ndarray
     half_size: np.ndarray
     softness: float
@@ -303,29 +330,17 @@ class SoftBoxField(Field):
     def _raw_density(self, pts):
         return self.amplitude * self._parts(pts)[3]
 
-    def _raw(self, pts):
-        return self._raw_density(pts), np.broadcast_to(self.color, (pts.shape[0], 3)).copy()
-
-    def _raw_grad(self, pts):
+    def _raw_density_grad(self, pts):
         diff, q, s, f = self._parts(pts)
         raw = self.amplitude * f
         one_minus = 1.0 - s
         w = self.softness
-        n = pts.shape[0]
-        d_raw = np.zeros((n, 11))
+        d_raw = np.zeros((pts.shape[0], 11))
         d_raw[:, 0:3] = raw[:, None] * one_minus * np.sign(diff) / w
         d_raw[:, 3:6] = raw[:, None] * one_minus / w
         d_raw[:, 6] = raw * np.sum(one_minus * (-q), axis=1) / w
         d_raw[:, 7] = f
-        color = np.broadcast_to(self.color, (n, 3)).copy()
-        return raw, color, d_raw, _constant_color_block(n, self.color, 11, 8)
-
-    def params(self) -> np.ndarray:
-        return np.concatenate([self.center, self.half_size, [self.softness, self.amplitude], self.color])
-
-    def with_params(self, vector: np.ndarray) -> "SoftBoxField":
-        v = _vec(vector, (11,), "params")
-        return replace(self, center=v[0:3], half_size=v[3:6], softness=v[6], amplitude=v[7], color=v[8:11])
+        return raw, d_raw
 
 
 @dataclass(frozen=True)
@@ -342,6 +357,10 @@ class GroundPlaneField(Field):
     """
 
     kind: ClassVar[str] = "ground_plane"
+    layout = (("softness", 1, "width"), ("amplitude", 1, "nonneg"), ("color_a", 3, "unit"),
+              ("color_b", 3, "unit"), ("checker_size", 1, "nonneg"), ("dome_radius", 1, "width"),
+              ("dome_color", 3, "unit"))
+    color_offsets: ClassVar[np.ndarray] = np.array([2, 5, 10])  # color_a, color_b, dome_color
     softness: float
     amplitude: float
     color_a: np.ndarray
@@ -370,28 +389,29 @@ class GroundPlaneField(Field):
         return s_plane, rho, s_dome, union
 
     def _colors(self, pts, s_plane, s_dome):
-        n = pts.shape[0]
-        plane_color = np.broadcast_to(self.color_a, (n, 3)).copy()
-        checker_b = np.zeros(n, dtype=bool)
+        """Color (N, 3) and the parameter index of each point's red channel
+        (``color_offsets``): color_b on odd checker cells, dome_color where
+        the dome dominates, color_a elsewhere."""
+        surface = 0
         if self.checker_size > 0:
             cells = np.floor(pts[:, 0] / self.checker_size) + np.floor(pts[:, 1] / self.checker_size)
-            checker_b = (cells.astype(np.int64) % 2) != 0
-            plane_color[checker_b] = self.color_b
-        on_dome = s_dome > s_plane
-        color = np.where(on_dome[:, None], self.dome_color, plane_color)
-        return color, checker_b, on_dome
+            surface = cells.astype(np.int64) % 2
+        surface = np.where(s_dome > s_plane, 2, surface)
+        return np.stack([self.color_a, self.color_b, self.dome_color])[surface], self.color_offsets[surface]
 
     def _raw_density(self, pts):
         return self.amplitude * self._parts(pts)[3]
 
     def _raw(self, pts):
         s_plane, _, s_dome, union = self._parts(pts)
-        color, _, _ = self._colors(pts, s_plane, s_dome)
-        return self.amplitude * union, color
+        return self.amplitude * union, self._colors(pts, s_plane, s_dome)[0]
 
-    def _raw_grad(self, pts):
+    def _color_source(self, pts):
+        s_plane, _, s_dome, _ = self._parts(pts)
+        return self._colors(pts, s_plane, s_dome)
+
+    def _raw_density_grad(self, pts):
         s_plane, rho, s_dome, union = self._parts(pts)
-        color, checker_b, on_dome = self._colors(pts, s_plane, s_dome)
         raw = self.amplitude * union
         w = self.softness
         z = pts[:, 2]
@@ -399,45 +419,13 @@ class GroundPlaneField(Field):
         dsd = s_dome * (1.0 - s_dome)
         du_dsp = 1.0 - s_dome
         du_dsd = 1.0 - s_plane
-        n = pts.shape[0]
-        d_raw = np.zeros((n, 13))
+        d_raw = np.zeros((pts.shape[0], 13))
         d_raw[:, 0] = self.amplitude * (
             du_dsp * dsp * (z / w**2) + du_dsd * dsd * (-(rho - self.dome_radius) / w**2)
         )
         d_raw[:, 1] = union
         d_raw[:, 9] = self.amplitude * du_dsd * dsd * (-1.0 / w)
-        d_color = np.zeros((n, 3, 13))
-        plane_a = ~on_dome & ~checker_b
-        plane_b = ~on_dome & checker_b
-        for ch in range(3):
-            d_color[plane_a, ch, 2 + ch] = 1.0
-            d_color[plane_b, ch, 5 + ch] = 1.0
-            d_color[on_dome, ch, 10 + ch] = 1.0
-        return raw, color, d_raw, d_color
-
-    def params(self) -> np.ndarray:
-        return np.concatenate(
-            [
-                [self.softness, self.amplitude],
-                self.color_a,
-                self.color_b,
-                [self.checker_size, self.dome_radius],
-                self.dome_color,
-            ]
-        )
-
-    def with_params(self, vector: np.ndarray) -> "GroundPlaneField":
-        v = _vec(vector, (13,), "params")
-        return replace(
-            self,
-            softness=v[0],
-            amplitude=v[1],
-            color_a=v[2:5],
-            color_b=v[5:8],
-            checker_size=v[8],
-            dome_radius=v[9],
-            dome_color=v[10:13],
-        )
+        return raw, d_raw
 
 
 @dataclass(frozen=True)
@@ -523,32 +511,7 @@ def field_from_params(kind: str, vector, sigma_max: float | None = DEFAULT_SIGMA
     if kind not in FIELD_KINDS:
         raise ValueError(f"unknown field kind {kind!r}")
     cls = FIELD_KINDS[kind]
-    v = np.asarray(vector, dtype=np.float64)
-    if kind == "gaussian_blob":
-        probe = cls(center=(0, 0, 0), scale=(1, 1, 1), amplitude=1, color=(0, 0, 0), sigma_max=sigma_max)
-    elif kind == "soft_sphere":
-        probe = cls(center=(0, 0, 0), radius=1, softness=0.1, amplitude=1, color=(0, 0, 0), sigma_max=sigma_max)
-    elif kind == "soft_box":
-        probe = cls(center=(0, 0, 0), half_size=(1, 1, 1), softness=0.1, amplitude=1, color=(0, 0, 0), sigma_max=sigma_max)
-    else:
-        probe = cls(
-            softness=0.05, amplitude=1, color_a=(0, 0, 0), color_b=(0, 0, 0),
-            checker_size=0.0, dome_radius=30.0, dome_color=(0, 0, 0), sigma_max=sigma_max,
-        )
-    return probe.with_params(v)
-
-
-def evaluate(field: Field, x, d=None):
-    """Module-level convenience for ``field.evaluate``."""
-    return field.evaluate(x, d)
-
-
-def param_vector(field: Field) -> np.ndarray:
-    return field.params()
-
-
-def set_params(field: Field, vector) -> Field:
-    return field.with_params(np.asarray(vector, dtype=np.float64))
+    return cls(**cls._groups(vector), sigma_max=sigma_max)
 
 
 def positional_encoding(x, n_frequencies: int, k_lowest: int) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Gradient fitting of scene parameters to RGB-D samples.
 
-The loss landscape comes from losses.total_loss; gradients are closed-form
-(losses._loss_eval) and cross-checked against central finite differences.
+The loss landscape comes from losses.total_loss.  Gradients are closed-form:
+each field kind supplies its density gradient and the parameter slots of its
+color (fields), losses._loss_eval assembles them into the gradient of the
+whole parameter vector, and finite_diff_gradient cross-checks the result.
 The optimizer is Adam with bias correction, a stepwise-halving learning
 rate, global norm clipping, and a skip threshold for pathological steps.
 After every step parameters are projected back into each kind's valid
@@ -16,7 +18,6 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .compose import CompositeScene
-from .fields import GaussianBlobField, GroundPlaneField, SoftBoxField, SoftSphereField
 from .losses import LossConfig, _BatchArrays, _loss_eval
 
 __all__ = [
@@ -29,6 +30,14 @@ __all__ = [
 ]
 
 _MIN_WIDTH = 1e-3
+
+# Projection box (lower, upper) of each parameter domain a field layout names.
+_DOMAINS = {
+    "free": (-np.inf, np.inf),
+    "width": (_MIN_WIDTH, np.inf),
+    "nonneg": (0.0, np.inf),
+    "unit": (0.0, 1.0),
+}
 
 
 class FitDivergence(RuntimeError):
@@ -97,35 +106,14 @@ class _Adam:
 
 
 def _param_bounds(scene: CompositeScene) -> tuple[np.ndarray, np.ndarray]:
-    """Per-parameter projection box keeping every kind inside its domain."""
-    lo_parts, hi_parts = [], []
+    """Per-parameter projection box keeping every kind inside its domain;
+    a kind without a layout is left unbounded."""
+    boxes = []
     for comp in scene.components:
-        p = comp.n_params
-        lo = np.full(p, -np.inf)
-        hi = np.full(p, np.inf)
-        if isinstance(comp, GaussianBlobField):
-            lo[3:6] = _MIN_WIDTH        # scale
-            lo[6] = 0.0                 # amplitude
-            lo[7:10], hi[7:10] = 0.0, 1.0
-        elif isinstance(comp, SoftSphereField):
-            lo[3] = lo[4] = _MIN_WIDTH  # radius, softness
-            lo[5] = 0.0
-            lo[6:9], hi[6:9] = 0.0, 1.0
-        elif isinstance(comp, SoftBoxField):
-            lo[3:6] = _MIN_WIDTH        # half_size
-            lo[6] = _MIN_WIDTH          # softness
-            lo[7] = 0.0
-            lo[8:11], hi[8:11] = 0.0, 1.0
-        elif isinstance(comp, GroundPlaneField):
-            lo[0] = _MIN_WIDTH          # softness
-            lo[1] = 0.0                 # amplitude
-            lo[2:8], hi[2:8] = 0.0, 1.0
-            lo[8] = 0.0                 # checker_size
-            lo[9] = _MIN_WIDTH          # dome_radius
-            lo[10:13], hi[10:13] = 0.0, 1.0
-        lo_parts.append(lo)
-        hi_parts.append(hi)
-    return np.concatenate(lo_parts), np.concatenate(hi_parts)
+        domains = [d for _, size, d in comp.layout for _ in range(size)] or ["free"] * comp.n_params
+        boxes += [_DOMAINS[d] for d in domains]
+    lo, hi = np.array(boxes).T
+    return lo, hi
 
 
 def loss_gradient(scene: CompositeScene, batch, iteration: int, config: LossConfig, rng) -> np.ndarray:

@@ -55,6 +55,21 @@ def _read_header_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
     return tokens, i + 1
 
 
+def _header_number(token: bytes, kind):
+    try:
+        return kind(token)
+    except ValueError:
+        raise ImageFormatError(f"bad image header value {token!r}") from None
+
+
+def _header_size(tokens: list[bytes]) -> tuple[int, int]:
+    """Width and height from header tokens 1 and 2; both must be >= 1."""
+    w, h = _header_number(tokens[1], int), _header_number(tokens[2], int)
+    if w < 1 or h < 1:
+        raise ImageFormatError(f"image size must be positive, got {w}x{h}")
+    return w, h
+
+
 def write_ppm(path, rgb: np.ndarray) -> None:
     """Linear [0, 1] colors (H, W, 3) to 8-bit binary PPM with gamma 2.2."""
     rgb = np.asarray(rgb, dtype=np.float64)
@@ -81,7 +96,7 @@ def read_ppm(path) -> np.ndarray:
     tokens, offset = _read_header_tokens(data, 4)
     if tokens[0] != b"P6" or tokens[3] != b"255":
         raise ImageFormatError("expected binary 8-bit PPM")
-    w, h = int(tokens[1]), int(tokens[2])
+    w, h = _header_size(tokens)
     pixels = _payload(data, np.uint8, w * h * 3, offset)
     return (pixels.reshape(h, w, 3).astype(np.float64) / 255.0) ** GAMMA
 
@@ -101,8 +116,8 @@ def read_pfm(path) -> np.ndarray:
     tokens, offset = _read_header_tokens(data, 4)
     if tokens[0] != b"Pf":
         raise ImageFormatError("expected grayscale PFM")
-    w, h = int(tokens[1]), int(tokens[2])
-    scale = float(tokens[3])
+    w, h = _header_size(tokens)
+    scale = _header_number(tokens[3], float)
     pixels = _payload(data, "<f4" if scale < 0 else ">f4", w * h, offset)
     return np.flipud(pixels.reshape(h, w)).astype(np.float64)
 
@@ -123,6 +138,6 @@ def read_pgm(path) -> np.ndarray:
     tokens, offset = _read_header_tokens(data, 4)
     if tokens[0] != b"P5" or tokens[3] != b"255":
         raise ImageFormatError("expected binary 8-bit PGM")
-    w, h = int(tokens[1]), int(tokens[2])
+    w, h = _header_size(tokens)
     pixels = _payload(data, np.uint8, w * h, offset)
     return pixels.reshape(h, w).astype(np.int32)

@@ -9,6 +9,12 @@ last 2% of the ray, which has far lower variance when density concentrates
 near the surface.  Color is scored under an isotropic Gaussian at the same
 jittered point, and overlapping components pay the amount of density not
 explained by the dominant one.
+
+The batched core, ``_loss_eval``, serves total_loss and the fitter's
+gradient.  It evaluates densities at every surface and free-space point and
+colors only at the surface points.  Per component, the gradient is one
+weighted sum of density-gradient rows plus the color error scattered into
+that component's color slots; no (N, 3, P) color Jacobian is formed.
 """
 
 from __future__ import annotations
@@ -17,8 +23,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .compose import NEUTRAL_COLOR, CompositeScene
-from .fields import LOG_DENSITY_FLOOR
+from .compose import CompositeScene, _mix
+from .fields import LOG_DENSITY_FLOOR, _check_points
 from .geometry import Ray
 
 __all__ = [
@@ -236,31 +242,28 @@ def _loss_eval(scene: CompositeScene, arrays: _BatchArrays, iteration: int,
     t_surf = arrays.t_obs + eps
     surf_pts = arrays.origins + t_surf[:, None] * arrays.directions
     free_pts = (arrays.origins[:, None, :] + pos[:, :, None] * arrays.directions[:, None, :]).reshape(-1, 3)
-    stacked = np.concatenate([surf_pts, free_pts], axis=0)
+    stacked, _ = _check_points(np.concatenate([surf_pts, free_pts], axis=0))
 
-    sig_surf = np.empty((b, n_comp))
-    col_surf = np.empty((b, n_comp, 3))
-    sig_free = np.empty((b, f, n_comp))
-    grads = [None] * n_comp
+    # Densities at every point; colors only at the surface points.
+    sigmas = np.empty((stacked.shape[0], n_comp))
+    colors = np.empty((b, n_comp, 3))
+    grads = []
     for i, comp in enumerate(scene.components):
         if want_grads:
-            s, c, ds, dc = comp.evaluate_with_grad(stacked)
-            grads[i] = (ds[:b], dc[:b], ds[b:].reshape(b, f, -1))
+            sigmas[:, i], d_sigma = comp._density_grad(stacked)
+            color, inside, slots = comp._color_slots(surf_pts)
+            grads.append((d_sigma, color, inside, slots))
         else:
-            s, c = comp.evaluate(stacked)
-        sig_surf[:, i] = s[:b]
-        col_surf[:, i] = c[:b]
-        sig_free[:, :, i] = s[b:].reshape(b, f)
+            sigmas[:, i] = comp.density(stacked)
+            color = comp.evaluate(surf_pts)[1]
+        colors[:, i] = color
+    sig_surf = sigmas[:b]
+    sig_free = sigmas[b:].reshape(b, f, n_comp)
 
-    sig_tot_surf = sig_surf.sum(axis=1)
     sig_tot_free = sig_free.sum(axis=2)
+    sig_tot_surf, c_pred = _mix(sig_surf, colors)  # overwrites colors
     log_live = sig_tot_surf > LOG_DENSITY_FLOOR
     depth_per_ray = -np.log(np.maximum(sig_tot_surf, LOG_DENSITY_FLOOR)) + (sig_tot_free / q).mean(axis=1)
-
-    color_live = sig_tot_surf > 0.0
-    safe_tot = np.where(color_live, sig_tot_surf, 1.0)
-    c_pred = (sig_surf[:, :, None] * col_surf).sum(axis=1) / safe_tot[:, None]
-    c_pred[~color_live] = NEUTRAL_COLOR
     color_per_ray = _color_nll_values(c_pred, arrays.colors, config.sigma_c)
 
     dominant = np.argmax(sig_surf, axis=1)
@@ -283,23 +286,28 @@ def _loss_eval(scene: CompositeScene, arrays: _BatchArrays, iteration: int,
     if not want_grads:
         return total, breakdown, None
 
+    # Per component i, with d/dp acting on sigma_i and c_i only:
+    #   d(depth)/dp   = -dsigma_i(surf) / sigma_total + mean_f dsigma_i(free_f) / q_f
+    #   d(c_pred)/dp  = [sigma_i * dc_i + (c_i - c_pred) * dsigma_i(surf)] / sigma_total
+    #   d(overlap)/dp = dsigma_i(surf) where i is not the dominant component
+    # so the gradient is a weighted sum of density-gradient rows plus the
+    # color part, which lands only in the color parameter slots.
+    color_live = sig_tot_surf > 0.0
     err = (c_pred - arrays.colors) / config.sigma_c**2
     err = err * color_live[:, None]
-    inv_tot = np.where(color_live, 1.0 / safe_tot, 0.0)
+    inv_tot = np.where(color_live, 1.0 / np.where(color_live, sig_tot_surf, 1.0), 0.0)
     d_log = np.where(log_live, 1.0 / np.maximum(sig_tot_surf, LOG_DENSITY_FLOOR), 0.0)
+    weights = np.empty(stacked.shape[0])
+    weights[b:] = (1.0 / (q * f)).ravel()
     grad_parts = []
-    for i in range(n_comp):
-        ds_surf, dc_surf, ds_free = grads[i]
-        g_depth = -d_log[:, None] * ds_surf + (ds_free / q[:, :, None]).mean(axis=1)
-        # d(c_pred)/dp = [sigma_i * dc_i + (c_i - c_pred) * dsigma_i] / sigma_total
-        dc_pred = (
-            sig_surf[:, i, None, None] * dc_surf
-            + (col_surf[:, i] - c_pred)[:, :, None] * ds_surf[:, None, :]
-        ) * inv_tot[:, None, None]
-        g_color = np.einsum("bc,bcp->bp", err, dc_pred)
-        not_dominant = (dominant != i).astype(np.float64)
-        g_overlap = ds_surf * not_dominant[:, None]
-        grad_parts.append((g_depth + g_color + k_o * g_overlap).mean(axis=0))
+    for i, (d_sigma, color, inside, slots) in enumerate(grads):
+        weights[:b] = (
+            inv_tot * ((color - c_pred) * err).sum(axis=1) - d_log + k_o * (dominant != i)
+        )
+        grad = weights @ d_sigma
+        color_weights = err * inside * (sig_surf[:, i] * inv_tot)[:, None]
+        grad += np.bincount(slots.ravel(), weights=color_weights.ravel(), minlength=grad.shape[0])
+        grad_parts.append(grad / b)
     return total, breakdown, np.concatenate(grad_parts)
 
 

@@ -9,6 +9,7 @@ indentation, trailing newline — so identical scenes produce identical bytes.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -126,6 +127,10 @@ def doc_to_scene(doc: dict) -> SceneDocument:
         raise SceneFormatError(f"unsupported scene document version {version!r}")
     t_far = _require(doc, "t_far")
     sigma_max = doc.get("sigma_max", DEFAULT_SIGMA_MAX)
+    if sigma_max is not None and not (
+        isinstance(sigma_max, (int, float)) and not isinstance(sigma_max, bool) and 0 < sigma_max < math.inf
+    ):
+        raise SceneFormatError(f"sigma_max must be null or a finite number > 0, got {sigma_max!r}")
     raw_components = _require(doc, "components")
     if not isinstance(raw_components, list) or not raw_components:
         raise SceneFormatError("components must be a non-empty list")

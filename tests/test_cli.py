@@ -32,6 +32,14 @@ def generate_small(out_dir, capsys, seed=0, views=2, resolution=14, extra=()):
     return run_cli(argv, capsys)
 
 
+def assert_one_error_line(code, capsys):
+    """Bad input: exit 2, nothing on stdout, exactly one error line on stderr."""
+    captured = capsys.readouterr()
+    assert code == EXIT_INPUT
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def tree_bytes(root):
     snapshot = {}
     for dirpath, _dirnames, filenames in os.walk(root):
@@ -81,6 +89,10 @@ class TestGenerate:
         a = (tmp_path / "a" / "scene.json").read_bytes()
         b = (tmp_path / "b" / "scene.json").read_bytes()
         assert a != b
+
+    def test_zero_resolution_exits_2(self, tmp_path, capsys):
+        code = main(["generate", "--out", str(tmp_path / "g"), "--resolution", "0"])
+        assert_one_error_line(code, capsys)
 
     def test_impossible_placement_exits_3(self, tmp_path, capsys):
         code, _ = generate_small(
@@ -138,6 +150,26 @@ class TestRender:
         bad.write_text(json.dumps({"version": "1", "t_far": 40.0, "components": []}))
         code, _ = run_cli(["render", "--scene", str(bad), "--out", str(tmp_path / "o")], capsys)
         assert code == EXIT_INPUT
+
+    def test_zero_resolution_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        generate_small(data, capsys, views=1)
+        code = main(["render", "--scene", str(data / "scene.json"), "--out", str(tmp_path / "o"),
+                     "--resolution", "0"])
+        assert_one_error_line(code, capsys)
+
+    @pytest.mark.parametrize("key,value", [("sigma_max", "abc"), ("sigma_max", -1),
+                                           ("t_far", float("inf"))])
+    def test_bad_scene_values_exit_2(self, tmp_path, capsys, key, value):
+        data = tmp_path / "data"
+        generate_small(data, capsys, views=1)
+        doc = json.loads((data / "scene.json").read_text())
+        doc[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))  # writes Infinity, which json.load reads back
+        code = main(["render", "--scene", str(bad), "--out", str(tmp_path / "o"), "--resolution", "6"])
+        assert_one_error_line(code, capsys)
+        assert not (tmp_path / "o").exists()
 
 
 class TestFit:
@@ -201,6 +233,16 @@ class TestFit:
             capsys,
         )
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize("flags", [["--iterations", "0"], ["--batch-size", "0"],
+                                       ["--trace-points", "0"], ["--learning-rate", "0"],
+                                       ["--k-o-max", "-1"]])
+    def test_unusable_settings_exit_2(self, tmp_path, capsys, flags):
+        data = self.make_data(tmp_path, capsys)
+        code = main(["fit", "--data", str(data), "--out", str(tmp_path / "o"),
+                     "--init", str(data / "scene.json"), "--iterations", "2", *flags])
+        assert_one_error_line(code, capsys)
+        assert not (tmp_path / "o").exists()
 
     def test_divergence_exits_4(self, tmp_path, capsys, monkeypatch):
         from rayfields import cli as cli_module

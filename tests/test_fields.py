@@ -272,6 +272,64 @@ class TestFieldGradients:
         assert np.array_equal(d_sig[0], np.zeros(f.n_params))
 
 
+def _old_color_jacobian(field, pts):
+    """d(color)/d(params) (N, 3, P) built the way each kind used to build it:
+    an identity block at the color slots of a constant-color kind, one-hot
+    blocks per surface (color_a, color_b, dome) for the ground plane, both
+    masked to the channels whose unclipped color lies in [0, 1]."""
+    n, p = pts.shape[0], field.n_params
+    d_color = np.zeros((n, 3, p))
+    if isinstance(field, GroundPlaneField):
+        s_plane, _, s_dome, _ = field._parts(pts)
+        checker_b = np.zeros(n, dtype=bool)
+        if field.checker_size > 0:
+            cells = np.floor(pts[:, 0] / field.checker_size) + np.floor(pts[:, 1] / field.checker_size)
+            checker_b = (cells.astype(np.int64) % 2) != 0
+        on_dome = s_dome > s_plane
+        color = np.where(on_dome[:, None], field.dome_color,
+                         np.where(checker_b[:, None], field.color_b, field.color_a))
+        for ch in range(3):
+            d_color[~on_dome & ~checker_b, ch, 2 + ch] = 1.0
+            d_color[~on_dome & checker_b, ch, 5 + ch] = 1.0
+            d_color[on_dome, ch, 10 + ch] = 1.0
+    else:
+        offset = {"gaussian_blob": 7, "soft_sphere": 6, "soft_box": 8}[field.kind]
+        color = np.broadcast_to(field.color, (n, 3))
+        for ch in range(3):
+            d_color[:, ch, offset + ch] = 1.0
+    inside = (color >= 0.0) & (color <= 1.0)
+    return d_color * inside[:, :, None]
+
+
+class TestColorJacobian:
+    """evaluate_with_grad builds d(color) from each kind's color slots; it must
+    equal the per-kind blocks bit for bit, clip edges and checker cells included."""
+
+    FIELDS = [
+        GaussianBlobField(center=(0, 0, 0), scale=(1, 1, 1), amplitude=5.0, color=(1.0, 0.0, 1.2)),
+        SoftSphereField(center=(0, 0, 0), radius=1.0, softness=0.1, amplitude=5.0, color=(-0.1, 0.5, 1.0)),
+        SoftBoxField(center=(0, 0, 0), half_size=(1, 1, 1), softness=0.1, amplitude=5.0, color=(0.3, 2.0, 0.0)),
+        GroundPlaneField(softness=0.2, amplitude=9.0, color_a=(0.0, 1.0, 0.5), color_b=(1.5, -0.2, 0.3),
+                         checker_size=0.6, dome_radius=2.0, dome_color=(0.2, 1.0, 7.0)),
+        GroundPlaneField(softness=0.2, amplitude=9.0, color_a=(0.6, 0.6, 0.6), color_b=(1.5, -0.2, 0.3),
+                         checker_size=0.0, dome_radius=2.0, dome_color=(0.5, 0.6, 0.7)),
+    ]
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.kind)
+    def test_equals_old_per_kind_blocks(self, field):
+        pts = np.random.default_rng(8).uniform(-3.0, 3.0, (300, 3))
+        _, _, _, d_color = field.evaluate_with_grad(pts)
+        assert np.array_equal(d_color, _old_color_jacobian(field, pts))
+        _, _, _, single = field.evaluate_with_grad(pts[7])
+        assert np.array_equal(single, _old_color_jacobian(field, pts[7:8])[0])
+
+    def test_ground_plane_points_reach_every_surface(self):
+        ground = self.FIELDS[3]
+        pts = np.random.default_rng(8).uniform(-3.0, 3.0, (300, 3))
+        _, offsets = ground._color_source(pts)
+        assert set(np.unique(offsets)) == {2, 5, 10}
+
+
 class TestPositionalEncoding:
     def test_frozen_example(self):
         # x = 0.25 at frequencies pi and 2*pi:

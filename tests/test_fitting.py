@@ -8,7 +8,18 @@ import rayfields as rf
 from rayfields.fields import PiecewiseConstantRayField, UnsupportedGradient
 from rayfields.fitting import FitConfig, FitDivergence, finite_diff_gradient, fit, loss_gradient
 from rayfields.geometry import Camera, Ray, pinhole_rays
-from rayfields.losses import LossConfig, RgbdSample
+from rayfields.compose import NEUTRAL_COLOR
+from rayfields.fields import LOG_DENSITY_FLOOR
+from rayfields.losses import (
+    LossConfig,
+    RgbdSample,
+    _BatchArrays,
+    _color_nll_values,
+    _draw_free_importance,
+    _draw_jitter,
+    k_o_schedule,
+    total_loss,
+)
 from rayfields.scenegen import surface_samples
 
 
@@ -124,6 +135,165 @@ class TestGradients:
         sample = RgbdSample(ray=Ray((0, 0, 0), (1, 0, 0), 10.0), color=np.ones(3), depth=4.0)
         with pytest.raises(UnsupportedGradient):
             loss_gradient(scene, [sample], 0, LossConfig(), rng=0)
+
+
+def dense_reference_loss(scene, batch, iteration, config, seed):
+    """Total loss and gradient assembled from dense color Jacobians: every
+    component's evaluate_with_grad at every point, a (B, 3, P) d(c_pred) per
+    component contracted with the color error, then a mean over ray rows."""
+    arrays = _BatchArrays.from_samples(batch)
+    rng = np.random.default_rng(seed)
+    b, n_comp, f = len(arrays), scene.n, config.n_free_samples
+    eps = _draw_jitter(rng, b, config.delta)
+    pos, q = _draw_free_importance(rng, arrays.t_obs, f)
+    surf = arrays.origins + (arrays.t_obs + eps)[:, None] * arrays.directions
+    free = (arrays.origins[:, None, :] + pos[:, :, None] * arrays.directions[:, None, :]).reshape(-1, 3)
+    stacked = np.concatenate([surf, free], axis=0)
+
+    sig_surf = np.empty((b, n_comp))
+    col_surf = np.empty((b, n_comp, 3))
+    sig_free = np.empty((b, f, n_comp))
+    grads = []
+    for i, comp in enumerate(scene.components):
+        s, c, ds, dc = comp.evaluate_with_grad(stacked)
+        grads.append((ds[:b], dc[:b], ds[b:].reshape(b, f, -1)))
+        sig_surf[:, i] = s[:b]
+        col_surf[:, i] = c[:b]
+        sig_free[:, :, i] = s[b:].reshape(b, f)
+
+    sig_tot_surf = sig_surf.sum(axis=1)
+    log_live = sig_tot_surf > LOG_DENSITY_FLOOR
+    depth = -np.log(np.maximum(sig_tot_surf, LOG_DENSITY_FLOOR)) + (sig_free.sum(axis=2) / q).mean(axis=1)
+    color_live = sig_tot_surf > 0.0
+    safe_tot = np.where(color_live, sig_tot_surf, 1.0)
+    c_pred = (sig_surf[:, :, None] * col_surf).sum(axis=1) / safe_tot[:, None]
+    c_pred[~color_live] = NEUTRAL_COLOR
+    color = _color_nll_values(c_pred, arrays.colors, config.sigma_c)
+    dominant = np.argmax(sig_surf, axis=1)
+    overlap = sig_tot_surf - sig_surf[np.arange(b), dominant]
+    k_o = k_o_schedule(iteration, config)
+    total = float(depth.mean()) + float(color.mean()) + k_o * float(overlap.mean())
+
+    err = (c_pred - arrays.colors) / config.sigma_c**2 * color_live[:, None]
+    inv_tot = np.where(color_live, 1.0 / safe_tot, 0.0)
+    d_log = np.where(log_live, 1.0 / np.maximum(sig_tot_surf, LOG_DENSITY_FLOOR), 0.0)
+    parts = []
+    for i, (ds_surf, dc_surf, ds_free) in enumerate(grads):
+        g_depth = -d_log[:, None] * ds_surf + (ds_free / q[:, :, None]).mean(axis=1)
+        dc_pred = (
+            sig_surf[:, i, None, None] * dc_surf
+            + (col_surf[:, i] - c_pred)[:, :, None] * ds_surf[:, None, :]
+        ) * inv_tot[:, None, None]
+        g_color = np.einsum("bc,bcp->bp", err, dc_pred)
+        g_overlap = ds_surf * (dominant != i)[:, None]
+        parts.append((g_depth + g_color + k_o * g_overlap).mean(axis=0))
+    return total, np.concatenate(parts)
+
+
+def aimed_samples(targets, rng):
+    """One supervised ray per target point, arriving from a random upper
+    direction 3 units away, with the observed depth at the target."""
+    samples = []
+    for point in np.asarray(targets, dtype=float):
+        up = rng.normal(size=3)
+        up[2] = abs(up[2]) + 0.5
+        up /= np.linalg.norm(up)
+        ray = Ray(point + 3.0 * up, -up, 40.0)
+        samples.append(RgbdSample(ray=ray, color=rng.uniform(0, 1, 3), depth=3.0))
+    return samples
+
+
+def all_kinds_case():
+    """Every gradient kind; a blob past the density cap; colors at and past
+    the clip edges; ground rays on both checker colors and on the dome;
+    air rays whose total surface density is below LOG_DENSITY_FLOOR."""
+    scene = rf.CompositeScene(
+        (
+            rf.GaussianBlobField(center=(-0.8, -0.3, 0.5), scale=(0.5, 0.4, 0.45), amplitude=14.0,
+                                 color=(1.0, 0.0, 1.2), sigma_max=10.0),
+            rf.SoftSphereField(center=(0.7, 0.4, 0.5), radius=0.45, softness=0.1, amplitude=8.0,
+                               color=(0.2, 0.9, -0.1)),
+            rf.SoftBoxField(center=(0.1, -0.9, 0.35), half_size=(0.3, 0.3, 0.35), softness=0.05,
+                            amplitude=9.0, color=(0.5, 1.0, 0.25)),
+            rf.GroundPlaneField(softness=0.05, amplitude=10.0, color_a=(0.6, 0.6, 0.6),
+                                color_b=(0.4, 0.0, 1.3), checker_size=0.5, dome_radius=8.0,
+                                dome_color=(0.55, 0.6, 1.0)),
+        ),
+        t_far=40.0,
+    )
+    rng = np.random.default_rng(11)
+    objects = [(-0.8, -0.3, 0.5), (-0.8, -0.3, 0.9), (0.7, 0.4, 0.5), (0.7, 0.4, 0.95),
+               (0.1, -0.9, 0.35), (0.1, -0.9, 0.7)]
+    ground = np.column_stack([rng.uniform(-3, 3, (24, 2)), np.full(24, -0.05)])
+    dome = rng.normal(size=(8, 3))
+    dome[:, 2] = np.abs(dome[:, 2]) + 0.3
+    dome *= 8.0 / np.linalg.norm(dome, axis=1, keepdims=True)
+    air = [(0.0, 0.0, 4.0), (0.5, -0.5, 4.2), (-1.0, 0.5, 4.5)]
+    return scene, aimed_samples(np.concatenate([objects, ground, dome, air]), rng)
+
+
+def empty_rays_case():
+    """Blobs only: rays whose surface densities are exactly zero, rays below
+    LOG_DENSITY_FLOOR, and rays through the blob cores."""
+    scene = rf.CompositeScene(
+        (
+            rf.GaussianBlobField(center=(0, 0, 0), scale=(0.2, 0.2, 0.2), amplitude=5.0,
+                                 color=(0.9, 0.1, 0.1)),
+            rf.GaussianBlobField(center=(0.15, 0, 0), scale=(0.2, 0.25, 0.2), amplitude=4.0,
+                                 color=(0.1, 0.2, 0.9)),
+        ),
+        t_far=40.0,
+    )
+    rng = np.random.default_rng(12)
+    targets = [(0, 0, 0), (0.1, 0.05, 0), (0.2, 0, 0.05), (20, 0, 0), (-15, 9, 3), (0, 30, 0),
+               (1.9, 0, 0), (0, -1.9, 0.3), (0, 0, 1.95)]
+    return scene, aimed_samples(targets, rng)
+
+
+class TestGradientAssembly:
+    """loss_gradient against dense_reference_loss, case by case."""
+
+    CONFIGS = {
+        "default": (LossConfig(), 0),
+        "free3_overlap": (LossConfig(n_free_samples=3, ramp_start=0, ramp_end=0, k_o_max=0.05), 4),
+    }
+
+    @pytest.mark.parametrize("config", sorted(CONFIGS))
+    @pytest.mark.parametrize("case", [all_kinds_case, empty_rays_case], ids=lambda c: c.__name__)
+    def test_matches_dense_reference(self, case, config):
+        scene, batch = case()
+        cfg, iteration = self.CONFIGS[config]
+        for seed in (0, 1, 2):
+            ref_total, ref_grad = dense_reference_loss(scene, batch, iteration, cfg, seed)
+            total, _ = total_loss(scene, batch, iteration, cfg, rng=seed)
+            grad = loss_gradient(scene, batch, iteration, cfg, rng=seed)
+            assert total == ref_total
+            assert np.linalg.norm(grad - ref_grad) <= 1e-12 * np.linalg.norm(ref_grad)
+
+    def test_cases_reach_every_regime(self):
+        scene, batch = all_kinds_case()
+        arrays = _BatchArrays.from_samples(batch)
+        surf = arrays.origins + arrays.t_obs[:, None] * arrays.directions
+        sigmas = scene.density_components(surf)
+        assert np.any(sigmas[:, 0] == 10.0)  # the blob core sits at the cap
+        assert sigmas.sum(axis=1).min() < LOG_DENSITY_FLOOR
+        _, offsets = scene.components[3]._color_source(surf)
+        assert set(np.unique(offsets)) == {2, 5, 10}
+        scene, batch = empty_rays_case()
+        arrays = _BatchArrays.from_samples(batch)
+        totals = scene.density(arrays.origins + arrays.t_obs[:, None] * arrays.directions)
+        assert np.any(totals == 0.0)
+        assert np.any((totals > 0.0) & (totals < LOG_DENSITY_FLOOR))
+        assert np.any(totals > 1.0)
+
+    def test_checker_size_gradient_is_zero(self):
+        scene, batch = all_kinds_case()
+        grad = loss_gradient(scene, batch, 0, LossConfig(), rng=3)
+        checker = sum(c.n_params for c in scene.components[:3]) + 8
+        assert grad[checker] == 0.0
+        # color_b = (0.4, 0.0, 1.3): red and green (at the clip edge) are
+        # live, blue lies past the clip and has no gradient.
+        assert grad[checker - 3] != 0.0 and grad[checker - 2] != 0.0 and grad[checker - 1] == 0.0
 
 
 class TestFit:

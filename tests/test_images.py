@@ -164,6 +164,28 @@ class TestPgm:
             read_pgm(path)
 
 
+class TestHeaderValues:
+    """Every reader turns a bad size or scale token into ImageFormatError."""
+
+    READERS = {"ppm": (read_ppm, b"P6", b"255"), "pfm": (read_pfm, b"Pf", b"-1.0"),
+               "pgm": (read_pgm, b"P5", b"255")}
+
+    @pytest.mark.parametrize("size", [b"ab 2", b"2 ab", b"2.5 2", b"0 2", b"2 0", b"-2 2", b"2 -3"])
+    @pytest.mark.parametrize("fmt", sorted(READERS))
+    def test_bad_size_rejected(self, tmp_path, fmt, size):
+        reader, magic, last = self.READERS[fmt]
+        path = tmp_path / f"bad.{fmt}"
+        path.write_bytes(magic + b"\n" + size + b"\n" + last + b"\n" + b"\x00" * 64)
+        with pytest.raises(ImageFormatError):
+            reader(path)
+
+    def test_bad_pfm_scale_rejected(self, tmp_path):
+        path = tmp_path / "bad.pfm"
+        path.write_bytes(b"Pf\n1 1\nab\n\x00\x00\x00\x00")
+        with pytest.raises(ImageFormatError):
+            read_pfm(path)
+
+
 class TestAtomicity:
     def test_no_tmp_left_behind(self, tmp_path):
         write_ppm(tmp_path / "a.ppm", np.zeros((2, 2, 3)))

@@ -151,6 +151,20 @@ class TestValidation:
         with pytest.raises(SceneFormatError):
             doc_to_scene(doc)
 
+    @pytest.mark.parametrize("value", ["abc", -1, 0, float("inf"), float("nan"), True, [10.0]])
+    def test_bad_sigma_max(self, value):
+        doc = self.good_doc()
+        doc["sigma_max"] = value
+        with pytest.raises(SceneFormatError, match="sigma_max"):
+            doc_to_scene(doc)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), 0.0, -5.0, "far"])
+    def test_bad_t_far(self, value):
+        doc = self.good_doc()
+        doc["t_far"] = value
+        with pytest.raises(SceneFormatError):
+            doc_to_scene(doc)
+
     def test_bad_camera_block(self):
         doc = scene_to_doc(
             two_blob_demo_scene(),
