@@ -117,6 +117,11 @@ def _load_document(path: str):
 
 
 def _quad_from_args(args, doc_quad: QuadratureConfig | None) -> QuadratureConfig:
+    # Two coarse samples is the quadrature minimum; zero fine samples renders coarse-only.
+    if args.n_coarse is not None and args.n_coarse < 2:
+        raise _InputError(f"--n-coarse must be >= 2, got {args.n_coarse}")
+    if args.n_fine is not None and args.n_fine < 0:
+        raise _InputError(f"--n-fine must be >= 0, got {args.n_fine}")
     quad = doc_quad or QuadratureConfig()
     if args.n_coarse is not None:
         quad = replace(quad, n_coarse=args.n_coarse)
@@ -185,11 +190,15 @@ def _cmd_render(args) -> int:
 
 def _cmd_generate(args) -> int:
     _require_positive(args, "--resolution")
-    config = SceneGenConfig(
-        n_objects_min=args.n_objects_min,
-        n_objects_max=args.n_objects_max,
-        resolution=args.resolution,
-    )
+    quad = _quad_from_args(args, None)
+    try:
+        config = SceneGenConfig(
+            n_objects_min=args.n_objects_min,
+            n_objects_max=args.n_objects_max,
+            resolution=args.resolution,
+        )
+    except ValueError as exc:
+        raise _InputError(f"bad object counts {args.n_objects_min}..{args.n_objects_max}: {exc}") from exc
     rng = np.random.default_rng(args.scene_seed)
     try:
         scene, meta = sample_scene(config, rng)
@@ -197,11 +206,6 @@ def _cmd_generate(args) -> int:
         _stderr(f"error: {exc}")
         return EXIT_GENERATION
 
-    quad = QuadratureConfig(
-        n_coarse=args.n_coarse or 64,
-        n_fine=args.n_fine or 128,
-        seed=args.seed if args.seed is not None else 0,
-    )
     camera = default_camera(config)
     _ensure_out_dir(args.out)
     started = time.perf_counter()

@@ -5,6 +5,12 @@ member densities and whose color is the density-weighted mean of the member
 colors.  The depth distribution factors through components: the mass a ray
 assigns to component i is the weight-sum of sigma_i / sigma_total along it,
 and the residual (reaching t_far unabsorbed) accounts for the rest.
+
+A scene checks its points once per call and evaluates each component once
+on them.  A component whose color is the same everywhere hands over a
+single (3,) row, and ``_mix`` adds the density-weighted colors one
+component at a time, so no (N, n, 3) color array is built on the render,
+``evaluate``, ``composite_eval`` or loss paths.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import numpy as np
 
 from . import transport
 from ._threads import chunked_row_map
-from .fields import Field, UnsupportedGradient, _check_points
+from .fields import Field, UnsupportedGradient, _check_points, _rows
 from .geometry import Ray, RayGrid
 from .transport import EMPTY_WEIGHT_EPS, QuadratureConfig, RenderResult
 
@@ -43,17 +49,27 @@ NEUTRAL_COLOR = np.array([0.5, 0.5, 0.5])
 EMPTY_SEGMENT = -1
 
 
-def _mix(sigmas: np.ndarray, colors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _mix(sigmas: np.ndarray, colors) -> tuple[np.ndarray, np.ndarray]:
     """Summed density (N,) and density-weighted mean color (N, 3) of
-    per-component densities (N, n) and colors (N, n, 3); NEUTRAL_COLOR where
-    the sum vanishes.  ``colors`` is overwritten (weighting it in place
-    spares an (N, n, 3) temporary)."""
+    per-component densities (N, n) and one color per component, each
+    (N, 3) or a single (3,) row; NEUTRAL_COLOR where the sum vanishes.
+
+    The weighted colors are added into one buffer, starting from 0 and in
+    component order: the order ``sum(axis=1)`` adds the rows of a stacked
+    (N, n, 3) array in, so the result is bit-identical to mixing such a
+    stack, which is never built.  The buffer is channel-major (3, N), so
+    every pass runs over contiguous points."""
     total = sigmas.sum(axis=1)
     live = total > 0.0
     safe = np.where(live, total, 1.0)
-    color = np.multiply(colors, sigmas[:, :, None], out=colors).sum(axis=1) / safe[:, None]
-    color[~live] = NEUTRAL_COLOR
-    return total, color
+    acc = np.zeros((3, sigmas.shape[0]))
+    term = np.empty_like(acc)
+    for i, c in enumerate(colors):
+        weight = np.ascontiguousarray(sigmas[:, i])
+        acc += np.multiply(weight, c[:, None] if c.ndim == 1 else c.T, out=term)
+    acc /= safe
+    acc[:, ~live] = NEUTRAL_COLOR[:, None]
+    return total, np.ascontiguousarray(acc.T)
 
 
 @dataclass(frozen=True)
@@ -78,15 +94,37 @@ class CompositeScene:
     def n(self) -> int:
         return len(self.components)
 
+    def _components(self, pts: np.ndarray):
+        """Per-component densities (N, n) and clipped colors (a list of n,
+        each (N, 3) or one (3,) row) at checked points (N, 3)."""
+        sigmas = np.empty((pts.shape[0], self.n))
+        colors = []
+        for i, comp in enumerate(self.components):
+            sigmas[:, i], color = comp._density_color(pts)
+            colors.append(color)
+        return sigmas, colors
+
+    def _density_components(self, pts: np.ndarray) -> np.ndarray:
+        """Per-component densities (N, n) at checked points (N, 3)."""
+        sigmas = np.empty((pts.shape[0], self.n))
+        for i, comp in enumerate(self.components):
+            sigmas[:, i] = comp._density(pts)
+        return sigmas
+
+    def _evaluate(self, pts: np.ndarray):
+        """Total density, mixed color and per-component densities at checked
+        points (N, 3)."""
+        sigmas, colors = self._components(pts)
+        if self.n == 1:  # a lone component's color is its own: (s * c) / s may differ
+            return sigmas[:, 0], _rows(colors[0], pts.shape[0]), sigmas
+        total, color = _mix(sigmas, colors)
+        return total, color, sigmas
+
     def evaluate_components(self, points, direction=None):
         """Per-component densities (N, n) and colors (N, n, 3)."""
         pts, single = _check_points(points)
-        sigmas = np.empty((pts.shape[0], self.n))
-        colors = np.empty((pts.shape[0], self.n, 3))
-        for i, comp in enumerate(self.components):
-            s, c = comp.evaluate(pts, direction)
-            sigmas[:, i] = s
-            colors[:, i] = c
+        sigmas, colors = self._components(pts)
+        colors = np.stack([np.broadcast_to(c, pts.shape) for c in colors], axis=1)
         if single:
             return sigmas[0], colors[0]
         return sigmas, colors
@@ -95,9 +133,7 @@ class CompositeScene:
         """Per-component densities (N, n), bit-identical to
         ``evaluate_components(...)[0]`` without the color work."""
         pts, single = _check_points(points)
-        sigmas = np.empty((pts.shape[0], self.n))
-        for i, comp in enumerate(self.components):
-            sigmas[:, i] = comp.density(pts)
+        sigmas = self._density_components(pts)
         if single:
             return sigmas[0]
         return sigmas
@@ -105,7 +141,7 @@ class CompositeScene:
     def density(self, points):
         """Total density, bit-identical to ``evaluate(...)[0]``."""
         pts, single = _check_points(points)
-        total = self.density_components(pts).sum(axis=1)
+        total = self._density_components(pts).sum(axis=1)
         if single:
             return float(total[0])
         return total
@@ -113,17 +149,14 @@ class CompositeScene:
     def evaluate_with_components(self, points):
         """Total density (N,), mixed color (N, 3) and the per-component
         densities (N, n) behind them, from one evaluation of each component."""
-        sigmas, colors = self.evaluate_components(points)
-        if self.n == 1:  # a lone component's color is its own: (s * c) / s may differ
-            return sigmas[:, 0], colors[:, 0], sigmas
-        total, color = _mix(sigmas, colors)
-        return total, color, sigmas
+        pts, _ = _check_points(points)
+        return self._evaluate(pts)
 
     def evaluate(self, points, direction=None):
         """Total density and density-weighted mean color (the field contract,
         so scenes slot into any transport routine)."""
         pts, single = _check_points(points)
-        total, color, _ = self.evaluate_with_components(pts)
+        total, color, _ = self._evaluate(pts)
         if single:
             return float(total[0]), color[0]
         return total, color
@@ -159,9 +192,12 @@ def composite_eval(scene: CompositeScene, x, d=None) -> CompositePoint:
 
     Where total density vanishes the color is a flagged neutral gray.
     """
-    sigmas, colors = scene.evaluate_components(np.asarray(x, dtype=np.float64))
-    total, color = _mix(sigmas[None], colors[None])
-    return CompositePoint(float(total[0]), sigmas, color[0], bool(total[0] > 0.0))
+    pts, single = _check_points(x)
+    if not single:
+        raise ValueError(f"x must be one point (3,), got {np.shape(x)}")
+    sigmas, colors = scene._components(pts)
+    total, color = _mix(sigmas, colors)
+    return CompositePoint(float(total[0]), sigmas[0], color[0], bool(total[0] > 0.0))
 
 
 def joint_depth_component_pdf(scene: CompositeScene, ray: Ray, t: float, quad: QuadratureConfig) -> np.ndarray:
@@ -320,10 +356,9 @@ def mixture_render_constant(sigmas, colors) -> np.ndarray:
         raise ValueError("need sigmas (n,) and colors (n, 3)")
     if np.any(s < 0):
         raise ValueError("densities must be non-negative")
-    total = s.sum()
-    if total == 0.0:
+    if s.sum() == 0.0:
         raise ValueError("all densities are zero; the mixture color is undefined")
-    return (s[:, None] * c).sum(axis=0) / total
+    return _mix(s[None, :], list(c))[1][0]
 
 
 class _MergedField(Field):
@@ -335,10 +370,10 @@ class _MergedField(Field):
         self._scene = scene
 
     def _raw(self, pts):
-        return self._scene.evaluate(pts)
+        return self._scene._evaluate(pts)[:2]
 
     def _raw_density(self, pts):
-        return self._scene.density(pts)
+        return self._scene._density_components(pts).sum(axis=1)
 
     def params(self) -> np.ndarray:
         return self._scene.params()

@@ -5,7 +5,9 @@ at ``sigma_max``, and independent of the viewing direction; colors land in
 [0, 1]^3 and stay defined even where density vanishes.  Each kind flattens to
 a parameter vector, laid out by its ``layout`` table, so optimizers can treat
 scenes as plain arrays; the differentiable kinds also supply closed-form
-density gradients and the parameter slots their colors come from.
+density gradients and the parameter slots their colors come from.  A kind
+with one color everywhere reports it as a single (3,) row, which callers
+broadcast instead of copying per point.
 """
 
 from __future__ import annotations
@@ -52,12 +54,34 @@ def _vec(v, shape, name):
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    """1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, both
+    from e = exp(-|z|), which never overflows."""
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(z >= 0, 1.0, e)
+    out /= np.add(e, 1.0, out=e)
     return out
+
+
+def _offsets(pts: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """``pts - center`` as channel-major rows (3, N).  Every later pass then
+    runs over contiguous points; the same arithmetic on (N, 3) would run
+    NumPy's inner loops three elements at a time."""
+    return np.subtract(pts.T, center[:, None], order="C")
+
+
+def _sum3(a: np.ndarray) -> np.ndarray:
+    """Sum of the three rows of (3, N), added left to right: the order
+    ``np.sum`` adds three terms in, so the result is bit-identical unless
+    all three terms are -0.0 (squares never are)."""
+    return (a[0] + a[1]) + a[2]
+
+
+def _rows(color: np.ndarray, n: int) -> np.ndarray:
+    """Color as n rows (n, 3): a single (3,) row is repeated into a fresh
+    array, an (n, 3) array is returned as it is."""
+    return np.tile(color, (n, 1)) if color.ndim == 1 else color
 
 
 def _check_points(points) -> tuple[np.ndarray, bool]:
@@ -82,7 +106,8 @@ class Field(abc.ABC):
 
     @abc.abstractmethod
     def _raw(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Uncapped density (N,) and unclipped color (N, 3) at ``pts``."""
+        """Uncapped density (N,) and unclipped color at ``pts``: (N, 3), or
+        one (3,) row that holds at every point."""
 
     @abc.abstractmethod
     def _raw_density(self, pts: np.ndarray) -> np.ndarray:
@@ -94,9 +119,10 @@ class Field(abc.ABC):
         raise UnsupportedGradient(f"field kind {self.kind!r} has no parameter gradients")
 
     def _color_source(self, pts: np.ndarray):
-        """Unclipped color (N, 3), equal to ``_raw(pts)[1]``, and where it
-        comes from: the parameter index of each point's red channel, one int
-        or (N,) ints, with green and blue right after it."""
+        """Unclipped color, equal to ``_raw(pts)[1]`` ((N, 3) or one (3,)
+        row), and where it comes from: the parameter index of each point's
+        red channel, one int or (N,) ints, with green and blue right after
+        it."""
         raise UnsupportedGradient(f"field kind {self.kind!r} has no parameter gradients")
 
     @property
@@ -129,13 +155,23 @@ class Field(abc.ABC):
         sigma_max = getattr(self, "sigma_max", None)
         return raw if sigma_max is None else np.minimum(raw, sigma_max)
 
+    def _density_color(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Capped density (N,) and clipped color at checked points (N, 3);
+        the color is (N, 3), or one (3,) row for a kind whose color is the
+        same everywhere."""
+        raw, color = self._raw(pts)
+        return self._cap(raw), np.clip(color, 0.0, 1.0)
+
+    def _density(self, pts: np.ndarray) -> np.ndarray:
+        """Capped density (N,) at checked points (N, 3)."""
+        return self._cap(self._raw_density(pts))
+
     def evaluate(self, points, direction=None) -> tuple[np.ndarray, np.ndarray]:
         """Density and color at ``points``; direction is accepted but never
         changes density (all kinds here are Lambertian)."""
         pts, single = _check_points(points)
-        raw, color = self._raw(pts)
-        sigma = self._cap(raw)
-        color = np.clip(color, 0.0, 1.0)
+        sigma, color = self._density_color(pts)
+        color = _rows(color, pts.shape[0])
         if single:
             return float(sigma[0]), color[0]
         return sigma, color
@@ -144,7 +180,7 @@ class Field(abc.ABC):
         """Density alone at ``points``, bit-identical to ``evaluate(...)[0]``
         without the color work."""
         pts, single = _check_points(points)
-        sigma = self._cap(self._raw_density(pts))
+        sigma = self._density(pts)
         if single:
             return float(sigma[0])
         return sigma
@@ -166,14 +202,15 @@ class Field(abc.ABC):
         return np.minimum(raw, sigma_max), d_raw
 
     def _color_slots(self, pts: np.ndarray):
-        """Clipped color (N, 3) at checked points (N, 3), the channels whose
-        color has a gradient (N, 3), and the parameter index each channel
-        comes from (N, 3).  d(color)/d(param) is 1 at those indices in those
-        channels and 0 elsewhere; it stays alive exactly at 0 and 1, so a
-        descent step can leave the clip edge."""
+        """At checked points (N, 3): the clipped color, (N, 3) or one (3,)
+        row; the channels whose color has a gradient (N, 3); and the
+        parameter index each channel comes from (N, 3).  d(color)/d(param)
+        is 1 at those indices in those channels and 0 elsewhere; it stays
+        alive exactly at 0 and 1, so a descent step can leave the clip edge."""
         color, offset = self._color_source(pts)
-        inside = (color >= 0.0) & (color <= 1.0)
-        slots = np.broadcast_to(np.asarray(offset)[..., None] + np.arange(3), color.shape)
+        shape = (pts.shape[0], 3)
+        inside = np.broadcast_to((color >= 0.0) & (color <= 1.0), shape)
+        slots = np.broadcast_to(np.asarray(offset)[..., None] + np.arange(3), shape)
         return np.clip(color, 0.0, 1.0), inside, slots
 
     def evaluate_with_grad(self, points, direction=None):
@@ -183,6 +220,7 @@ class Field(abc.ABC):
         sigma, d_sigma = self._density_grad(pts)
         color, inside, slots = self._color_slots(pts)
         n = pts.shape[0]
+        color = _rows(color, n)
         d_color = np.zeros((n, 3, d_sigma.shape[1]))
         d_color[np.arange(n)[:, None], np.arange(3), slots] = inside
         if single:
@@ -196,10 +234,10 @@ class _ConstantColorField(Field):
     color_offset: ClassVar[int]
 
     def _raw(self, pts):
-        return self._raw_density(pts), self._color_source(pts)[0]
+        return self._raw_density(pts), self.color
 
     def _color_source(self, pts):
-        return np.broadcast_to(self.color, (pts.shape[0], 3)), self.color_offset
+        return self.color, self.color_offset
 
 
 @dataclass(frozen=True)
@@ -229,8 +267,8 @@ class GaussianBlobField(_ConstantColorField):
             raise ValueError("amplitude must be non-negative")
 
     def _bump(self, pts):
-        u = (pts - self.center) / self.scale
-        return u, np.exp(-0.5 * np.sum(u * u, axis=1))
+        u = _offsets(pts, self.center) / self.scale[:, None]
+        return u, np.exp(-0.5 * _sum3(u * u))
 
     def _raw_density(self, pts):
         return self.amplitude * self._bump(pts)[1]
@@ -239,8 +277,8 @@ class GaussianBlobField(_ConstantColorField):
         u, g = self._bump(pts)
         raw = self.amplitude * g
         d_raw = np.zeros((pts.shape[0], 10))
-        d_raw[:, 0:3] = raw[:, None] * u / self.scale
-        d_raw[:, 3:6] = raw[:, None] * (u * u) / self.scale
+        d_raw[:, 0:3] = (raw * u / self.scale[:, None]).T
+        d_raw[:, 3:6] = (raw * (u * u) / self.scale[:, None]).T
         d_raw[:, 6] = g
         return raw, d_raw
 
@@ -273,8 +311,8 @@ class SoftSphereField(_ConstantColorField):
             raise ValueError("radius and softness must be positive, amplitude non-negative")
 
     def _parts(self, pts):
-        diff = pts - self.center
-        r = np.maximum(np.linalg.norm(diff, axis=1), 1e-12)
+        diff = _offsets(pts, self.center)
+        r = np.maximum(np.sqrt(_sum3(diff * diff)), 1e-12)
         s = _sigmoid((self.radius - r) / self.softness)
         return diff, r, s
 
@@ -287,7 +325,7 @@ class SoftSphereField(_ConstantColorField):
         ds_dz = s * (1.0 - s)
         w = self.softness
         d_raw = np.zeros((pts.shape[0], 9))
-        d_raw[:, 0:3] = (self.amplitude * ds_dz / (r * w))[:, None] * diff
+        d_raw[:, 0:3] = (self.amplitude * ds_dz / (r * w) * diff).T
         d_raw[:, 3] = self.amplitude * ds_dz / w
         d_raw[:, 4] = self.amplitude * ds_dz * (r - self.radius) / w**2
         d_raw[:, 5] = s
@@ -322,10 +360,10 @@ class SoftBoxField(_ConstantColorField):
             raise ValueError("half_size and softness must be positive, amplitude non-negative")
 
     def _parts(self, pts):
-        diff = pts - self.center
-        q = (self.half_size - np.abs(diff)) / self.softness
+        diff = _offsets(pts, self.center)
+        q = (self.half_size[:, None] - np.abs(diff)) / self.softness
         s = _sigmoid(q)
-        return diff, q, s, np.prod(s, axis=1)
+        return diff, q, s, (s[0] * s[1]) * s[2]
 
     def _raw_density(self, pts):
         return self.amplitude * self._parts(pts)[3]
@@ -336,9 +374,9 @@ class SoftBoxField(_ConstantColorField):
         one_minus = 1.0 - s
         w = self.softness
         d_raw = np.zeros((pts.shape[0], 11))
-        d_raw[:, 0:3] = raw[:, None] * one_minus * np.sign(diff) / w
-        d_raw[:, 3:6] = raw[:, None] * one_minus / w
-        d_raw[:, 6] = raw * np.sum(one_minus * (-q), axis=1) / w
+        d_raw[:, 0:3] = (raw * one_minus * np.sign(diff) / w).T
+        d_raw[:, 3:6] = (raw * one_minus / w).T
+        d_raw[:, 6] = raw * np.sum(one_minus * (-q), axis=0) / w
         d_raw[:, 7] = f
         return raw, d_raw
 
@@ -383,7 +421,7 @@ class GroundPlaneField(Field):
 
     def _parts(self, pts):
         s_plane = _sigmoid(-pts[:, 2] / self.softness)
-        rho = np.maximum(np.linalg.norm(pts, axis=1), 1e-12)
+        rho = np.maximum(np.sqrt(_sum3((pts * pts).T)), 1e-12)
         s_dome = _sigmoid((rho - self.dome_radius) / self.softness)
         union = 1.0 - (1.0 - s_plane) * (1.0 - s_dome)
         return s_plane, rho, s_dome, union

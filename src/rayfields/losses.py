@@ -246,7 +246,7 @@ def _loss_eval(scene: CompositeScene, arrays: _BatchArrays, iteration: int,
 
     # Densities at every point; colors only at the surface points.
     sigmas = np.empty((stacked.shape[0], n_comp))
-    colors = np.empty((b, n_comp, 3))
+    colors = []
     grads = []
     for i, comp in enumerate(scene.components):
         if want_grads:
@@ -254,14 +254,14 @@ def _loss_eval(scene: CompositeScene, arrays: _BatchArrays, iteration: int,
             color, inside, slots = comp._color_slots(surf_pts)
             grads.append((d_sigma, color, inside, slots))
         else:
-            sigmas[:, i] = comp.density(stacked)
-            color = comp.evaluate(surf_pts)[1]
-        colors[:, i] = color
+            sigmas[:, i] = comp._density(stacked)
+            color = comp._density_color(surf_pts)[1]
+        colors.append(color)
     sig_surf = sigmas[:b]
     sig_free = sigmas[b:].reshape(b, f, n_comp)
 
     sig_tot_free = sig_free.sum(axis=2)
-    sig_tot_surf, c_pred = _mix(sig_surf, colors)  # overwrites colors
+    sig_tot_surf, c_pred = _mix(sig_surf, colors)
     log_live = sig_tot_surf > LOG_DENSITY_FLOOR
     depth_per_ray = -np.log(np.maximum(sig_tot_surf, LOG_DENSITY_FLOOR)) + (sig_tot_free / q).mean(axis=1)
     color_per_ray = _color_nll_values(c_pred, arrays.colors, config.sigma_c)

@@ -94,6 +94,28 @@ class TestGenerate:
         code = main(["generate", "--out", str(tmp_path / "g"), "--resolution", "0"])
         assert_one_error_line(code, capsys)
 
+    @pytest.mark.parametrize("flags", [["--n-coarse", "1"], ["--n-coarse", "0"], ["--n-fine", "-1"]])
+    def test_unusable_quadrature_exits_2(self, tmp_path, capsys, flags):
+        code = main(["generate", "--out", str(tmp_path / "g"), "--resolution", "6", *flags])
+        assert_one_error_line(code, capsys)
+        assert not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize("flags", [["--n-objects-min", "3", "--n-objects-max", "1"],
+                                       ["--n-objects-min", "0"]])
+    def test_unusable_object_counts_exit_2(self, tmp_path, capsys, flags):
+        code = main(["generate", "--out", str(tmp_path / "g"), "--resolution", "6", *flags])
+        assert_one_error_line(code, capsys)
+        assert not (tmp_path / "g").exists()
+
+    def test_zero_fine_samples_renders_coarse_only(self, tmp_path, capsys):
+        for n_fine in ("0", "128"):
+            code, _ = generate_small(tmp_path / n_fine, capsys, views=1, resolution=8,
+                                     extra=("--n-coarse", "16", "--n-fine", n_fine))
+            assert code == EXIT_OK
+        quad = load_scene(tmp_path / "0" / "scene.json").quadrature
+        assert (quad.n_coarse, quad.n_fine) == (16, 0)
+        assert (tmp_path / "0" / "view_0.ppm").read_bytes() != (tmp_path / "128" / "view_0.ppm").read_bytes()
+
     def test_impossible_placement_exits_3(self, tmp_path, capsys):
         code, _ = generate_small(
             tmp_path / "x", capsys,
@@ -157,6 +179,15 @@ class TestRender:
         code = main(["render", "--scene", str(data / "scene.json"), "--out", str(tmp_path / "o"),
                      "--resolution", "0"])
         assert_one_error_line(code, capsys)
+
+    @pytest.mark.parametrize("flags", [["--n-coarse", "1"], ["--n-coarse", "0"], ["--n-fine", "-1"]])
+    def test_unusable_quadrature_exits_2(self, tmp_path, capsys, flags):
+        data = tmp_path / "data"
+        generate_small(data, capsys, views=1)
+        code = main(["render", "--scene", str(data / "scene.json"), "--out", str(tmp_path / "o"),
+                     "--resolution", "6", *flags])
+        assert_one_error_line(code, capsys)
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("key,value", [("sigma_max", "abc"), ("sigma_max", -1),
                                            ("t_far", float("inf"))])

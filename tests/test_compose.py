@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rayfields.compose import (
     EMPTY_SEGMENT,
+    NEUTRAL_COLOR,
     CompositeScene,
     component_marginal,
     composite_eval,
@@ -14,11 +18,14 @@ from rayfields.compose import (
     mixture_render_constant,
     render_ray_grid,
     segment_ray,
+    _mix,
 )
 from rayfields import transport
 from rayfields.fields import GaussianBlobField, SoftSphereField
 from rayfields.geometry import Camera, Ray, pinhole_rays
 from rayfields.transport import QuadratureConfig, hierarchical_render
+
+from references import FIELDS, POINTS, stack_colors, stacked_mix
 
 
 def _two_blob_scene(t_far=12.0):
@@ -101,6 +108,87 @@ class TestDensity:
         parts = scene.density_components(pts)
         assert parts.tobytes() == scene.evaluate_components(pts)[0].tobytes()
         assert np.array_equal(scene.density_components(pts[17]), parts[17])
+
+
+@st.composite
+def _mix_inputs(draw):
+    """Densities (N, n), zero on some rows, and n clipped colors, each a
+    (3,) row or (N, 3); -0.0 channels included."""
+    n_points = draw(st.integers(1, 50))
+    n = draw(st.sampled_from([1, 2, 5, 9]))
+    density = st.one_of(st.just(0.0), st.floats(0.0, 30.0))
+    sigmas = draw(arrays(np.float64, (n_points, n), elements=density))
+    channel = st.one_of(st.just(-0.0), st.floats(0.0, 1.0))
+    colors = [draw(arrays(np.float64, draw(st.sampled_from([(3,), (n_points, 3)])), elements=channel))
+              for _ in range(n)]
+    return sigmas, colors
+
+
+class TestMixReference:
+    """The per-component mixer equals mixing a stacked (N, n, 3) array."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_mix_inputs())
+    def test_mix_matches_stacked_reference(self, inputs):
+        sigmas, colors = inputs
+        total, color = _mix(sigmas, colors)
+        ref_total, ref_color = stacked_mix(sigmas, stack_colors(colors, sigmas.shape[0]))
+        assert total.tobytes() == ref_total.tobytes()
+        assert color.tobytes() == ref_color.tobytes()
+        assert color.flags.c_contiguous
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([1, 2, 5, 9]).flatmap(lambda n: st.lists(FIELDS, min_size=n, max_size=n)), POINTS)
+    def test_scene_matches_stacked_evaluation(self, fields, pts):
+        scene = CompositeScene(tuple(fields))
+        parts = [f.evaluate(pts) for f in fields]
+        sigmas = np.column_stack([s for s, _ in parts])
+        colors = np.stack([c for _, c in parts], axis=1)
+        if scene.n == 1:
+            ref_total, ref_color = sigmas[:, 0], colors[:, 0]
+        else:
+            ref_total, ref_color = stacked_mix(sigmas, colors.copy())
+        total, color, per_comp = scene.evaluate_with_components(pts)
+        assert total.tobytes() == ref_total.tobytes()
+        assert color.tobytes() == ref_color.tobytes()
+        assert per_comp.tobytes() == sigmas.tobytes()
+        total, color = scene.evaluate(pts)
+        assert total.tobytes() == ref_total.tobytes() and color.tobytes() == ref_color.tobytes()
+        got_sigmas, got_colors = scene.evaluate_components(pts)
+        assert got_sigmas.tobytes() == sigmas.tobytes() and got_colors.tobytes() == colors.tobytes()
+        assert scene.density(pts).tobytes() == ref_total.tobytes()
+        point_total, point_color = stacked_mix(sigmas[:1], colors[:1].copy())
+        point = composite_eval(scene, pts[0])
+        assert point.sigma == point_total[0] and point.sigmas.tobytes() == sigmas[0].tobytes()
+        assert point.color.tobytes() == point_color[0].tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        arrays(np.float64, n, elements=st.one_of(st.just(0.0), st.floats(1e-6, 30.0))),
+        arrays(np.float64, (n, 3), elements=st.floats(-1.0, 2.0)))))
+    def test_mixture_render_constant_matches_weighted_sum(self, inputs):
+        sigmas, colors = inputs
+        if sigmas.sum() == 0.0:
+            with pytest.raises(ValueError):
+                mixture_render_constant(sigmas, colors)
+            return
+        expected = (sigmas[:, None] * colors).sum(axis=0) / sigmas.sum()
+        assert mixture_render_constant(sigmas, colors).tobytes() == expected.tobytes()
+
+    def test_vacuum_points_get_neutral_color(self):
+        scene = CompositeScene((*_two_blob_scene().components,
+                                GaussianBlobField(center=(0, 30, 0), scale=(1, 1, 1), amplitude=0.0,
+                                                  color=(0.3, 0.3, 0.3))))
+        pts = np.array([[0.0, 50.0, 50.0], [4.0, 0.0, 0.0], [0.0, 30.0, 0.0]])
+        sigmas = scene.density_components(pts)
+        assert sigmas[0].sum() == 0.0 and sigmas[2].sum() == 0.0
+        total, color = scene.evaluate(pts)
+        assert np.array_equal(color[[0, 2]], [NEUTRAL_COLOR, NEUTRAL_COLOR])
+        assert total[1] > 0.0 and np.allclose(color[1], [1.0, 0.0, 0.0], rtol=0.0, atol=1e-12)
+
+    def test_composite_eval_takes_one_point(self):
+        with pytest.raises(ValueError):
+            composite_eval(_two_blob_scene(), np.zeros((2, 3)))
 
 
 class TestMergedEquivalence:

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rayfields.fields import (
     DEFAULT_SIGMA_MAX,
@@ -13,8 +16,11 @@ from rayfields.fields import (
     SoftSphereField,
     UnsupportedGradient,
     field_from_params,
+    _sigmoid,
     positional_encoding,
 )
+
+from references import FIELDS, GROUNDS, POINTS, masked_sigmoid, reference_density_grad
 
 def _example_fields():
     return [
@@ -328,6 +334,65 @@ class TestColorJacobian:
         pts = np.random.default_rng(8).uniform(-3.0, 3.0, (300, 3))
         _, offsets = ground._color_source(pts)
         assert set(np.unique(offsets)) == {2, 5, 10}
+
+
+# Arguments at ±0, near where exp overflows (709.78) and underflows to 0
+# (745.13), and far past both.
+EDGE_Z = [0.0, -0.0, 709.0, -709.0, 709.8, -709.8, 745.0, -745.0, 745.2, -745.2,
+          1e300, -1e300, 5e-324, -5e-324, np.inf, -np.inf]
+
+
+class TestKernelReferences:
+    """The kernels equal the masked sigmoid and the np.sum / np.linalg.norm /
+    np.prod row reductions they replaced, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64, st.integers(1, 64),
+                  elements=st.one_of(st.floats(allow_nan=False), st.sampled_from(EDGE_Z))))
+    @example(np.array(EDGE_Z))
+    def test_sigmoid_matches_masked_reference(self, z):
+        assert _sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
+        grid = np.resize(z, (len(z), 3))  # the box evaluates (3, N) rows at once
+        assert _sigmoid(grid).tobytes() == masked_sigmoid(grid).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(FIELDS, POINTS)
+    def test_density_and_gradient_match_row_reductions(self, field, pts):
+        ref_raw, ref_grad = reference_density_grad(field, pts)
+        assert field._raw_density(pts).tobytes() == ref_raw.tobytes()
+        raw, grad = field._raw_density_grad(pts)
+        assert raw.tobytes() == ref_raw.tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
+        sigma = ref_raw if field.sigma_max is None else np.minimum(ref_raw, field.sigma_max)
+        assert field.density(pts).tobytes() == sigma.tobytes()
+        assert field.evaluate(pts)[0].tobytes() == sigma.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(FIELDS, POINTS)
+    def test_colors_clipped_per_point(self, field, pts):
+        if isinstance(field, GroundPlaneField):
+            color, _ = field._color_source(pts)
+        else:
+            color = np.broadcast_to(field.color, pts.shape)
+        _, evaluated = field.evaluate(pts)
+        assert evaluated.shape == pts.shape and evaluated.flags.writeable
+        assert evaluated.tobytes() == np.clip(color, 0.0, 1.0).tobytes()
+        _, single = field.evaluate(pts[0])
+        assert single.tobytes() == evaluated[0].tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(GROUNDS.filter(lambda g: g.checker_size > 0 and g.dome_radius < 20))
+    def test_ground_points_reach_checker_and_dome(self, ground):
+        rng = np.random.default_rng(0)
+        plane = np.column_stack([rng.uniform(-5, 5, (200, 2)), np.full(200, -0.01)])
+        far = rng.normal(size=(50, 3))
+        far *= 40.0 / np.linalg.norm(far, axis=1, keepdims=True)
+        pts = np.concatenate([plane, far])
+        _, offsets = ground._color_source(pts)
+        assert set(np.unique(offsets)) == {2, 5, 10}
+        ref_raw, ref_grad = reference_density_grad(ground, pts)
+        raw, grad = ground._raw_density_grad(pts)
+        assert raw.tobytes() == ref_raw.tobytes() and grad.tobytes() == ref_grad.tobytes()
 
 
 class TestPositionalEncoding:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import rayfields as rf
+from rayfields import losses
 from rayfields.fields import PiecewiseConstantRayField, UnsupportedGradient
 from rayfields.fitting import FitConfig, FitDivergence, finite_diff_gradient, fit, loss_gradient
 from rayfields.geometry import Camera, Ray, pinhole_rays
@@ -21,6 +22,8 @@ from rayfields.losses import (
     total_loss,
 )
 from rayfields.scenegen import surface_samples
+
+from references import stack_colors, stacked_mix
 
 
 def two_blob_scene() -> rf.CompositeScene:
@@ -296,6 +299,47 @@ class TestGradientAssembly:
         assert grad[checker - 3] != 0.0 and grad[checker - 2] != 0.0 and grad[checker - 1] == 0.0
 
 
+def nine_components_case():
+    """all_kinds_case's rays through nine components: its four plus five
+    overlapping objects, two of them with colors past the clip edges."""
+    scene, batch = all_kinds_case()
+    extra = (
+        rf.GaussianBlobField(center=(-0.6, -0.3, 0.6), scale=(0.3, 0.3, 0.3), amplitude=6.0, color=(-0.2, 0.4, 0.9)),
+        rf.SoftSphereField(center=(0.6, 0.3, 0.5), radius=0.3, softness=0.05, amplitude=12.0, color=(0.1, 0.1, 0.1)),
+        rf.SoftBoxField(center=(0.0, -0.8, 0.3), half_size=(0.2, 0.4, 0.2), softness=0.03, amplitude=4.0,
+                        color=(1.3, 0.5, 0.0)),
+        rf.GaussianBlobField(center=(0.0, 0.0, 0.2), scale=(2.0, 2.0, 0.3), amplitude=0.5, color=(0.7, 0.7, 0.2)),
+        rf.GaussianBlobField(center=(0.0, 0.0, 4.0), scale=(0.5, 0.5, 0.5), amplitude=0.0, color=(0.5, 0.5, 0.5)),
+    )
+    return rf.CompositeScene(scene.components[:3] + extra + scene.components[3:], t_far=scene.t_far), batch
+
+
+def lone_component_case():
+    scene, batch = empty_rays_case()
+    return rf.CompositeScene(scene.components[:1], t_far=scene.t_far), batch
+
+
+class TestStackedMixLoss:
+    """total_loss and loss_gradient equal the same loss with its colors mixed
+    from a stacked (N, n, 3) array, bit for bit."""
+
+    @pytest.mark.parametrize("config", sorted(TestGradientAssembly.CONFIGS))
+    @pytest.mark.parametrize("case", [lone_component_case, empty_rays_case, all_kinds_case, nine_components_case],
+                             ids=lambda c: c.__name__)
+    def test_bit_identical(self, case, config, monkeypatch):
+        scene, batch = case()
+        cfg, iteration = TestGradientAssembly.CONFIGS[config]
+
+        def results():
+            return [(total_loss(scene, batch, iteration, cfg, rng=seed),
+                     loss_gradient(scene, batch, iteration, cfg, rng=seed).tobytes()) for seed in (0, 1)]
+
+        got = results()
+        monkeypatch.setattr(losses, "_mix", lambda sigmas, colors: stacked_mix(
+            sigmas, stack_colors(colors, sigmas.shape[0])))
+        assert got == results()
+
+
 class TestFit:
     def perturbed(self, scene, seed=5):
         rng = np.random.default_rng(seed)
@@ -391,7 +435,7 @@ class TestFit:
         )
         scene = rf.CompositeScene((blob,), t_far=40.0)
         sample = RgbdSample(ray=Ray((0, 0, 5.0), (0, 0, -1.0), 40.0), color=np.full(3, 0.5), depth=5.0)
-        with pytest.raises(FitDivergence) as err:
+        with pytest.raises(FitDivergence) as err, pytest.warns(RuntimeWarning, match="overflow"):
             fit(scene, [sample] * 8, FitConfig(iterations=3, batch_size=8, seed=0))
         assert err.value.iteration == 0
         assert err.value.term in {"depth_nll", "total"}
