@@ -55,8 +55,8 @@ def _mix(sigmas: np.ndarray, colors) -> tuple[np.ndarray, np.ndarray]:
     (N, 3) or a single (3,) row; NEUTRAL_COLOR where the sum vanishes.
 
     The weighted colors are added into one buffer, starting from 0 and in
-    component order: the order ``sum(axis=1)`` adds the rows of a stacked
-    (N, n, 3) array in, so the result is bit-identical to mixing such a
+    component order: the order ``sum(axis=1)`` adds the rows of a C-ordered
+    (N, n, 3) stack in, so the result is bit-identical to mixing such a
     stack, which is never built.  The buffer is channel-major (3, N), so
     every pass runs over contiguous points."""
     total = sigmas.sum(axis=1)

@@ -95,8 +95,15 @@ def stacked_mix(sigmas, colors):
 
 
 def stack_colors(colors, n_points):
-    """Per-component colors, each (N, 3) or one (3,) row, as an (N, n, 3) stack."""
-    return np.stack([np.broadcast_to(c, (n_points, 3)) for c in colors], axis=1)
+    """Per-component colors, each (N, 3) or one (3,) row, as a C-ordered
+    (N, n, 3) stack filled one component at a time, as scenes built it before
+    the per-component mixer.  The layout matters: ``np.stack`` of broadcast
+    rows can make the component axis the contiguous one, and numpy then
+    reduces it pairwise (n >= 9) rather than in component order."""
+    stack = np.empty((n_points, len(colors), 3))
+    for i, c in enumerate(colors):
+        stack[:, i] = c
+    return stack
 
 
 # Strategies.  Field parameters stay in ranges where no kernel overflows, so
