@@ -1,7 +1,11 @@
-"""Worker-count resolution and deterministic chunked execution.
+"""Worker-count resolution and deterministic blocked execution.
 
-Randomness is always drawn before work is split, and chunks write disjoint
-rows of preallocated outputs, so the worker count can never change a result
+Batched passes work on (rows x samples) point arrays.  ``chunked_row_map``
+cuts the rows into blocks of about ``BLOCK_POINTS`` sample points, so that a
+block's temporaries stay in cache, and spreads the blocks over at most as
+many threads as there are cores and blocks.  Randomness is always drawn
+before work is split, and blocks write disjoint rows of preallocated
+outputs, so neither the block size nor the worker count can change a result
 bit.  OBSURF_THREADS caps the pool ("0" or unset means auto).
 """
 
@@ -11,6 +15,10 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 THREADS_ENV_VAR = "OBSURF_THREADS"
+
+# Sample points per block: 256 KB per float64 temporary, so the ~10 arrays a
+# block keeps live fit in a 4 MiB L2 cache.
+BLOCK_POINTS = 32_768
 
 
 def resolve_workers() -> int:
@@ -26,14 +34,21 @@ def resolve_workers() -> int:
     return value
 
 
-def chunked_row_map(fn, n_rows: int, min_chunk: int = 512) -> None:
-    """Call ``fn(lo, hi)`` over contiguous row spans covering [0, n_rows)."""
-    workers = resolve_workers()
-    if workers <= 1 or n_rows <= min_chunk:
-        fn(0, n_rows)
+def block_rows(row_points: int) -> int:
+    """Rows per block when each row holds ``row_points`` sample points."""
+    return max(1, BLOCK_POINTS // row_points)
+
+
+def chunked_row_map(fn, n_rows: int, rows_per_block: int) -> None:
+    """Call ``fn(lo, hi)`` over consecutive spans of ``rows_per_block`` rows
+    covering [0, n_rows): in order on the calling thread at 1 worker,
+    otherwise on at most min(workers, cores, spans) threads."""
+    spans = [(lo, min(lo + rows_per_block, n_rows)) for lo in range(0, n_rows, rows_per_block)]
+    workers = min(resolve_workers(), os.cpu_count() or 1, len(spans))
+    if workers <= 1:
+        for lo, hi in spans:
+            fn(lo, hi)
         return
-    chunk = max(min_chunk, -(-n_rows // workers))
-    spans = [(lo, min(lo + chunk, n_rows)) for lo in range(0, n_rows, chunk)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for _ in pool.map(lambda span: fn(*span), spans):
             pass

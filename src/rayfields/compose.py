@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transport
-from ._threads import chunked_row_map
+from ._threads import block_rows, chunked_row_map
 from .fields import Field, UnsupportedGradient, _check_points, _rows
 from .geometry import Ray, RayGrid
 from .transport import EMPTY_WEIGHT_EPS, QuadratureConfig, RenderResult
@@ -291,7 +291,8 @@ class RenderedView:
 
 def render_ray_grid(scene: CompositeScene, grid: RayGrid, quad: QuadratureConfig) -> RenderedView:
     """Render one ray per pixel.  All draws happen up front from the config
-    seed; rows are then processed in chunks (thread count never changes bits).
+    seed; rows are then processed in blocks of about ``BLOCK_POINTS`` sample
+    points, spread over the workers (neither changes bits).
     """
     n = len(grid)
     h, w = grid.shape
@@ -328,7 +329,7 @@ def render_ray_grid(scene: CompositeScene, grid: RayGrid, quad: QuadratureConfig
         residual[lo:hi] = res
         empty[lo:hi] = batch["empty"]
 
-    chunked_row_map(run, n)
+    chunked_row_map(run, n, block_rows(quad.n_coarse + quad.n_fine))
 
     labels = np.where(
         marginals.sum(axis=1) <= EMPTY_WEIGHT_EPS,

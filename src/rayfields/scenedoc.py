@@ -17,7 +17,7 @@ import numpy as np
 
 from .compose import CompositeScene
 from .fields import DEFAULT_SIGMA_MAX, FIELD_KINDS, Field, GroundPlaneField, field_from_params
-from .geometry import Camera
+from .geometry import Camera, rig_views
 from .transport import QuadratureConfig
 
 __all__ = [
@@ -163,6 +163,9 @@ def doc_to_scene(doc: dict) -> SceneDocument:
                 vertical_fov=cb.get("vertical_fov", Camera.vertical_fov),
                 up=cb.get("up", (0.0, 0.0, 1.0)),
             )
+            # Commands render the rig's views of this camera: each needs a frame.
+            for view in rig_views(camera):
+                view.basis()
         except (KeyError, ValueError, TypeError) as exc:
             raise SceneFormatError(f"camera block: {exc}") from exc
     quadrature = None

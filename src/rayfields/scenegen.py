@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._threads import block_rows, chunked_row_map
 from .compose import CompositeScene, render_ray_grid
 from .fields import (
     DEFAULT_SIGMA_MAX,
@@ -340,7 +341,7 @@ def surface_samples(scene: CompositeScene, grid: RayGrid) -> list[RgbdSample]:
 def sample_observations(scene: CompositeScene, grid: RayGrid, seed: int,
                         n_panels: int = 2048, depth_offset: float = 0.0,
                         censored: str = "drop",
-                        chunk: int = 256) -> list[RgbdSample]:
+                        chunk: int | None = None) -> list[RgbdSample]:
     """One observation per ray drawn from the scene's own depth law.
 
     The depth is an inverse-CDF draw from the density sigma(r(t)) * T(t):
@@ -362,21 +363,25 @@ def sample_observations(scene: CompositeScene, grid: RayGrid, seed: int,
     ``depth_offset`` shifts every reported depth before filtering; a
     downstream likelihood that probes density over a jitter window
     [t, t + delta] can center that window on the drawn event by passing
-    ``-delta / 2``.  All randomness comes from ``seed``; results do not
-    depend on ``chunk``.
+    ``-delta / 2``.  All randomness comes from ``seed``.  The panel pass runs
+    in blocks of ``chunk`` rays (default: about ``BLOCK_POINTS`` panel
+    points per block), spread over the workers; results depend on neither
+    ``chunk`` nor the worker count.
     """
     if n_panels < 2:
         raise ValueError("n_panels must be >= 2")
     if censored not in ("drop", "boundary"):
         raise ValueError("censored must be 'drop' or 'boundary'")
+    if chunk is not None and chunk < 1:
+        raise ValueError("chunk must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 17)))
     n = len(grid)
     u = rng.random(n)
     targets = -np.log1p(-u)
     offsets = (np.arange(n_panels) + 0.5) / n_panels
     depths = np.full(n, np.nan)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
+
+    def run(lo: int, hi: int) -> None:
         t_fars = grid.t_fars[lo:hi]
         h = t_fars / n_panels
         mids = offsets[None, :] * t_fars[:, None]
@@ -391,6 +396,8 @@ def sample_observations(scene: CompositeScene, grid: RayGrid, seed: int,
         fraction = (target - cum[rows, panel]) / np.maximum(sigma[rows, panel], 1e-300)
         escaped = t_fars - 1e-6 if censored == "boundary" else np.nan
         depths[lo:hi] = np.where(alive, panel * h + fraction, escaped)
+
+    chunked_row_map(run, n, block_rows(n_panels) if chunk is None else chunk)
     depths += depth_offset
     keep = np.flatnonzero(np.isfinite(depths) & (depths > 0.0) & (depths < grid.t_fars))
     points = grid.origins[keep] + depths[keep, None] * grid.directions[keep]

@@ -484,8 +484,8 @@ def test_criterion_8_cli_determinism(tmp_path, capsys, monkeypatch):
                       "--out", str(out_dir), "--resolution", "10", "--views", "2"])
     results.append((_tree_bytes(ren_a) == _tree_bytes(ren_b), "render"))
 
-    # 48x48 = 2,304 rays: above the 512-row chunk minimum, so 8 threads split
-    # the view into chunks while 1 thread renders it whole.
+    # 48x48 = 2,304 rays: several blocks of sample points, which 8 threads
+    # spread over the workers while 1 thread runs them in order.
     big_a, big_b = tmp_path / "big_1", tmp_path / "big_8"
     for threads, out_dir in ((1, big_a), (8, big_b)):
         run(threads, ["render", "--scene", str(gen_a / "scene.json"),

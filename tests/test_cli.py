@@ -189,8 +189,15 @@ class TestRender:
         assert_one_error_line(code, capsys)
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("key,value", [("sigma_max", "abc"), ("sigma_max", -1),
-                                           ("t_far", float("inf"))])
+    @pytest.mark.parametrize("key,value", [
+        ("sigma_max", "abc"), ("sigma_max", -1), ("t_far", float("inf")),
+        # up parallel to the base view's direction
+        ("camera", {"position": [4.6, 0, 2.4], "look_at": [0, 0, 2.4], "width": 6,
+                    "height": 6, "up": [1, 0, 0]}),
+        # up parallel to the direction of the rig's second view only
+        ("camera", {"position": [4.6, 0, 2.4], "look_at": [0, 0, 2.4], "width": 6,
+                    "height": 6, "up": [0.5, -0.75 ** 0.5, 0]}),
+    ])
     def test_bad_scene_values_exit_2(self, tmp_path, capsys, key, value):
         data = tmp_path / "data"
         generate_small(data, capsys, views=1)
