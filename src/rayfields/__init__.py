@@ -28,7 +28,6 @@ from .fields import (
     SoftSphereField,
     UnsupportedGradient,
     field_from_params,
-    positional_encoding,
 )
 from .fitting import FitConfig, FitDivergence, FitReport, finite_diff_gradient, fit, loss_gradient
 from .geometry import Camera, Ray, RayGrid, pinhole_rays, ray_at, rig_views
@@ -100,7 +99,6 @@ __all__ = [
     "PiecewiseConstantRayField",
     "UnsupportedGradient",
     "field_from_params",
-    "positional_encoding",
     # transport
     "QuadratureConfig",
     "RenderResult",

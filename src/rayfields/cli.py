@@ -150,6 +150,10 @@ def _ensure_out_dir(path: str) -> None:
     os.makedirs(path, exist_ok=True)
 
 
+def _image_too_large(camera: Camera) -> _InputError:
+    return _InputError(f"a {camera.width}x{camera.height} image does not fit in memory")
+
+
 # ----------------------------------------------------------------- render
 
 
@@ -170,9 +174,11 @@ def _cmd_render(args) -> int:
     started = time.perf_counter()
     written: list[str] = []
     for v, cam in enumerate(cameras):
-        grid = pinhole_rays(cam, scene.t_far)
         view_seed = int(np.random.SeedSequence((quad.seed, v)).generate_state(1, dtype=np.uint64)[0])
-        view = render_ray_grid(scene, grid, replace(quad, seed=view_seed))
+        try:
+            view = render_ray_grid(scene, pinhole_rays(cam, scene.t_far), replace(quad, seed=view_seed))
+        except MemoryError as exc:
+            raise _image_too_large(cam) from exc
         if not np.all(np.isfinite(view.color)):
             _stderr("error: render produced non-finite colors")
             return EXIT_NUMERICAL
@@ -209,7 +215,10 @@ def _cmd_generate(args) -> int:
     camera = default_camera(config)
     _ensure_out_dir(args.out)
     started = time.perf_counter()
-    views = render_dataset(scene, rig_views(camera)[: args.views], None, quad)
+    try:
+        views = render_dataset(scene, rig_views(camera)[: args.views], None, quad)
+    except MemoryError as exc:
+        raise _image_too_large(camera) from exc
     written: list[str] = []
     for v, gt in enumerate(views):
         if not np.all(np.isfinite(gt.rgb)):

@@ -4,16 +4,22 @@ Every field kind obeys one contract: density is finite, non-negative, capped
 at ``sigma_max``, and independent of the viewing direction; colors land in
 [0, 1]^3 and stay defined even where density vanishes.  Each kind flattens to
 a parameter vector, laid out by its ``layout`` table, so optimizers can treat
-scenes as plain arrays; the differentiable kinds also supply closed-form
-density gradients and the parameter slots their colors come from.  A kind
-with one color everywhere reports it as a single (3,) row, which callers
-broadcast instead of copying per point.
+scenes as plain arrays.  A kind with one color everywhere reports it as a
+single (3,) row, which callers broadcast instead of copying per point.
+
+The differentiable kinds supply closed-form density gradients as rows: each
+names the parameters its density depends on (``density_params``) and
+returns d(raw density)/d(param) for each of them as one contiguous (N,) row,
+so a caller that only needs a vector-Jacobian product contracts the rows
+with its per-point weights and never forms the (N, P) Jacobian.  Colors
+come straight from parameter slots (``_color_source``), so their gradient is
+a selection, not a product.  ``evaluate_with_grad`` assembles the dense
+Jacobians from both for callers that want them.
 """
 
 from __future__ import annotations
 
 import abc
-import math
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
@@ -31,7 +37,6 @@ __all__ = [
     "PiecewiseConstantRayField",
     "FIELD_KINDS",
     "field_from_params",
-    "positional_encoding",
 ]
 
 DEFAULT_SIGMA_MAX = 10.0
@@ -48,7 +53,7 @@ def _vec(v, shape, name):
     a = np.asarray(v, dtype=np.float64)
     if a.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} must be finite")
     return a
 
@@ -103,6 +108,10 @@ class Field(abc.ABC):
     # names the box the fitter projects the group into ("free", "width",
     # "nonneg" or "unit").  A kind without one overrides params/with_params.
     layout: ClassVar[tuple[tuple[str, int, str], ...]] = ()
+    # Indices of the parameters the density depends on, in the order of the
+    # rows ``_raw_density_rows`` returns; every other parameter's density
+    # derivative is exactly 0.
+    density_params: ClassVar[tuple[int, ...]] = ()
 
     @abc.abstractmethod
     def _raw(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -113,9 +122,10 @@ class Field(abc.ABC):
     def _raw_density(self, pts: np.ndarray) -> np.ndarray:
         """Uncapped density (N,) at ``pts``, equal to ``_raw(pts)[0]``."""
 
-    def _raw_density_grad(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _raw_density_rows(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Uncapped density (N,), equal to ``_raw_density(pts)``, and its
-        parameter gradient (N, P), a fresh array the caller may overwrite."""
+        derivative by each parameter in ``density_params``: a C-ordered
+        (len(density_params), N) array, one contiguous row per parameter."""
         raise UnsupportedGradient(f"field kind {self.kind!r} has no parameter gradients")
 
     def _color_source(self, pts: np.ndarray):
@@ -191,16 +201,6 @@ class Field(abc.ABC):
         sigma, color = self.evaluate(points)
         return sigma, color, sigma[:, None]
 
-    def _density_grad(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Capped density (N,) and its parameter gradient (N, P) at checked
-        points (N, 3); the gradient is zero where the cap binds."""
-        raw, d_raw = self._raw_density_grad(pts)
-        sigma_max = getattr(self, "sigma_max", None)
-        if sigma_max is None:
-            return raw, d_raw
-        d_raw *= (raw < sigma_max)[:, None]
-        return np.minimum(raw, sigma_max), d_raw
-
     def _color_slots(self, pts: np.ndarray):
         """At checked points (N, 3): the clipped color, (N, 3) or one (3,)
         row; the channels whose color has a gradient (N, 3); and the
@@ -215,13 +215,18 @@ class Field(abc.ABC):
 
     def evaluate_with_grad(self, points, direction=None):
         """Like evaluate(), plus d(sigma)/d(params) (N, P) and
-        d(color)/d(params) (N, 3, P)."""
+        d(color)/d(params) (N, 3, P); d(sigma) is zero where the cap binds."""
         pts, single = _check_points(points)
-        sigma, d_sigma = self._density_grad(pts)
+        raw, rows = self._raw_density_rows(pts)
+        n, p = pts.shape[0], self.n_params
+        d_sigma = np.zeros((n, p))
+        d_sigma[:, list(self.density_params)] = rows.T
+        if self.sigma_max is not None:
+            d_sigma *= (raw < self.sigma_max)[:, None]
+        sigma = self._cap(raw)
         color, inside, slots = self._color_slots(pts)
-        n = pts.shape[0]
         color = _rows(color, n)
-        d_color = np.zeros((n, 3, d_sigma.shape[1]))
+        d_color = np.zeros((n, 3, p))
         d_color[np.arange(n)[:, None], np.arange(3), slots] = inside
         if single:
             return float(sigma[0]), color[0], d_sigma[0], d_color[0]
@@ -250,6 +255,7 @@ class GaussianBlobField(_ConstantColorField):
     kind: ClassVar[str] = "gaussian_blob"
     layout = (("center", 3, "free"), ("scale", 3, "width"), ("amplitude", 1, "nonneg"), ("color", 3, "unit"))
     color_offset: ClassVar[int] = 7
+    density_params = (0, 1, 2, 3, 4, 5, 6)
     center: np.ndarray
     scale: np.ndarray
     amplitude: float
@@ -273,14 +279,15 @@ class GaussianBlobField(_ConstantColorField):
     def _raw_density(self, pts):
         return self.amplitude * self._bump(pts)[1]
 
-    def _raw_density_grad(self, pts):
+    def _raw_density_rows(self, pts):
         u, g = self._bump(pts)
         raw = self.amplitude * g
-        d_raw = np.zeros((pts.shape[0], 10))
-        d_raw[:, 0:3] = (raw * u / self.scale[:, None]).T
-        d_raw[:, 3:6] = (raw * (u * u) / self.scale[:, None]).T
-        d_raw[:, 6] = g
-        return raw, d_raw
+        scale = self.scale[:, None]
+        rows = np.empty((7, pts.shape[0]))
+        np.divide(np.multiply(raw, u, out=rows[0:3]), scale, out=rows[0:3])
+        np.divide(np.multiply(raw, u * u, out=rows[3:6]), scale, out=rows[3:6])
+        rows[6] = g
+        return raw, rows
 
 
 @dataclass(frozen=True)
@@ -294,6 +301,7 @@ class SoftSphereField(_ConstantColorField):
     layout = (("center", 3, "free"), ("radius", 1, "width"), ("softness", 1, "width"),
               ("amplitude", 1, "nonneg"), ("color", 3, "unit"))
     color_offset: ClassVar[int] = 6
+    density_params = (0, 1, 2, 3, 4, 5)
     center: np.ndarray
     radius: float
     softness: float
@@ -319,17 +327,17 @@ class SoftSphereField(_ConstantColorField):
     def _raw_density(self, pts):
         return self.amplitude * self._parts(pts)[2]
 
-    def _raw_density_grad(self, pts):
+    def _raw_density_rows(self, pts):
         diff, r, s = self._parts(pts)
         raw = self.amplitude * s
-        ds_dz = s * (1.0 - s)
+        a_ds_dz = self.amplitude * (s * (1.0 - s))
         w = self.softness
-        d_raw = np.zeros((pts.shape[0], 9))
-        d_raw[:, 0:3] = (self.amplitude * ds_dz / (r * w) * diff).T
-        d_raw[:, 3] = self.amplitude * ds_dz / w
-        d_raw[:, 4] = self.amplitude * ds_dz * (r - self.radius) / w**2
-        d_raw[:, 5] = s
-        return raw, d_raw
+        rows = np.empty((6, pts.shape[0]))
+        np.multiply(a_ds_dz / (r * w), diff, out=rows[0:3])
+        np.divide(a_ds_dz, w, out=rows[3])
+        np.divide(a_ds_dz * (r - self.radius), w**2, out=rows[4])
+        rows[5] = s
+        return raw, rows
 
 
 @dataclass(frozen=True)
@@ -343,6 +351,7 @@ class SoftBoxField(_ConstantColorField):
     layout = (("center", 3, "free"), ("half_size", 3, "width"), ("softness", 1, "width"),
               ("amplitude", 1, "nonneg"), ("color", 3, "unit"))
     color_offset: ClassVar[int] = 8
+    density_params = (0, 1, 2, 3, 4, 5, 6, 7)
     center: np.ndarray
     half_size: np.ndarray
     softness: float
@@ -368,17 +377,18 @@ class SoftBoxField(_ConstantColorField):
     def _raw_density(self, pts):
         return self.amplitude * self._parts(pts)[3]
 
-    def _raw_density_grad(self, pts):
+    def _raw_density_rows(self, pts):
         diff, q, s, f = self._parts(pts)
         raw = self.amplitude * f
         one_minus = 1.0 - s
         w = self.softness
-        d_raw = np.zeros((pts.shape[0], 11))
-        d_raw[:, 0:3] = (raw * one_minus * np.sign(diff) / w).T
-        d_raw[:, 3:6] = (raw * one_minus / w).T
-        d_raw[:, 6] = raw * np.sum(one_minus * (-q), axis=0) / w
-        d_raw[:, 7] = f
-        return raw, d_raw
+        rows = np.empty((8, pts.shape[0]))
+        np.multiply(raw, one_minus, out=rows[3:6])
+        np.multiply(rows[3:6], np.sign(diff), out=rows[0:3])
+        rows[0:6] /= w
+        np.divide(raw * np.sum(one_minus * (-q), axis=0), w, out=rows[6])
+        rows[7] = f
+        return raw, rows
 
 
 @dataclass(frozen=True)
@@ -399,6 +409,7 @@ class GroundPlaneField(Field):
               ("color_b", 3, "unit"), ("checker_size", 1, "nonneg"), ("dome_radius", 1, "width"),
               ("dome_color", 3, "unit"))
     color_offsets: ClassVar[np.ndarray] = np.array([2, 5, 10])  # color_a, color_b, dome_color
+    density_params = (0, 1, 9)  # softness, amplitude, dome_radius
     softness: float
     amplitude: float
     color_a: np.ndarray
@@ -448,7 +459,7 @@ class GroundPlaneField(Field):
         s_plane, _, s_dome, _ = self._parts(pts)
         return self._colors(pts, s_plane, s_dome)
 
-    def _raw_density_grad(self, pts):
+    def _raw_density_rows(self, pts):
         s_plane, rho, s_dome, union = self._parts(pts)
         raw = self.amplitude * union
         w = self.softness
@@ -457,13 +468,13 @@ class GroundPlaneField(Field):
         dsd = s_dome * (1.0 - s_dome)
         du_dsp = 1.0 - s_dome
         du_dsd = 1.0 - s_plane
-        d_raw = np.zeros((pts.shape[0], 13))
-        d_raw[:, 0] = self.amplitude * (
-            du_dsp * dsp * (z / w**2) + du_dsd * dsd * (-(rho - self.dome_radius) / w**2)
-        )
-        d_raw[:, 1] = union
-        d_raw[:, 9] = self.amplitude * du_dsd * dsd * (-1.0 / w)
-        return raw, d_raw
+        rows = np.empty((3, pts.shape[0]))
+        np.multiply(self.amplitude,
+                    du_dsp * dsp * (z / w**2) + du_dsd * dsd * (-(rho - self.dome_radius) / w**2),
+                    out=rows[0])
+        rows[1] = union
+        np.multiply(self.amplitude * du_dsd * dsd, -1.0 / w, out=rows[2])
+        return raw, rows
 
 
 @dataclass(frozen=True)
@@ -551,24 +562,3 @@ def field_from_params(kind: str, vector, sigma_max: float | None = DEFAULT_SIGMA
     cls = FIELD_KINDS[kind]
     return cls(**cls._groups(vector), sigma_max=sigma_max)
 
-
-def positional_encoding(x, n_frequencies: int, k_lowest: int) -> np.ndarray:
-    """Sine/cosine feature lift with octave-spaced frequencies.
-
-    Frequencies are f_j = 2**(k_lowest + j) * pi for j = 0..n_frequencies-1.
-    For input shape (..., k) the output has shape (..., 2 * k * n_frequencies)
-    laid out frequency-major: for each j, then each input dimension, the pair
-    (sin(f_j x_i), cos(f_j x_i)).  Scalars are treated as 1-D input.
-    """
-    if n_frequencies < 1:
-        raise ValueError("n_frequencies must be >= 1")
-    a = np.asarray(x, dtype=np.float64)
-    scalar = a.ndim == 0
-    if scalar:
-        a = a.reshape(1)
-    k = a.shape[-1]
-    freqs = (2.0 ** (k_lowest + np.arange(n_frequencies))) * math.pi
-    ang = a[..., None, :] * freqs[:, None]          # (..., n_f, k)
-    enc = np.stack([np.sin(ang), np.cos(ang)], axis=-1)  # (..., n_f, k, 2)
-    out = enc.reshape(*a.shape[:-1], 2 * k * n_frequencies)
-    return out

@@ -1,9 +1,11 @@
 """Gradient fitting of scene parameters to RGB-D samples.
 
 The loss landscape comes from losses.total_loss.  Gradients are closed-form:
-each field kind supplies its density gradient and the parameter slots of its
-color (fields), losses._loss_eval assembles them into the gradient of the
-whole parameter vector, and finite_diff_gradient cross-checks the result.
+each field kind supplies the derivative of its density as one row per
+parameter it depends on and the parameter slots of its color (fields),
+losses._loss_eval contracts them with per-point weights into the gradient of
+the whole parameter vector without forming a Jacobian, and
+finite_diff_gradient cross-checks the result.
 The optimizer is Adam with bias correction, a stepwise-halving learning
 rate, global norm clipping, and a skip threshold for pathological steps.
 After every step parameters are projected back into each kind's valid

@@ -12,9 +12,13 @@ explained by the dominant one.
 
 The batched core, ``_loss_eval``, serves total_loss and the fitter's
 gradient.  It evaluates densities at every surface and free-space point and
-colors only at the surface points.  Per component, the gradient is one
-weighted sum of density-gradient rows plus the color error scattered into
-that component's color slots; no (N, 3, P) color Jacobian is formed.
+colors only at the surface points.  The gradient is a vector-Jacobian
+product: per component, one per-point weight vector (zero where the density
+cap binds) is contracted with the kind's density rows, one contiguous row
+per parameter the density depends on, and the color error lands in that
+component's three color slots, as three sums for a constant-color kind and
+a scatter over per-point slots for the ground plane.  Neither the (N, P)
+density Jacobian nor an (N, 3, P) color Jacobian is formed.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .compose import CompositeScene, _mix
-from .fields import LOG_DENSITY_FLOOR, _check_points
+from .fields import LOG_DENSITY_FLOOR, _check_points, _sum3
 from .geometry import Ray
 
 __all__ = [
@@ -211,10 +215,10 @@ class _BatchArrays:
         if not batch:
             raise ValueError("batch must be non-empty")
         return cls(
-            origins=np.stack([s.ray.origin for s in batch]),
-            directions=np.stack([s.ray.direction for s in batch]),
+            origins=np.concatenate([s.ray.origin for s in batch]).reshape(-1, 3),
+            directions=np.concatenate([s.ray.direction for s in batch]).reshape(-1, 3),
             t_obs=np.array([s.depth for s in batch]),
-            colors=np.stack([s.color for s in batch]),
+            colors=np.concatenate([s.color for s in batch]).reshape(-1, 3),
         )
 
     def take(self, idx) -> "_BatchArrays":
@@ -250,9 +254,13 @@ def _loss_eval(scene: CompositeScene, arrays: _BatchArrays, iteration: int,
     grads = []
     for i, comp in enumerate(scene.components):
         if want_grads:
-            sigmas[:, i], d_sigma = comp._density_grad(stacked)
-            color, inside, slots = comp._color_slots(surf_pts)
-            grads.append((d_sigma, color, inside, slots))
+            raw, rows = comp._raw_density_rows(stacked)
+            sigmas[:, i] = comp._cap(raw)
+            live = None if comp.sigma_max is None else raw < comp.sigma_max
+            color, offset = comp._color_source(surf_pts)
+            inside = (color >= 0.0) & (color <= 1.0)
+            color = np.clip(color, 0.0, 1.0)
+            grads.append((comp, rows, live, color, inside, offset))
         else:
             sigmas[:, i] = comp._density(stacked)
             color = comp._density_color(surf_pts)[1]
@@ -290,23 +298,29 @@ def _loss_eval(scene: CompositeScene, arrays: _BatchArrays, iteration: int,
     #   d(depth)/dp   = -dsigma_i(surf) / sigma_total + mean_f dsigma_i(free_f) / q_f
     #   d(c_pred)/dp  = [sigma_i * dc_i + (c_i - c_pred) * dsigma_i(surf)] / sigma_total
     #   d(overlap)/dp = dsigma_i(surf) where i is not the dominant component
-    # so the gradient is a weighted sum of density-gradient rows plus the
-    # color part, which lands only in the color parameter slots.
+    # so the density part is one per-point weight vector contracted with the
+    # density rows (zero where the cap binds), and the color part lands only
+    # in the color parameter slots.  Per-ray arrays are channel-major (3, B).
     color_live = sig_tot_surf > 0.0
     err = (c_pred - arrays.colors) / config.sigma_c**2
-    err = err * color_live[:, None]
+    err = np.ascontiguousarray((err * color_live[:, None]).T)
+    c_pred = np.ascontiguousarray(c_pred.T)
     inv_tot = np.where(color_live, 1.0 / np.where(color_live, sig_tot_surf, 1.0), 0.0)
     d_log = np.where(log_live, 1.0 / np.maximum(sig_tot_surf, LOG_DENSITY_FLOOR), 0.0)
     weights = np.empty(stacked.shape[0])
     weights[b:] = (1.0 / (q * f)).ravel()
     grad_parts = []
-    for i, (d_sigma, color, inside, slots) in enumerate(grads):
-        weights[:b] = (
-            inv_tot * ((color - c_pred) * err).sum(axis=1) - d_log + k_o * (dominant != i)
-        )
-        grad = weights @ d_sigma
-        color_weights = err * inside * (sig_surf[:, i] * inv_tot)[:, None]
-        grad += np.bincount(slots.ravel(), weights=color_weights.ravel(), minlength=grad.shape[0])
+    for i, (comp, rows, live, color, inside, offset) in enumerate(grads):
+        color = color[:, None] if color.ndim == 1 else color.T
+        weights[:b] = inv_tot * _sum3((color - c_pred) * err) - d_log + k_o * (dominant != i)
+        grad = np.zeros(comp.n_params)
+        grad[list(comp.density_params)] = rows @ (weights if live is None else weights * live)
+        share = sig_surf[:, i] * inv_tot
+        if np.ndim(offset) == 0:
+            grad[offset : offset + 3] += np.where(inside, err @ share, 0.0)
+        else:
+            slots = offset + np.arange(3)[:, None]
+            grad += np.bincount(slots.ravel(), (err * inside.T * share).ravel(), grad.shape[0])
         grad_parts.append(grad / b)
     return total, breakdown, np.concatenate(grad_parts)
 

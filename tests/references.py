@@ -1,5 +1,6 @@
-"""Earlier versions of the field kernels and of the color mixer, kept as
-references, plus hypothesis strategies for fields and points.
+"""Earlier versions of the field kernels, of the color Jacobians and of the
+color mixer, kept as references, plus hypothesis strategies for fields and
+points.
 
 The package's kernels avoid boolean-mask gathers, short-axis reductions and
 (N, n, 3) color stacks; each must still equal the plainer version here bit
@@ -22,6 +23,13 @@ def masked_sigmoid(z):
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
+
+
+def _ground_parts(field, pts):
+    """Plane sigmoid, distance from the origin and dome sigmoid (N,)."""
+    s_plane = masked_sigmoid(-pts[:, 2] / field.softness)
+    rho = np.maximum(np.linalg.norm(pts, axis=1), 1e-12)
+    return s_plane, rho, masked_sigmoid((rho - field.dome_radius) / field.softness)
 
 
 def reference_density_grad(field, pts):
@@ -64,9 +72,7 @@ def reference_density_grad(field, pts):
         d_raw[:, 7] = f
     elif isinstance(field, GroundPlaneField):
         w = field.softness
-        s_plane = masked_sigmoid(-pts[:, 2] / w)
-        rho = np.maximum(np.linalg.norm(pts, axis=1), 1e-12)
-        s_dome = masked_sigmoid((rho - field.dome_radius) / w)
+        s_plane, rho, s_dome = _ground_parts(field, pts)
         union = 1.0 - (1.0 - s_plane) * (1.0 - s_dome)
         raw = field.amplitude * union
         dsp = s_plane * (1.0 - s_plane)
@@ -81,6 +87,36 @@ def reference_density_grad(field, pts):
     else:
         raise TypeError(f"no reference for {field.kind!r}")
     return raw, d_raw
+
+
+def reference_color_jacobian(field, pts):
+    """Clipped color (N, 3) and d(color)/d(params) (N, 3, P) at points
+    (N, 3), built the way each kind used to build them: an identity block at
+    the color slots of a constant-color kind, one-hot blocks per surface
+    (color_a, color_b, dome) for the ground plane, both masked to the
+    channels whose unclipped color lies in [0, 1]."""
+    n, p = pts.shape[0], field.n_params
+    d_color = np.zeros((n, 3, p))
+    if isinstance(field, GroundPlaneField):
+        s_plane, _, s_dome = _ground_parts(field, pts)
+        checker_b = np.zeros(n, dtype=bool)
+        if field.checker_size > 0:
+            cells = np.floor(pts[:, 0] / field.checker_size) + np.floor(pts[:, 1] / field.checker_size)
+            checker_b = (cells.astype(np.int64) % 2) != 0
+        on_dome = s_dome > s_plane
+        color = np.where(on_dome[:, None], field.dome_color,
+                         np.where(checker_b[:, None], field.color_b, field.color_a))
+        for ch in range(3):
+            d_color[~on_dome & ~checker_b, ch, 2 + ch] = 1.0
+            d_color[~on_dome & checker_b, ch, 5 + ch] = 1.0
+            d_color[on_dome, ch, 10 + ch] = 1.0
+    else:
+        offset = {"gaussian_blob": 7, "soft_sphere": 6, "soft_box": 8}[field.kind]
+        color = np.broadcast_to(field.color, (n, 3))
+        for ch in range(3):
+            d_color[:, ch, offset + ch] = 1.0
+    inside = (color >= 0.0) & (color <= 1.0)
+    return np.clip(color, 0.0, 1.0), d_color * inside[:, :, None]
 
 
 def stacked_mix(sigmas, colors):

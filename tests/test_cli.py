@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from rayfields import cli, scenegen
 from rayfields.cli import EXIT_GENERATION, EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
 from rayfields.images import read_pfm, read_pgm, read_ppm
 from rayfields.scenedoc import load_scene
@@ -38,6 +39,12 @@ def assert_one_error_line(code, capsys):
     assert code == EXIT_INPUT
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def out_of_memory(camera, t_far):
+    """Stands in for ``pinhole_rays`` on an image too large to allocate, as
+    numpy reports it, without allocating anything."""
+    raise MemoryError(f"Unable to allocate the rays of a {camera.width}x{camera.height} image")
 
 
 def tree_bytes(root):
@@ -116,6 +123,11 @@ class TestGenerate:
         assert (quad.n_coarse, quad.n_fine) == (16, 0)
         assert (tmp_path / "0" / "view_0.ppm").read_bytes() != (tmp_path / "128" / "view_0.ppm").read_bytes()
 
+    def test_image_too_large_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(scenegen, "pinhole_rays", out_of_memory)
+        code = main(["generate", "--out", str(tmp_path / "g"), "--resolution", "6"])
+        assert_one_error_line(code, capsys)
+
     def test_impossible_placement_exits_3(self, tmp_path, capsys):
         code, _ = generate_small(
             tmp_path / "x", capsys,
@@ -178,6 +190,14 @@ class TestRender:
         generate_small(data, capsys, views=1)
         code = main(["render", "--scene", str(data / "scene.json"), "--out", str(tmp_path / "o"),
                      "--resolution", "0"])
+        assert_one_error_line(code, capsys)
+
+    def test_image_too_large_exits_2(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "data"
+        generate_small(data, capsys, views=1)
+        monkeypatch.setattr(cli, "pinhole_rays", out_of_memory)
+        code = main(["render", "--scene", str(data / "scene.json"), "--out", str(tmp_path / "o"),
+                     "--resolution", "6"])
         assert_one_error_line(code, capsys)
 
     @pytest.mark.parametrize("flags", [["--n-coarse", "1"], ["--n-coarse", "0"], ["--n-fine", "-1"]])

@@ -17,10 +17,11 @@ from rayfields.fields import (
     UnsupportedGradient,
     field_from_params,
     _sigmoid,
-    positional_encoding,
 )
 
-from references import FIELDS, GROUNDS, POINTS, masked_sigmoid, reference_density_grad
+from references import (FIELDS, GROUNDS, POINTS, masked_sigmoid, reference_color_jacobian,
+                        reference_density_grad)
+
 
 def _example_fields():
     return [
@@ -278,35 +279,6 @@ class TestFieldGradients:
         assert np.array_equal(d_sig[0], np.zeros(f.n_params))
 
 
-def _old_color_jacobian(field, pts):
-    """d(color)/d(params) (N, 3, P) built the way each kind used to build it:
-    an identity block at the color slots of a constant-color kind, one-hot
-    blocks per surface (color_a, color_b, dome) for the ground plane, both
-    masked to the channels whose unclipped color lies in [0, 1]."""
-    n, p = pts.shape[0], field.n_params
-    d_color = np.zeros((n, 3, p))
-    if isinstance(field, GroundPlaneField):
-        s_plane, _, s_dome, _ = field._parts(pts)
-        checker_b = np.zeros(n, dtype=bool)
-        if field.checker_size > 0:
-            cells = np.floor(pts[:, 0] / field.checker_size) + np.floor(pts[:, 1] / field.checker_size)
-            checker_b = (cells.astype(np.int64) % 2) != 0
-        on_dome = s_dome > s_plane
-        color = np.where(on_dome[:, None], field.dome_color,
-                         np.where(checker_b[:, None], field.color_b, field.color_a))
-        for ch in range(3):
-            d_color[~on_dome & ~checker_b, ch, 2 + ch] = 1.0
-            d_color[~on_dome & checker_b, ch, 5 + ch] = 1.0
-            d_color[on_dome, ch, 10 + ch] = 1.0
-    else:
-        offset = {"gaussian_blob": 7, "soft_sphere": 6, "soft_box": 8}[field.kind]
-        color = np.broadcast_to(field.color, (n, 3))
-        for ch in range(3):
-            d_color[:, ch, offset + ch] = 1.0
-    inside = (color >= 0.0) & (color <= 1.0)
-    return d_color * inside[:, :, None]
-
-
 class TestColorJacobian:
     """evaluate_with_grad builds d(color) from each kind's color slots; it must
     equal the per-kind blocks bit for bit, clip edges and checker cells included."""
@@ -324,10 +296,11 @@ class TestColorJacobian:
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.kind)
     def test_equals_old_per_kind_blocks(self, field):
         pts = np.random.default_rng(8).uniform(-3.0, 3.0, (300, 3))
-        _, _, _, d_color = field.evaluate_with_grad(pts)
-        assert np.array_equal(d_color, _old_color_jacobian(field, pts))
+        _, color, _, d_color = field.evaluate_with_grad(pts)
+        ref_color, ref_d_color = reference_color_jacobian(field, pts)
+        assert np.array_equal(color, ref_color) and np.array_equal(d_color, ref_d_color)
         _, _, _, single = field.evaluate_with_grad(pts[7])
-        assert np.array_equal(single, _old_color_jacobian(field, pts[7:8])[0])
+        assert np.array_equal(single, reference_color_jacobian(field, pts[7:8])[1][0])
 
     def test_ground_plane_points_reach_every_surface(self):
         ground = self.FIELDS[3]
@@ -360,12 +333,20 @@ class TestKernelReferences:
     def test_density_and_gradient_match_row_reductions(self, field, pts):
         ref_raw, ref_grad = reference_density_grad(field, pts)
         assert field._raw_density(pts).tobytes() == ref_raw.tobytes()
-        raw, grad = field._raw_density_grad(pts)
+        raw, rows = field._raw_density_rows(pts)
         assert raw.tobytes() == ref_raw.tobytes()
-        assert grad.tobytes() == ref_grad.tobytes()
+        assert rows.flags.c_contiguous
+        assert rows.tobytes() == np.ascontiguousarray(ref_grad[:, field.density_params].T).tobytes()
+        # density_params is complete: every other column is exactly 0.
+        others = np.delete(ref_grad, field.density_params, axis=1)
+        assert np.all(others == 0.0)
         sigma = ref_raw if field.sigma_max is None else np.minimum(ref_raw, field.sigma_max)
         assert field.density(pts).tobytes() == sigma.tobytes()
         assert field.evaluate(pts)[0].tobytes() == sigma.tobytes()
+        live = np.ones_like(ref_raw) if field.sigma_max is None else ref_raw < field.sigma_max
+        ewg_sigma, _, d_sigma, _ = field.evaluate_with_grad(pts)
+        assert ewg_sigma.tobytes() == sigma.tobytes()
+        assert d_sigma.tobytes() == (ref_grad * live[:, None]).tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(FIELDS, POINTS)
@@ -384,42 +365,17 @@ class TestKernelReferences:
     @given(GROUNDS.filter(lambda g: g.checker_size > 0 and g.dome_radius < 20))
     def test_ground_points_reach_checker_and_dome(self, ground):
         rng = np.random.default_rng(0)
-        plane = np.column_stack([rng.uniform(-5, 5, (200, 2)), np.full(200, -0.01)])
+        # Plane points stay inside the dome radius, where the plane, not the
+        # dome, gives the color whatever the softness.
+        xy = rng.uniform(-0.7, 0.7, (200, 2)) * ground.dome_radius
+        plane = np.column_stack([xy, np.full(200, -0.01)])
         far = rng.normal(size=(50, 3))
         far *= 40.0 / np.linalg.norm(far, axis=1, keepdims=True)
         pts = np.concatenate([plane, far])
         _, offsets = ground._color_source(pts)
         assert set(np.unique(offsets)) == {2, 5, 10}
         ref_raw, ref_grad = reference_density_grad(ground, pts)
-        raw, grad = ground._raw_density_grad(pts)
-        assert raw.tobytes() == ref_raw.tobytes() and grad.tobytes() == ref_grad.tobytes()
+        raw, rows = ground._raw_density_rows(pts)
+        assert raw.tobytes() == ref_raw.tobytes()
+        assert rows.tobytes() == np.ascontiguousarray(ref_grad[:, ground.density_params].T).tobytes()
 
-
-class TestPositionalEncoding:
-    def test_frozen_example(self):
-        # x = 0.25 at frequencies pi and 2*pi:
-        # [sin(pi/4), cos(pi/4), sin(pi/2), cos(pi/2)]
-        enc = positional_encoding(0.25, n_frequencies=2, k_lowest=0)
-        expected = [math.sqrt(0.5), math.sqrt(0.5), 1.0, math.cos(math.pi / 2)]
-        assert np.allclose(enc, expected, atol=1e-15)
-
-    def test_shape_and_layout(self):
-        x = np.random.default_rng(6).uniform(-1, 1, (5, 3))
-        enc = positional_encoding(x, n_frequencies=4, k_lowest=-1)
-        assert enc.shape == (5, 2 * 3 * 4)
-        # Frequency-major: the first 6 columns use f = 2**-1 * pi.
-        f0 = (2.0 ** -1) * math.pi
-        assert np.allclose(enc[:, 0], np.sin(f0 * x[:, 0]))
-        assert np.allclose(enc[:, 1], np.cos(f0 * x[:, 0]))
-        assert np.allclose(enc[:, 2], np.sin(f0 * x[:, 1]))
-
-    def test_octave_spacing_doubles(self):
-        x = np.array([0.3])
-        enc = positional_encoding(x, n_frequencies=3, k_lowest=0)
-        # sin components at pi*x, 2pi*x, 4pi*x
-        assert math.isclose(enc[1 * 2], math.sin(2 * math.pi * 0.3), rel_tol=1e-12)
-        assert math.isclose(enc[2 * 2], math.sin(4 * math.pi * 0.3), rel_tol=1e-12)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            positional_encoding(0.5, n_frequencies=0, k_lowest=0)

@@ -23,7 +23,7 @@ from rayfields.losses import (
 )
 from rayfields.scenegen import surface_samples
 
-from references import stack_colors, stacked_mix
+from references import reference_color_jacobian, reference_density_grad, stack_colors, stacked_mix
 
 
 def two_blob_scene() -> rf.CompositeScene:
@@ -140,10 +140,22 @@ class TestGradients:
             loss_gradient(scene, [sample], 0, LossConfig(), rng=0)
 
 
+def reference_evaluate_with_grad(field, pts):
+    """Capped density, clipped color and the dense (N, P) density and
+    (N, 3, P) color Jacobians of a field, from the reference kernels alone."""
+    sigma, d_sigma = reference_density_grad(field, pts)
+    if field.sigma_max is not None:
+        d_sigma *= (sigma < field.sigma_max)[:, None]
+        sigma = np.minimum(sigma, field.sigma_max)
+    color, d_color = reference_color_jacobian(field, pts)
+    return sigma, color, d_sigma, d_color
+
+
 def dense_reference_loss(scene, batch, iteration, config, seed):
-    """Total loss and gradient assembled from dense color Jacobians: every
-    component's evaluate_with_grad at every point, a (B, 3, P) d(c_pred) per
-    component contracted with the color error, then a mean over ray rows."""
+    """Total loss and gradient assembled from dense Jacobians: every
+    component's reference density and color Jacobians at every point, a
+    (B, 3, P) d(c_pred) per component contracted with the color error, then a
+    mean over ray rows.  It shares no field kernel with the package."""
     arrays = _BatchArrays.from_samples(batch)
     rng = np.random.default_rng(seed)
     b, n_comp, f = len(arrays), scene.n, config.n_free_samples
@@ -158,7 +170,7 @@ def dense_reference_loss(scene, batch, iteration, config, seed):
     sig_free = np.empty((b, f, n_comp))
     grads = []
     for i, comp in enumerate(scene.components):
-        s, c, ds, dc = comp.evaluate_with_grad(stacked)
+        s, c, ds, dc = reference_evaluate_with_grad(comp, stacked)
         grads.append((ds[:b], dc[:b], ds[b:].reshape(b, f, -1)))
         sig_surf[:, i] = s[:b]
         col_surf[:, i] = c[:b]
@@ -253,6 +265,43 @@ def empty_rays_case():
     return scene, aimed_samples(targets, rng)
 
 
+def fit_mix_case():
+    """The object mix of a fit benchmark scene, three blobs, three spheres and
+    two boxes, plus the ground; the first blob has no density cap and the
+    first sphere's core is past it.  Rays aim at every object's core and
+    top, at both checker colors, at the dome and into the air."""
+    objects = (
+        rf.GaussianBlobField(center=(-1.2, -0.8, 0.5), scale=(0.4, 0.35, 0.4), amplitude=7.0,
+                             color=(0.8, 0.2, 0.1), sigma_max=None),
+        rf.GaussianBlobField(center=(-0.2, 1.1, 0.45), scale=(0.3, 0.4, 0.35), amplitude=9.0,
+                             color=(0.1, 0.7, 0.3)),
+        rf.GaussianBlobField(center=(1.3, -0.9, 0.55), scale=(0.45, 0.3, 0.4), amplitude=6.0,
+                             color=(1.0, 0.5, -0.2)),
+        rf.SoftSphereField(center=(0.9, 0.9, 0.4), radius=0.35, softness=0.06, amplitude=16.0,
+                           color=(0.3, 0.3, 0.9)),
+        rf.SoftSphereField(center=(-1.1, 0.6, 0.35), radius=0.3, softness=0.05, amplitude=8.0,
+                           color=(0.9, 0.9, 0.1)),
+        rf.SoftSphereField(center=(0.2, -0.2, 0.3), radius=0.3, softness=0.08, amplitude=7.0,
+                           color=(0.0, 1.0, 0.6)),
+        rf.SoftBoxField(center=(0.4, -1.4, 0.3), half_size=(0.3, 0.25, 0.3), softness=0.04, amplitude=9.0,
+                        color=(0.6, 0.3, 0.9)),
+        rf.SoftBoxField(center=(-0.3, 0.3, 0.35), half_size=(0.2, 0.3, 0.35), softness=0.05, amplitude=8.0,
+                        color=(1.2, 0.4, 0.4)),
+    )
+    ground = rf.GroundPlaneField(softness=0.05, amplitude=10.0, color_a=(0.6, 0.6, 0.6), color_b=(0.3, 0.3, 0.35),
+                                 checker_size=0.5, dome_radius=8.0, dome_color=(0.5, 0.6, 0.8))
+    scene = rf.CompositeScene(objects + (ground,), t_far=40.0)
+    rng = np.random.default_rng(13)
+    centers = np.array([o.center for o in objects])
+    tops = centers + (0.0, 0.0, 0.3)
+    floor = np.column_stack([rng.uniform(-3, 3, (20, 2)), np.full(20, -0.05)])
+    dome = rng.normal(size=(6, 3))
+    dome[:, 2] = np.abs(dome[:, 2]) + 0.3
+    dome *= 8.0 / np.linalg.norm(dome, axis=1, keepdims=True)
+    air = [(0.0, 0.0, 4.0), (1.0, -0.5, 4.2)]
+    return scene, aimed_samples(np.concatenate([centers, tops, floor, dome, air]), rng)
+
+
 class TestGradientAssembly:
     """loss_gradient against dense_reference_loss, case by case."""
 
@@ -262,7 +311,7 @@ class TestGradientAssembly:
     }
 
     @pytest.mark.parametrize("config", sorted(CONFIGS))
-    @pytest.mark.parametrize("case", [all_kinds_case, empty_rays_case], ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("case", [all_kinds_case, empty_rays_case, fit_mix_case], ids=lambda c: c.__name__)
     def test_matches_dense_reference(self, case, config):
         scene, batch = case()
         cfg, iteration = self.CONFIGS[config]
@@ -288,6 +337,14 @@ class TestGradientAssembly:
         assert np.any(totals == 0.0)
         assert np.any((totals > 0.0) & (totals < LOG_DENSITY_FLOOR))
         assert np.any(totals > 1.0)
+        scene, batch = fit_mix_case()
+        arrays = _BatchArrays.from_samples(batch)
+        surf = arrays.origins + arrays.t_obs[:, None] * arrays.directions
+        sigmas = scene.density_components(surf)
+        assert set(np.unique(scene.components[8]._color_source(surf)[1])) == {2, 5, 10}
+        assert scene.components[0].sigma_max is None
+        assert np.any(sigmas[:, 3] == scene.components[3].sigma_max)  # the sphere core sits at the cap
+        assert np.all(sigmas[:, :8].max(axis=0) > 1.0)  # every object is hit
 
     def test_checker_size_gradient_is_zero(self):
         scene, batch = all_kinds_case()
@@ -439,6 +496,20 @@ class TestFit:
             fit(scene, [sample] * 8, FitConfig(iterations=3, batch_size=8, seed=0))
         assert err.value.iteration == 0
         assert err.value.term in {"depth_nll", "total"}
+
+    def test_fit_path_forms_no_dense_jacobian(self, monkeypatch):
+        # Both methods that build dense Jacobians raise; a fit on every gradient kind
+        # still runs, so its gradient comes from density rows and color slots.
+        scene, batch = all_kinds_case()
+
+        def dense(*args, **kwargs):
+            raise AssertionError("dense Jacobian built on the fit path")
+
+        monkeypatch.setattr(rf.Field, "evaluate_with_grad", dense)
+        monkeypatch.setattr(rf.Field, "_color_slots", dense)
+        rep = fit(scene, batch, FitConfig(iterations=5, batch_size=16, seed=2))
+        assert len(rep.trace) == 5 and rep.skipped_steps == 0
+        assert not np.array_equal(rep.final_params, scene.params())
 
     def test_batch_larger_than_dataset_ok(self):
         target = two_blob_scene()
