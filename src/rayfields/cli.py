@@ -41,7 +41,7 @@ from .scenedoc import (
     save_scene,
     scene_to_doc,
 )
-from .scenegen import PlacementError, SceneGenConfig, default_camera, render_dataset, sample_scene
+from .scenegen import PlacementError, SceneGenConfig, _view_samples, default_camera, render_dataset, sample_scene
 from .transport import QuadratureConfig
 
 __all__ = ["main"]
@@ -280,12 +280,7 @@ def _load_samples(data_dir: str, camera: Camera, t_far: float) -> list[RgbdSampl
                 f"view {v} is {rgb.shape[1]}x{rgb.shape[0]} but the scene camera is "
                 f"{camera.width}x{camera.height}"
             )
-        grid = pinhole_rays(cams[v], t_far)
-        flat_rgb = rgb.reshape(-1, 3)
-        flat_depth = depth.ravel()
-        keep = np.isfinite(flat_depth) & (flat_depth > 0.0) & (flat_depth < grid.t_fars)
-        for i in np.flatnonzero(keep):
-            samples.append(RgbdSample(ray=grid.ray(int(i)), color=flat_rgb[i], depth=float(flat_depth[i])))
+        samples += _view_samples(cams[v], rgb, depth, t_far)
     return samples
 
 

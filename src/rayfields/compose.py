@@ -22,7 +22,7 @@ import numpy as np
 from . import transport
 from ._threads import block_rows, chunked_row_map
 from .fields import Field, UnsupportedGradient, _check_points, _rows
-from .geometry import Ray, RayGrid
+from .geometry import Ray, RayGrid, ray_at
 from .transport import EMPTY_WEIGHT_EPS, QuadratureConfig, RenderResult
 
 __all__ = [
@@ -203,8 +203,6 @@ def composite_eval(scene: CompositeScene, x, d=None) -> CompositePoint:
 def joint_depth_component_pdf(scene: CompositeScene, ray: Ray, t: float, quad: QuadratureConfig) -> np.ndarray:
     """Unnormalized joint density over (depth, component): sigma_i(r(t)) * T(t)
     with T taken under the total density."""
-    from .geometry import ray_at
-
     sigmas = scene.density_components(ray_at(ray, float(t)))
     return sigmas * transport.transmittance(scene, ray, t, quad)
 
@@ -222,24 +220,12 @@ def _marginals_from_batch(batch: dict) -> tuple[np.ndarray, np.ndarray]:
     return marginal, batch["transmittance_far"]
 
 
-def component_marginal(scene: CompositeScene, ray: Ray, quad: QuadratureConfig) -> tuple[np.ndarray, float]:
-    """Per-component depth mass (n,) plus the vacuum residual; together they
-    sum to ~1."""
-    rng = np.random.default_rng(quad.seed)
-    batch = transport._render_batch(
-        scene, ray.origin[None, :], ray.direction[None, :], np.array([ray.t_far]), quad, rng
-    )
-    marginal, residual = _marginals_from_batch(batch)
-    return marginal[0], float(residual[0])
-
-
-def segment_ray(scene: CompositeScene, ray: Ray, quad: QuadratureConfig) -> int:
-    """Index of the component holding the most depth mass; EMPTY_SEGMENT (-1)
-    when the ray absorbs (almost) nothing.  Ties go to the lowest index."""
-    marginal, _ = component_marginal(scene, ray, quad)
-    if marginal.sum() <= EMPTY_WEIGHT_EPS:
-        return EMPTY_SEGMENT
-    return int(np.argmax(marginal))
+def _labels(marginals: np.ndarray) -> np.ndarray:
+    """Per row of component masses (N, n): the index of the component
+    holding the most, EMPTY_SEGMENT (-1) where the row holds (almost)
+    nothing.  Ties go to the lowest index."""
+    empty = marginals.sum(axis=1) <= EMPTY_WEIGHT_EPS
+    return np.where(empty, EMPTY_SEGMENT, np.argmax(marginals, axis=1)).astype(np.int32)
 
 
 @dataclass(frozen=True)
@@ -252,9 +238,7 @@ class CompositeRenderResult:
 
     @property
     def label(self) -> int:
-        if self.marginal.sum() <= EMPTY_WEIGHT_EPS:
-            return EMPTY_SEGMENT
-        return int(np.argmax(self.marginal))
+        return int(_labels(self.marginal[None, :])[0])
 
 
 def composite_render(scene: CompositeScene, ray: Ray, quad: QuadratureConfig) -> CompositeRenderResult:
@@ -263,12 +247,22 @@ def composite_render(scene: CompositeScene, ray: Ray, quad: QuadratureConfig) ->
     Matches transport.hierarchical_render bit for bit on the shared outputs
     (same draws, same arithmetic).
     """
-    rng = np.random.default_rng(quad.seed)
-    batch = transport._render_batch(
-        scene, ray.origin[None, :], ray.direction[None, :], np.array([ray.t_far]), quad, rng
-    )
+    batch = transport._render_ray(scene, ray, quad)
     marginal, residual = _marginals_from_batch(batch)
     return CompositeRenderResult(transport._single_ray_result(batch), marginal[0], float(residual[0]))
+
+
+def component_marginal(scene: CompositeScene, ray: Ray, quad: QuadratureConfig) -> tuple[np.ndarray, float]:
+    """Per-component depth mass (n,) plus the vacuum residual; together they
+    sum to ~1."""
+    result = composite_render(scene, ray, quad)
+    return result.marginal, result.residual
+
+
+def segment_ray(scene: CompositeScene, ray: Ray, quad: QuadratureConfig) -> int:
+    """Index of the component holding the most depth mass; EMPTY_SEGMENT (-1)
+    when the ray absorbs (almost) nothing.  Ties go to the lowest index."""
+    return composite_render(scene, ray, quad).label
 
 
 @dataclass(frozen=True)
@@ -331,11 +325,7 @@ def render_ray_grid(scene: CompositeScene, grid: RayGrid, quad: QuadratureConfig
 
     chunked_row_map(run, n, block_rows(quad.n_coarse + quad.n_fine))
 
-    labels = np.where(
-        marginals.sum(axis=1) <= EMPTY_WEIGHT_EPS,
-        EMPTY_SEGMENT,
-        np.argmax(marginals, axis=1),
-    ).astype(np.int32)
+    labels = _labels(marginals)
     return RenderedView(
         color=color.reshape(h, w, 3),
         depth=depth.reshape(h, w),

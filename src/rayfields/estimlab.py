@@ -1,8 +1,6 @@
-"""Measurement bench for Monte Carlo estimators.
+"""Measurement of a Monte Carlo estimator's bias.
 
-measure() runs an estimator across independent per-trial RNG streams and
-reports mean, variance, and bias against a closed-form reference.  The
-stratified-bias demo reproduces a hard failure of equispaced-bin stratified
+The stratified-bias demo reproduces a hard failure of equispaced-bin stratified
 color estimation: a thin bright slab in front of a dim dark backdrop, where
 one stray sample in the backdrop region soaks up all the weight whenever the
 slab's bin misses, dragging the estimate down by a factor the second
@@ -10,9 +8,6 @@ hierarchical round cannot repair.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -22,47 +17,11 @@ from .geometry import Ray
 from .transport import QuadratureConfig, RaySamples
 
 __all__ = [
-    "EstimatorStats",
-    "measure",
     "slab_demo_field",
     "slab_demo_ray",
     "stratified_miss_probability",
     "stratified_bias_demo",
 ]
-
-
-@dataclass(frozen=True)
-class EstimatorStats:
-    """Summary of repeated estimator trials against a reference value."""
-
-    mean: float
-    variance: float
-    std_error: float
-    n_trials: int
-    reference: float
-    bias: float
-
-    @property
-    def bias_over_se(self) -> float:
-        return self.bias / self.std_error if self.std_error > 0 else float("inf")
-
-
-def measure(estimator: Callable[[np.random.Generator], float], reference: float,
-            n_trials: int, seed: int) -> EstimatorStats:
-    """Run ``estimator`` once per trial with stream default_rng((seed, trial)).
-
-    Trials are independent by construction and aggregated in trial order, so
-    the result is identical however the trials are scheduled.
-    """
-    if n_trials < 2:
-        raise ValueError("n_trials must be >= 2")
-    values = np.empty(n_trials)
-    for trial in range(n_trials):
-        values[trial] = estimator(np.random.default_rng(np.random.SeedSequence((seed, trial))))
-    mean = float(values.mean())
-    var = float(values.var(ddof=1))
-    se = float(np.sqrt(var / n_trials))
-    return EstimatorStats(mean, var, se, n_trials, float(reference), mean - float(reference))
 
 
 def slab_demo_field() -> PiecewiseConstantRayField:

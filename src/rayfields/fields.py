@@ -20,6 +20,7 @@ Jacobians from both for callers that want them.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
@@ -54,6 +55,13 @@ def _vec(v, shape, name):
     if a.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
     if not np.isfinite(a).all():
+        raise ValueError(f"{name} must be finite")
+    return a
+
+
+def _scalar(v, name):
+    a = float(v)
+    if not math.isfinite(a):
         raise ValueError(f"{name} must be finite")
     return a
 
@@ -266,7 +274,8 @@ class GaussianBlobField(_ConstantColorField):
         object.__setattr__(self, "center", _vec(self.center, (3,), "center"))
         object.__setattr__(self, "scale", _vec(self.scale, (3,), "scale"))
         object.__setattr__(self, "color", _vec(self.color, (3,), "color"))
-        object.__setattr__(self, "amplitude", float(self.amplitude))
+        object.__setattr__(self, "amplitude", _scalar(self.amplitude, "amplitude"))
+        object.__setattr__(self, "sigma_max", None if self.sigma_max is None else _scalar(self.sigma_max, "sigma_max"))
         if not np.all(self.scale > 0):
             raise ValueError("scale components must be positive")
         if self.amplitude < 0:
@@ -312,9 +321,10 @@ class SoftSphereField(_ConstantColorField):
     def __post_init__(self):
         object.__setattr__(self, "center", _vec(self.center, (3,), "center"))
         object.__setattr__(self, "color", _vec(self.color, (3,), "color"))
-        object.__setattr__(self, "radius", float(self.radius))
-        object.__setattr__(self, "softness", float(self.softness))
-        object.__setattr__(self, "amplitude", float(self.amplitude))
+        object.__setattr__(self, "radius", _scalar(self.radius, "radius"))
+        object.__setattr__(self, "softness", _scalar(self.softness, "softness"))
+        object.__setattr__(self, "amplitude", _scalar(self.amplitude, "amplitude"))
+        object.__setattr__(self, "sigma_max", None if self.sigma_max is None else _scalar(self.sigma_max, "sigma_max"))
         if self.radius <= 0 or self.softness <= 0 or self.amplitude < 0:
             raise ValueError("radius and softness must be positive, amplitude non-negative")
 
@@ -363,8 +373,9 @@ class SoftBoxField(_ConstantColorField):
         object.__setattr__(self, "center", _vec(self.center, (3,), "center"))
         object.__setattr__(self, "half_size", _vec(self.half_size, (3,), "half_size"))
         object.__setattr__(self, "color", _vec(self.color, (3,), "color"))
-        object.__setattr__(self, "softness", float(self.softness))
-        object.__setattr__(self, "amplitude", float(self.amplitude))
+        object.__setattr__(self, "softness", _scalar(self.softness, "softness"))
+        object.__setattr__(self, "amplitude", _scalar(self.amplitude, "amplitude"))
+        object.__setattr__(self, "sigma_max", None if self.sigma_max is None else _scalar(self.sigma_max, "sigma_max"))
         if not np.all(self.half_size > 0) or self.softness <= 0 or self.amplitude < 0:
             raise ValueError("half_size and softness must be positive, amplitude non-negative")
 
@@ -423,10 +434,11 @@ class GroundPlaneField(Field):
         object.__setattr__(self, "color_a", _vec(self.color_a, (3,), "color_a"))
         object.__setattr__(self, "color_b", _vec(self.color_b, (3,), "color_b"))
         object.__setattr__(self, "dome_color", _vec(self.dome_color, (3,), "dome_color"))
-        object.__setattr__(self, "softness", float(self.softness))
-        object.__setattr__(self, "amplitude", float(self.amplitude))
-        object.__setattr__(self, "checker_size", float(self.checker_size))
-        object.__setattr__(self, "dome_radius", float(self.dome_radius))
+        object.__setattr__(self, "softness", _scalar(self.softness, "softness"))
+        object.__setattr__(self, "amplitude", _scalar(self.amplitude, "amplitude"))
+        object.__setattr__(self, "sigma_max", None if self.sigma_max is None else _scalar(self.sigma_max, "sigma_max"))
+        object.__setattr__(self, "checker_size", _scalar(self.checker_size, "checker_size"))
+        object.__setattr__(self, "dome_radius", _scalar(self.dome_radius, "dome_radius"))
         if self.softness <= 0 or self.amplitude < 0 or self.dome_radius <= 0:
             raise ValueError("softness and dome_radius must be positive, amplitude non-negative")
 
@@ -499,6 +511,7 @@ class PiecewiseConstantRayField(Field):
 
     def __post_init__(self):
         object.__setattr__(self, "axis_origin", _vec(self.axis_origin, (3,), "axis_origin"))
+        object.__setattr__(self, "sigma_max", None if self.sigma_max is None else _scalar(self.sigma_max, "sigma_max"))
         d = _vec(self.axis_direction, (3,), "axis_direction")
         n = np.linalg.norm(d)
         if n == 0:
@@ -514,8 +527,8 @@ class PiecewiseConstantRayField(Field):
         m = b.shape[0] - 1
         if s.shape != (m,) or c.shape != (m, 3):
             raise ValueError("sigmas must be (m,) and colors (m, 3) for m intervals")
-        if np.any(s < 0):
-            raise ValueError("interval densities must be non-negative")
+        if not (np.all((s >= 0) & (s < np.inf)) and np.isfinite(c).all()):
+            raise ValueError("interval densities must be finite and non-negative, and colors finite")
         object.__setattr__(self, "breakpoints", b)
         object.__setattr__(self, "sigmas", s)
         object.__setattr__(self, "colors", c)

@@ -127,16 +127,12 @@ def _draw_free_importance(rng, t_obs: np.ndarray, n_free: int):
     return np.maximum(pos, np.minimum(T_MIN_PROPOSAL, t)), q
 
 
-def _depth_nll_values(field, origin, direction, t_obs, eps, pos, q):
-    """Single-draw depth NLL estimates, one per row of the draw arrays."""
-    surf = origin + (t_obs + eps)[:, None] * direction
-    sig_surf = np.atleast_1d(field.density(surf))
-    free_pts = origin[None, None, :] + pos[:, :, None] * direction
-    sig_free = field.density(free_pts.reshape(-1, 3)).reshape(pos.shape)
-    if q is None:
-        inner = t_obs * sig_free.mean(axis=1)
-    else:
-        inner = (sig_free / q).mean(axis=1)
+def _depth_nll(sig_surf, sig_free, t_obs, q):
+    """Depth NLL per ray: -log of the surface density (floored) plus the
+    free-space optical depth estimated from the densities (D, F) at the
+    proposal draws, t * mean density under the uniform proposal (``q`` None)
+    or the mean of density / proposal density."""
+    inner = t_obs * sig_free.mean(axis=1) if q is None else (sig_free / q).mean(axis=1)
     return -np.log(np.maximum(sig_surf, LOG_DENSITY_FLOOR)) + inner
 
 
@@ -153,7 +149,10 @@ def depth_nll_draws(field, sample: RgbdSample, rng, config: LossConfig = LossCon
         pos, q = _draw_free_importance(rng, t_obs, config.n_free_samples)
     else:
         raise ValueError(f"unknown proposal {proposal!r}")
-    return _depth_nll_values(field, sample.ray.origin, sample.ray.direction, t_obs, eps, pos, q)
+    origin, direction = sample.ray.origin, sample.ray.direction
+    sig_surf = np.atleast_1d(field.density(origin + (t_obs + eps)[:, None] * direction))
+    free_pts = origin + pos[:, :, None] * direction
+    return _depth_nll(sig_surf, field.density(free_pts.reshape(-1, 3)).reshape(pos.shape), t_obs, q)
 
 
 def depth_nll_uniform(field, sample: RgbdSample, rng, config: LossConfig = LossConfig()) -> float:
@@ -271,7 +270,7 @@ def _loss_eval(scene: CompositeScene, arrays: _BatchArrays, iteration: int,
     sig_tot_free = sig_free.sum(axis=2)
     sig_tot_surf, c_pred = _mix(sig_surf, colors)
     log_live = sig_tot_surf > LOG_DENSITY_FLOOR
-    depth_per_ray = -np.log(np.maximum(sig_tot_surf, LOG_DENSITY_FLOOR)) + (sig_tot_free / q).mean(axis=1)
+    depth_per_ray = _depth_nll(sig_tot_surf, sig_tot_free, arrays.t_obs, q)
     color_per_ray = _color_nll_values(c_pred, arrays.colors, config.sigma_c)
 
     dominant = np.argmax(sig_surf, axis=1)

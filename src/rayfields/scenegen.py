@@ -27,7 +27,7 @@ from .fields import (
 )
 from .geometry import Camera, RayGrid, pinhole_rays
 from .losses import RgbdSample
-from .transport import QuadratureConfig
+from .transport import QuadratureConfig, _panels
 
 __all__ = [
     "HALF_MAX_RADIUS",
@@ -319,6 +319,32 @@ def render_dataset(scene: CompositeScene, rig, resolution: int | None,
     return views
 
 
+def _grid_samples(grid: RayGrid, depths: np.ndarray, colors_of, keep=True) -> list[RgbdSample]:
+    """Supervised rays of the grid rows whose depth (one per row) is finite
+    and inside (0, t_far), among the rows ``keep`` allows; ``colors_of(rows)``
+    gives those rows' colors (len(rows), 3)."""
+    rows = np.flatnonzero(np.isfinite(depths) & (depths > 0.0) & (depths < grid.t_fars) & keep)
+    colors = colors_of(rows)
+    return [
+        RgbdSample(ray=grid.ray(int(i)), color=colors[j], depth=float(depths[i]))
+        for j, i in enumerate(rows)
+    ]
+
+
+def _view_samples(camera: Camera, rgb: np.ndarray, depth: np.ndarray, t_far: float,
+                  keep=True) -> list[RgbdSample]:
+    """Supervised rays of one view: its pixels' colors (H, W, 3) and depths
+    (H, W) on the camera's rays, cut at ``t_far``."""
+    flat = rgb.reshape(-1, 3)
+    return _grid_samples(pinhole_rays(camera, t_far), depth.ravel(), lambda rows: flat[rows], keep)
+
+
+def _scene_colors(scene: CompositeScene, grid: RayGrid, depths: np.ndarray):
+    """``colors_of`` for ``_grid_samples``: the scene's mixed color at each
+    row's depth."""
+    return lambda rows: scene.evaluate(grid.origins[rows] + depths[rows, None] * grid.directions[rows])[1]
+
+
 def surface_samples(scene: CompositeScene, grid: RayGrid) -> list[RgbdSample]:
     """Sharp geometric supervision: depth at the nearest analytic surface,
     color as the scene's density-weighted mixture at that exact point.  Rays
@@ -327,21 +353,13 @@ def surface_samples(scene: CompositeScene, grid: RayGrid) -> list[RgbdSample]:
     keeps the colors pure.  Note the depth is the half-maximum shell, not a
     draw from the depth law — see ``sample_observations`` for that.)
     """
-    depth, _ = ground_truth_maps(scene, grid)
-    d = depth.ravel()
-    keep = np.flatnonzero(np.isfinite(d) & (d > 0.0) & (d < grid.t_fars))
-    points = grid.origins[keep] + d[keep, None] * grid.directions[keep]
-    _, colors = scene.evaluate(points)
-    return [
-        RgbdSample(ray=grid.ray(int(i)), color=colors[j], depth=float(d[i]))
-        for j, i in enumerate(keep)
-    ]
+    depth = ground_truth_maps(scene, grid)[0].ravel()
+    return _grid_samples(grid, depth, _scene_colors(scene, grid, depth))
 
 
 def sample_observations(scene: CompositeScene, grid: RayGrid, seed: int,
                         n_panels: int = 2048, depth_offset: float = 0.0,
-                        censored: str = "drop",
-                        chunk: int | None = None) -> list[RgbdSample]:
+                        censored: str = "drop") -> list[RgbdSample]:
     """One observation per ray drawn from the scene's own depth law.
 
     The depth is an inverse-CDF draw from the density sigma(r(t)) * T(t):
@@ -364,31 +382,22 @@ def sample_observations(scene: CompositeScene, grid: RayGrid, seed: int,
     downstream likelihood that probes density over a jitter window
     [t, t + delta] can center that window on the drawn event by passing
     ``-delta / 2``.  All randomness comes from ``seed``.  The panel pass runs
-    in blocks of ``chunk`` rays (default: about ``BLOCK_POINTS`` panel
-    points per block), spread over the workers; results depend on neither
-    ``chunk`` nor the worker count.
+    in blocks of about ``BLOCK_POINTS`` panel points, spread over the
+    workers; results depend on neither the blocks nor the worker count.
     """
     if n_panels < 2:
         raise ValueError("n_panels must be >= 2")
     if censored not in ("drop", "boundary"):
         raise ValueError("censored must be 'drop' or 'boundary'")
-    if chunk is not None and chunk < 1:
-        raise ValueError("chunk must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 17)))
     n = len(grid)
     u = rng.random(n)
     targets = -np.log1p(-u)
-    offsets = (np.arange(n_panels) + 0.5) / n_panels
     depths = np.full(n, np.nan)
 
     def run(lo: int, hi: int) -> None:
         t_fars = grid.t_fars[lo:hi]
-        h = t_fars / n_panels
-        mids = offsets[None, :] * t_fars[:, None]
-        points = grid.origins[lo:hi, None, :] + mids[..., None] * grid.directions[lo:hi, None, :]
-        sigma = scene.density(points.reshape(-1, 3)).reshape(hi - lo, n_panels)
-        cum = np.concatenate(
-            [np.zeros((hi - lo, 1)), np.cumsum(sigma * h[:, None], axis=1)], axis=1)
+        sigma, h, cum = _panels(scene, grid.origins[lo:hi], grid.directions[lo:hi], t_fars, n_panels)
         target = targets[lo:hi]
         alive = target < cum[:, -1]
         panel = np.minimum((cum[:, :-1] <= target[:, None]).sum(axis=1) - 1, n_panels - 1)
@@ -397,15 +406,9 @@ def sample_observations(scene: CompositeScene, grid: RayGrid, seed: int,
         escaped = t_fars - 1e-6 if censored == "boundary" else np.nan
         depths[lo:hi] = np.where(alive, panel * h + fraction, escaped)
 
-    chunked_row_map(run, n, block_rows(n_panels) if chunk is None else chunk)
+    chunked_row_map(run, n, block_rows(n_panels))
     depths += depth_offset
-    keep = np.flatnonzero(np.isfinite(depths) & (depths > 0.0) & (depths < grid.t_fars))
-    points = grid.origins[keep] + depths[keep, None] * grid.directions[keep]
-    _, colors = scene.evaluate(points)
-    return [
-        RgbdSample(ray=grid.ray(int(i)), color=colors[j], depth=float(depths[i]))
-        for j, i in enumerate(keep)
-    ]
+    return _grid_samples(grid, depths, _scene_colors(scene, grid, depths))
 
 
 def samples_from_views(views, t_far: float, foreground_only: bool = False) -> list[RgbdSample]:
@@ -413,13 +416,6 @@ def samples_from_views(views, t_far: float, foreground_only: bool = False) -> li
     surface depth inside the ray's cutoff)."""
     out: list[RgbdSample] = []
     for view in views:
-        grid = pinhole_rays(view.camera, t_far)
-        depth = view.depth.ravel()
-        mask = view.mask.ravel()
-        rgb = view.rgb.reshape(-1, 3)
-        keep = np.isfinite(depth) & (depth > 0.0) & (depth < grid.t_fars)
-        if foreground_only:
-            keep &= mask > 0
-        for i in np.flatnonzero(keep):
-            out.append(RgbdSample(ray=grid.ray(int(i)), color=rgb[i], depth=float(depth[i])))
+        keep = view.mask.ravel() > 0 if foreground_only else True
+        out += _view_samples(view.camera, view.rgb, view.depth, t_far, keep)
     return out

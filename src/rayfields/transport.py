@@ -6,6 +6,11 @@ sigma(r(t)) * T(t) and the expected color is the mean color under it,
 truncated at t_far and renormalized.  All estimators here are quadrature or
 Monte Carlo approximations of those quantities; the piecewise-constant
 oracle at the bottom provides the exact closed forms used to check them.
+
+Two batched primitives carry every estimate: ``_panels`` (midpoint-panel
+densities and optical depth, read by transmittance, the probability balance
+and the observation sampler) and ``_composite`` (samples to weights, color,
+depth and alpha).  A single ray is a one-row batch of the same path.
 """
 
 from __future__ import annotations
@@ -117,6 +122,24 @@ class RenderResult:
     empty: bool
 
 
+def _panels(field, origins, dirs, t_ends, n_panels: int):
+    """Midpoint rule on ``n_panels`` equal panels of [0, t_end] per ray:
+    densities at the panel midpoints (N, n_panels), panel widths (N,) and
+    the optical depth at every panel edge (N, n_panels + 1), from 0."""
+    h = t_ends / n_panels
+    mids = ((np.arange(n_panels) + 0.5) / n_panels)[None, :] * t_ends[:, None]
+    points = origins[:, None, :] + mids[..., None] * dirs[:, None, :]
+    sigma = field.density(points.reshape(-1, 3)).reshape(mids.shape)
+    cum = np.concatenate([np.zeros((len(t_ends), 1)), np.cumsum(sigma * h[:, None], axis=1)], axis=1)
+    return sigma, h, cum
+
+
+def _ray_panels(field, ray: Ray, t_end: float, n_panels: int):
+    """``_panels`` of one ray as 1-D arrays."""
+    sigma, h, cum = _panels(field, ray.origin[None, :], ray.direction[None, :], np.array([t_end]), n_panels)
+    return sigma[0], h[0], cum[0]
+
+
 def transmittance(field, ray: Ray, t: float, quad: QuadratureConfig) -> float:
     """Survival probability at depth ``t``: midpoint rule with n_coarse panels
     over [0, t] (exact for constant densities)."""
@@ -125,11 +148,7 @@ def transmittance(field, ray: Ray, t: float, quad: QuadratureConfig) -> float:
         raise ValueError("t must lie in [0, ray.t_far]")
     if t == 0.0:
         return 1.0
-    n = quad.n_coarse
-    h = t / n
-    mids = (np.arange(n) + 0.5) * h
-    sigma = field.density(ray_at(ray, mids))
-    return float(np.exp(-h * np.sum(sigma)))
+    return float(np.exp(-_ray_panels(field, ray, t, quad.n_coarse)[2][-1]))
 
 
 def transmittance_grid(field, ray: Ray, ts, n_panels: int = 4096) -> np.ndarray:
@@ -144,22 +163,16 @@ def transmittance_grid(field, ray: Ray, ts, n_panels: int = 4096) -> np.ndarray:
     t_max = float(np.max(ts)) if ts.size else 0.0
     if t_max == 0.0:
         return np.ones_like(ts)
-    edges = np.linspace(0.0, t_max, n_panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    sigma = field.density(ray_at(ray, mids))
-    cum = np.concatenate([[0.0], np.cumsum(sigma * (t_max / n_panels))])
-    return np.exp(-np.interp(ts, edges, cum))
+    cum = _ray_panels(field, ray, t_max, n_panels)[2]
+    return np.exp(-np.interp(ts, np.linspace(0.0, t_max, n_panels + 1), cum))
 
 
 def probability_balance(field, ray: Ray, n_panels: int = 4096) -> tuple[float, float]:
     """One-pass midpoint estimate of (integral of the depth density over
     [0, t_far], survival at t_far); the two must sum to ~1."""
-    h = ray.t_far / n_panels
-    mids = (np.arange(n_panels) + 0.5) * h
-    sigma = field.density(ray_at(ray, mids))
+    sigma, h, cum = _ray_panels(field, ray, ray.t_far, n_panels)
     optical = sigma * h
-    cum = np.cumsum(optical)
-    t_mid = np.exp(-(cum - 0.5 * optical))
+    t_mid = np.exp(-(cum[1:] - 0.5 * optical))
     integral = float(np.sum(sigma * t_mid * h))
     return integral, float(np.exp(-cum[-1]))
 
@@ -203,28 +216,47 @@ def _composite_weights(sigma: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray
     return weights, np.exp(-cum[:, -1]), cum[:, -1]
 
 
+def _composite(t: np.ndarray, sigma: np.ndarray, color: np.ndarray, delta: np.ndarray) -> dict:
+    """Composite rows of samples (depths, densities, colors (N, S, 3) and
+    widths) into per-ray weights, color, depth, alpha and the empty flag."""
+    weights, t_far_T, tau = _composite_weights(sigma, delta)
+    wsum = weights.sum(axis=1)
+    empty = wsum <= EMPTY_WEIGHT_EPS
+    safe = np.where(empty, 1.0, wsum)
+    out_color = (weights[:, :, None] * color).sum(axis=1) / safe[:, None]
+    out_color[empty] = 0.0
+    depth_raw = (weights * t).sum(axis=1)
+    depth = depth_raw / safe
+    depth[empty] = np.nan
+    return {
+        "t": t,
+        "weights": weights,
+        "color": out_color,
+        "depth": depth,
+        "depth_raw": depth_raw,
+        "alpha": -np.expm1(-tau),
+        "transmittance_far": t_far_T,
+        "empty": empty,
+    }
+
+
+def _single_ray_result(batch: dict) -> RenderResult:
+    return RenderResult(
+        color=batch["color"][0],
+        weights=batch["weights"][0],
+        t=batch["t"][0],
+        transmittance_far=float(batch["transmittance_far"][0]),
+        alpha=float(batch["alpha"][0]),
+        depth=float(batch["depth"][0]),
+        depth_raw=float(batch["depth_raw"][0]),
+        empty=bool(batch["empty"][0]),
+    )
+
+
 def quadrature_render(samples: RaySamples) -> RenderResult:
     """Composite explicit samples into color, weights, and survival-to-far."""
-    weights, t_far_T, tau = _composite_weights(samples.sigma[None, :], samples.delta[None, :])
-    w = weights[0]
-    wsum = float(np.sum(w))
-    empty = wsum <= EMPTY_WEIGHT_EPS
-    if empty:
-        color = np.zeros(3)
-        depth = float("nan")
-    else:
-        color = (w[:, None] * samples.color).sum(axis=0) / wsum
-        depth = float((w * samples.t).sum() / wsum)
-    return RenderResult(
-        color=color,
-        weights=w,
-        t=samples.t,
-        transmittance_far=float(t_far_T[0]),
-        alpha=float(-np.expm1(-tau[0])),
-        depth=depth,
-        depth_raw=float((w * samples.t).sum()),
-        empty=bool(empty),
-    )
+    return _single_ray_result(_composite(
+        samples.t[None, :], samples.sigma[None, :], samples.color[None, :], samples.delta[None, :]))
 
 
 def _draw_uniforms(rng: np.random.Generator, n_rays: int, quad: QuadratureConfig):
@@ -292,60 +324,23 @@ def _render_batch(evaluator, origins, dirs, t_fars, quad: QuadratureConfig, rng,
     sigma, color, sigmas = evaluator.evaluate_with_components(pts.reshape(-1, 3))
     s = t.shape[1]
     sigma = sigma.reshape(n, s)
-    color = color.reshape(n, s, 3)
-    delta = _ownership_deltas(t, t_fars)
-    weights, t_far_T, tau = _composite_weights(sigma, delta)
-
-    wsum = weights.sum(axis=1)
-    empty = wsum <= EMPTY_WEIGHT_EPS
-    safe = np.where(empty, 1.0, wsum)
-    out_color = (weights[:, :, None] * color).sum(axis=1) / safe[:, None]
-    out_color[empty] = 0.0
-    depth_raw = (weights * t).sum(axis=1)
-    depth = depth_raw / safe
-    depth[empty] = np.nan
-    return {
-        "t": t,
-        "sigma": sigma,
-        "sigmas": sigmas.reshape(n, s, -1),
-        "weights": weights,
-        "weight_sum": wsum,
-        "color": out_color,
-        "depth": depth,
-        "depth_raw": depth_raw,
-        "alpha": -np.expm1(-tau),
-        "transmittance_far": t_far_T,
-        "empty": empty,
-    }
+    batch = _composite(t, sigma, color.reshape(n, s, 3), _ownership_deltas(t, t_fars))
+    batch.update(sigma=sigma, sigmas=sigmas.reshape(n, s, -1))
+    return batch
 
 
-def _single_ray_result(batch: dict) -> RenderResult:
-    return RenderResult(
-        color=batch["color"][0],
-        weights=batch["weights"][0],
-        t=batch["t"][0],
-        transmittance_far=float(batch["transmittance_far"][0]),
-        alpha=float(batch["alpha"][0]),
-        depth=float(batch["depth"][0]),
-        depth_raw=float(batch["depth_raw"][0]),
-        empty=bool(batch["empty"][0]),
-    )
+def _render_ray(field, ray: Ray, quad: QuadratureConfig, rng: np.random.Generator | None = None) -> dict:
+    """One ray as a one-row ``_render_batch``; the draws come from ``rng``,
+    or from a fresh generator seeded with ``quad.seed``."""
+    if rng is None:
+        rng = np.random.default_rng(quad.seed)
+    return _render_batch(field, ray.origin[None, :], ray.direction[None, :], np.array([ray.t_far]), quad, rng)
 
 
 def hierarchical_render(field, ray: Ray, quad: QuadratureConfig, rng: np.random.Generator | None = None) -> RenderResult:
     """Stratified coarse pass, then fine samples drawn from the coarse weight
     distribution, merged and composited."""
-    if rng is None:
-        rng = np.random.default_rng(quad.seed)
-    batch = _render_batch(
-        field,
-        ray.origin[None, :],
-        ray.direction[None, :],
-        np.array([ray.t_far]),
-        quad,
-        rng,
-    )
-    return _single_ray_result(batch)
+    return _single_ray_result(_render_ray(field, ray, quad, rng))
 
 
 def expected_depth(field, ray: Ray, quad: QuadratureConfig) -> float:

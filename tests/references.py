@@ -1,18 +1,24 @@
-"""Earlier versions of the field kernels, of the color Jacobians and of the
-color mixer, kept as references, plus hypothesis strategies for fields and
-points.
+"""Earlier versions of the field kernels, of the color Jacobians, of the
+color mixer and of the single-ray transport routines and observation
+sampler, kept as references, plus hypothesis strategies for fields, scenes,
+points and rays.
 
 The package's kernels avoid boolean-mask gathers, short-axis reductions and
-(N, n, 3) color stacks; each must still equal the plainer version here bit
-for bit.
+(N, n, 3) color stacks, and its transport routines share one panel
+primitive and one compositor; each must still equal the plainer version
+here bit for bit (the transport routines whose panel midpoints moved to the
+sampler's formula to within 1e-12 relative).
 """
 
 import numpy as np
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rayfields.compose import NEUTRAL_COLOR
+from rayfields.compose import NEUTRAL_COLOR, CompositeScene
 from rayfields.fields import GaussianBlobField, GroundPlaneField, SoftBoxField, SoftSphereField
+from rayfields.geometry import Ray, RayGrid, ray_at
+from rayfields.losses import RgbdSample
+from rayfields.transport import EMPTY_WEIGHT_EPS, RenderResult
 
 
 def masked_sigmoid(z):
@@ -142,6 +148,86 @@ def stack_colors(colors, n_points):
     return stack
 
 
+def reference_quadrature_render(samples):
+    """Composite one ray's explicit samples with 1-D arrays throughout."""
+    optical = samples.sigma * samples.delta
+    cum = np.cumsum(optical)
+    w = np.exp(-(cum - optical)) * -np.expm1(-optical)
+    wsum = float(np.sum(w))
+    empty = wsum <= EMPTY_WEIGHT_EPS
+    if empty:
+        color = np.zeros(3)
+        depth = float("nan")
+    else:
+        color = (w[:, None] * samples.color).sum(axis=0) / wsum
+        depth = float((w * samples.t).sum() / wsum)
+    return RenderResult(
+        color=color,
+        weights=w,
+        t=samples.t,
+        transmittance_far=float(np.exp(-cum[-1])),
+        alpha=float(-np.expm1(-cum[-1])),
+        depth=depth,
+        depth_raw=float((w * samples.t).sum()),
+        empty=bool(empty),
+    )
+
+
+def reference_transmittance(field, ray, t, quad):
+    """Survival at ``t`` from n_coarse midpoints (k + 0.5) * h, h = t / n."""
+    t = float(t)
+    if t == 0.0:
+        return 1.0
+    n = quad.n_coarse
+    h = t / n
+    sigma = field.density(ray_at(ray, (np.arange(n) + 0.5) * h))
+    return float(np.exp(-h * np.sum(sigma)))
+
+
+def reference_transmittance_grid(field, ray, ts, n_panels=4096):
+    """Survival at many depths, midpoints halfway between linspace edges."""
+    ts = np.asarray(ts, dtype=np.float64)
+    t_max = float(np.max(ts)) if ts.size else 0.0
+    if t_max == 0.0:
+        return np.ones_like(ts)
+    edges = np.linspace(0.0, t_max, n_panels + 1)
+    sigma = field.density(ray_at(ray, 0.5 * (edges[:-1] + edges[1:])))
+    cum = np.concatenate([[0.0], np.cumsum(sigma * (t_max / n_panels))])
+    return np.exp(-np.interp(ts, edges, cum))
+
+
+def reference_probability_balance(field, ray, n_panels=4096):
+    """(Depth-density integral, survival) from midpoints (k + 0.5) * h."""
+    h = ray.t_far / n_panels
+    sigma = field.density(ray_at(ray, (np.arange(n_panels) + 0.5) * h))
+    optical = sigma * h
+    cum = np.cumsum(optical)
+    t_mid = np.exp(-(cum - 0.5 * optical))
+    return float(np.sum(sigma * t_mid * h)), float(np.exp(-cum[-1]))
+
+
+def reference_sample_observations(scene, grid, seed, n_panels=2048, depth_offset=0.0, censored="drop"):
+    """The observation sampler's panel loop over all rays at once, and its
+    list of kept rays."""
+    u = np.random.default_rng(np.random.SeedSequence((seed, 17))).random(len(grid))
+    target = -np.log1p(-u)
+    t_fars = grid.t_fars
+    h = t_fars / n_panels
+    mids = ((np.arange(n_panels) + 0.5) / n_panels)[None, :] * t_fars[:, None]
+    points = grid.origins[:, None, :] + mids[..., None] * grid.directions[:, None, :]
+    sigma = scene.density(points.reshape(-1, 3)).reshape(len(grid), n_panels)
+    cum = np.concatenate([np.zeros((len(grid), 1)), np.cumsum(sigma * h[:, None], axis=1)], axis=1)
+    alive = target < cum[:, -1]
+    panel = np.minimum((cum[:, :-1] <= target[:, None]).sum(axis=1) - 1, n_panels - 1)
+    rows = np.arange(len(grid))
+    fraction = (target - cum[rows, panel]) / np.maximum(sigma[rows, panel], 1e-300)
+    escaped = t_fars - 1e-6 if censored == "boundary" else np.nan
+    depths = np.where(alive, panel * h + fraction, escaped) + depth_offset
+    keep = np.flatnonzero(np.isfinite(depths) & (depths > 0.0) & (depths < t_fars))
+    _, colors = scene.evaluate(grid.origins[keep] + depths[keep, None] * grid.directions[keep])
+    return [RgbdSample(ray=grid.ray(int(i)), color=colors[j], depth=float(depths[i])) for j, i in enumerate(keep)]
+
+
 # Strategies.  Field parameters stay in ranges where no kernel overflows, so
 # a RuntimeWarning always means a real fault.
 
@@ -173,3 +259,26 @@ GROUNDS = st.builds(GroundPlaneField, softness=_finite(0.001, 1), amplitude=AMPL
 FIELDS = st.one_of(BLOBS, SPHERES, BOXES, GROUNDS)
 
 POINTS = arrays(np.float64, st.tuples(st.integers(1, 40), st.just(3)), elements=_finite(-60, 60))
+
+SCENES = st.lists(FIELDS, min_size=1, max_size=3).map(lambda fields: CompositeScene(tuple(fields)))
+
+
+def _unit(v):
+    v = np.asarray(v)
+    return v / np.linalg.norm(v)
+
+
+DIRECTIONS = _vec3(-1, 1).filter(lambda v: np.linalg.norm(v) > 0.1).map(_unit)
+RAYS = st.builds(Ray, origin=_vec3(-4, 4), direction=DIRECTIONS, t_far=_finite(0.5, 40))
+
+
+def _grid(rays):
+    return RayGrid(
+        origins=np.array([r.origin for r in rays]),
+        directions=np.array([r.direction for r in rays]),
+        t_fars=np.array([r.t_far for r in rays]),
+        shape=(len(rays), 1),
+    )
+
+
+GRIDS = st.lists(RAYS, min_size=1, max_size=12).map(_grid)

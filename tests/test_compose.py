@@ -279,6 +279,34 @@ class TestRenderGrid:
         assert np.array_equal(flat_labels[live], np.argmax(flat_marg[live], axis=1))
         assert np.all(flat_labels[~live] == EMPTY_SEGMENT)
 
+    @pytest.mark.parametrize("quad", [
+        QuadratureConfig(n_coarse=24, n_fine=48, seed=5),
+        QuadratureConfig(n_coarse=16, n_fine=0, seed=2),
+        QuadratureConfig(n_coarse=8, n_fine=8, seed=1, stratified=False),
+    ], ids=["hierarchical", "coarse-only", "unstratified"])
+    @pytest.mark.parametrize("look_at", [(4.0, 0.0, 0.0), (8.0, 0.4, 0.0), (6.0, 6.0, 0.0)],
+                             ids=["front", "edge", "miss"])
+    def test_one_pixel_grid_equals_single_ray_calls(self, quad, look_at):
+        """A 1x1 view and the four single-ray calls are one path, bit for bit."""
+        scene = _two_blob_scene()
+        cam = Camera(position=(0.0, 0.0, 0.0), look_at=look_at, width=1, height=1)
+        grid = pinhole_rays(cam, scene.t_far, clip_z=None)
+        ray = grid.ray(0)
+        view = render_ray_grid(scene, grid, quad)
+        single = hierarchical_render(scene, ray, quad)
+        comp = composite_render(scene, ray, quad)
+        marginal, residual = component_marginal(scene, ray, quad)
+
+        def bits(value):
+            return np.asarray(value).tobytes()
+
+        for name in ("color", "depth", "depth_raw", "alpha", "empty"):
+            assert bits(getattr(view, name)[0, 0]) == bits(getattr(single, name)), name
+        assert {k: bits(v) for k, v in vars(comp.render).items()} == {k: bits(v) for k, v in vars(single).items()}
+        assert bits(view.marginals[0, 0]) == bits(comp.marginal) == bits(marginal)
+        assert bits(view.residual[0, 0]) == bits(comp.residual) == bits(residual)
+        assert view.labels[0, 0] == comp.label == segment_ray(scene, ray, quad)
+
     def test_thread_count_cannot_change_bits(self, monkeypatch):
         scene, grid = self._setup()
         quad = QuadratureConfig(n_coarse=16, n_fine=32, seed=11)

@@ -1,4 +1,4 @@
-"""Tests for the Monte Carlo measurement bench and the stratified-bias demo.
+"""Tests for the stratified-bias demo and its closed-form miss probability.
 
 Closed-form anchors, computed by hand:
 
@@ -16,8 +16,6 @@ import numpy as np
 import pytest
 
 from rayfields.estimlab import (
-    EstimatorStats,
-    measure,
     slab_demo_field,
     slab_demo_ray,
     stratified_bias_demo,
@@ -51,57 +49,6 @@ class TestMissProbability:
         p = stratified_miss_probability(k, 100.0, lo, hi)
         se = np.sqrt(p * (1 - p) / n)
         assert abs(misses / n - p) <= 4 * se
-
-
-class TestMeasure:
-    def test_deterministic_and_per_trial_streams(self):
-        seen = []
-
-        def estimator(rng):
-            value = float(rng.random())
-            seen.append(value)
-            return value
-
-        stats_a = measure(estimator, reference=0.5, n_trials=64, seed=3)
-        first_run = list(seen)
-        seen.clear()
-        stats_b = measure(estimator, reference=0.5, n_trials=64, seed=3)
-        assert first_run == seen
-        assert stats_a == stats_b
-        # Independent streams: trials are not all equal.
-        assert len(set(first_run)) > 1
-
-    def test_stats_against_hand_computation(self):
-        values = iter([1.0, 2.0, 3.0, 4.0])
-
-        def estimator(_rng):
-            return next(values)
-
-        stats = measure(estimator, reference=2.0, n_trials=4, seed=0)
-        assert stats.mean == pytest.approx(2.5)
-        assert stats.variance == pytest.approx(np.var([1, 2, 3, 4], ddof=1))
-        assert stats.std_error == pytest.approx(np.sqrt(stats.variance / 4))
-        assert stats.bias == pytest.approx(0.5)
-        assert stats.n_trials == 4
-        assert stats.reference == 2.0
-
-    def test_uniform_mean_within_error_bars(self):
-        stats = measure(lambda rng: float(rng.random()), 0.5, n_trials=2000, seed=1)
-        assert abs(stats.bias) <= 3.0 * stats.std_error
-
-    def test_requires_two_trials(self):
-        with pytest.raises(ValueError):
-            measure(lambda rng: 0.0, 0.0, n_trials=1, seed=0)
-
-    def test_bias_over_se(self):
-        stats = EstimatorStats(
-            mean=1.2, variance=0.04, std_error=0.1, n_trials=16, reference=1.0, bias=0.2
-        )
-        assert stats.bias_over_se == pytest.approx(2.0)
-        degenerate = EstimatorStats(
-            mean=1.2, variance=0.0, std_error=0.0, n_trials=16, reference=1.0, bias=0.2
-        )
-        assert degenerate.bias_over_se == float("inf")
 
 
 class TestSlabDemo:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -91,6 +92,32 @@ def _density_fields():
                                   breakpoints=[0.0, 1.0, 2.5, 4.0], sigmas=[0.5, 0.0, 3.0],
                                   colors=[(1, 0, 0), (0, 0, 0), (0.2, 0.3, 0.4)]),
     ]
+
+
+def _scalar_params():
+    """(field, name) for every scalar parameter of every kind, sigma_max
+    included."""
+    return [
+        pytest.param(field, f.name, id=f"{field.kind}-{f.name}")
+        for field in _density_fields()[:4] + _density_fields()[-1:]
+        for f in dataclasses.fields(field)
+        if f.name == "sigma_max" or isinstance(getattr(field, f.name), float)
+    ]
+
+
+class TestScalarValidation:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field, name", _scalar_params())
+    def test_non_finite_scalar_rejected(self, field, name, value):
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(field, **{name: value})
+
+    def test_every_scalar_is_covered(self):
+        names = {(p.values[0].kind, p.values[1]) for p in _scalar_params()}
+        assert {("soft_sphere", "radius"), ("ground_plane", "checker_size"),
+                ("ground_plane", "dome_radius"), ("gaussian_blob", "amplitude"),
+                ("soft_box", "softness"), ("piecewise_constant_ray", "sigma_max")} <= names
+        assert len(names) == 15
 
 
 class TestDensity:
@@ -236,6 +263,12 @@ class TestPiecewiseConstant:
             PiecewiseConstantRayField((0, 0, 0), (1, 0, 0), [1.0, 2.0], [1.0], [(1, 1, 1)])
         with pytest.raises(ValueError, match="non-negative"):
             PiecewiseConstantRayField((0, 0, 0), (1, 0, 0), [0.0, 1.0], [-1.0], [(1, 1, 1)])
+
+    @pytest.mark.parametrize("sigma, color", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, -math.inf)])
+    def test_non_finite_intervals_rejected(self, sigma, color):
+        with pytest.raises(ValueError, match="finite"):
+            PiecewiseConstantRayField((0, 0, 0), (1, 0, 0), [0.0, 1.0, 2.0], [0.5, sigma],
+                                      [(1, 1, 1), (color, 0, 0)])
 
     def test_gradients_unsupported(self):
         with pytest.raises(UnsupportedGradient):

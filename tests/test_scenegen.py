@@ -10,8 +10,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rayfields as rf
+from rayfields import scenegen
 from rayfields.geometry import Camera, pinhole_rays, rig_views
 from rayfields.scenegen import (
     HALF_MAX_RADIUS,
@@ -29,6 +32,8 @@ from rayfields.scenegen import (
     surface_samples,
 )
 from rayfields.transport import QuadratureConfig
+
+from references import GRIDS, SCENES, reference_sample_observations
 
 
 def bisect_half_max(field, origin, direction, t_hi, n_scan=20_000):
@@ -409,14 +414,28 @@ class TestSampleObservations:
         with pytest.raises(ValueError):
             sample_observations(scene, grid, seed=12, censored="nope")
 
-    def test_deterministic_and_chunk_invariant(self):
+    def test_deterministic_and_chunk_invariant(self, monkeypatch):
         scene = self.constant_scene()
         grid = _parallel_x_grid(256, 4.0)
-        a = sample_observations(scene, grid, seed=9, n_panels=128, chunk=256)
-        b = sample_observations(scene, grid, seed=9, n_panels=128, chunk=7)
+        monkeypatch.setattr(scenegen, "block_rows", lambda _points: 256)
+        a = sample_observations(scene, grid, seed=9, n_panels=128)
+        monkeypatch.setattr(scenegen, "block_rows", lambda _points: 7)
+        b = sample_observations(scene, grid, seed=9, n_panels=128)
         c = sample_observations(scene, grid, seed=10, n_panels=128)
         assert [s.depth for s in a] == [s.depth for s in b]
         assert [s.depth for s in a] != [s.depth for s in c]
+
+    @settings(max_examples=100, deadline=None)
+    @given(SCENES, GRIDS, st.integers(0, 2**31), st.integers(2, 300), st.floats(-0.5, 0.5),
+           st.sampled_from(["drop", "boundary"]))
+    def test_bit_identical_to_reference_loop(self, scene, grid, seed, n_panels, offset, censored):
+        def flat(samples):
+            return [(s.depth, s.color.tobytes(), s.ray.origin.tobytes(), s.ray.direction.tobytes(),
+                     s.ray.t_far) for s in samples]
+
+        got = sample_observations(scene, grid, seed, n_panels, offset, censored)
+        want = reference_sample_observations(scene, grid, seed, n_panels, offset, censored)
+        assert flat(got) == flat(want)
 
     def test_depth_offset_shifts_reports(self):
         scene = self.constant_scene()

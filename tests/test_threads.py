@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from rayfields import _threads, compose
+from rayfields import _threads, compose, scenegen
 from rayfields._threads import BLOCK_POINTS, block_rows, chunked_row_map
 from rayfields.compose import render_ray_grid
 from rayfields.geometry import Camera, pinhole_rays
@@ -98,13 +98,14 @@ class TestThreadBound:
         assert recorded_spans(5, 10) == [(0, 5)]
         assert pool_sizes == []
 
-    def test_render_and_sampler_bounded(self, pool_sizes):
+    def test_render_and_sampler_bounded(self, pool_sizes, monkeypatch):
         scene = two_blob_demo_scene()
         cam = Camera(position=(4.6, 0.0, 2.4), look_at=(0.0, 0.0, 0.5), width=20, height=20)
         grid = pinhole_rays(cam, scene.t_far)
         # 400 rays: 3 render blocks of at most 170 rows, 400 sampler blocks of 1.
         render_ray_grid(scene, grid, QuadratureConfig(n_coarse=64, n_fine=128, seed=1))
-        sample_observations(scene, grid, seed=2, n_panels=64, chunk=1)
+        monkeypatch.setattr(scenegen, "block_rows", lambda _points: 1)
+        sample_observations(scene, grid, seed=2, n_panels=64)
         assert pool_sizes == [3, 4]
 
 
@@ -120,26 +121,22 @@ class TestInvariance:
         cam = Camera(position=(4.6, 0.0, 2.4), look_at=(0.0, 0.0, 0.5), width=12, height=12)
         grid = pinhole_rays(cam, scene.t_far)
 
-        def draw(threads, chunk):
+        def draw(threads):
             monkeypatch.setenv("OBSURF_THREADS", threads)
-            samples = sample_observations(scene, grid, seed=3, chunk=chunk)
+            samples = sample_observations(scene, grid, seed=3)
             return (
                 np.array([s.depth for s in samples]).tobytes(),
                 np.array([s.color for s in samples]).tobytes(),
                 np.array([s.ray.direction for s in samples]).tobytes(),
             )
 
-        reference = draw("1", None)
+        reference = draw("1")
         assert len(reference[0]) > 64 * 8, "expected over 64 observed rays"
-        for threads in ("1", "2", "8"):
-            for chunk in (1, 7, None):
-                assert draw(threads, chunk) == reference, (threads, chunk)
-
-    def test_sample_observations_rejects_empty_blocks(self, scene):
-        grid = pinhole_rays(Camera(position=(4.6, 0, 2.4), look_at=(0, 0, 0.5), width=2, height=2),
-                            scene.t_far)
-        with pytest.raises(ValueError, match="chunk"):
-            sample_observations(scene, grid, seed=3, chunk=0)
+        for rows in (None, 1, 7):  # about BLOCK_POINTS panel points per block; 1 row; 7 rows
+            if rows is not None:
+                monkeypatch.setattr(scenegen, "block_rows", lambda _points, rows=rows: rows)
+            for threads in ("1", "2", "8"):
+                assert draw(threads) == reference, (threads, rows)
 
     @pytest.mark.parametrize("shape", [(1, 1), (13, 29)])
     def test_render_ray_grid_any_threads_and_block(self, scene, shape, monkeypatch):

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rayfields.fields import GaussianBlobField, PiecewiseConstantRayField
 from rayfields.geometry import Ray
@@ -21,6 +24,9 @@ from rayfields.transport import (
     transmittance_grid,
 )
 from rayfields.transport import _fine_positions
+
+from references import (RAYS, SCENES, reference_probability_balance, reference_quadrature_render,
+                        reference_transmittance, reference_transmittance_grid)
 
 X_RAY = Ray((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 10.0)
 
@@ -270,3 +276,53 @@ class TestRaySamplesValidation:
             QuadratureConfig(n_coarse=1)
         with pytest.raises(ValueError):
             QuadratureConfig(n_fine=-1)
+
+
+def _render_bytes(result):
+    return {k: np.asarray(v).tobytes() for k, v in vars(result).items()}
+
+
+def _ray_samples(k):
+    """RaySamples of k samples: positive depth steps, densities with exact
+    zeros, colors, positive widths."""
+    positive = st.floats(1e-3, 2.0, allow_nan=False)
+    return st.builds(
+        lambda steps, sigma, color, delta: RaySamples(np.cumsum(steps), sigma, color, delta),
+        arrays(np.float64, k, elements=positive),
+        arrays(np.float64, k, elements=st.one_of(st.just(0.0), st.floats(0.0, 60.0))),
+        arrays(np.float64, (k, 3), elements=st.floats(0.0, 1.0)),
+        arrays(np.float64, k, elements=positive),
+    )
+
+
+def _assert_survival_close(new, ref):
+    """Within 1e-12 relative, scaled by the optical depth above 1: exp(-tau)
+    carries the rounding of tau, which grows with tau.  Below 1e-300 only
+    the absolute difference counts."""
+    new, ref = np.asarray(new, dtype=np.float64), np.asarray(ref, dtype=np.float64)
+    tau = np.maximum(1.0, -np.log(np.maximum(ref, 1e-300)))
+    assert np.all(np.abs(new - ref) <= 1e-12 * tau * np.abs(ref) + 1e-300), (new, ref)
+
+
+class TestOnePathReferences:
+    """The one-row compositor and the shared panel primitive against the
+    single-ray versions they replaced (tests/references.py)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40).flatmap(_ray_samples))
+    def test_quadrature_render_bit_identical(self, samples):
+        assert _render_bytes(quadrature_render(samples)) == _render_bytes(reference_quadrature_render(samples))
+
+    @settings(max_examples=100, deadline=None)
+    @given(SCENES, RAYS, st.integers(2, 300), st.floats(0.0, 1.0))
+    def test_panel_estimates_match(self, scene, ray, n_panels, frac):
+        quad = QuadratureConfig(n_coarse=n_panels)
+        t = frac * ray.t_far
+        _assert_survival_close(transmittance(scene, ray, t, quad), reference_transmittance(scene, ray, t, quad))
+        ts = np.array([0.0, frac, 0.5, 1.0]) * ray.t_far
+        _assert_survival_close(transmittance_grid(scene, ray, ts, n_panels),
+                               reference_transmittance_grid(scene, ray, ts, n_panels))
+        integral, survival = probability_balance(scene, ray, n_panels)
+        ref_integral, ref_survival = reference_probability_balance(scene, ray, n_panels)
+        assert abs(integral - ref_integral) <= 1e-12 * abs(ref_integral)
+        _assert_survival_close(survival, ref_survival)
