@@ -7,6 +7,14 @@ a parameter vector, laid out by its ``layout`` table, so optimizers can treat
 scenes as plain arrays.  A kind with one color everywhere reports it as a
 single (3,) row, which callers broadcast instead of copying per point.
 
+The layout is a kind's one description of its parameters.  Color offsets and
+the constant-color kinds' density indices are read off it, and each group
+names a domain in ``_DOMAINS``, which holds what a constructor requires
+beyond finiteness and the box the fitter projects into.  Colors need only be
+finite, as they are clipped where read.  ``checker_size`` takes any finite
+value (a cell <= 0 draws no checker) but is boxed to [0, inf): a ">= 0" rule
+would reject the step below 0 that ``fitting.finite_diff_gradient`` takes.
+
 The differentiable kinds supply closed-form density gradients as rows: each
 names the parameters its density depends on (``density_params``) and
 returns d(raw density)/d(param) for each of them as one contiguous (N,) row,
@@ -66,6 +74,23 @@ def _scalar(v, name):
     return a
 
 
+# Per domain: the test a constructor puts to a group's least value beyond
+# finiteness (None: none), its words in an error, and the fitter's box.
+_DOMAINS = {
+    "free": (None, "finite", (-math.inf, math.inf)),
+    "width": (lambda least: least > 0, "positive", (1e-3, math.inf)),
+    "nonneg": (lambda least: least >= 0, "non-negative", (0.0, math.inf)),
+    "unit": (None, "finite", (0.0, 1.0)),
+    "cell": (None, "finite", (0.0, math.inf)),  # checker_size; see the module docstring
+}
+
+
+def _starts(layout, *groups: str) -> list[int]:
+    """Index of the first parameter of each group in a vector laid out by ``layout``."""
+    names = [name for name, _, _ in layout]
+    return [sum(size for _, size, _ in layout[: names.index(group)]) for group in groups]
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, both
     from e = exp(-|z|), which never overflows."""
@@ -112,14 +137,25 @@ class Field(abc.ABC):
     """Base contract shared by all field kinds."""
 
     kind: ClassVar[str]
-    # Parameter groups in vector order: (attribute, size, domain).  The domain
-    # names the box the fitter projects the group into ("free", "width",
-    # "nonneg" or "unit").  A kind without one overrides params/with_params.
+    # Parameter groups in vector order: (attribute, size, domain), each domain
+    # a key of ``_DOMAINS``.  A kind without a layout checks its own fields and
+    # overrides params/with_params.
     layout: ClassVar[tuple[tuple[str, int, str], ...]] = ()
     # Indices of the parameters the density depends on, in the order of the
     # rows ``_raw_density_rows`` returns; every other parameter's density
     # derivative is exactly 0.
     density_params: ClassVar[tuple[int, ...]] = ()
+
+    def __post_init__(self):
+        """Store each layout group, checked by its domain's rule, then the cap (``width`` rule)."""
+        cap = () if self.sigma_max is None else (("sigma_max", 1, "width"),)
+        for name, size, domain in self.layout + cap:
+            value = getattr(self, name)
+            value = _scalar(value, name) if size == 1 else _vec(value, (size,), name)
+            test, words, _ = _DOMAINS[domain]
+            if test is not None and not test(value if size == 1 else value.min()):
+                raise ValueError(f"{name} must be {words}")
+            object.__setattr__(self, name, value)
 
     @abc.abstractmethod
     def _raw(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -242,9 +278,14 @@ class Field(abc.ABC):
 
 
 class _ConstantColorField(Field):
-    """A kind with one color everywhere: the parameters at ``color_offset``."""
+    """A kind with one color everywhere: its ``color`` group, after every density parameter."""
 
     color_offset: ClassVar[int]
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.color_offset = _starts(cls.layout, "color")[0]
+        cls.density_params = tuple(range(cls.color_offset))
 
     def _raw(self, pts):
         return self._raw_density(pts), self.color
@@ -262,24 +303,11 @@ class GaussianBlobField(_ConstantColorField):
 
     kind: ClassVar[str] = "gaussian_blob"
     layout = (("center", 3, "free"), ("scale", 3, "width"), ("amplitude", 1, "nonneg"), ("color", 3, "unit"))
-    color_offset: ClassVar[int] = 7
-    density_params = (0, 1, 2, 3, 4, 5, 6)
     center: np.ndarray
     scale: np.ndarray
     amplitude: float
     color: np.ndarray
     sigma_max: float | None = DEFAULT_SIGMA_MAX
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", _vec(self.center, (3,), "center"))
-        object.__setattr__(self, "scale", _vec(self.scale, (3,), "scale"))
-        object.__setattr__(self, "color", _vec(self.color, (3,), "color"))
-        object.__setattr__(self, "amplitude", _scalar(self.amplitude, "amplitude"))
-        object.__setattr__(self, "sigma_max", None if self.sigma_max is None else _scalar(self.sigma_max, "sigma_max"))
-        if not np.all(self.scale > 0):
-            raise ValueError("scale components must be positive")
-        if self.amplitude < 0:
-            raise ValueError("amplitude must be non-negative")
 
     def _bump(self, pts):
         u = _offsets(pts, self.center) / self.scale[:, None]
@@ -309,24 +337,12 @@ class SoftSphereField(_ConstantColorField):
     kind: ClassVar[str] = "soft_sphere"
     layout = (("center", 3, "free"), ("radius", 1, "width"), ("softness", 1, "width"),
               ("amplitude", 1, "nonneg"), ("color", 3, "unit"))
-    color_offset: ClassVar[int] = 6
-    density_params = (0, 1, 2, 3, 4, 5)
     center: np.ndarray
     radius: float
     softness: float
     amplitude: float
     color: np.ndarray
     sigma_max: float | None = DEFAULT_SIGMA_MAX
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", _vec(self.center, (3,), "center"))
-        object.__setattr__(self, "color", _vec(self.color, (3,), "color"))
-        object.__setattr__(self, "radius", _scalar(self.radius, "radius"))
-        object.__setattr__(self, "softness", _scalar(self.softness, "softness"))
-        object.__setattr__(self, "amplitude", _scalar(self.amplitude, "amplitude"))
-        object.__setattr__(self, "sigma_max", None if self.sigma_max is None else _scalar(self.sigma_max, "sigma_max"))
-        if self.radius <= 0 or self.softness <= 0 or self.amplitude < 0:
-            raise ValueError("radius and softness must be positive, amplitude non-negative")
 
     def _parts(self, pts):
         diff = _offsets(pts, self.center)
@@ -360,24 +376,12 @@ class SoftBoxField(_ConstantColorField):
     kind: ClassVar[str] = "soft_box"
     layout = (("center", 3, "free"), ("half_size", 3, "width"), ("softness", 1, "width"),
               ("amplitude", 1, "nonneg"), ("color", 3, "unit"))
-    color_offset: ClassVar[int] = 8
-    density_params = (0, 1, 2, 3, 4, 5, 6, 7)
     center: np.ndarray
     half_size: np.ndarray
     softness: float
     amplitude: float
     color: np.ndarray
     sigma_max: float | None = DEFAULT_SIGMA_MAX
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", _vec(self.center, (3,), "center"))
-        object.__setattr__(self, "half_size", _vec(self.half_size, (3,), "half_size"))
-        object.__setattr__(self, "color", _vec(self.color, (3,), "color"))
-        object.__setattr__(self, "softness", _scalar(self.softness, "softness"))
-        object.__setattr__(self, "amplitude", _scalar(self.amplitude, "amplitude"))
-        object.__setattr__(self, "sigma_max", None if self.sigma_max is None else _scalar(self.sigma_max, "sigma_max"))
-        if not np.all(self.half_size > 0) or self.softness <= 0 or self.amplitude < 0:
-            raise ValueError("half_size and softness must be positive, amplitude non-negative")
 
     def _parts(self, pts):
         diff = _offsets(pts, self.center)
@@ -417,9 +421,9 @@ class GroundPlaneField(Field):
 
     kind: ClassVar[str] = "ground_plane"
     layout = (("softness", 1, "width"), ("amplitude", 1, "nonneg"), ("color_a", 3, "unit"),
-              ("color_b", 3, "unit"), ("checker_size", 1, "nonneg"), ("dome_radius", 1, "width"),
+              ("color_b", 3, "unit"), ("checker_size", 1, "cell"), ("dome_radius", 1, "width"),
               ("dome_color", 3, "unit"))
-    color_offsets: ClassVar[np.ndarray] = np.array([2, 5, 10])  # color_a, color_b, dome_color
+    color_offsets: ClassVar[np.ndarray] = np.array(_starts(layout, "color_a", "color_b", "dome_color"))
     density_params = (0, 1, 9)  # softness, amplitude, dome_radius
     softness: float
     amplitude: float
@@ -429,18 +433,6 @@ class GroundPlaneField(Field):
     dome_radius: float
     dome_color: np.ndarray
     sigma_max: float | None = DEFAULT_SIGMA_MAX
-
-    def __post_init__(self):
-        object.__setattr__(self, "color_a", _vec(self.color_a, (3,), "color_a"))
-        object.__setattr__(self, "color_b", _vec(self.color_b, (3,), "color_b"))
-        object.__setattr__(self, "dome_color", _vec(self.dome_color, (3,), "dome_color"))
-        object.__setattr__(self, "softness", _scalar(self.softness, "softness"))
-        object.__setattr__(self, "amplitude", _scalar(self.amplitude, "amplitude"))
-        object.__setattr__(self, "sigma_max", None if self.sigma_max is None else _scalar(self.sigma_max, "sigma_max"))
-        object.__setattr__(self, "checker_size", _scalar(self.checker_size, "checker_size"))
-        object.__setattr__(self, "dome_radius", _scalar(self.dome_radius, "dome_radius"))
-        if self.softness <= 0 or self.amplitude < 0 or self.dome_radius <= 0:
-            raise ValueError("softness and dome_radius must be positive, amplitude non-negative")
 
     def _parts(self, pts):
         s_plane = _sigmoid(-pts[:, 2] / self.softness)
@@ -510,8 +502,8 @@ class PiecewiseConstantRayField(Field):
     sigma_max: float | None = None
 
     def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "axis_origin", _vec(self.axis_origin, (3,), "axis_origin"))
-        object.__setattr__(self, "sigma_max", None if self.sigma_max is None else _scalar(self.sigma_max, "sigma_max"))
         d = _vec(self.axis_direction, (3,), "axis_direction")
         n = np.linalg.norm(d)
         if n == 0:

@@ -8,8 +8,8 @@ the whole parameter vector without forming a Jacobian, and
 finite_diff_gradient cross-checks the result.
 The optimizer is Adam with bias correction, a stepwise-halving learning
 rate, global norm clipping, and a skip threshold for pathological steps.
-After every step parameters are projected back into each kind's valid
-domain (positive widths, colors in [0, 1]).
+After every step each parameter is projected back into the box that the
+domain table of fields (``fields._DOMAINS``) gives its layout group.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .compose import CompositeScene
+from .fields import _DOMAINS
 from .losses import LossConfig, _BatchArrays, _loss_eval
 
 __all__ = [
@@ -30,16 +31,6 @@ __all__ = [
     "finite_diff_gradient",
     "fit",
 ]
-
-_MIN_WIDTH = 1e-3
-
-# Projection box (lower, upper) of each parameter domain a field layout names.
-_DOMAINS = {
-    "free": (-np.inf, np.inf),
-    "width": (_MIN_WIDTH, np.inf),
-    "nonneg": (0.0, np.inf),
-    "unit": (0.0, 1.0),
-}
 
 
 class FitDivergence(RuntimeError):
@@ -113,7 +104,7 @@ def _param_bounds(scene: CompositeScene) -> tuple[np.ndarray, np.ndarray]:
     boxes = []
     for comp in scene.components:
         domains = [d for _, size, d in comp.layout for _ in range(size)] or ["free"] * comp.n_params
-        boxes += [_DOMAINS[d] for d in domains]
+        boxes += [_DOMAINS[d][2] for d in domains]
     lo, hi = np.array(boxes).T
     return lo, hi
 

@@ -9,7 +9,6 @@ indentation, trailing newline — so identical scenes produce identical bytes.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass
 
@@ -112,6 +111,13 @@ def scene_to_doc(
     return doc
 
 
+def _number(value, what: str) -> float:
+    """A JSON number as a float; strings and booleans are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SceneFormatError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _require(doc: dict, key: str):
     if key not in doc:
         raise SceneFormatError(f"scene document is missing {key!r}")
@@ -127,10 +133,8 @@ def doc_to_scene(doc: dict) -> SceneDocument:
         raise SceneFormatError(f"unsupported scene document version {version!r}")
     t_far = _require(doc, "t_far")
     sigma_max = doc.get("sigma_max", DEFAULT_SIGMA_MAX)
-    if sigma_max is not None and not (
-        isinstance(sigma_max, (int, float)) and not isinstance(sigma_max, bool) and 0 < sigma_max < math.inf
-    ):
-        raise SceneFormatError(f"sigma_max must be null or a finite number > 0, got {sigma_max!r}")
+    if sigma_max is not None:
+        _number(sigma_max, "sigma_max")  # the field constructors check its range
     raw_components = _require(doc, "components")
     if not isinstance(raw_components, list) or not raw_components:
         raise SceneFormatError("components must be a non-empty list")
@@ -142,12 +146,13 @@ def doc_to_scene(doc: dict) -> SceneDocument:
         kind = _require(entry, "kind")
         params = _require(entry, "params")
         try:
-            fields.append(field_from_params(kind, params, sigma_max=sigma_max))
+            values = [_number(v, "params entry") for v in params]
+            fields.append(field_from_params(kind, values, sigma_max=sigma_max))
         except (ValueError, TypeError) as exc:
             raise SceneFormatError(f"component {i} ({kind!r}): {exc}") from exc
         names.append(str(entry.get("name", f"component_{i}")))
     try:
-        scene = CompositeScene(tuple(fields), t_far=float(t_far))
+        scene = CompositeScene(tuple(fields), t_far=_number(t_far, "t_far"))
     except (ValueError, TypeError) as exc:
         raise SceneFormatError(str(exc)) from exc
 

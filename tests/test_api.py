@@ -1,13 +1,16 @@
-"""The public surface: every exported name resolves, and removed options
-stay removed."""
+"""The public surface: every exported name resolves, removed options stay
+removed, and every field kind agrees with its layout."""
 
+import dataclasses
 import importlib
 import inspect
+import math
 import pkgutil
 
 import pytest
 
 import rayfields
+from rayfields import fields, fitting
 from rayfields.scenegen import sample_observations
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(rayfields.__path__) if not m.name.startswith("_"))
@@ -32,3 +35,28 @@ def test_package_exports_resolve():
 def test_sample_observations_options():
     params = inspect.signature(sample_observations).parameters
     assert list(params) == ["scene", "grid", "seed", "n_panels", "depth_offset", "censored"]
+
+
+@pytest.mark.parametrize("cls", fields.FIELD_KINDS.values(), ids=lambda cls: cls.kind)
+def test_field_kind_follows_its_layout(cls):
+    names = [f.name for f in dataclasses.fields(cls) if f.name != "sigma_max"]
+    assert [name for name, _, _ in cls.layout] == names
+    assert {domain for _, _, domain in cls.layout} <= set(fields._DOMAINS)
+    domain_of = [domain for _, size, domain in cls.layout for _ in range(size)]
+    starts = [sum(size for _, size, _ in cls.layout[:i]) for i in range(len(cls.layout))]
+    color_starts = {at for at, (_, size, domain) in zip(starts, cls.layout) if domain == "unit" and size == 3}
+    offsets = [int(at) for at in getattr(cls, "color_offsets", [getattr(cls, "color_offset", -1)])]
+    assert offsets and set(offsets) <= color_starts
+    assert len(set(cls.density_params)) == len(cls.density_params)
+    assert set(cls.density_params) <= set(range(len(domain_of)))
+    assert all(domain_of[i] != "unit" for i in cls.density_params)
+
+
+def test_domain_table_is_in_fields_only():
+    assert fitting._DOMAINS is fields._DOMAINS
+    assert not hasattr(fitting, "_MIN_WIDTH")
+    # Every projection box lies inside its constructor rule, so a projected
+    # parameter vector always builds a field.
+    for test, _, (lo, hi) in fields._DOMAINS.values():
+        assert lo < hi
+        assert test is None or all(test(v) for v in (lo, hi) if math.isfinite(v))

@@ -217,6 +217,9 @@ class TestRender:
         # up parallel to the direction of the rig's second view only
         ("camera", {"position": [4.6, 0, 2.4], "look_at": [0, 0, 2.4], "width": 6,
                     "height": 6, "up": [0.5, -0.75 ** 0.5, 0]}),
+        ("t_far", "40"), ("t_far", True),
+        ("components", [{"kind": "gaussian_blob", "params": ["0", 0, 1, 1, 1, 1, 5, 0.5, 0.5, 0.5]}]),
+        ("components", [{"kind": "gaussian_blob", "params": [0, 0, 1, 1, 1, 1, True, 0.5, 0.5, 0.5]}]),
     ])
     def test_bad_scene_values_exit_2(self, tmp_path, capsys, key, value):
         data = tmp_path / "data"

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from rayfields.compose import CompositeScene
 from rayfields.fields import (
+    _DOMAINS,
     DEFAULT_SIGMA_MAX,
     FIELD_KINDS,
     GaussianBlobField,
@@ -19,6 +22,7 @@ from rayfields.fields import (
     field_from_params,
     _sigmoid,
 )
+from rayfields.scenedoc import doc_to_scene, dumps_canonical, scene_to_doc
 
 from references import (FIELDS, GROUNDS, POINTS, masked_sigmoid, reference_color_jacobian,
                         reference_density_grad)
@@ -112,12 +116,76 @@ class TestScalarValidation:
         with pytest.raises(ValueError, match=name):
             dataclasses.replace(field, **{name: value})
 
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    @pytest.mark.parametrize("field, name", [p for p in _scalar_params() if p.values[1] == "sigma_max"])
+    def test_non_positive_cap_rejected(self, field, name, value):
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(field, **{name: value})
+
+    def test_non_positive_cap_rejected_from_params(self):
+        sphere = _example_fields()[1]
+        with pytest.raises(ValueError, match="sigma_max"):
+            field_from_params("soft_sphere", sphere.params(), sigma_max=-2)
+
     def test_every_scalar_is_covered(self):
         names = {(p.values[0].kind, p.values[1]) for p in _scalar_params()}
         assert {("soft_sphere", "radius"), ("ground_plane", "checker_size"),
                 ("ground_plane", "dome_radius"), ("gaussian_blob", "amplitude"),
                 ("soft_box", "softness"), ("piecewise_constant_ray", "sigma_max")} <= names
         assert len(names) == 15
+
+
+def _group_values(domain: str, size: int, inside: bool = True):
+    """``size`` finite values in [-100, 100] that pass (or, with ``inside``
+    false, fail) the constructor rule of ``domain`` in the domain table."""
+    test = _DOMAINS[domain][0]
+    value = st.floats(-100.0, 100.0)
+    if test is not None:
+        value = value.filter(lambda v: bool(test(v)) == inside)
+    return st.lists(value, min_size=size, max_size=size)
+
+
+@st.composite
+def _in_domain_fields(draw):
+    """A field of a registered kind built from a vector drawn group by group
+    from its layout's domains, with the vector and the cap."""
+    kind = draw(st.sampled_from(sorted(FIELD_KINDS)))
+    vector = np.array([v for _, size, domain in FIELD_KINDS[kind].layout
+                       for v in draw(_group_values(domain, size))])
+    sigma_max = draw(st.none() | st.floats(0.0, 1e3, exclude_min=True))
+    return field_from_params(kind, vector, sigma_max=sigma_max), vector
+
+
+class TestLayoutIsTheSpec:
+    """The layout and the domain table alone say which vectors build a field."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_in_domain_fields())
+    def test_params_round_trip_bit_for_bit(self, drawn):
+        field, vector = drawn
+        assert field.params().tobytes() == vector.tobytes()
+        assert field.with_params(vector).params().tobytes() == vector.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(_in_domain_fields(), st.floats(1e-3, 1e3))
+    def test_scene_document_dump_load_dump(self, drawn, t_far):
+        field, _ = drawn
+        text = dumps_canonical(scene_to_doc(CompositeScene((field,), t_far=t_far), sigma_max=field.sigma_max))
+        loaded = doc_to_scene(json.loads(text))
+        assert dumps_canonical(scene_to_doc(loaded.scene, sigma_max=loaded.sigma_max)) == text
+
+    @settings(max_examples=120, deadline=None)
+    @given(_in_domain_fields(), st.data())
+    def test_group_outside_its_rule_is_named(self, drawn, data):
+        field, _ = drawn
+        name, size, domain = data.draw(st.sampled_from(field.layout))
+        bad = st.sampled_from([math.nan, math.inf, -math.inf])
+        if _DOMAINS[domain][0] is not None:
+            bad = bad | _group_values(domain, 1, inside=False).map(lambda v: v[0])
+        group = np.atleast_1d(getattr(field, name)).copy()
+        group[data.draw(st.integers(0, size - 1))] = data.draw(bad)
+        with pytest.raises(ValueError, match=rf"^{name} must"):
+            dataclasses.replace(field, **{name: group[0] if size == 1 else group})
 
 
 class TestDensity:

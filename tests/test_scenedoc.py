@@ -158,11 +158,18 @@ class TestValidation:
         with pytest.raises(SceneFormatError, match="sigma_max"):
             doc_to_scene(doc)
 
-    @pytest.mark.parametrize("value", [float("inf"), float("nan"), 0.0, -5.0, "far"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), 0.0, -5.0, "far", "40", True])
     def test_bad_t_far(self, value):
         doc = self.good_doc()
         doc["t_far"] = value
         with pytest.raises(SceneFormatError):
+            doc_to_scene(doc)
+
+    @pytest.mark.parametrize("value", ["1", "0.5", True, False, None, [1.0]])
+    def test_params_entries_must_be_numbers(self, value):
+        doc = self.good_doc()
+        doc["components"][1]["params"][3] = value
+        with pytest.raises(SceneFormatError, match="component 1"):
             doc_to_scene(doc)
 
     def test_bad_camera_block(self):
