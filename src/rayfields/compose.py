@@ -7,10 +7,14 @@ assigns to component i is the weight-sum of sigma_i / sigma_total along it,
 and the residual (reaching t_far unabsorbed) accounts for the rest.
 
 A scene checks its points once per call and evaluates each component once
-on them.  A component whose color is the same everywhere hands over a
-single (3,) row, and ``_mix`` adds the density-weighted colors one
-component at a time, so no (N, n, 3) color array is built on the render,
-``evaluate``, ``composite_eval`` or loss paths.
+on them.  Inside, the batch is component-major and channel-major: the
+per-component densities are contiguous rows (n, N) and colors are rows
+(3, N), so every pass over points reads contiguous memory.  A component
+whose color is the same everywhere hands over a single (3,) row, and
+``_mix`` adds the density-weighted colors one component at a time, so no
+(N, n, 3) color array is built on the render, ``evaluate``,
+``composite_eval`` or loss paths.  The public methods return points-major
+C-ordered arrays ((N, n) densities, (N, 3) colors), as they always have.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 
 from . import transport
 from ._threads import block_rows, chunked_row_map
-from .fields import Field, UnsupportedGradient, _check_points, _rows
+from .fields import Field, UnsupportedGradient, _channel_rows, _check_points
 from .geometry import Ray, RayGrid, ray_at
 from .transport import EMPTY_WEIGHT_EPS, QuadratureConfig, RenderResult
 
@@ -49,27 +53,59 @@ NEUTRAL_COLOR = np.array([0.5, 0.5, 0.5])
 EMPTY_SEGMENT = -1
 
 
-def _mix(sigmas: np.ndarray, colors) -> tuple[np.ndarray, np.ndarray]:
-    """Summed density (N,) and density-weighted mean color (N, 3) of
-    per-component densities (N, n) and one color per component, each
-    (N, 3) or a single (3,) row; NEUTRAL_COLOR where the sum vanishes.
+def _pairwise(rows: np.ndarray) -> np.ndarray:
+    """NumPy's pairwise sum of 8 or more rows: eight lanes added row by row,
+    folded as ((0+1)+(2+3))+((4+5)+(6+7)), then the leftover rows in
+    order; blocks of more than 128 rows are split in two (at a multiple of
+    8) and summed recursively."""
+    n = rows.shape[0]
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _pairwise(rows[:half]) + _pairwise(rows[half:])
+    lanes = rows[:8].copy()
+    tail = n - n % 8
+    for at in range(8, tail, 8):
+        lanes += rows[at : at + 8]
+    out = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
+    for row in rows[tail:]:
+        out += row
+    return out
 
-    The weighted colors are added into one buffer, starting from 0 and in
-    component order: the order ``sum(axis=1)`` adds the rows of a C-ordered
-    (N, n, 3) stack in, so the result is bit-identical to mixing such a
-    stack, which is never built.  The buffer is channel-major (3, N), so
-    every pass runs over contiguous points."""
-    total = sigmas.sum(axis=1)
+
+def _total(sigmas: np.ndarray) -> np.ndarray:
+    """Sum over components of densities given as rows (n, N), bit-identical
+    to ``sum(axis=1)`` of the same values as a C-ordered (N, n) array.
+    NumPy adds such a short contiguous axis from 0.0, left to right below 8
+    components and pairwise from 8 on; both are reproduced here on whole
+    rows, so no (N, n) buffer is built."""
+    if sigmas.shape[0] < 8:
+        return sigmas.sum(axis=0)  # an outer-axis sum: 0.0, then row by row
+    out = _pairwise(sigmas)
+    out += 0.0  # the 0.0 NumPy starts from: -0.0 becomes 0.0
+    return out
+
+
+def _mix(sigmas: np.ndarray, colors) -> tuple[np.ndarray, np.ndarray]:
+    """Summed density (N,) and density-weighted mean color as channel-major
+    rows (3, N) of per-component densities as rows (n, N) and one color per
+    component, each (N, 3) or a single (3,) row; NEUTRAL_COLOR where the
+    sum vanishes.
+
+    The weighted colors are added into one (3, N) buffer, starting from 0
+    and in component order: the order ``sum(axis=1)`` adds the rows of a
+    C-ordered (N, n, 3) stack in, so the result is bit-identical to mixing
+    such a stack, which is never built.  Each density row is read where it
+    lies, and the total comes from ``_total``."""
+    total = _total(sigmas)
     live = total > 0.0
     safe = np.where(live, total, 1.0)
-    acc = np.zeros((3, sigmas.shape[0]))
+    acc = np.zeros((3, sigmas.shape[1]))
     term = np.empty_like(acc)
-    for i, c in enumerate(colors):
-        weight = np.ascontiguousarray(sigmas[:, i])
+    for weight, c in zip(sigmas, colors):
         acc += np.multiply(weight, c[:, None] if c.ndim == 1 else c.T, out=term)
     acc /= safe
     acc[:, ~live] = NEUTRAL_COLOR[:, None]
-    return total, np.ascontiguousarray(acc.T)
+    return total, acc
 
 
 @dataclass(frozen=True)
@@ -95,28 +131,28 @@ class CompositeScene:
         return len(self.components)
 
     def _components(self, pts: np.ndarray):
-        """Per-component densities (N, n) and clipped colors (a list of n,
-        each (N, 3) or one (3,) row) at checked points (N, 3)."""
-        sigmas = np.empty((pts.shape[0], self.n))
+        """Per-component densities as rows (n, N) and clipped colors (a list
+        of n, each (N, 3) or one (3,) row) at checked points (N, 3)."""
+        sigmas = np.empty((self.n, pts.shape[0]))
         colors = []
-        for i, comp in enumerate(self.components):
-            sigmas[:, i], color = comp._density_color(pts)
+        for row, comp in zip(sigmas, self.components):
+            row[:], color = comp._density_color(pts)
             colors.append(color)
         return sigmas, colors
 
     def _density_components(self, pts: np.ndarray) -> np.ndarray:
-        """Per-component densities (N, n) at checked points (N, 3)."""
-        sigmas = np.empty((pts.shape[0], self.n))
-        for i, comp in enumerate(self.components):
-            sigmas[:, i] = comp._density(pts)
+        """Per-component densities as rows (n, N) at checked points (N, 3)."""
+        sigmas = np.empty((self.n, pts.shape[0]))
+        for row, comp in zip(sigmas, self.components):
+            row[:] = comp._density(pts)
         return sigmas
 
     def _evaluate(self, pts: np.ndarray):
-        """Total density, mixed color and per-component densities at checked
-        points (N, 3)."""
+        """Total density (N,), mixed color as rows (3, N) and per-component
+        densities as rows (n, N) at checked points (N, 3)."""
         sigmas, colors = self._components(pts)
         if self.n == 1:  # a lone component's color is its own: (s * c) / s may differ
-            return sigmas[:, 0], _rows(colors[0], pts.shape[0]), sigmas
+            return sigmas[0], _channel_rows(colors[0], pts.shape[0]), sigmas
         total, color = _mix(sigmas, colors)
         return total, color, sigmas
 
@@ -124,10 +160,12 @@ class CompositeScene:
         """Per-component densities (N, n) and colors (N, n, 3)."""
         pts, single = _check_points(points)
         sigmas, colors = self._components(pts)
-        colors = np.stack([np.broadcast_to(c, pts.shape) for c in colors], axis=1)
+        stack = np.empty((pts.shape[0], self.n, 3))
+        for i, c in enumerate(colors):
+            stack[:, i] = c
         if single:
-            return sigmas[0], colors[0]
-        return sigmas, colors
+            return sigmas[:, 0], stack[0]
+        return sigmas.T.copy(), stack
 
     def density_components(self, points):
         """Per-component densities (N, n), bit-identical to
@@ -135,13 +173,13 @@ class CompositeScene:
         pts, single = _check_points(points)
         sigmas = self._density_components(pts)
         if single:
-            return sigmas[0]
-        return sigmas
+            return sigmas[:, 0]
+        return sigmas.T.copy()
 
     def density(self, points):
         """Total density, bit-identical to ``evaluate(...)[0]``."""
         pts, single = _check_points(points)
-        total = self._density_components(pts).sum(axis=1)
+        total = _total(self._density_components(pts))
         if single:
             return float(total[0])
         return total
@@ -150,7 +188,8 @@ class CompositeScene:
         """Total density (N,), mixed color (N, 3) and the per-component
         densities (N, n) behind them, from one evaluation of each component."""
         pts, _ = _check_points(points)
-        return self._evaluate(pts)
+        total, color, sigmas = self._evaluate(pts)
+        return total, color.T.copy(), sigmas.T.copy()
 
     def evaluate(self, points, direction=None):
         """Total density and density-weighted mean color (the field contract,
@@ -158,8 +197,8 @@ class CompositeScene:
         pts, single = _check_points(points)
         total, color, _ = self._evaluate(pts)
         if single:
-            return float(total[0]), color[0]
-        return total, color
+            return float(total[0]), color[:, 0].copy()
+        return total, color.T.copy()
 
     def params(self) -> np.ndarray:
         return np.concatenate([c.params() for c in self.components])
@@ -197,7 +236,7 @@ def composite_eval(scene: CompositeScene, x, d=None) -> CompositePoint:
         raise ValueError(f"x must be one point (3,), got {np.shape(x)}")
     sigmas, colors = scene._components(pts)
     total, color = _mix(sigmas, colors)
-    return CompositePoint(float(total[0]), sigmas[0], color[0], bool(total[0] > 0.0))
+    return CompositePoint(float(total[0]), sigmas[:, 0], color[:, 0], bool(total[0] > 0.0))
 
 
 def joint_depth_component_pdf(scene: CompositeScene, ray: Ray, t: float, quad: QuadratureConfig) -> np.ndarray:
@@ -208,16 +247,21 @@ def joint_depth_component_pdf(scene: CompositeScene, ray: Ray, t: float, quad: Q
 
 
 def _marginals_from_batch(batch: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Component mass per ray from a render batch: sum over samples of
-    weight * sigma_i / sigma_total, with the per-component densities the
-    batch was composited from; residual is survival to t_far."""
+    """Component mass per ray (N, n) from a render batch: sum over samples
+    of weight * sigma_i / sigma_total, with the per-component densities the
+    batch was composited from ((n, N, S)); residual is survival to t_far.
+
+    Where the total vanishes, so does every share, and the sample adds 0.
+    The sums run over samples in the order ``sum(axis=1)`` reduced the
+    (N, S, n) products in: one after the other from 0.0, except that a lone
+    component's are summed pairwise (its component axis has length 1, so
+    the samples axis was contiguous)."""
     share = batch["sigmas"]
     sig_tot = batch["sigma"]
-    live = sig_tot > 0.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        frac = np.where(live[:, :, None], share / np.where(live, sig_tot, 1.0)[:, :, None], 0.0)
-    marginal = (batch["weights"][:, :, None] * frac).sum(axis=1)
-    return marginal, batch["transmittance_far"]
+    terms = share / np.where(sig_tot > 0.0, sig_tot, 1.0)
+    terms *= batch["weights"]
+    marginal = terms.sum(axis=-1) if share.shape[0] == 1 else transport._sum_samples(terms)
+    return np.ascontiguousarray(marginal.T), batch["transmittance_far"]
 
 
 def _labels(marginals: np.ndarray) -> np.ndarray:
@@ -255,14 +299,14 @@ def composite_render(scene: CompositeScene, ray: Ray, quad: QuadratureConfig) ->
 def component_marginal(scene: CompositeScene, ray: Ray, quad: QuadratureConfig) -> tuple[np.ndarray, float]:
     """Per-component depth mass (n,) plus the vacuum residual; together they
     sum to ~1."""
-    result = composite_render(scene, ray, quad)
-    return result.marginal, result.residual
+    marginal, residual = _marginals_from_batch(transport._render_ray(scene, ray, quad))
+    return marginal[0], float(residual[0])
 
 
 def segment_ray(scene: CompositeScene, ray: Ray, quad: QuadratureConfig) -> int:
     """Index of the component holding the most depth mass; EMPTY_SEGMENT (-1)
     when the ray absorbs (almost) nothing.  Ties go to the lowest index."""
-    return composite_render(scene, ray, quad).label
+    return int(_labels(_marginals_from_batch(transport._render_ray(scene, ray, quad))[0])[0])
 
 
 @dataclass(frozen=True)
@@ -349,7 +393,7 @@ def mixture_render_constant(sigmas, colors) -> np.ndarray:
         raise ValueError("densities must be non-negative")
     if s.sum() == 0.0:
         raise ValueError("all densities are zero; the mixture color is undefined")
-    return _mix(s[None, :], list(c))[1][0]
+    return _mix(s[:, None], list(c))[1][:, 0]
 
 
 class _MergedField(Field):
@@ -361,10 +405,11 @@ class _MergedField(Field):
         self._scene = scene
 
     def _raw(self, pts):
-        return self._scene._evaluate(pts)[:2]
+        total, color, _ = self._scene._evaluate(pts)
+        return total, color.T
 
     def _raw_density(self, pts):
-        return self._scene._density_components(pts).sum(axis=1)
+        return _total(self._scene._density_components(pts))
 
     def params(self) -> np.ndarray:
         return self._scene.params()

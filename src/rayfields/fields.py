@@ -117,9 +117,15 @@ def _sum3(a: np.ndarray) -> np.ndarray:
 
 
 def _rows(color: np.ndarray, n: int) -> np.ndarray:
-    """Color as n rows (n, 3): a single (3,) row is repeated into a fresh
-    array, an (n, 3) array is returned as it is."""
-    return np.tile(color, (n, 1)) if color.ndim == 1 else color
+    """Color as n C-ordered rows (n, 3): a single (3,) row is repeated into a
+    fresh array, an (n, 3) array is returned as it is if C-ordered."""
+    return np.tile(color, (n, 1)) if color.ndim == 1 else np.ascontiguousarray(color)
+
+
+def _channel_rows(color: np.ndarray, n: int) -> np.ndarray:
+    """Color as channel-major rows (3, n): a single (3,) row broadcast (a
+    read-only view), an (n, 3) array transposed (a view)."""
+    return np.broadcast_to(color[:, None], (3, n)) if color.ndim == 1 else color.T
 
 
 def _check_points(points) -> tuple[np.ndarray, bool]:
@@ -128,7 +134,7 @@ def _check_points(points) -> tuple[np.ndarray, bool]:
     pts = np.atleast_2d(pts)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"points must be (N, 3) or (3,), got {pts.shape}")
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
     return pts, single
 
@@ -197,8 +203,12 @@ class Field(abc.ABC):
 
     @classmethod
     def _groups(cls, vector) -> dict:
-        """Attribute values of a parameter vector laid out by ``layout``."""
-        v = _vec(vector, (sum(size for _, size, _ in cls.layout),), "params")
+        """Attribute values of a parameter vector laid out by ``layout``;
+        only its shape is checked here, each group by ``__post_init__``."""
+        v = np.asarray(vector, dtype=np.float64)
+        size = sum(size for _, size, _ in cls.layout)
+        if v.shape != (size,):
+            raise ValueError(f"params must have shape {(size,)}, got {v.shape}")
         groups, at = {}, 0
         for name, size, _ in cls.layout:
             groups[name] = v[at] if size == 1 else v[at : at + size]
@@ -239,11 +249,12 @@ class Field(abc.ABC):
             return float(sigma[0])
         return sigma
 
-    def evaluate_with_components(self, points):
-        """Density (N,), color (N, 3) and per-component densities (N, 1) at
-        points (N, 3): a field is a one-component scene."""
-        sigma, color = self.evaluate(points)
-        return sigma, color, sigma[:, None]
+    def _evaluate(self, pts: np.ndarray):
+        """Density (N,), color as channel-major rows (3, N) and per-component
+        densities as rows (1, N) at checked points (N, 3): a field renders
+        as a one-component scene (``CompositeScene._evaluate``)."""
+        sigma, color = self._density_color(pts)
+        return sigma, _channel_rows(color, pts.shape[0]), sigma[None, :]
 
     def _color_slots(self, pts: np.ndarray):
         """At checked points (N, 3): the clipped color, (N, 3) or one (3,)
@@ -442,15 +453,17 @@ class GroundPlaneField(Field):
         return s_plane, rho, s_dome, union
 
     def _colors(self, pts, s_plane, s_dome):
-        """Color (N, 3) and the parameter index of each point's red channel
-        (``color_offsets``): color_b on odd checker cells, dome_color where
-        the dome dominates, color_a elsewhere."""
+        """Color (N, 3), a view of channel-major rows (3, N), and the
+        parameter index of each point's red channel (``color_offsets``):
+        color_b on odd checker cells, dome_color where the dome dominates,
+        color_a elsewhere."""
         surface = 0
         if self.checker_size > 0:
             cells = np.floor(pts[:, 0] / self.checker_size) + np.floor(pts[:, 1] / self.checker_size)
             surface = cells.astype(np.int64) % 2
         surface = np.where(s_dome > s_plane, 2, surface)
-        return np.stack([self.color_a, self.color_b, self.dome_color])[surface], self.color_offsets[surface]
+        palette = np.stack([self.color_a, self.color_b, self.dome_color], axis=1)  # one row per channel
+        return np.take(palette, surface, axis=1).T, self.color_offsets[surface]
 
     def _raw_density(self, pts):
         return self.amplitude * self._parts(pts)[3]
@@ -530,7 +543,8 @@ class PiecewiseConstantRayField(Field):
         return cls(ray.origin, ray.direction, breakpoints, sigmas, colors)
 
     def _interval_index(self, pts):
-        t = (pts - self.axis_origin) @ self.axis_direction
+        # C order: a matrix-vector product may round differently on other layouts.
+        t = np.ascontiguousarray(pts - self.axis_origin) @ self.axis_direction
         idx = np.searchsorted(self.breakpoints, t, side="right") - 1
         valid = (idx >= 0) & (idx < self.sigmas.shape[0]) & (t >= self.breakpoints[0])
         return np.clip(idx, 0, self.sigmas.shape[0] - 1), valid

@@ -12,7 +12,9 @@ explained by the dominant one.
 
 The batched core, ``_loss_eval``, serves total_loss and the fitter's
 gradient.  It evaluates densities at every surface and free-space point and
-colors only at the surface points.  The gradient is a vector-Jacobian
+colors only at the surface points.  It keeps the layout the mixer works in:
+per-component densities are rows (n, N), and the predicted color and its
+error are channel-major rows (3, B).  The gradient is a vector-Jacobian
 product: per component, one per-point weight vector (zero where the density
 cap binds) is contracted with the kind's density rows, one contiguous row
 per parameter the density depends on, and the color error lands in that
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .compose import CompositeScene, _mix
+from .compose import CompositeScene, _mix, _total
 from .fields import LOG_DENSITY_FLOOR, _check_points, _sum3
 from .geometry import Ray
 
@@ -247,34 +249,34 @@ def _loss_eval(scene: CompositeScene, arrays: _BatchArrays, iteration: int,
     free_pts = (arrays.origins[:, None, :] + pos[:, :, None] * arrays.directions[:, None, :]).reshape(-1, 3)
     stacked, _ = _check_points(np.concatenate([surf_pts, free_pts], axis=0))
 
-    # Densities at every point; colors only at the surface points.
-    sigmas = np.empty((stacked.shape[0], n_comp))
+    # Densities at every point, one row per component; colors only at the
+    # surface points.
+    sigmas = np.empty((n_comp, stacked.shape[0]))
     colors = []
     grads = []
     for i, comp in enumerate(scene.components):
         if want_grads:
             raw, rows = comp._raw_density_rows(stacked)
-            sigmas[:, i] = comp._cap(raw)
+            sigmas[i] = comp._cap(raw)
             live = None if comp.sigma_max is None else raw < comp.sigma_max
             color, offset = comp._color_source(surf_pts)
             inside = (color >= 0.0) & (color <= 1.0)
             color = np.clip(color, 0.0, 1.0)
             grads.append((comp, rows, live, color, inside, offset))
         else:
-            sigmas[:, i] = comp._density(stacked)
+            sigmas[i] = comp._density(stacked)
             color = comp._density_color(surf_pts)[1]
         colors.append(color)
-    sig_surf = sigmas[:b]
-    sig_free = sigmas[b:].reshape(b, f, n_comp)
+    sig_surf = sigmas[:, :b]
 
-    sig_tot_free = sig_free.sum(axis=2)
+    sig_tot_free = _total(sigmas[:, b:]).reshape(b, f)
     sig_tot_surf, c_pred = _mix(sig_surf, colors)
     log_live = sig_tot_surf > LOG_DENSITY_FLOOR
     depth_per_ray = _depth_nll(sig_tot_surf, sig_tot_free, arrays.t_obs, q)
-    color_per_ray = _color_nll_values(c_pred, arrays.colors, config.sigma_c)
+    color_per_ray = _color_nll_values(c_pred.T, arrays.colors, config.sigma_c)
 
-    dominant = np.argmax(sig_surf, axis=1)
-    overlap_per_ray = sig_tot_surf - sig_surf[np.arange(b), dominant]
+    dominant = np.argmax(sig_surf, axis=0)
+    overlap_per_ray = sig_tot_surf - sig_surf[dominant, np.arange(b)]
 
     k_o = k_o_schedule(iteration, config)
     depth_mean = float(depth_per_ray.mean())
@@ -301,9 +303,9 @@ def _loss_eval(scene: CompositeScene, arrays: _BatchArrays, iteration: int,
     # density rows (zero where the cap binds), and the color part lands only
     # in the color parameter slots.  Per-ray arrays are channel-major (3, B).
     color_live = sig_tot_surf > 0.0
-    err = (c_pred - arrays.colors) / config.sigma_c**2
-    err = np.ascontiguousarray((err * color_live[:, None]).T)
-    c_pred = np.ascontiguousarray(c_pred.T)
+    err = np.subtract(c_pred, arrays.colors.T, order="C")  # C order: ``err @ share`` below
+    err /= config.sigma_c**2
+    err *= color_live
     inv_tot = np.where(color_live, 1.0 / np.where(color_live, sig_tot_surf, 1.0), 0.0)
     d_log = np.where(log_live, 1.0 / np.maximum(sig_tot_surf, LOG_DENSITY_FLOOR), 0.0)
     weights = np.empty(stacked.shape[0])
@@ -314,7 +316,7 @@ def _loss_eval(scene: CompositeScene, arrays: _BatchArrays, iteration: int,
         weights[:b] = inv_tot * _sum3((color - c_pred) * err) - d_log + k_o * (dominant != i)
         grad = np.zeros(comp.n_params)
         grad[list(comp.density_params)] = rows @ (weights if live is None else weights * live)
-        share = sig_surf[:, i] * inv_tot
+        share = sig_surf[i] * inv_tot
         if np.ndim(offset) == 0:
             grad[offset : offset + 3] += np.where(inside, err @ share, 0.0)
         else:

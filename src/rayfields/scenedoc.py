@@ -118,6 +118,13 @@ def _number(value, what: str) -> float:
     return float(value)
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer; strings, booleans and floats are not integers."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SceneFormatError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _require(doc: dict, key: str):
     if key not in doc:
         raise SceneFormatError(f"scene document is missing {key!r}")
@@ -150,7 +157,10 @@ def doc_to_scene(doc: dict) -> SceneDocument:
             fields.append(field_from_params(kind, values, sigma_max=sigma_max))
         except (ValueError, TypeError) as exc:
             raise SceneFormatError(f"component {i} ({kind!r}): {exc}") from exc
-        names.append(str(entry.get("name", f"component_{i}")))
+        name = entry.get("name", f"component_{i}")
+        if not isinstance(name, str):
+            raise SceneFormatError(f"component {i} name must be a string, got {name!r}")
+        names.append(name)
     try:
         scene = CompositeScene(tuple(fields), t_far=_number(t_far, "t_far"))
     except (ValueError, TypeError) as exc:
@@ -176,12 +186,17 @@ def doc_to_scene(doc: dict) -> SceneDocument:
     quadrature = None
     if "quadrature" in doc:
         qb = doc["quadrature"]
+        if not isinstance(qb, dict):
+            raise SceneFormatError("quadrature block must be an object")
         try:
+            stratified = qb.get("stratified", True)
+            if not isinstance(stratified, bool):
+                raise SceneFormatError(f"stratified must be true or false, got {stratified!r}")
             quadrature = QuadratureConfig(
-                n_coarse=int(qb["n_coarse"]),
-                n_fine=int(qb["n_fine"]),
-                seed=int(qb.get("seed", 0)),
-                stratified=bool(qb.get("stratified", True)),
+                n_coarse=_integer(qb["n_coarse"], "n_coarse"),
+                n_fine=_integer(qb["n_fine"], "n_fine"),
+                seed=_integer(qb.get("seed", 0), "seed"),
+                stratified=stratified,
             )
         except (KeyError, ValueError, TypeError) as exc:
             raise SceneFormatError(f"quadrature block: {exc}") from exc

@@ -11,6 +11,12 @@ Two batched primitives carry every estimate: ``_panels`` (midpoint-panel
 densities and optical depth, read by transmittance, the probability balance
 and the observation sampler) and ``_composite`` (samples to weights, color,
 depth and alpha).  A single ray is a one-row batch of the same path.
+
+A batch of N rays with S samples each keeps its arrays channel-major and
+component-major: sample points are an (N*S, 3) view of rows (3, N*S), so
+the field kernels read each coordinate contiguously; colors are (3, N, S)
+and per-component densities (n, N, S), and both are summed over samples
+along their last axis.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import PiecewiseConstantRayField
+from .fields import PiecewiseConstantRayField, _check_points
 from .geometry import Ray, ray_at
 
 __all__ = [
@@ -122,14 +128,30 @@ class RenderResult:
     empty: bool
 
 
+def _ray_points(origins, dirs, t):
+    """Points origin + t * direction for rows of depths t (N, S), in row
+    order, as an (N*S, 3) view of channel-major rows (3, N*S)."""
+    rows = np.multiply(t, dirs.T[:, :, None])
+    rows += origins.T[:, :, None]
+    return rows.reshape(3, -1).T
+
+
+def _sum_samples(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, one term after the other from 0.0: the order
+    ``sum(axis=1)`` reduces an (N, S, k) stack in when its samples axis is
+    not the contiguous one.  A running sum's last entry gives that order on
+    the contiguous axis; adding 0.0 turns a -0.0 total into 0.0, as the
+    0.0 start does.  The running sums overwrite ``terms``."""
+    return terms.cumsum(axis=-1, out=terms)[..., -1] + 0.0
+
+
 def _panels(field, origins, dirs, t_ends, n_panels: int):
     """Midpoint rule on ``n_panels`` equal panels of [0, t_end] per ray:
     densities at the panel midpoints (N, n_panels), panel widths (N,) and
     the optical depth at every panel edge (N, n_panels + 1), from 0."""
     h = t_ends / n_panels
     mids = ((np.arange(n_panels) + 0.5) / n_panels)[None, :] * t_ends[:, None]
-    points = origins[:, None, :] + mids[..., None] * dirs[:, None, :]
-    sigma = field.density(points.reshape(-1, 3)).reshape(mids.shape)
+    sigma = field.density(_ray_points(origins, dirs, mids)).reshape(mids.shape)
     cum = np.concatenate([np.zeros((len(t_ends), 1)), np.cumsum(sigma * h[:, None], axis=1)], axis=1)
     return sigma, h, cum
 
@@ -217,21 +239,23 @@ def _composite_weights(sigma: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray
 
 
 def _composite(t: np.ndarray, sigma: np.ndarray, color: np.ndarray, delta: np.ndarray) -> dict:
-    """Composite rows of samples (depths, densities, colors (N, S, 3) and
-    widths) into per-ray weights, color, depth, alpha and the empty flag."""
+    """Composite rows of samples (depths, densities and widths (N, S),
+    colors as channel-major rows (3, N, S)) into per-ray weights, color
+    (N, 3), depth, alpha and the empty flag."""
     weights, t_far_T, tau = _composite_weights(sigma, delta)
     wsum = weights.sum(axis=1)
     empty = wsum <= EMPTY_WEIGHT_EPS
     safe = np.where(empty, 1.0, wsum)
-    out_color = (weights[:, :, None] * color).sum(axis=1) / safe[:, None]
-    out_color[empty] = 0.0
+    out_color = _sum_samples(weights * color)
+    out_color /= safe
+    out_color[:, empty] = 0.0
     depth_raw = (weights * t).sum(axis=1)
     depth = depth_raw / safe
     depth[empty] = np.nan
     return {
         "t": t,
         "weights": weights,
-        "color": out_color,
+        "color": out_color.T,
         "depth": depth,
         "depth_raw": depth_raw,
         "alpha": -np.expm1(-tau),
@@ -256,7 +280,7 @@ def _single_ray_result(batch: dict) -> RenderResult:
 def quadrature_render(samples: RaySamples) -> RenderResult:
     """Composite explicit samples into color, weights, and survival-to-far."""
     return _single_ray_result(_composite(
-        samples.t[None, :], samples.sigma[None, :], samples.color[None, :], samples.delta[None, :]))
+        samples.t[None, :], samples.sigma[None, :], samples.color.T[:, None, :], samples.delta[None, :]))
 
 
 def _draw_uniforms(rng: np.random.Generator, n_rays: int, quad: QuadratureConfig):
@@ -287,7 +311,7 @@ def _fine_positions(weights: np.ndarray, t_fars: np.ndarray, u_fine: np.ndarray)
     u = np.clip(u_fine, 0.0, 1.0 - 1e-12)
     idx = np.empty(u.shape, dtype=np.intp)
     for row in range(n):
-        idx[row] = np.searchsorted(cdf[row], u[row], side="left")
+        idx[row] = cdf[row].searchsorted(u[row], side="left")
     idx = np.clip(idx, 0, k - 1)
     rows = np.arange(n)[:, None]
     hi = cdf[rows, idx]
@@ -301,7 +325,7 @@ def _render_batch(evaluator, origins, dirs, t_fars, quad: QuadratureConfig, rng,
     """Two-pass render of many rays; returns raw per-ray arrays.
 
     The coarse pass evaluates density only; the fine pass evaluates each
-    component once and keeps its densities (``"sigmas"``, (N, S, n)) for
+    component once and keeps its densities (``"sigmas"``, (n, N, S)) for
     the component marginals.
 
     All randomness comes from ``rng`` in one pinned order (coarse uniforms,
@@ -311,8 +335,7 @@ def _render_batch(evaluator, origins, dirs, t_fars, quad: QuadratureConfig, rng,
     n = origins.shape[0]
     u_coarse, u_fine = _draw_uniforms(rng, n, quad) if draws is None else draws
     t_c = _coarse_positions(t_fars, quad.n_coarse, u_coarse)
-    pts = origins[:, None, :] + t_c[:, :, None] * dirs[:, None, :]
-    sigma_c = evaluator.density(pts.reshape(-1, 3)).reshape(n, quad.n_coarse)
+    sigma_c = evaluator.density(_ray_points(origins, dirs, t_c)).reshape(n, quad.n_coarse)
     w_c, _, _ = _composite_weights(sigma_c, _ownership_deltas(t_c, t_fars))
 
     if quad.n_fine > 0:
@@ -320,12 +343,11 @@ def _render_batch(evaluator, origins, dirs, t_fars, quad: QuadratureConfig, rng,
         t = np.sort(np.concatenate([t_c, t_f], axis=1), axis=1)
     else:
         t = t_c
-    pts = origins[:, None, :] + t[:, :, None] * dirs[:, None, :]
-    sigma, color, sigmas = evaluator.evaluate_with_components(pts.reshape(-1, 3))
-    s = t.shape[1]
-    sigma = sigma.reshape(n, s)
-    batch = _composite(t, sigma, color.reshape(n, s, 3), _ownership_deltas(t, t_fars))
-    batch.update(sigma=sigma, sigmas=sigmas.reshape(n, s, -1))
+    pts, _ = _check_points(_ray_points(origins, dirs, t))
+    sigma, color, sigmas = evaluator._evaluate(pts)
+    sigma = sigma.reshape(t.shape)
+    batch = _composite(t, sigma, color.reshape(3, *t.shape), _ownership_deltas(t, t_fars))
+    batch.update(sigma=sigma, sigmas=sigmas.reshape(-1, *t.shape))
     return batch
 
 

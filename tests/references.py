@@ -1,13 +1,14 @@
 """Earlier versions of the field kernels, of the color Jacobians, of the
-color mixer and of the single-ray transport routines and observation
-sampler, kept as references, plus hypothesis strategies for fields, scenes,
-points and rays.
+color mixer, of the points-major render-batch reductions and of the
+single-ray transport routines and observation sampler, kept as references,
+plus hypothesis strategies for fields, scenes, points and rays.
 
 The package's kernels avoid boolean-mask gathers, short-axis reductions and
-(N, n, 3) color stacks, and its transport routines share one panel
-primitive and one compositor; each must still equal the plainer version
-here bit for bit (the transport routines whose panel midpoints moved to the
-sampler's formula to within 1e-12 relative).
+(N, n, 3) color stacks, its render batch is component-major and
+channel-major, and its transport routines share one panel primitive and one
+compositor; each must still equal the plainer version here bit for bit (the
+transport routines whose panel midpoints moved to the sampler's formula to
+within 1e-12 relative).
 """
 
 import numpy as np
@@ -134,6 +135,45 @@ def stacked_mix(sigmas, colors):
     color = (colors * sigmas[:, :, None]).sum(axis=1) / safe[:, None]
     color[~live] = NEUTRAL_COLOR
     return total, color
+
+
+def reference_total(sigmas):
+    """Total density from per-component densities (N, n), as scenes summed
+    them over the component axis of a C-ordered (N, n) array."""
+    return np.ascontiguousarray(sigmas).sum(axis=1)
+
+
+def reference_mix(sigmas, colors):
+    """Per-component mixer over densities (N, n): summed density (N,) and
+    mean color (N, 3), one density column at a time into a (3, N) buffer."""
+    total = reference_total(sigmas)
+    live = total > 0.0
+    safe = np.where(live, total, 1.0)
+    acc = np.zeros((3, sigmas.shape[0]))
+    term = np.empty_like(acc)
+    for i, c in enumerate(colors):
+        weight = np.ascontiguousarray(sigmas[:, i])
+        acc += np.multiply(weight, c[:, None] if c.ndim == 1 else c.T, out=term)
+    acc /= safe
+    acc[:, ~live] = NEUTRAL_COLOR[:, None]
+    return total, np.ascontiguousarray(acc.T)
+
+
+def reference_color_sum(weights, colors):
+    """Weighted color sum over samples of a points-major batch: weights
+    (N, S) and colors (N, S, 3), reduced over the samples axis of the
+    (N, S, 3) product."""
+    return (weights[:, :, None] * colors).sum(axis=1)
+
+
+def reference_marginals(sigmas, sigma, weights):
+    """Component mass per ray (N, n) from per-component densities
+    (N, S, n), their total (N, S) and the sample weights (N, S), through
+    (N, S, n) share and product arrays."""
+    live = sigma > 0.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        frac = np.where(live[:, :, None], sigmas / np.where(live, sigma, 1.0)[:, :, None], 0.0)
+    return (weights[:, :, None] * frac).sum(axis=1)
 
 
 def stack_colors(colors, n_points):

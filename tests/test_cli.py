@@ -232,6 +232,22 @@ class TestRender:
         assert_one_error_line(code, capsys)
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("edit", [
+        {"quadrature": {"n_coarse": "64"}}, {"quadrature": {"n_fine": 12.5}}, {"quadrature": {"seed": True}},
+        {"quadrature": {"stratified": "false"}}, {"quadrature": {"stratified": 0}}, {"name": 5},
+    ], ids=["n_coarse-string", "n_fine-float", "seed-bool", "stratified-string", "stratified-int", "name-int"])
+    def test_bad_scene_types_exit_2(self, tmp_path, capsys, edit):
+        data = tmp_path / "data"
+        generate_small(data, capsys, views=1)
+        doc = json.loads((data / "scene.json").read_text())
+        doc["quadrature"].update(edit.get("quadrature", {}))
+        doc["components"][0].update({k: v for k, v in edit.items() if k != "quadrature"})
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["render", "--scene", str(bad), "--out", str(tmp_path / "o"), "--resolution", "6"])
+        assert_one_error_line(code, capsys)
+        assert not (tmp_path / "o").exists()
+
 
 class TestFit:
     def make_data(self, tmp_path, capsys):

@@ -18,14 +18,18 @@ from rayfields.compose import (
     mixture_render_constant,
     render_ray_grid,
     segment_ray,
+    _marginals_from_batch,
     _mix,
+    _total,
 )
-from rayfields import transport
-from rayfields.fields import GaussianBlobField, SoftSphereField
-from rayfields.geometry import Camera, Ray, pinhole_rays
-from rayfields.transport import QuadratureConfig, hierarchical_render
+from rayfields import compose, transport
+from rayfields.fields import (GaussianBlobField, GroundPlaneField, PiecewiseConstantRayField, SoftBoxField,
+                              SoftSphereField)
+from rayfields.geometry import Camera, Ray, RayGrid, pinhole_rays
+from rayfields.transport import EMPTY_WEIGHT_EPS, QuadratureConfig, hierarchical_render
 
-from references import FIELDS, POINTS, stack_colors, stacked_mix
+from references import (FIELDS, POINTS, RAYS, reference_color_sum, reference_marginals, reference_mix,
+                        reference_total, stack_colors, stacked_mix)
 
 
 def _two_blob_scene(t_far=12.0):
@@ -131,11 +135,12 @@ class TestMixReference:
     @given(_mix_inputs())
     def test_mix_matches_stacked_reference(self, inputs):
         sigmas, colors = inputs
-        total, color = _mix(sigmas, colors)
+        total, color_rows = _mix(np.ascontiguousarray(sigmas.T), colors)
+        color = color_rows.T
         ref_total, ref_color = stacked_mix(sigmas, stack_colors(colors, sigmas.shape[0]))
         assert total.tobytes() == ref_total.tobytes()
         assert color.tobytes() == ref_color.tobytes()
-        assert color.flags.c_contiguous
+        assert color_rows.flags.c_contiguous
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from([1, 2, 5, 9]).flatmap(lambda n: st.lists(FIELDS, min_size=n, max_size=n)), POINTS)
@@ -365,3 +370,220 @@ class TestSceneValidation:
     def test_rejects_non_fields(self):
         with pytest.raises(TypeError):
             CompositeScene(("not a field",))
+
+
+# Component counts for the component-major references: below, at and past
+# NumPy's 8-lane pairwise threshold.
+COMPONENT_COUNTS = [1, 2, 5, 8, 9, 16]
+
+# Densities with exact zeros of both signs and values from tiny to capped.
+DENSITIES = st.one_of(st.just(0.0), st.just(-0.0), st.floats(1e-300, 1e-6), st.floats(0.0, 30.0))
+CHANNELS = st.one_of(st.just(-0.0), st.just(0.0), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _row_mix_inputs(draw):
+    """Densities (N, n), zero on some rows, and n clipped colors, each a
+    (3,) row or (N, 3) (per point, as the ground's)."""
+    n_points = draw(st.integers(1, 40))
+    n = draw(st.sampled_from(COMPONENT_COUNTS))
+    sigmas = draw(arrays(np.float64, (n_points, n), elements=DENSITIES))
+    sigmas[draw(arrays(np.bool_, n_points))] = 0.0
+    colors = [draw(arrays(np.float64, draw(st.sampled_from([(3,), (n_points, 3)])), elements=CHANNELS))
+              for _ in range(n)]
+    return sigmas, colors
+
+
+@st.composite
+def _sample_rows(draw):
+    """Rows of samples: depths, widths, per-component densities (N, S, n)
+    with some all-zero samples and rays, and their total (N, S) as scenes
+    form it (a lone component's density is the total)."""
+    n_rays = draw(st.integers(1, 6))
+    n_samples = draw(st.integers(1, 40))
+    n = draw(st.sampled_from(COMPONENT_COUNTS))
+    sigmas = draw(arrays(np.float64, (n_rays, n_samples, n), elements=DENSITIES))
+    sigmas[draw(arrays(np.bool_, (n_rays, n_samples)))] = 0.0
+    sigmas[draw(arrays(np.bool_, n_rays))] = 0.0
+    delta = draw(arrays(np.float64, (n_rays, n_samples), elements=st.floats(1e-3, 2.0)))
+    t = np.cumsum(delta, axis=1)
+    sigma = sigmas[:, :, 0] if n == 1 else reference_total(sigmas.reshape(-1, n)).reshape(t.shape)
+    return t, delta, sigmas, sigma
+
+
+def _expected_color(weights, colors):
+    """Composited color (N, 3) from weights (N, S) and colors (N, S, 3) by
+    the reference color sum, 0 on empty rays."""
+    wsum = weights.sum(axis=1)
+    empty = wsum <= EMPTY_WEIGHT_EPS
+    color = reference_color_sum(weights, colors) / np.where(empty, 1.0, wsum)[:, None]
+    color[empty] = 0.0
+    return color
+
+
+class TestComponentMajorReferences:
+    """The component-major (n, N) and channel-major (3, N) batch equals the
+    points-major reductions it replaced, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(COMPONENT_COUNTS).flatmap(
+        lambda n: arrays(np.float64, st.tuples(st.integers(1, 40), st.just(n)), elements=DENSITIES)))
+    def test_total_matches_short_axis_sum(self, sigmas):
+        expected = reference_total(sigmas).tobytes()
+        assert _total(np.ascontiguousarray(sigmas.T)).tobytes() == expected
+        padded = np.zeros((sigmas.shape[1], sigmas.shape[0] + 3))
+        padded[:, 3:] = sigmas.T
+        assert _total(padded[:, 3:]).tobytes() == expected  # rows of a wider block, as the loss passes
+
+    @pytest.mark.parametrize("n", [*range(1, 25), 127, 128, 129, 136, 200, 300])
+    def test_total_matches_at_every_width(self, n):
+        rng = np.random.default_rng(n)
+        sigmas = rng.random((64, n)) * 10.0 ** rng.uniform(-4, 4, (64, n))
+        sigmas[rng.random((64, n)) < 0.2] = 0.0
+        assert _total(np.ascontiguousarray(sigmas.T)).tobytes() == reference_total(sigmas).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_row_mix_inputs())
+    def test_mix_matches_reference(self, inputs):
+        sigmas, colors = inputs
+        total, color = _mix(np.ascontiguousarray(sigmas.T), colors)
+        ref_total, ref_color = reference_mix(sigmas, colors)
+        assert total.tobytes() == ref_total.tobytes()
+        assert np.ascontiguousarray(color.T).tobytes() == ref_color.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_sample_rows(), st.booleans(), st.data())
+    def test_composite_color_matches_reference(self, rows, per_point, data):
+        t, delta, _, sigma = rows
+        shape = t.shape + (3,)
+        if per_point:
+            colors = data.draw(arrays(np.float64, shape, elements=CHANNELS))
+        else:
+            colors = np.broadcast_to(data.draw(arrays(np.float64, 3, elements=CHANNELS)), shape)
+        batch = transport._composite(t, sigma, np.moveaxis(colors, 2, 0), delta)
+        expected = _expected_color(batch["weights"], colors)
+        assert np.ascontiguousarray(batch["color"]).tobytes() == expected.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_sample_rows())
+    def test_marginals_match_reference(self, rows):
+        t, delta, sigmas, sigma = rows
+        weights, t_far_T, _ = transport._composite_weights(sigma, delta)
+        batch = {"sigmas": np.ascontiguousarray(np.moveaxis(sigmas, 2, 0)), "sigma": sigma,
+                 "weights": weights, "transmittance_far": t_far_T}
+        marginal, residual = _marginals_from_batch(batch)
+        assert marginal.flags.c_contiguous
+        assert marginal.tobytes() == reference_marginals(sigmas, sigma, weights).tobytes()
+        assert residual is t_far_T
+
+    @pytest.mark.parametrize("n", COMPONENT_COUNTS)
+    def test_marginals_match_reference_on_long_rows(self, n):
+        # 192 samples of varied densities: the order of the sum over samples shows.
+        rng = np.random.default_rng(n)
+        sigmas = rng.random((3, 192, n)) * 10.0 ** rng.uniform(-3, 1, (3, 192, n))
+        sigmas[:, rng.random(192) < 0.3] = 0.0
+        delta = rng.uniform(0.01, 0.1, (3, 192))
+        sigma = sigmas[:, :, 0] if n == 1 else reference_total(sigmas.reshape(-1, n)).reshape(3, 192)
+        weights, t_far_T, _ = transport._composite_weights(sigma, delta)
+        batch = {"sigmas": np.ascontiguousarray(np.moveaxis(sigmas, 2, 0)), "sigma": sigma,
+                 "weights": weights, "transmittance_far": t_far_T}
+        marginal, _ = _marginals_from_batch(batch)
+        assert marginal.tobytes() == reference_marginals(sigmas, sigma, weights).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(COMPONENT_COUNTS).flatmap(lambda n: st.lists(FIELDS, min_size=n, max_size=n)),
+           st.lists(RAYS, min_size=1, max_size=8), st.integers(0, 2**16))
+    def test_render_blocks_match_reference(self, fields, rays, seed):
+        """Rendered colors and masses, in blocks of 2 rows and in 1-row calls,
+        equal the references applied to one unblocked batch whose samples
+        are re-evaluated through the public points-major calls."""
+        scene = CompositeScene(tuple(fields))
+        grid = RayGrid(origins=np.array([r.origin for r in rays]), directions=np.array([r.direction for r in rays]),
+                       t_fars=np.array([r.t_far for r in rays]), shape=(len(rays), 1))
+        quad = QuadratureConfig(n_coarse=8, n_fine=8, seed=seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(compose, "block_rows", lambda row_points: 2)
+            view = render_ray_grid(scene, grid, quad)
+
+        batch = transport._render_batch(scene, grid.origins, grid.directions, grid.t_fars, quad,
+                                        np.random.default_rng(seed))
+        t = batch["t"]
+        pts = (grid.origins[:, None, :] + t[:, :, None] * grid.directions[:, None, :]).reshape(-1, 3)
+        sigma, color = scene.evaluate(pts)
+        sigmas = scene.density_components(pts).reshape(t.shape + (scene.n,))
+        expected_color = _expected_color(batch["weights"], color.reshape(t.shape + (3,)))
+        expected_marginals = reference_marginals(sigmas, sigma.reshape(t.shape), batch["weights"])
+        assert view.color.reshape(-1, 3).tobytes() == expected_color.tobytes()
+        assert view.marginals.reshape(-1, scene.n).tobytes() == expected_marginals.tobytes()
+
+        ray = grid.ray(0)
+        one = transport._render_ray(scene, ray, quad)
+        one_t = one["t"]
+        one_pts = ray.origin + one_t[0][:, None] * ray.direction
+        one_sigma = scene.evaluate(one_pts)[0][None, :]
+        one_sigmas = scene.density_components(one_pts)[None, :, :]
+        expected_one = reference_marginals(one_sigmas, one_sigma, one["weights"])[0]
+        marginal, _ = component_marginal(scene, ray, quad)
+        assert marginal.tobytes() == expected_one.tobytes()
+
+
+def _layout_fields():
+    return (
+        GaussianBlobField(center=(0.3, -0.2, 0.8), scale=(0.5, 0.7, 0.4), amplitude=6.0, color=(0.8, 0.3, 0.2)),
+        SoftSphereField(center=(-0.5, 0.4, 0.6), radius=0.6, softness=0.05, amplitude=8.0, color=(0.2, 0.6, 0.3)),
+        SoftBoxField(center=(0.2, 0.6, 0.5), half_size=(0.5, 0.4, 0.5), softness=0.04, amplitude=9.0,
+                     color=(0.3, 0.3, 0.9)),
+        GroundPlaneField(softness=0.05, amplitude=9.0, color_a=(0.6, 0.6, 0.6), color_b=(0.5, 0.5, 0.5),
+                         checker_size=0.5, dome_radius=3.0, dome_color=(0.5, 0.6, 0.7)),
+    )
+
+
+class TestPublicLayout:
+    """Public outputs keep their shape, C order and bits whatever the
+    memory layout of the points passed in."""
+
+    @staticmethod
+    def _layouts(pts):
+        return {"C": np.ascontiguousarray(pts), "F": np.asfortranarray(pts),
+                "transposed view": np.ascontiguousarray(pts.T).T}
+
+    @staticmethod
+    def _same(got, want):
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.shape == want.shape and got.flags.c_contiguous and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 9])
+    def test_scene_outputs(self, n):
+        fields = _layout_fields()
+        scene = CompositeScene(tuple(fields[i % 4] for i in range(n)))
+        pts = np.random.default_rng(n).uniform(-4, 4, (61, 3))
+        ref = {"evaluate": scene.evaluate(pts), "components": scene.evaluate_components(pts),
+               "density_components": (scene.density_components(pts),), "density": (scene.density(pts),),
+               "with_components": scene.evaluate_with_components(pts)}
+        assert ref["components"][1].shape == (61, n, 3) and ref["with_components"][2].shape == (61, n)
+        for points in self._layouts(pts).values():
+            got = {"evaluate": scene.evaluate(points), "components": scene.evaluate_components(points),
+                   "density_components": (scene.density_components(points),), "density": (scene.density(points),),
+                   "with_components": scene.evaluate_with_components(points)}
+            for name, outputs in ref.items():
+                for g, w in zip(got[name], outputs):
+                    self._same(g, w)
+        point = composite_eval(scene, pts[4])
+        self._same(point.sigmas, scene.density_components(pts[4]))
+        self._same(point.color, scene.evaluate(pts[4])[1])
+
+    def test_field_outputs(self):
+        piecewise = PiecewiseConstantRayField(axis_origin=(0.1, -0.3, 0.2), axis_direction=(0.3, 0.9, -0.2),
+                                              breakpoints=[0.0, 0.7, 1.9, 3.0], sigmas=[0.5, 4.0, 0.0],
+                                              colors=[(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        pts = np.random.default_rng(7).uniform(-4, 4, (61, 3))
+        for field in (*_layout_fields(), piecewise):
+            ref = field.evaluate(pts) + (field.density(pts),)
+            for points in self._layouts(pts).values():
+                for g, w in zip(field.evaluate(points) + (field.density(points),), ref):
+                    self._same(g, w)
+            if field is not piecewise:
+                ref = field.evaluate_with_grad(pts)
+                for points in self._layouts(pts).values():
+                    for g, w in zip(field.evaluate_with_grad(points), ref):
+                        self._same(g, w)

@@ -188,6 +188,31 @@ class TestLayoutIsTheSpec:
             dataclasses.replace(field, **{name: group[0] if size == 1 else group})
 
 
+class TestParamVectorErrors:
+    """A parameter vector is checked for its shape as a whole and for
+    finiteness group by group, so an error names the bad group."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_in_domain_fields(), st.data())
+    def test_non_finite_entry_names_its_group(self, drawn, data):
+        field, vector = drawn
+        at = data.draw(st.integers(0, vector.shape[0] - 1))
+        vector = vector.copy()
+        vector[at] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        starts = np.cumsum([0] + [size for _, size, _ in field.layout])
+        name = field.layout[np.searchsorted(starts, at, side="right") - 1][0]
+        with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+            field.with_params(vector)
+        with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+            field_from_params(field.kind, vector, sigma_max=field.sigma_max)
+
+    @pytest.mark.parametrize("shape", [(9,), (11,), (10, 1), ()])
+    def test_wrong_shape_is_rejected(self, shape):
+        blob = _example_fields()[0]
+        with pytest.raises(ValueError, match=r"^params must have shape \(10,\)"):
+            blob.with_params(np.zeros(shape))
+
+
 class TestDensity:
     @pytest.mark.parametrize("field", _density_fields(), ids=lambda f: f.kind)
     def test_bit_identical_to_evaluate(self, field):

@@ -392,8 +392,8 @@ class TestStackedMixLoss:
                      loss_gradient(scene, batch, iteration, cfg, rng=seed).tobytes()) for seed in (0, 1)]
 
         got = results()
-        monkeypatch.setattr(losses, "_mix", lambda sigmas, colors: stacked_mix(
-            sigmas, stack_colors(colors, sigmas.shape[0])))
+        monkeypatch.setattr(losses, "_mix", lambda sigmas, colors: (lambda total, color: (total, color.T))(
+            *stacked_mix(np.ascontiguousarray(sigmas.T), stack_colors(colors, sigmas.shape[1]))))
         assert got == results()
 
 

@@ -187,6 +187,46 @@ class TestValidation:
         with pytest.raises(SceneFormatError):
             doc_to_scene(doc)
 
+    @pytest.mark.parametrize("key", ["n_coarse", "n_fine", "seed"])
+    @pytest.mark.parametrize("value", ["64", 64.7, 64.0, True, False, None, [64]])
+    def test_quadrature_counts_must_be_integers(self, key, value):
+        doc = scene_to_doc(two_blob_demo_scene(), quadrature=QuadratureConfig(seed=3))
+        doc["quadrature"][key] = value
+        with pytest.raises(SceneFormatError, match=f"{key} must be an integer"):
+            doc_to_scene(doc)
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [False]])
+    def test_stratified_must_be_boolean(self, value):
+        doc = scene_to_doc(two_blob_demo_scene(), quadrature=QuadratureConfig(seed=3))
+        doc["quadrature"]["stratified"] = value
+        with pytest.raises(SceneFormatError, match="stratified must be true or false"):
+            doc_to_scene(doc)
+
+    @pytest.mark.parametrize("value", [[], "n_coarse", 64])
+    def test_quadrature_block_must_be_object(self, value):
+        doc = scene_to_doc(two_blob_demo_scene())
+        doc["quadrature"] = value
+        with pytest.raises(SceneFormatError, match="quadrature block"):
+            doc_to_scene(doc)
+
+    def test_quadrature_types_round_trip(self):
+        quad = QuadratureConfig(n_coarse=2, n_fine=0, seed=2**40, stratified=False)
+        doc = json.loads(dumps_canonical(scene_to_doc(two_blob_demo_scene(), quadrature=quad)))
+        assert doc_to_scene(doc).quadrature == quad
+
+    @pytest.mark.parametrize("value", [5, 0.5, None, True, ["a"], {"name": "a"}])
+    def test_component_name_must_be_string(self, value):
+        doc = self.good_doc()
+        doc["components"][2]["name"] = value
+        with pytest.raises(SceneFormatError, match="component 2 name must be a string"):
+            doc_to_scene(doc)
+
+    def test_non_finite_param_names_its_group(self):
+        doc = self.good_doc()
+        doc["components"][0]["params"][4] = float("nan")  # a blob's scale[1]
+        with pytest.raises(SceneFormatError, match="component 0 .*scale must be finite"):
+            doc_to_scene(doc)
+
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
