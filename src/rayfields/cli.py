@@ -41,7 +41,8 @@ from .scenedoc import (
     save_scene,
     scene_to_doc,
 )
-from .scenegen import PlacementError, SceneGenConfig, _view_samples, default_camera, render_dataset, sample_scene
+from .scenegen import (PlacementError, SceneGenConfig, _view_samples, _view_seed, default_camera, render_dataset,
+                       sample_scene)
 from .transport import QuadratureConfig
 
 __all__ = ["main"]
@@ -174,9 +175,8 @@ def _cmd_render(args) -> int:
     started = time.perf_counter()
     written: list[str] = []
     for v, cam in enumerate(cameras):
-        view_seed = int(np.random.SeedSequence((quad.seed, v)).generate_state(1, dtype=np.uint64)[0])
         try:
-            view = render_ray_grid(scene, pinhole_rays(cam, scene.t_far), replace(quad, seed=view_seed))
+            view = render_ray_grid(scene, pinhole_rays(cam, scene.t_far), replace(quad, seed=_view_seed(quad.seed, v)))
         except MemoryError as exc:
             raise _image_too_large(cam) from exc
         if not np.all(np.isfinite(view.color)):

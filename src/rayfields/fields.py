@@ -185,6 +185,10 @@ class Field(abc.ABC):
         it."""
         raise UnsupportedGradient(f"field kind {self.kind!r} has no parameter gradients")
 
+    def _grad_sources(self, pts: np.ndarray, n: int):
+        """``_raw_density_rows(pts)`` and ``_color_source(pts[:n])``, as one tuple."""
+        return *self._raw_density_rows(pts), *self._color_source(pts[:n])
+
     @property
     def n_params(self) -> int:
         return sum(size for _, size, _ in self.layout) or self.params().shape[0]
@@ -201,6 +205,13 @@ class Field(abc.ABC):
         """New field of the same kind/structure with the given parameters."""
         return replace(self, **self._groups(vector))
 
+    def _with_checked_params(self, vector: np.ndarray) -> "Field":
+        """``with_params`` without ``__post_init__``, for a vector whose every
+        slot has passed its group's domain rule (the fitter checks whole vectors)."""
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__, **self._groups(vector))
+        return out
+
     @classmethod
     def _groups(cls, vector) -> dict:
         """Attribute values of a parameter vector laid out by ``layout``;
@@ -211,7 +222,7 @@ class Field(abc.ABC):
             raise ValueError(f"params must have shape {(size,)}, got {v.shape}")
         groups, at = {}, 0
         for name, size, _ in cls.layout:
-            groups[name] = v[at] if size == 1 else v[at : at + size]
+            groups[name] = float(v[at]) if size == 1 else v[at : at + size]
             at += size
         return groups
 
@@ -476,8 +487,13 @@ class GroundPlaneField(Field):
         s_plane, _, s_dome, _ = self._parts(pts)
         return self._colors(pts, s_plane, s_dome)
 
-    def _raw_density_rows(self, pts):
-        s_plane, rho, s_dome, union = self._parts(pts)
+    def _grad_sources(self, pts, n):
+        """One ``_parts`` pass serves the density rows and the colors."""
+        parts = self._parts(pts)
+        return *self._raw_density_rows(pts, parts), *self._colors(pts[:n], parts[0][:n], parts[2][:n])
+
+    def _raw_density_rows(self, pts, parts=()):
+        s_plane, rho, s_dome, union = parts or self._parts(pts)
         raw = self.amplitude * union
         w = self.softness
         z = pts[:, 2]

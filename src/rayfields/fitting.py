@@ -9,7 +9,9 @@ finite_diff_gradient cross-checks the result.
 The optimizer is Adam with bias correction, a stepwise-halving learning
 rate, global norm clipping, and a skip threshold for pathological steps.
 After every step each parameter is projected back into the box that the
-domain table of fields (``fields._DOMAINS``) gives its layout group.
+domain table of fields (``fields._DOMAINS``) gives its layout group, and the
+scene is rebuilt by a plan made before the loop; only the reported scene goes
+through ``CompositeScene.with_params``.
 """
 
 from __future__ import annotations
@@ -98,15 +100,31 @@ class _Adam:
         return lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def _param_bounds(scene: CompositeScene) -> tuple[np.ndarray, np.ndarray]:
-    """Per-parameter projection box keeping every kind inside its domain;
-    a kind without a layout is left unbounded."""
-    boxes = []
-    for comp in scene.components:
-        domains = [d for _, size, d in comp.layout for _ in range(size)] or ["free"] * comp.n_params
-        boxes += [_DOMAINS[d][2] for d in domains]
-    lo, hi = np.array(boxes).T
-    return lo, hi
+class _Rebuild:
+    """Scene rebuild planned once: ``box`` holds each slot's projection box
+    (``_DOMAINS``); a call checks the whole vector by the rules of
+    ``Field.__post_init__`` (finite, then each domain's test, slot by slot)
+    and rebuilds each component unchecked.  A vector that fails, or any vector
+    of a scene with a layout-less (unbounded) kind, takes ``with_params``."""
+
+    def __init__(self, scene: CompositeScene):
+        self.scene, self.checked = scene, all(c.layout for c in scene.components)
+        domains = [d for c in scene.components
+                   for d in [d for _, size, d in c.layout for _ in range(size)] or ["free"] * c.n_params]
+        self.box = np.array([_DOMAINS[d][2] for d in domains]).T
+        self.rules = [(np.flatnonzero(np.equal(domains, d)), test) for d, (test, _, _) in _DOMAINS.items() if test]
+        ends = np.cumsum([c.n_params for c in scene.components]).tolist()
+        self.spans = list(zip(scene.components, [0] + ends[:-1], ends))
+
+    def accepts(self, params: np.ndarray) -> bool:
+        """Whether ``CompositeScene.with_params`` accepts ``params``."""
+        return bool(np.isfinite(params).all()) and all(test(params[idx]).all() for idx, test in self.rules)
+
+    def __call__(self, params: np.ndarray) -> CompositeScene:
+        if not (self.checked and self.accepts(params)):
+            return self.scene.with_params(params)
+        comps = tuple(c._with_checked_params(params[a:b]) for c, a, b in self.spans)
+        return CompositeScene(comps, self.scene.t_far)
 
 
 def loss_gradient(scene: CompositeScene, batch, iteration: int, config: LossConfig, rng) -> np.ndarray:
@@ -148,7 +166,7 @@ def fit(initial_scene: CompositeScene, dataset, config: FitConfig) -> FitReport:
     n_data = len(data)
     scene = initial_scene
     params = scene.params()
-    lo, hi = _param_bounds(scene)
+    rebuild = _Rebuild(scene)
     adam = _Adam(params.shape[0])
     batch_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 1)))
     trace: list[dict] = []
@@ -167,20 +185,17 @@ def fit(initial_scene: CompositeScene, dataset, config: FitConfig) -> FitReport:
         lr = config.learning_rate * config.decay_factor ** (it // config.decay_every)
         norm = float(np.linalg.norm(grad))
         skip = norm > config.skip_norm
-        if skip:
-            skipped += 1
-        else:
+        skipped += skip
+        if not skip:
             if norm > config.grad_clip_norm:
                 grad = grad * (config.grad_clip_norm / norm)
-            params = np.clip(params - adam.step(grad, lr), lo, hi)
-            scene = scene.with_params(params)
-        entry = dict(breakdown)
-        entry.update(iteration=it, grad_norm=norm, learning_rate=lr, skipped=skip)
-        trace.append(entry)
+            params = np.clip(params - adam.step(grad, lr), *rebuild.box)
+            scene = rebuild(params)
+        trace.append(dict(breakdown, iteration=it, grad_norm=norm, learning_rate=lr, skipped=skip))
 
     return FitReport(
         trace=trace,
-        final_scene=scene,
+        final_scene=initial_scene.with_params(params),
         final_params=params,
         seed=config.seed,
         skipped_steps=skipped,

@@ -11,13 +11,15 @@ jittered point, and overlapping components pay the amount of density not
 explained by the dominant one.
 
 The batched core, ``_loss_eval``, serves total_loss and the fitter's
-gradient.  It evaluates densities at every surface and free-space point and
-colors only at the surface points.  It keeps the layout the mixer works in:
-per-component densities are rows (n, N), and the predicted color and its
-error are channel-major rows (3, B).  The gradient is a vector-Jacobian
-product: per component, one per-point weight vector (zero where the density
-cap binds) is contracted with the kind's density rows, one contiguous row
-per parameter the density depends on, and the color error lands in that
+gradient, on one packed (B, 10) batch array (``_BatchArrays``).  It
+evaluates densities at every surface and free-space point and colors only at
+the surface points, in one kernel pass per component.  It keeps the layout
+the mixer works in: per-component densities are rows (n, N), and the
+predicted color and its error are channel-major rows (3, B).  The gradient
+is a vector-Jacobian product: the per-point weights of all components
+(stacked rows (n, N), zero where the density cap binds) are contracted, one
+component at a time, with the kind's density rows, one contiguous row per
+parameter the density depends on, and the color error lands in that
 component's three color slots, as three sums for a constant-color kind and
 a scatter over per-point slots for the ground plane.  Neither the (N, P)
 density Jacobian nor an (N, 3, P) color Jacobian is formed.
@@ -203,30 +205,31 @@ def k_o_schedule(iteration: int, config: LossConfig) -> float:
 
 @dataclass
 class _BatchArrays:
-    """Sample list flattened to arrays once."""
+    """Sample list flattened once into rows (M, 10) of origin, direction,
+    depth and color, each a view, so a batch is one gather (``take``)."""
 
-    origins: np.ndarray
-    directions: np.ndarray
-    t_obs: np.ndarray
-    colors: np.ndarray
+    packed: np.ndarray
 
     @classmethod
     def from_samples(cls, batch) -> "_BatchArrays":
         batch = list(batch)
         if not batch:
             raise ValueError("batch must be non-empty")
-        return cls(
-            origins=np.concatenate([s.ray.origin for s in batch]).reshape(-1, 3),
-            directions=np.concatenate([s.ray.direction for s in batch]).reshape(-1, 3),
-            t_obs=np.array([s.depth for s in batch]),
-            colors=np.concatenate([s.color for s in batch]).reshape(-1, 3),
-        )
+        return cls(np.column_stack([np.concatenate([s.ray.origin for s in batch]).reshape(-1, 3),
+                                    np.concatenate([s.ray.direction for s in batch]).reshape(-1, 3),
+                                    [s.depth for s in batch],
+                                    np.concatenate([s.color for s in batch]).reshape(-1, 3)]))
+
+    origins = property(lambda self: self.packed[:, 0:3])
+    directions = property(lambda self: self.packed[:, 3:6])
+    t_obs = property(lambda self: self.packed[:, 6])
+    colors = property(lambda self: self.packed[:, 7:10])
 
     def take(self, idx) -> "_BatchArrays":
-        return _BatchArrays(self.origins[idx], self.directions[idx], self.t_obs[idx], self.colors[idx])
+        return _BatchArrays(self.packed[idx])
 
     def __len__(self) -> int:
-        return self.t_obs.shape[0]
+        return self.packed.shape[0]
 
 
 def _loss_eval(scene: CompositeScene, arrays: _BatchArrays, iteration: int,
@@ -244,8 +247,7 @@ def _loss_eval(scene: CompositeScene, arrays: _BatchArrays, iteration: int,
     pos, q = _draw_free_importance(rng, arrays.t_obs, config.n_free_samples)
     f = config.n_free_samples
 
-    t_surf = arrays.t_obs + eps
-    surf_pts = arrays.origins + t_surf[:, None] * arrays.directions
+    surf_pts = arrays.origins + (arrays.t_obs + eps)[:, None] * arrays.directions
     free_pts = (arrays.origins[:, None, :] + pos[:, :, None] * arrays.directions[:, None, :]).reshape(-1, 3)
     stacked, _ = _check_points(np.concatenate([surf_pts, free_pts], axis=0))
 
@@ -256,13 +258,11 @@ def _loss_eval(scene: CompositeScene, arrays: _BatchArrays, iteration: int,
     grads = []
     for i, comp in enumerate(scene.components):
         if want_grads:
-            raw, rows = comp._raw_density_rows(stacked)
+            raw, rows, color, offset = comp._grad_sources(stacked, b)
             sigmas[i] = comp._cap(raw)
             live = None if comp.sigma_max is None else raw < comp.sigma_max
-            color, offset = comp._color_source(surf_pts)
-            inside = (color >= 0.0) & (color <= 1.0)
-            color = np.clip(color, 0.0, 1.0)
-            grads.append((comp, rows, live, color, inside, offset))
+            color, unclipped = color.clip(0.0, 1.0), color
+            grads.append((comp, rows, live, color == unclipped, offset))  # inside [0, 1]: clipping keeps it
         else:
             sigmas[i] = comp._density(stacked)
             color = comp._density_color(surf_pts)[1]
@@ -284,14 +284,8 @@ def _loss_eval(scene: CompositeScene, arrays: _BatchArrays, iteration: int,
     overlap_mean = float(overlap_per_ray.mean())
     overlap_weighted = k_o * overlap_mean
     total = depth_mean + color_mean + overlap_weighted
-    breakdown = {
-        "depth_nll": depth_mean,
-        "color_nll": color_mean,
-        "overlap": overlap_mean,
-        "overlap_weighted": overlap_weighted,
-        "k_o": k_o,
-        "total": total,
-    }
+    breakdown = {"depth_nll": depth_mean, "color_nll": color_mean, "overlap": overlap_mean,
+                 "overlap_weighted": overlap_weighted, "k_o": k_o, "total": total}
     if not want_grads:
         return total, breakdown, None
 
@@ -299,31 +293,37 @@ def _loss_eval(scene: CompositeScene, arrays: _BatchArrays, iteration: int,
     #   d(depth)/dp   = -dsigma_i(surf) / sigma_total + mean_f dsigma_i(free_f) / q_f
     #   d(c_pred)/dp  = [sigma_i * dc_i + (c_i - c_pred) * dsigma_i(surf)] / sigma_total
     #   d(overlap)/dp = dsigma_i(surf) where i is not the dominant component
-    # so the density part is one per-point weight vector contracted with the
-    # density rows (zero where the cap binds), and the color part lands only
-    # in the color parameter slots.  Per-ray arrays are channel-major (3, B).
+    # so the density part is one per-point weight row per component (stacked
+    # (n, N); zero where the cap binds) contracted with its density rows, and
+    # the color part lands only in the color slots.  Per-ray arrays are (3, B).
     color_live = sig_tot_surf > 0.0
     err = np.subtract(c_pred, arrays.colors.T, order="C")  # C order: ``err @ share`` below
     err /= config.sigma_c**2
     err *= color_live
     inv_tot = np.where(color_live, 1.0 / np.where(color_live, sig_tot_surf, 1.0), 0.0)
     d_log = np.where(log_live, 1.0 / np.maximum(sig_tot_surf, LOG_DENSITY_FLOOR), 0.0)
-    weights = np.empty(stacked.shape[0])
-    weights[b:] = (1.0 / (q * f)).ravel()
-    grad_parts = []
-    for i, (comp, rows, live, color, inside, offset) in enumerate(grads):
-        color = color[:, None] if color.ndim == 1 else color.T
-        weights[:b] = inv_tot * _sum3((color - c_pred) * err) - d_log + k_o * (dominant != i)
-        grad = np.zeros(comp.n_params)
-        grad[list(comp.density_params)] = rows @ (weights if live is None else weights * live)
-        share = sig_surf[i] * inv_tot
+    diffs = np.empty((3, n_comp, b))
+    for diff, color in zip(diffs.transpose(1, 0, 2), colors):
+        np.subtract(color[:, None] if color.ndim == 1 else color.T, c_pred, out=diff)
+    diffs *= err[:, None]
+    weights = np.empty((n_comp, stacked.shape[0]))
+    weights[:, :b] = inv_tot * _sum3(diffs) - d_log + k_o * (dominant != np.arange(n_comp)[:, None])
+    weights[:, b:] = (1.0 / (q * f)).ravel()
+    shares = sig_surf * inv_tot
+    grad, at = np.zeros(sum(comp.n_params for comp in scene.components)), 0
+    for (comp, rows, live, inside, offset), w, share in zip(grads, weights, shares):
+        part = grad[at : at + comp.n_params]
+        at += part.shape[0]
+        if live is not None:
+            w *= live
+        part[list(comp.density_params)] = rows @ w
         if np.ndim(offset) == 0:
-            grad[offset : offset + 3] += np.where(inside, err @ share, 0.0)
+            part[offset : offset + 3] += np.where(inside, err @ share, 0.0)
         else:
             slots = offset + np.arange(3)[:, None]
-            grad += np.bincount(slots.ravel(), (err * inside.T * share).ravel(), grad.shape[0])
-        grad_parts.append(grad / b)
-    return total, breakdown, np.concatenate(grad_parts)
+            part += np.bincount(slots.ravel(), (err * inside.T * share).ravel(), part.shape[0])
+    grad /= b
+    return total, breakdown, grad
 
 
 def total_loss(scene: CompositeScene, batch, iteration: int, config: LossConfig, rng) -> tuple[float, dict]:

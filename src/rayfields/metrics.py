@@ -7,18 +7,22 @@ import numpy as np
 __all__ = ["ari", "mse"]
 
 
+def _codes(labels: np.ndarray) -> tuple[np.ndarray, int]:
+    """Labels as codes 0..k-1, and k: integer labels spanning fewer than 64
+    values by their offset from the least (an absent label only adds an empty
+    row or column, which changes no pair count), other labels by their rank
+    (np.unique)."""
+    if labels.dtype.kind in "iu" and int(labels.max()) - int(labels.min()) < 64:
+        codes = (labels - labels.min()).astype(np.intp)
+    else:
+        codes = np.unique(labels, return_inverse=True)[1]
+    return codes, int(codes.max()) + 1
+
+
 def _contingency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Joint label-count table; labels may be any integers."""
-    _, ai = np.unique(a, return_inverse=True)
-    _, bi = np.unique(b, return_inverse=True)
-    n_a = int(ai.max()) + 1
-    n_b = int(bi.max()) + 1
+    """Joint label-count table; labels may be any integers or floats."""
+    (ai, n_a), (bi, n_b) = _codes(a), _codes(b)
     return np.bincount(ai * n_b + bi, minlength=n_a * n_b).reshape(n_a, n_b)
-
-
-def _comb2(x) -> int:
-    x = int(x)
-    return x * (x - 1) // 2
 
 
 def ari(pred, truth, restrict_to_fg: bool = False) -> float:
@@ -45,10 +49,10 @@ def ari(pred, truth, restrict_to_fg: bool = False) -> float:
         raise ValueError("need at least two pixels to score")
 
     table = _contingency(p, t)
-    sum_cells = int(sum(_comb2(v) for v in table.ravel()))
-    sum_rows = int(sum(_comb2(v) for v in table.sum(axis=1)))
-    sum_cols = int(sum(_comb2(v) for v in table.sum(axis=0)))
-    pairs = _comb2(n)
+    sum_cells = sum(v * (v - 1) // 2 for v in table.ravel().tolist())
+    sum_rows = sum(v * (v - 1) // 2 for v in table.sum(axis=1).tolist())
+    sum_cols = sum(v * (v - 1) // 2 for v in table.sum(axis=0).tolist())
+    pairs = n * (n - 1) // 2
 
     # ari = (pairs * sum_cells - sum_rows * sum_cols) /
     #       (pairs * (sum_rows + sum_cols) / 2 - sum_rows * sum_cols)

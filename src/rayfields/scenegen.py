@@ -301,6 +301,11 @@ def ground_truth_maps(scene: CompositeScene, grid: RayGrid, background_last: boo
     return depth.reshape(h, w), labels.reshape(h, w).astype(np.int32)
 
 
+def _view_seed(seed: int, view: int) -> int:
+    """Render seed of rig view ``view`` under quadrature seed ``seed``."""
+    return int(np.random.SeedSequence((seed, view)).generate_state(1, dtype=np.uint64)[0])
+
+
 def render_dataset(scene: CompositeScene, rig, resolution: int | None,
                    quad: QuadratureConfig) -> list[GroundTruth]:
     """Supervision for each rig view: rendered colors plus analytic depth/mask.
@@ -312,8 +317,7 @@ def render_dataset(scene: CompositeScene, rig, resolution: int | None,
         if resolution is not None:
             camera = replace(camera, width=resolution, height=resolution)
         grid = pinhole_rays(camera, scene.t_far)
-        view_seed = int(np.random.SeedSequence((quad.seed, v)).generate_state(1, dtype=np.uint64)[0])
-        rendered = render_ray_grid(scene, grid, replace(quad, seed=view_seed))
+        rendered = render_ray_grid(scene, grid, replace(quad, seed=_view_seed(quad.seed, v)))
         depth, mask = ground_truth_maps(scene, grid)
         views.append(GroundTruth(camera=camera, rgb=rendered.color, depth=depth, mask=mask))
     return views

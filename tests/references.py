@@ -1,24 +1,30 @@
 """Earlier versions of the field kernels, of the color Jacobians, of the
 color mixer, of the points-major render-batch reductions and of the
-single-ray transport routines and observation sampler, kept as references,
-plus hypothesis strategies for fields, scenes, points and rays.
+single-ray transport routines and observation sampler, and of the fit loop
+with its loss core and RGB-D batch, kept as references, plus hypothesis
+strategies for fields, scenes, points and rays.
 
 The package's kernels avoid boolean-mask gathers, short-axis reductions and
 (N, n, 3) color stacks, its render batch is component-major and
 channel-major, and its transport routines share one panel primitive and one
-compositor; each must still equal the plainer version here bit for bit (the
-transport routines whose panel midpoints moved to the sampler's formula to
-within 1e-12 relative).
+compositor, and its fit loop checks each step's parameters once, gathers
+one packed batch and stacks its gradient weights over components; each must
+still equal the plainer version here bit for bit (the transport routines
+whose panel midpoints moved to the sampler's formula to within 1e-12
+relative).
 """
 
 import numpy as np
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rayfields.compose import NEUTRAL_COLOR, CompositeScene
-from rayfields.fields import GaussianBlobField, GroundPlaneField, SoftBoxField, SoftSphereField
+from rayfields.compose import NEUTRAL_COLOR, CompositeScene, _mix, _total
+from rayfields.fields import (LOG_DENSITY_FLOOR, _DOMAINS, GaussianBlobField, GroundPlaneField, SoftBoxField,
+                              SoftSphereField, _check_points, _sum3)
+from rayfields.fitting import _Adam
 from rayfields.geometry import Ray, RayGrid, ray_at
-from rayfields.losses import RgbdSample
+from rayfields.losses import (RgbdSample, _as_rng, _color_nll_values, _depth_nll, _draw_free_importance,
+                              _draw_jitter, k_o_schedule)
 from rayfields.transport import EMPTY_WEIGHT_EPS, RenderResult
 
 
@@ -266,6 +272,126 @@ def reference_sample_observations(scene, grid, seed, n_panels=2048, depth_offset
     keep = np.flatnonzero(np.isfinite(depths) & (depths > 0.0) & (depths < t_fars))
     _, colors = scene.evaluate(grid.origins[keep] + depths[keep, None] * grid.directions[keep])
     return [RgbdSample(ray=grid.ray(int(i)), color=colors[j], depth=float(depths[i])) for j, i in enumerate(keep)]
+
+
+
+class ReferenceBatch:
+    """The RGB-D batch as four arrays (origins, directions, depths, colors),
+    gathered one by one."""
+
+    def __init__(self, origins, directions, t_obs, colors):
+        self.origins, self.directions, self.t_obs, self.colors = origins, directions, t_obs, colors
+
+    @classmethod
+    def from_samples(cls, batch):
+        batch = list(batch)
+        return cls(np.concatenate([s.ray.origin for s in batch]).reshape(-1, 3),
+                   np.concatenate([s.ray.direction for s in batch]).reshape(-1, 3),
+                   np.array([s.depth for s in batch]),
+                   np.concatenate([s.color for s in batch]).reshape(-1, 3))
+
+    def take(self, idx):
+        return ReferenceBatch(self.origins[idx], self.directions[idx], self.t_obs[idx], self.colors[idx])
+
+    def __len__(self):
+        return self.t_obs.shape[0]
+
+
+def reference_loss_eval(scene, arrays, iteration, config, rng, want_grads):
+    """The loss core with one gradient pass per component: its surface
+    weights and color share built from its own (3, B) arithmetic, and the
+    ground plane's kernel evaluated again for its surface colors."""
+    rng = _as_rng(rng)
+    b = len(arrays)
+    eps = _draw_jitter(rng, b, config.delta)
+    pos, q = _draw_free_importance(rng, arrays.t_obs, config.n_free_samples)
+    f = config.n_free_samples
+    surf_pts = arrays.origins + (arrays.t_obs + eps)[:, None] * arrays.directions
+    free_pts = (arrays.origins[:, None, :] + pos[:, :, None] * arrays.directions[:, None, :]).reshape(-1, 3)
+    stacked, _ = _check_points(np.concatenate([surf_pts, free_pts], axis=0))
+    sigmas = np.empty((scene.n, stacked.shape[0]))
+    colors, grads = [], []
+    for i, comp in enumerate(scene.components):
+        if want_grads:
+            raw, rows = comp._raw_density_rows(stacked)
+            sigmas[i] = comp._cap(raw)
+            live = None if comp.sigma_max is None else raw < comp.sigma_max
+            color, offset = comp._color_source(surf_pts)
+            inside = (color >= 0.0) & (color <= 1.0)
+            color = np.clip(color, 0.0, 1.0)
+            grads.append((comp, rows, live, color, inside, offset))
+        else:
+            sigmas[i] = comp._density(stacked)
+            color = comp._density_color(surf_pts)[1]
+        colors.append(color)
+    sig_surf = sigmas[:, :b]
+    sig_tot_free = _total(sigmas[:, b:]).reshape(b, f)
+    sig_tot_surf, c_pred = _mix(sig_surf, colors)
+    log_live = sig_tot_surf > LOG_DENSITY_FLOOR
+    depth_per_ray = _depth_nll(sig_tot_surf, sig_tot_free, arrays.t_obs, q)
+    color_per_ray = _color_nll_values(c_pred.T, arrays.colors, config.sigma_c)
+    dominant = np.argmax(sig_surf, axis=0)
+    overlap_per_ray = sig_tot_surf - sig_surf[dominant, np.arange(b)]
+    k_o = k_o_schedule(iteration, config)
+    depth_mean = float(depth_per_ray.mean())
+    color_mean = float(color_per_ray.mean())
+    overlap_mean = float(overlap_per_ray.mean())
+    total = depth_mean + color_mean + k_o * overlap_mean
+    breakdown = {"depth_nll": depth_mean, "color_nll": color_mean, "overlap": overlap_mean,
+                 "overlap_weighted": k_o * overlap_mean, "k_o": k_o, "total": total}
+    if not want_grads:
+        return total, breakdown, None
+    color_live = sig_tot_surf > 0.0
+    err = np.subtract(c_pred, arrays.colors.T, order="C")
+    err /= config.sigma_c**2
+    err *= color_live
+    inv_tot = np.where(color_live, 1.0 / np.where(color_live, sig_tot_surf, 1.0), 0.0)
+    d_log = np.where(log_live, 1.0 / np.maximum(sig_tot_surf, LOG_DENSITY_FLOOR), 0.0)
+    weights = np.empty(stacked.shape[0])
+    weights[b:] = (1.0 / (q * f)).ravel()
+    grad_parts = []
+    for i, (comp, rows, live, color, inside, offset) in enumerate(grads):
+        color = color[:, None] if color.ndim == 1 else color.T
+        weights[:b] = inv_tot * _sum3((color - c_pred) * err) - d_log + k_o * (dominant != i)
+        grad = np.zeros(comp.n_params)
+        grad[list(comp.density_params)] = rows @ (weights if live is None else weights * live)
+        share = sig_surf[i] * inv_tot
+        if np.ndim(offset) == 0:
+            grad[offset : offset + 3] += np.where(inside, err @ share, 0.0)
+        else:
+            slots = offset + np.arange(3)[:, None]
+            grad += np.bincount(slots.ravel(), (err * inside.T * share).ravel(), grad.shape[0])
+        grad_parts.append(grad / b)
+    return total, breakdown, np.concatenate(grad_parts)
+
+
+def reference_fit(initial_scene, samples, config):
+    """The fit loop rebuilding its scene through ``CompositeScene.with_params``
+    after every step, on a ``ReferenceBatch`` and ``reference_loss_eval``:
+    (trace, final scene, final params, skipped steps)."""
+    data = ReferenceBatch.from_samples(samples)
+    scene = initial_scene
+    params = scene.params()
+    lo, hi = np.array([_DOMAINS[d][2] for c in scene.components for _, size, d in c.layout for _ in range(size)]).T
+    adam = _Adam(params.shape[0])
+    batch_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 1)))
+    trace, skipped = [], 0
+    for it in range(config.iterations):
+        idx = batch_rng.choice(len(data), size=min(config.batch_size, len(data)), replace=False)
+        loss_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 2, it)))
+        _, breakdown, grad = reference_loss_eval(scene, data.take(idx), it, config.loss, loss_rng, True)
+        lr = config.learning_rate * config.decay_factor ** (it // config.decay_every)
+        norm = float(np.linalg.norm(grad))
+        skip = norm > config.skip_norm
+        if skip:
+            skipped += 1
+        else:
+            if norm > config.grad_clip_norm:
+                grad = grad * (config.grad_clip_norm / norm)
+            params = np.clip(params - adam.step(grad, lr), lo, hi)
+            scene = scene.with_params(params)
+        trace.append(dict(breakdown, iteration=it, grad_norm=norm, learning_rate=lr, skipped=skip))
+    return trace, scene, params, skipped
 
 
 # Strategies.  Field parameters stay in ranges where no kernel overflows, so

@@ -1,13 +1,18 @@
 """Tests for the gradient fitter: analytic gradients, reproducibility,
 projection, divergence detection, and the learning-rate/skip machinery."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rayfields as rf
 from rayfields import losses
 from rayfields.fields import PiecewiseConstantRayField, UnsupportedGradient
-from rayfields.fitting import FitConfig, FitDivergence, finite_diff_gradient, fit, loss_gradient
+from rayfields.fitting import FitConfig, FitDivergence, _Rebuild, finite_diff_gradient, fit, loss_gradient
 from rayfields.geometry import Camera, Ray, pinhole_rays
 from rayfields.compose import NEUTRAL_COLOR
 from rayfields.fields import LOG_DENSITY_FLOOR
@@ -23,7 +28,8 @@ from rayfields.losses import (
 )
 from rayfields.scenegen import surface_samples
 
-from references import reference_color_jacobian, reference_density_grad, stack_colors, stacked_mix
+from references import (SCENES, ReferenceBatch, reference_color_jacobian, reference_density_grad, reference_fit,
+                        reference_loss_eval, stack_colors, stacked_mix)
 
 
 def two_blob_scene() -> rf.CompositeScene:
@@ -516,3 +522,135 @@ class TestFit:
         data = scene_samples(target, side=5)
         rep = fit(self.perturbed(target), data, FitConfig(iterations=3, batch_size=4096, seed=0))
         assert len(rep.trace) == 3
+
+
+def checker_off_case():
+    """all_kinds_case with the ground plane's checker turned off."""
+    scene, batch = all_kinds_case()
+    ground = dataclasses.replace(scene.components[3], checker_size=0.0)
+    return rf.CompositeScene(scene.components[:3] + (ground,), t_far=scene.t_far), batch
+
+
+def scene_attributes(scene):
+    """Every attribute of every component, as (kind, name, type, bytes)."""
+    return [(type(c).__name__, name, type(value), np.asarray(value).tobytes())
+            for c in scene.components for name, value in sorted(vars(c).items())]
+
+
+class TestFitFixedPoint:
+    """fit equals the loop that rebuilds its scene through with_params every
+    step, gathers four arrays per batch and weights each component's
+    gradient in its own pass (tests/references.py), bit for bit."""
+
+    # Three free-space samples, a k_o ramp across the run, a clip norm most
+    # steps exceed and a skip norm a few steps exceed.
+    CONFIG = FitConfig(iterations=30, batch_size=32, seed=4, learning_rate=0.02, grad_clip_norm=5.0,
+                       skip_norm=30.0, loss=LossConfig(n_free_samples=3, ramp_start=5, ramp_end=20))
+
+    @pytest.mark.parametrize("case", [all_kinds_case, checker_off_case], ids=lambda c: c.__name__)
+    def test_matches_reference_loop(self, case):
+        scene, batch = case()
+        rep = fit(scene, batch, self.CONFIG)
+        trace, ref_scene, ref_params, ref_skipped = reference_fit(scene, batch, self.CONFIG)
+        assert rep.final_params.tobytes() == ref_params.tobytes()
+        assert rep.trace == trace
+        assert scene_attributes(rep.final_scene) == scene_attributes(ref_scene)
+        assert rep.skipped_steps == ref_skipped
+        # The run reaches every regime it is meant to cover.
+        assert 0 < rep.skipped_steps < self.CONFIG.iterations
+        assert any(e["grad_norm"] > self.CONFIG.grad_clip_norm and not e["skipped"] for e in rep.trace)
+        k_o = [e["k_o"] for e in rep.trace]
+        assert k_o[0] == 0.0 and 0.0 < k_o[10] < self.CONFIG.loss.k_o_max and k_o[-1] == self.CONFIG.loss.k_o_max
+        assert not np.array_equal(rep.final_params, scene.params())
+
+    def test_rebuilds_through_with_params_once(self, monkeypatch):
+        scene, batch = all_kinds_case()
+        calls = []
+        checked = rf.CompositeScene.with_params
+
+        def counting(self, vector):
+            calls.append(1)
+            return checked(self, vector)
+
+        monkeypatch.setattr(rf.CompositeScene, "with_params", counting)
+        rep = fit(scene, batch, FitConfig(iterations=12, batch_size=16, seed=2, learning_rate=0.02))
+        assert rep.skipped_steps == 0
+        assert len(calls) <= 1
+
+    @pytest.mark.parametrize("config", sorted(TestGradientAssembly.CONFIGS))
+    @pytest.mark.parametrize("case", [lone_component_case, empty_rays_case, all_kinds_case, fit_mix_case,
+                                      nine_components_case], ids=lambda c: c.__name__)
+    def test_packed_batch_matches_four_arrays(self, case, config):
+        scene, batch = case()
+        cfg, iteration = TestGradientAssembly.CONFIGS[config]
+        packed, four = _BatchArrays.from_samples(batch), ReferenceBatch.from_samples(batch)
+        idx = np.random.default_rng(3).choice(len(batch), size=len(batch) - 2, replace=False)
+        for got, want in ((packed, four), (packed.take(idx), four.take(idx))):
+            for name in ("origins", "directions", "t_obs", "colors"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            assert len(got) == len(want)
+        for seed in (0, 1):
+            total, breakdown = total_loss(scene, packed, iteration, cfg, rng=seed)
+            grad = loss_gradient(scene, packed, iteration, cfg, rng=seed)
+            ref_total, ref_breakdown, _ = reference_loss_eval(scene, four, iteration, cfg, seed, False)
+            _, _, ref_grad = reference_loss_eval(scene, four, iteration, cfg, seed, True)
+            assert (total, breakdown) == (ref_total, ref_breakdown)
+            assert grad.tobytes() == ref_grad.tobytes()
+
+
+# Values each slot is set to: non-finite, zero of both signs and the least
+# subnormals of both signs, so every domain rule is met and missed.
+EDGE_VALUES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324]
+
+
+def _accepted_by_with_params(scene, vector):
+    try:
+        scene.with_params(vector)
+    except ValueError:
+        return False
+    return True
+
+
+class TestRebuildCheck:
+    """The fitter's whole-vector check accepts exactly the vectors that
+    CompositeScene.with_params accepts, and its rebuilt scene equals the
+    checked one."""
+
+    def test_every_slot_of_every_kind(self):
+        scene, _ = all_kinds_case()
+        rebuild = _Rebuild(scene)
+        base = scene.params()
+        for at in range(base.shape[0]):
+            for value in EDGE_VALUES:
+                vector = base.copy()
+                vector[at] = value
+                accepted = _accepted_by_with_params(scene, vector)
+                assert rebuild.accepts(vector) == accepted, (at, value)
+                if accepted:
+                    assert scene_attributes(rebuild(vector)) == scene_attributes(scene.with_params(vector))
+                else:
+                    with pytest.raises(ValueError):
+                        rebuild(vector)
+
+    @settings(max_examples=150, deadline=None)
+    @given(SCENES, st.data())
+    def test_random_vectors(self, scene, data):
+        rebuild = _Rebuild(scene)
+        vector = scene.params()
+        entries = st.sampled_from(EDGE_VALUES) | st.floats(-1e3, 1e3)
+        for at in data.draw(st.lists(st.integers(0, vector.shape[0] - 1), max_size=4)):
+            vector[at] = data.draw(entries)
+        accepted = _accepted_by_with_params(scene, vector)
+        assert rebuild.accepts(vector) == accepted
+        if accepted:
+            assert scene_attributes(rebuild(vector)) == scene_attributes(scene.with_params(vector))
+
+    def test_kind_without_layout_uses_with_params(self):
+        ray = Ray((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 10.0)
+        piecewise = PiecewiseConstantRayField.on_ray(ray, [0.0, 1.0, 2.0], [0.5, 1.0], [[0.1, 0.2, 0.3]] * 2)
+        scene = rf.CompositeScene((piecewise,), t_far=10.0)
+        vector = scene.params() + 0.25
+        rebuilt = _Rebuild(scene)(vector)
+        assert scene_attributes(rebuilt) == scene_attributes(scene.with_params(vector))
+        with pytest.raises(ValueError):
+            _Rebuild(scene)(np.full(vector.shape, -1.0))

@@ -13,9 +13,12 @@ with the production implementation pins down a real defect.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rayfields.metrics import ari, mse
 
@@ -188,3 +191,73 @@ class TestMse:
     def test_empty_selection_rejected(self):
         with pytest.raises(ValueError):
             mse(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2), dtype=bool))
+
+
+def exact_pair_ari(pred, truth) -> float:
+    """ARI from explicit pair counts in exact rational arithmetic, rounded
+    once; labels compare with ``==``, so any dtype works."""
+    pred, truth = list(pred), list(truth)
+    n11 = n10 = n01 = n00 = 0
+    for i, j in itertools.combinations(range(len(pred)), 2):
+        together = (pred[i] == pred[j], truth[i] == truth[j])
+        n11 += together == (True, True)
+        n10 += together == (True, False)
+        n01 += together == (False, True)
+        n00 += together == (False, False)
+    denom = (n11 + n10) * (n10 + n00) + (n11 + n01) * (n01 + n00)
+    if denom == 0:
+        return 1.0 if n10 == n01 == 0 else 0.0
+    return float(Fraction(2 * (n11 * n00 - n10 * n01), denom))
+
+
+# Label maps of every kind ari takes: small integers of several widths with
+# negative labels, integers near the int64 and uint64 limits (ranked, not
+# offset), floats (with -0.0 and 0.0 as one label) and booleans.
+LABELS = st.sampled_from([
+    (np.int8, st.integers(-128, 127)),
+    (np.int32, st.integers(-4, 4)),
+    (np.int64, st.integers(-3, 3)),
+    (np.int64, st.sampled_from([-2**63, -2**63 + 1, 0, 2**63 - 2, 2**63 - 1])),
+    (np.uint8, st.integers(0, 5)),
+    (np.uint64, st.sampled_from([0, 1, 2**63, 2**64 - 1])),
+    (np.float64, st.sampled_from([-1.5, -0.0, 0.0, 0.5, 2.25])),
+    (np.bool_, st.booleans()),
+])
+
+
+@st.composite
+def label_maps(draw, n):
+    dtype, values = draw(LABELS)
+    return np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=dtype)
+
+
+class TestAriLabelKinds:
+    """ari equals the exact pair-count value, bit for bit, on every label
+    kind, whether the contingency table counts offsets or ranks."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 14).flatmap(lambda n: st.tuples(label_maps(n), label_maps(n))), st.booleans())
+    def test_matches_exact_pair_counts(self, maps, restrict_to_fg):
+        pred, truth = maps
+        if restrict_to_fg:
+            keep = truth > 0
+            if keep.sum() < 2:
+                with pytest.raises(ValueError):
+                    ari(pred, truth, restrict_to_fg=True)
+                return
+            expected = exact_pair_ari(pred[keep], truth[keep])
+        else:
+            expected = exact_pair_ari(pred, truth)
+        assert ari(pred, truth, restrict_to_fg=restrict_to_fg) == expected
+
+    @pytest.mark.parametrize("pred, truth", [
+        (np.full(5, 7), np.full(5, -2)),
+        (np.full(4, 2**63 - 1), np.full(4, 0.5)),
+        (np.ones(3, dtype=bool), np.zeros(3, dtype=np.uint8)),
+        (np.arange(5), np.arange(5)[::-1] * 3 - 4),
+        (np.array([-2**63, 0, 2**63 - 1]), np.array([0.5, -1.0, 2.0])),
+        (np.array([True, False]), np.array([3, 4], dtype=np.int8)),
+    ])
+    def test_degenerate_denominators(self, pred, truth):
+        # Both maps one cluster, or both all singletons: 0/0, scored 1.
+        assert ari(pred, truth) == 1.0 == exact_pair_ari(pred, truth)
