@@ -119,10 +119,8 @@ def _load_document(path: str):
 
 def _quad_from_args(args, doc_quad: QuadratureConfig | None) -> QuadratureConfig:
     # Two coarse samples is the quadrature minimum; zero fine samples renders coarse-only.
-    if args.n_coarse is not None and args.n_coarse < 2:
-        raise _InputError(f"--n-coarse must be >= 2, got {args.n_coarse}")
-    if args.n_fine is not None and args.n_fine < 0:
-        raise _InputError(f"--n-fine must be >= 0, got {args.n_fine}")
+    _require_at_least(2, args, "--n-coarse")
+    _require_at_least(0, args, "--n-fine", "--seed")
     quad = doc_quad or QuadratureConfig()
     if args.n_coarse is not None:
         quad = replace(quad, n_coarse=args.n_coarse)
@@ -139,12 +137,12 @@ def _add_quad_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="sampling seed")
 
 
-def _require_positive(args, *flags: str) -> None:
-    """Reject an integer flag below 1 as bad input."""
+def _require_at_least(minimum: int, args, *flags: str) -> None:
+    """Reject an integer flag below ``minimum`` as bad input."""
     for flag in flags:
         value = getattr(args, flag[2:].replace("-", "_"))
-        if value is not None and value < 1:
-            raise _InputError(f"{flag} must be >= 1, got {value}")
+        if value is not None and value < minimum:
+            raise _InputError(f"{flag} must be >= {minimum}, got {value}")
 
 
 def _ensure_out_dir(path: str) -> None:
@@ -159,7 +157,7 @@ def _image_too_large(camera: Camera) -> _InputError:
 
 
 def _cmd_render(args) -> int:
-    _require_positive(args, "--resolution")
+    _require_at_least(1, args, "--resolution")
     doc = _load_document(args.scene)
     scene = doc.scene
     camera = doc.camera
@@ -195,7 +193,8 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    _require_positive(args, "--resolution")
+    _require_at_least(1, args, "--resolution")
+    _require_at_least(0, args, "--scene-seed")
     quad = _quad_from_args(args, None)
     try:
         config = SceneGenConfig(
@@ -285,7 +284,8 @@ def _load_samples(data_dir: str, camera: Camera, t_far: float) -> list[RgbdSampl
 
 
 def _cmd_fit(args) -> int:
-    _require_positive(args, "--iterations", "--batch-size", "--trace-points")
+    _require_at_least(1, args, "--iterations", "--batch-size", "--trace-points")
+    _require_at_least(0, args, "--fit-seed")
     data_doc = _load_document(os.path.join(args.data, "scene.json"))
     if data_doc.camera is None:
         raise _InputError("dataset scene.json has no camera block")
@@ -365,10 +365,8 @@ def _cmd_fit(args) -> int:
 
 def _cmd_bias_demo(args) -> int:
     # Two coarse samples is the quadrature minimum; a standard error needs two trials.
-    if args.k < 2:
-        raise _InputError(f"--k must be >= 2, got {args.k}")
-    if args.n_trials < 2:
-        raise _InputError(f"--n-trials must be >= 2, got {args.n_trials}")
+    _require_at_least(2, args, "--k", "--n-trials")
+    _require_at_least(0, args, "--seed")
     started = time.perf_counter()
     result = estimlab.stratified_bias_demo(
         k=args.k, n_trials=args.n_trials, seed=args.seed or 0, hierarchical=args.hierarchical

@@ -13,7 +13,11 @@ per-component densities are contiguous rows (n, N) and colors are rows
 whose color is the same everywhere hands over a single (3,) row, and
 ``_mix`` adds the density-weighted colors one component at a time, so no
 (N, n, 3) color array is built on the render, ``evaluate``,
-``composite_eval`` or loss paths.  The public methods return points-major
+``composite_eval`` or loss paths.  ``transport._total`` sums the (n, N)
+rows over components in the order NumPy summed (N, n) points.  A render
+batch is samples-major on top of that (see transport.py): its component
+densities are (n, S, N), so the component masses sum whole (n, N) rows
+over samples.  The public methods return points-major
 C-ordered arrays ((N, n) densities, (N, 3) colors), as they always have.
 """
 
@@ -27,7 +31,7 @@ from . import transport
 from ._threads import block_rows, chunked_row_map
 from .fields import Field, UnsupportedGradient, _channel_rows, _check_points
 from .geometry import Ray, RayGrid, ray_at
-from .transport import EMPTY_WEIGHT_EPS, QuadratureConfig, RenderResult
+from .transport import EMPTY_WEIGHT_EPS, QuadratureConfig, RenderResult, _sum_samples, _total
 
 __all__ = [
     "NEUTRAL_COLOR",
@@ -51,38 +55,6 @@ NEUTRAL_COLOR = np.array([0.5, 0.5, 0.5])
 
 # Label for rays that hit nothing.
 EMPTY_SEGMENT = -1
-
-
-def _pairwise(rows: np.ndarray) -> np.ndarray:
-    """NumPy's pairwise sum of 8 or more rows: eight lanes added row by row,
-    folded as ((0+1)+(2+3))+((4+5)+(6+7)), then the leftover rows in
-    order; blocks of more than 128 rows are split in two (at a multiple of
-    8) and summed recursively."""
-    n = rows.shape[0]
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        return _pairwise(rows[:half]) + _pairwise(rows[half:])
-    lanes = rows[:8].copy()
-    tail = n - n % 8
-    for at in range(8, tail, 8):
-        lanes += rows[at : at + 8]
-    out = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
-    for row in rows[tail:]:
-        out += row
-    return out
-
-
-def _total(sigmas: np.ndarray) -> np.ndarray:
-    """Sum over components of densities given as rows (n, N), bit-identical
-    to ``sum(axis=1)`` of the same values as a C-ordered (N, n) array.
-    NumPy adds such a short contiguous axis from 0.0, left to right below 8
-    components and pairwise from 8 on; both are reproduced here on whole
-    rows, so no (N, n) buffer is built."""
-    if sigmas.shape[0] < 8:
-        return sigmas.sum(axis=0)  # an outer-axis sum: 0.0, then row by row
-    out = _pairwise(sigmas)
-    out += 0.0  # the 0.0 NumPy starts from: -0.0 becomes 0.0
-    return out
 
 
 def _mix(sigmas: np.ndarray, colors) -> tuple[np.ndarray, np.ndarray]:
@@ -247,20 +219,21 @@ def joint_depth_component_pdf(scene: CompositeScene, ray: Ray, t: float, quad: Q
 
 
 def _marginals_from_batch(batch: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Component mass per ray (N, n) from a render batch: sum over samples
-    of weight * sigma_i / sigma_total, with the per-component densities the
-    batch was composited from ((n, N, S)); residual is survival to t_far.
+    """Component mass per ray (N, n) from a samples-major render batch: sum
+    over samples of weight * sigma_i / sigma_total, with the per-component
+    densities the batch was composited from ((n, S, N)); residual is
+    survival to t_far.
 
     Where the total vanishes, so does every share, and the sample adds 0.
-    The sums run over samples in the order ``sum(axis=1)`` reduced the
-    (N, S, n) products in: one after the other from 0.0, except that a lone
+    The sums run over samples in the order ``sum(axis=1)`` reduced (N, S, n)
+    products in: one after the other from 0.0, except that a lone
     component's are summed pairwise (its component axis has length 1, so
     the samples axis was contiguous)."""
     share = batch["sigmas"]
     sig_tot = batch["sigma"]
     terms = share / np.where(sig_tot > 0.0, sig_tot, 1.0)
     terms *= batch["weights"]
-    marginal = terms.sum(axis=-1) if share.shape[0] == 1 else transport._sum_samples(terms)
+    marginal = _total(terms[0])[None] if share.shape[0] == 1 else _sum_samples(terms)
     return np.ascontiguousarray(marginal.T), batch["transmittance_far"]
 
 

@@ -24,6 +24,7 @@ import numpy as np
 from .compose import CompositeScene
 from .fields import _DOMAINS
 from .losses import LossConfig, _BatchArrays, _loss_eval
+from .transport import _check_integer
 
 __all__ = [
     "FitConfig",
@@ -58,9 +59,9 @@ class FitConfig:
     loss: LossConfig = dc_field(default_factory=LossConfig)
 
     def __post_init__(self):
-        if self.iterations < 1 or self.batch_size < 1:
-            raise ValueError("iterations and batch_size must be >= 1")
-        if self.learning_rate <= 0 or self.decay_every < 1 or not 0 < self.decay_factor <= 1:
+        for name, minimum in (("iterations", 1), ("batch_size", 1), ("decay_every", 1), ("seed", 0)):
+            _check_integer(getattr(self, name), name, minimum)
+        if self.learning_rate <= 0 or not 0 < self.decay_factor <= 1:
             raise ValueError("bad learning-rate schedule")
         if self.grad_clip_norm <= 0 or self.skip_norm <= 0:
             raise ValueError("grad_clip_norm and skip_norm must be positive")

@@ -12,11 +12,16 @@ densities and optical depth, read by transmittance, the probability balance
 and the observation sampler) and ``_composite`` (samples to weights, color,
 depth and alpha).  A single ray is a one-row batch of the same path.
 
-A batch of N rays with S samples each keeps its arrays channel-major and
-component-major: sample points are an (N*S, 3) view of rows (3, N*S), so
-the field kernels read each coordinate contiguously; colors are (3, N, S)
-and per-component densities (n, N, S), and both are summed over samples
-along their last axis.
+A render batch of N rays with S samples each is samples-major, channel-major
+and component-major: depths, densities, widths and weights are (S, N),
+colors (3, S, N) and per-component densities (n, S, N), and sample points
+are an (S*N, 3) view of rows (3, S*N), so the field kernels read each
+coordinate contiguously and a sum over samples adds whole rows.  The sums
+keep the order NumPy used on the rows (N, S) that the batch replaced:
+``_total`` pairwise for weights and depths, ``_sum_samples`` one sample
+after the other for colors and component masses.  Only the random draws and
+the fine depths drawn from them are rows (N, S), and the panel primitive
+keeps rows (N, n_panels).
 """
 
 from __future__ import annotations
@@ -52,6 +57,15 @@ __all__ = [
 EMPTY_WEIGHT_EPS = 1e-6
 
 
+def _check_integer(value, what: str, minimum: int) -> None:
+    """Reject a bool or a non-integer (NumPy integers pass) with TypeError
+    and an integer below ``minimum`` with ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{what} must be >= {minimum}, got {value}")
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Sample counts and RNG seed for ray integration."""
@@ -62,10 +76,9 @@ class QuadratureConfig:
     stratified: bool = True
 
     def __post_init__(self):
-        if self.n_coarse < 2:
-            raise ValueError("n_coarse must be >= 2")
-        if self.n_fine < 0:
-            raise ValueError("n_fine must be >= 0")
+        _check_integer(self.n_coarse, "n_coarse", 2)
+        _check_integer(self.n_fine, "n_fine", 0)
+        _check_integer(self.seed, "seed", 0)
 
 
 @dataclass(frozen=True)
@@ -106,7 +119,7 @@ class RaySamples:
         at 0, last ends at t_far), so widths always sum to t_far."""
         t = np.sort(np.asarray(t, dtype=np.float64))
         sigma, color = field.evaluate(ray_at(ray, t), ray.direction)
-        delta = _ownership_deltas(t[None, :], np.array([ray.t_far]))[0]
+        delta = _ownership_deltas(t[:, None], np.array([ray.t_far]))[:, 0]
         return cls(t, sigma, color, delta)
 
 
@@ -128,21 +141,57 @@ class RenderResult:
     empty: bool
 
 
-def _ray_points(origins, dirs, t):
-    """Points origin + t * direction for rows of depths t (N, S), in row
-    order, as an (N*S, 3) view of channel-major rows (3, N*S)."""
-    rows = np.multiply(t, dirs.T[:, :, None])
-    rows += origins.T[:, :, None]
+def _ray_points(origin_rows, dir_rows, t):
+    """Points origin + t * direction in the order of the depths ``t``, as a
+    (t.size, 3) view of channel-major rows; the origin and direction rows
+    (3, ...) broadcast against ``t``."""
+    rows = np.multiply(t, dir_rows, order="C")
+    rows += origin_rows
     return rows.reshape(3, -1).T
 
 
+def _pairwise(rows: np.ndarray) -> np.ndarray:
+    """NumPy's pairwise sum of 8 or more rows: eight lanes added row by row,
+    folded as ((0+1)+(2+3))+((4+5)+(6+7)), then the leftover rows in
+    order; blocks of more than 128 rows are split in two (at a multiple of
+    8) and summed recursively."""
+    n = rows.shape[0]
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _pairwise(rows[:half]) + _pairwise(rows[half:])
+    lanes = rows[:8].copy()
+    tail = n - n % 8
+    for at in range(8, tail, 8):
+        lanes += rows[at : at + 8]
+    out = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
+    for row in rows[tail:]:
+        out += row
+    return out
+
+
+def _total(rows: np.ndarray) -> np.ndarray:
+    """Sum over the first axis of rows (k, N), bit-identical to
+    ``sum(axis=1)`` of the same values as a C-ordered (N, k) array.  NumPy
+    adds such a contiguous axis from 0.0, left to right below 8 terms and
+    pairwise from 8 on; both are reproduced here on whole rows.  A single
+    column is that contiguous axis already."""
+    if rows.shape[0] < 8 or rows.shape[1] == 1:
+        return rows.sum(axis=0)  # an outer-axis sum: 0.0, then row by row
+    out = _pairwise(rows)
+    out += 0.0  # the 0.0 NumPy starts from: -0.0 becomes 0.0
+    return out
+
+
 def _sum_samples(terms: np.ndarray) -> np.ndarray:
-    """Sum over the last axis, one term after the other from 0.0: the order
-    ``sum(axis=1)`` reduces an (N, S, k) stack in when its samples axis is
-    not the contiguous one.  A running sum's last entry gives that order on
-    the contiguous axis; adding 0.0 turns a -0.0 total into 0.0, as the
-    0.0 start does.  The running sums overwrite ``terms``."""
-    return terms.cumsum(axis=-1, out=terms)[..., -1] + 0.0
+    """Sum of samples-major terms (..., S, N) over samples, one after the
+    other from 0.0: the order ``sum(axis=-1)`` reduced (..., N, S) rows in
+    when their samples axis was not the contiguous one.  From 2 rays on
+    that is an outer-axis sum; a lone ray's samples axis is contiguous, so
+    it takes a running sum instead (which overwrites ``terms``), and adding
+    0.0 turns a -0.0 total into 0.0, as the 0.0 start does."""
+    if terms.shape[-1] > 1:
+        return terms.sum(axis=-2)
+    return terms.cumsum(axis=-2, out=terms)[..., -1, :] + 0.0
 
 
 def _panels(field, origins, dirs, t_ends, n_panels: int):
@@ -151,7 +200,7 @@ def _panels(field, origins, dirs, t_ends, n_panels: int):
     the optical depth at every panel edge (N, n_panels + 1), from 0."""
     h = t_ends / n_panels
     mids = ((np.arange(n_panels) + 0.5) / n_panels)[None, :] * t_ends[:, None]
-    sigma = field.density(_ray_points(origins, dirs, mids)).reshape(mids.shape)
+    sigma = field.density(_ray_points(origins.T[:, :, None], dirs.T[:, :, None], mids)).reshape(mids.shape)
     cum = np.concatenate([np.zeros((len(t_ends), 1)), np.cumsum(sigma * h[:, None], axis=1)], axis=1)
     return sigma, h, cum
 
@@ -221,35 +270,37 @@ def stratified_samples(k: int, t_far: float, rng: np.random.Generator) -> np.nda
 
 
 def _ownership_deltas(t: np.ndarray, t_fars: np.ndarray) -> np.ndarray:
-    """Midpoint-ownership widths for sorted depth rows; rows sum to t_far."""
-    n = t.shape[0]
-    inner = 0.5 * (t[:, 1:] + t[:, :-1])
-    edges = np.concatenate([np.zeros((n, 1)), inner, t_fars[:, None]], axis=1)
-    return np.diff(edges, axis=1)
+    """Midpoint-ownership widths (S, N) for sorted samples-major depths;
+    each ray's widths sum to its t_far."""
+    inner = 0.5 * (t[1:] + t[:-1])
+    edges = np.concatenate([np.zeros((1, t.shape[1])), inner, t_fars[None, :]])
+    return np.diff(edges, axis=0)
 
 
 def _composite_weights(sigma: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-sample absorption weights, survival-to-far, and total optical depth."""
+    """Per-sample absorption weights (S, N), survival-to-far, and total
+    optical depth from samples-major densities and widths."""
     optical = sigma * delta
-    cum = np.cumsum(optical, axis=1)
-    t_before = np.exp(-(cum - optical))
-    absorb = -np.expm1(-optical)
-    weights = t_before * absorb
-    return weights, np.exp(-cum[:, -1]), cum[:, -1]
+    cum = np.cumsum(optical, axis=0)
+    weights = np.subtract(optical, cum)
+    np.exp(weights, out=weights)  # survival to each sample
+    weights *= np.expm1(np.negative(optical, out=optical), out=optical)
+    np.negative(weights, out=weights)  # times its absorption, 1 - exp(-optical)
+    return weights, np.exp(-cum[-1]), cum[-1]
 
 
 def _composite(t: np.ndarray, sigma: np.ndarray, color: np.ndarray, delta: np.ndarray) -> dict:
-    """Composite rows of samples (depths, densities and widths (N, S),
-    colors as channel-major rows (3, N, S)) into per-ray weights, color
-    (N, 3), depth, alpha and the empty flag."""
+    """Composite samples-major samples (depths, densities and widths (S, N),
+    colors as channel-major rows (3, S, N)) into per-ray weights (S, N),
+    color (N, 3), depth, alpha and the empty flag."""
     weights, t_far_T, tau = _composite_weights(sigma, delta)
-    wsum = weights.sum(axis=1)
+    wsum = _total(weights)
     empty = wsum <= EMPTY_WEIGHT_EPS
     safe = np.where(empty, 1.0, wsum)
     out_color = _sum_samples(weights * color)
     out_color /= safe
     out_color[:, empty] = 0.0
-    depth_raw = (weights * t).sum(axis=1)
+    depth_raw = _total(weights * t)
     depth = depth_raw / safe
     depth[empty] = np.nan
     return {
@@ -267,8 +318,8 @@ def _composite(t: np.ndarray, sigma: np.ndarray, color: np.ndarray, delta: np.nd
 def _single_ray_result(batch: dict) -> RenderResult:
     return RenderResult(
         color=batch["color"][0],
-        weights=batch["weights"][0],
-        t=batch["t"][0],
+        weights=batch["weights"][:, 0],
+        t=batch["t"][:, 0],
         transmittance_far=float(batch["transmittance_far"][0]),
         alpha=float(batch["alpha"][0]),
         depth=float(batch["depth"][0]),
@@ -280,7 +331,7 @@ def _single_ray_result(batch: dict) -> RenderResult:
 def quadrature_render(samples: RaySamples) -> RenderResult:
     """Composite explicit samples into color, weights, and survival-to-far."""
     return _single_ray_result(_composite(
-        samples.t[None, :], samples.sigma[None, :], samples.color.T[:, None, :], samples.delta[None, :]))
+        samples.t[:, None], samples.sigma[:, None], samples.color.T[:, :, None], samples.delta[:, None]))
 
 
 def _draw_uniforms(rng: np.random.Generator, n_rays: int, quad: QuadratureConfig):
@@ -291,41 +342,65 @@ def _draw_uniforms(rng: np.random.Generator, n_rays: int, quad: QuadratureConfig
 
 
 def _coarse_positions(t_fars: np.ndarray, n_coarse: int, u_coarse) -> np.ndarray:
+    """Samples-major coarse depths (n_coarse, N): bin midpoints, or one
+    stratified draw per bin from the rows of uniforms (N, n_coarse)."""
+    bins = np.arange(n_coarse, dtype=np.float64)[:, None]
     if u_coarse is None:
-        frac = (np.arange(n_coarse) + 0.5) / n_coarse
-        return frac[None, :] * t_fars[:, None]
-    return (np.arange(n_coarse) + u_coarse) / n_coarse * t_fars[:, None]
+        return ((bins + 0.5) / n_coarse) * t_fars
+    return np.add(bins, u_coarse.T, order="C") / n_coarse * t_fars
 
 
 def _fine_positions(weights: np.ndarray, t_fars: np.ndarray, u_fine: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draws from the piecewise-constant density proportional to
-    coarse bin weights; rays with no weight fall back to a uniform proposal.
+    """Inverse-CDF draws (rows (N, n_fine), as the uniforms ``u_fine``) from
+    the piecewise-constant density proportional to the samples-major coarse
+    bin weights (k, N); rays with no weight fall back to a uniform proposal.
 
-    Bins are searched row by row, so a row's draws depend on that row alone
-    (and never on how many rows share the batch)."""
-    n, k = weights.shape
-    total = weights.sum(axis=1)
-    w = np.where((total > EMPTY_WEIGHT_EPS)[:, None], weights, 1.0)
-    cdf = np.cumsum(w, axis=1)
-    cdf = cdf / cdf[:, -1:]
+    Each draw's bin is the count of its ray's CDF values below it, as
+    ``searchsorted(side="left")`` finds it, so a ray's draws depend on that
+    ray alone (and never on how many rays share the batch).  The CDF ends at
+    exactly 1 and the draws stay below 1, so the count is at most k - 1.
+    Each ray's CDF is a row of one flat table, after a 0.0 (the lower edge
+    of bin 0) and padded with +inf to a power of two.  A 1-row batch calls
+    ``searchsorted``; from 2 rows on the search is branchless, halving every
+    draw's span with one gather and one compare per step."""
+    k, n = weights.shape
+    total = _total(weights)
+    width = 1 << (k - 1).bit_length()
+    table = np.empty((n, width + 1))
+    table[:, 0] = 0.0
+    cdf = np.cumsum(np.where(total > EMPTY_WEIGHT_EPS, weights, 1.0), axis=0, out=table[:, 1 : k + 1].T)
+    cdf /= cdf[-1].copy()
+    table[:, k + 1 :] = np.inf
+    flat = table.reshape(-1)
+    first = np.arange(1, n * (width + 1), width + 1)[:, None]  # each ray's cdf[0]
     u = np.clip(u_fine, 0.0, 1.0 - 1e-12)
-    idx = np.empty(u.shape, dtype=np.intp)
-    for row in range(n):
-        idx[row] = cdf[row].searchsorted(u[row], side="left")
-    idx = np.clip(idx, 0, k - 1)
-    rows = np.arange(n)[:, None]
-    hi = cdf[rows, idx]
-    lo = np.where(idx > 0, cdf[rows, np.maximum(idx - 1, 0)], 0.0)
-    frac_in_bin = np.clip((u - lo) / np.maximum(hi - lo, 1e-300), 0.0, 1.0)
-    bin_w = t_fars[:, None] / k
-    return (idx + frac_in_bin) * bin_w
+    if n == 1:
+        at = cdf[:, 0].searchsorted(u, side="left") + 1
+    else:
+        at = np.broadcast_to(first, u.shape).copy()
+        probe = np.empty_like(at)
+        below = np.empty(u.shape, dtype=bool)
+        step = width // 2
+        while step:
+            np.less(flat.take(np.add(at, step - 1, out=probe)), u, out=below)
+            at += np.multiply(below, step, out=probe)
+            step //= 2
+    hi = flat.take(at)
+    lo = flat.take(at - 1)
+    hi -= lo
+    u -= lo
+    u /= np.maximum(hi, 1e-300, out=hi)
+    frac_in_bin = np.clip(u, 0.0, 1.0, out=u)
+    frac_in_bin += at - first
+    frac_in_bin *= t_fars[:, None] / k
+    return frac_in_bin
 
 
 def _render_batch(evaluator, origins, dirs, t_fars, quad: QuadratureConfig, rng, draws=None) -> dict:
-    """Two-pass render of many rays; returns raw per-ray arrays.
+    """Two-pass render of many rays; returns raw per-ray arrays, samples-major.
 
     The coarse pass evaluates density only; the fine pass evaluates each
-    component once and keeps its densities (``"sigmas"``, (n, N, S)) for
+    component once and keeps its densities (``"sigmas"``, (n, S, N)) for
     the component marginals.
 
     All randomness comes from ``rng`` in one pinned order (coarse uniforms,
@@ -334,16 +409,17 @@ def _render_batch(evaluator, origins, dirs, t_fars, quad: QuadratureConfig, rng,
     """
     n = origins.shape[0]
     u_coarse, u_fine = _draw_uniforms(rng, n, quad) if draws is None else draws
+    origin_rows, dir_rows = (np.ascontiguousarray(a.T)[:, None, :] for a in (origins, dirs))
     t_c = _coarse_positions(t_fars, quad.n_coarse, u_coarse)
-    sigma_c = evaluator.density(_ray_points(origins, dirs, t_c)).reshape(n, quad.n_coarse)
+    sigma_c = evaluator.density(_ray_points(origin_rows, dir_rows, t_c)).reshape(t_c.shape)
     w_c, _, _ = _composite_weights(sigma_c, _ownership_deltas(t_c, t_fars))
 
     if quad.n_fine > 0:
         t_f = _fine_positions(w_c, t_fars, u_fine)
-        t = np.sort(np.concatenate([t_c, t_f], axis=1), axis=1)
+        t = np.sort(np.concatenate([t_c.T, t_f], axis=1), axis=1).T.copy()
     else:
         t = t_c
-    pts, _ = _check_points(_ray_points(origins, dirs, t))
+    pts, _ = _check_points(_ray_points(origin_rows, dir_rows, t))
     sigma, color, sigmas = evaluator._evaluate(pts)
     sigma = sigma.reshape(t.shape)
     batch = _composite(t, sigma, color.reshape(3, *t.shape), _ownership_deltas(t, t_fars))

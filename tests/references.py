@@ -1,17 +1,18 @@
 """Earlier versions of the field kernels, of the color Jacobians, of the
-color mixer, of the points-major render-batch reductions and of the
-single-ray transport routines and observation sampler, and of the fit loop
-with its loss core and RGB-D batch, kept as references, plus hypothesis
-strategies for fields, scenes, points and rays.
+color mixer, of the points-major render-batch reductions, of the row-major
+render batch with its per-row fine-bin search, and of the single-ray
+transport routines and observation sampler, and of the fit loop with its
+loss core and RGB-D batch, kept as references, plus hypothesis strategies
+for fields, scenes, points and rays.
 
 The package's kernels avoid boolean-mask gathers, short-axis reductions and
-(N, n, 3) color stacks, its render batch is component-major and
-channel-major, and its transport routines share one panel primitive and one
-compositor, and its fit loop checks each step's parameters once, gathers
-one packed batch and stacks its gradient weights over components; each must
-still equal the plainer version here bit for bit (the transport routines
-whose panel midpoints moved to the sampler's formula to within 1e-12
-relative).
+(N, n, 3) color stacks, its render batch is samples-major, component-major
+and channel-major with a branchless fine-bin search, and its transport
+routines share one panel primitive and one compositor, and its fit loop
+checks each step's parameters once, gathers one packed batch and stacks its
+gradient weights over components; each must still equal the plainer version
+here bit for bit (the transport routines whose panel midpoints moved to the
+sampler's formula to within 1e-12 relative).
 """
 
 import numpy as np
@@ -180,6 +181,93 @@ def reference_marginals(sigmas, sigma, weights):
     with np.errstate(invalid="ignore", divide="ignore"):
         frac = np.where(live[:, :, None], sigmas / np.where(live, sigma, 1.0)[:, :, None], 0.0)
     return (weights[:, :, None] * frac).sum(axis=1)
+
+
+def reference_fine_positions(weights, t_fars, u_fine):
+    """Inverse-CDF fine depths (N, f) from coarse weight rows (N, k), one
+    ``searchsorted`` per row; rows with no weight draw uniformly."""
+    n, k = weights.shape
+    total = weights.sum(axis=1)
+    w = np.where((total > EMPTY_WEIGHT_EPS)[:, None], weights, 1.0)
+    cdf = np.cumsum(w, axis=1)
+    cdf = cdf / cdf[:, -1:]
+    u = np.clip(u_fine, 0.0, 1.0 - 1e-12)
+    idx = np.empty(u.shape, dtype=np.intp)
+    for row in range(n):
+        idx[row] = cdf[row].searchsorted(u[row], side="left")
+    idx = np.clip(idx, 0, k - 1)
+    rows = np.arange(n)[:, None]
+    hi = cdf[rows, idx]
+    lo = np.where(idx > 0, cdf[rows, np.maximum(idx - 1, 0)], 0.0)
+    frac_in_bin = np.clip((u - lo) / np.maximum(hi - lo, 1e-300), 0.0, 1.0)
+    return (idx + frac_in_bin) * (t_fars[:, None] / k)
+
+
+def _row_points(origins, dirs, t):
+    """Points for rows of depths (N, S), in row order, as (N*S, 3)."""
+    rows = np.multiply(t, dirs.T[:, :, None])
+    rows += origins.T[:, :, None]
+    return rows.reshape(3, -1).T
+
+
+def _row_weights(sigma, delta):
+    """Absorption weights, survival to t_far and optical depth of rows (N, S)."""
+    optical = sigma * delta
+    cum = np.cumsum(optical, axis=1)
+    weights = np.exp(-(cum - optical)) * -np.expm1(-optical)
+    return weights, np.exp(-cum[:, -1]), cum[:, -1]
+
+
+def _row_deltas(t, t_fars):
+    """Midpoint-ownership widths of sorted depth rows (N, S)."""
+    inner = 0.5 * (t[:, 1:] + t[:, :-1])
+    return np.diff(np.concatenate([np.zeros((t.shape[0], 1)), inner, t_fars[:, None]], axis=1), axis=1)
+
+
+def _running_sum(terms):
+    """Sum over the last axis one term after the other from 0.0, as the last
+    entry of a running sum (plus 0.0, which turns -0.0 into 0.0)."""
+    return terms.cumsum(axis=-1)[..., -1] + 0.0
+
+
+def reference_render_batch(evaluator, origins, dirs, t_fars, quad, draws):
+    """The two-pass render batch as rows (N, S), from pre-drawn uniforms:
+    fine depths by ``reference_fine_positions``; colors and component masses
+    summed over samples by running sums, the weight and depth sums along
+    the contiguous samples axis.  Returns the batch's per-ray arrays with
+    ``t``, ``weights`` and ``sigma`` as (N, S), ``sigmas`` as (n, N, S) and
+    the component masses ``marginals`` (N, n)."""
+    u_coarse, u_fine = draws
+    n = origins.shape[0]
+    if u_coarse is None:
+        t_c = ((np.arange(quad.n_coarse) + 0.5) / quad.n_coarse)[None, :] * t_fars[:, None]
+    else:
+        t_c = (np.arange(quad.n_coarse) + u_coarse) / quad.n_coarse * t_fars[:, None]
+    sigma_c = evaluator.density(_row_points(origins, dirs, t_c)).reshape(n, quad.n_coarse)
+    w_c = _row_weights(sigma_c, _row_deltas(t_c, t_fars))[0]
+    if quad.n_fine > 0:
+        t_f = reference_fine_positions(w_c, t_fars, u_fine)
+        t = np.sort(np.concatenate([t_c, t_f], axis=1), axis=1)
+    else:
+        t = t_c
+    pts, _ = _check_points(_row_points(origins, dirs, t))
+    sigma, color, sigmas = evaluator._evaluate(pts)
+    sigma = sigma.reshape(t.shape)
+    sigmas = sigmas.reshape(-1, *t.shape)
+    weights, t_far_T, tau = _row_weights(sigma, _row_deltas(t, t_fars))
+    wsum = weights.sum(axis=1)
+    empty = wsum <= EMPTY_WEIGHT_EPS
+    safe = np.where(empty, 1.0, wsum)
+    out_color = _running_sum(weights * color.reshape(3, *t.shape)) / safe
+    out_color[:, empty] = 0.0
+    depth_raw = (weights * t).sum(axis=1)
+    depth = depth_raw / safe
+    depth[empty] = np.nan
+    terms = sigmas / np.where(sigma > 0.0, sigma, 1.0) * weights
+    marginals = terms.sum(axis=-1) if sigmas.shape[0] == 1 else _running_sum(terms)
+    return {"t": t, "weights": weights, "color": np.ascontiguousarray(out_color.T), "depth": depth,
+            "depth_raw": depth_raw, "alpha": -np.expm1(-tau), "transmittance_far": t_far_T, "empty": empty,
+            "sigma": sigma, "sigmas": sigmas, "marginals": np.ascontiguousarray(marginals.T)}
 
 
 def stack_colors(colors, n_points):

@@ -107,6 +107,12 @@ class TestGenerate:
         assert_one_error_line(code, capsys)
         assert not (tmp_path / "g").exists()
 
+    @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--scene-seed", "-1"]])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, flags):
+        code = main(["generate", "--out", str(tmp_path / "g"), "--resolution", "6", *flags])
+        assert_one_error_line(code, capsys)
+        assert not (tmp_path / "g").exists()
+
     @pytest.mark.parametrize("flags", [["--n-objects-min", "3", "--n-objects-max", "1"],
                                        ["--n-objects-min", "0"]])
     def test_unusable_object_counts_exit_2(self, tmp_path, capsys, flags):
@@ -209,6 +215,14 @@ class TestRender:
         assert_one_error_line(code, capsys)
         assert not (tmp_path / "o").exists()
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        generate_small(data, capsys, views=1)
+        code = main(["render", "--scene", str(data / "scene.json"), "--out", str(tmp_path / "o"),
+                     "--resolution", "6", "--seed", "-1"])
+        assert_one_error_line(code, capsys)
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("key,value", [
         ("sigma_max", "abc"), ("sigma_max", -1), ("t_far", float("inf")),
         # up parallel to the base view's direction
@@ -235,7 +249,9 @@ class TestRender:
     @pytest.mark.parametrize("edit", [
         {"quadrature": {"n_coarse": "64"}}, {"quadrature": {"n_fine": 12.5}}, {"quadrature": {"seed": True}},
         {"quadrature": {"stratified": "false"}}, {"quadrature": {"stratified": 0}}, {"name": 5},
-    ], ids=["n_coarse-string", "n_fine-float", "seed-bool", "stratified-string", "stratified-int", "name-int"])
+        {"quadrature": {"seed": -3}},
+    ], ids=["n_coarse-string", "n_fine-float", "seed-bool", "stratified-string", "stratified-int", "name-int",
+            "seed-negative"])
     def test_bad_scene_types_exit_2(self, tmp_path, capsys, edit):
         data = tmp_path / "data"
         generate_small(data, capsys, views=1)
@@ -321,6 +337,13 @@ class TestFit:
         assert_one_error_line(code, capsys)
         assert not (tmp_path / "o").exists()
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        data = self.make_data(tmp_path, capsys)
+        code = main(["fit", "--data", str(data), "--out", str(tmp_path / "o"), "--init-random", "2",
+                     "--fit-seed", "-1"])
+        assert_one_error_line(code, capsys)
+        assert not (tmp_path / "o").exists()
+
     def test_divergence_exits_4(self, tmp_path, capsys, monkeypatch):
         from rayfields import cli as cli_module
         from rayfields.fitting import FitDivergence
@@ -355,7 +378,7 @@ class TestBiasDemo:
         assert a == b
 
     @pytest.mark.parametrize("argv", [["--k", "0"], ["--k", "1"], ["--n-trials", "1"],
-                                      ["--n-trials", "0"]])
+                                      ["--n-trials", "0"], ["--seed", "-1"]])
     def test_unusable_sizes_exit_2(self, argv, capsys):
         code = main(["bias-demo", *argv])
         captured = capsys.readouterr()

@@ -29,7 +29,7 @@ from rayfields.geometry import Camera, Ray, RayGrid, pinhole_rays
 from rayfields.transport import EMPTY_WEIGHT_EPS, QuadratureConfig, hierarchical_render
 
 from references import (FIELDS, POINTS, RAYS, reference_color_sum, reference_marginals, reference_mix,
-                        reference_total, stack_colors, stacked_mix)
+                        reference_render_batch, reference_total, stack_colors, stacked_mix)
 
 
 def _two_blob_scene(t_far=12.0):
@@ -339,11 +339,12 @@ class TestRenderGrid:
         draws = transport._draw_uniforms(np.random.default_rng(quad.seed), len(grid), quad)
         batch = transport._render_batch(scene, grid.origins, grid.directions, grid.t_fars,
                                         quad, rng=None, draws=draws)
-        t = batch["t"]
+        t = _transpose(batch["t"])
         pts = (grid.origins[:, None, :] + t[:, :, None] * grid.directions[:, None, :]).reshape(-1, 3)
         sig_tot = scene.evaluate(pts)[0].reshape(t.shape)
         weights, _, _ = transport._composite_weights(
-            sig_tot, transport._ownership_deltas(t, grid.t_fars))
+            _transpose(sig_tot), transport._ownership_deltas(batch["t"], grid.t_fars))
+        weights = _transpose(weights)
         share = np.zeros(t.shape + (scene.n,))
         for i, comp in enumerate(scene.components):
             share[:, :, i] = comp.evaluate(pts)[0].reshape(t.shape)
@@ -411,6 +412,12 @@ def _sample_rows(draw):
     return t, delta, sigmas, sigma
 
 
+def _transpose(a):
+    """A C-ordered transpose: rows (N, S) to the samples-major (S, N) arrays
+    of the render batch, and back."""
+    return np.ascontiguousarray(a.T)
+
+
 def _expected_color(weights, colors):
     """Composited color (N, 3) from weights (N, S) and colors (N, S, 3) by
     the reference color sum, 0 on empty rays."""
@@ -460,20 +467,21 @@ class TestComponentMajorReferences:
             colors = data.draw(arrays(np.float64, shape, elements=CHANNELS))
         else:
             colors = np.broadcast_to(data.draw(arrays(np.float64, 3, elements=CHANNELS)), shape)
-        batch = transport._composite(t, sigma, np.moveaxis(colors, 2, 0), delta)
-        expected = _expected_color(batch["weights"], colors)
+        batch = transport._composite(_transpose(t), _transpose(sigma),
+                                     np.ascontiguousarray(colors.transpose(2, 1, 0)), _transpose(delta))
+        expected = _expected_color(_transpose(batch["weights"]), colors)
         assert np.ascontiguousarray(batch["color"]).tobytes() == expected.tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(_sample_rows())
     def test_marginals_match_reference(self, rows):
         t, delta, sigmas, sigma = rows
-        weights, t_far_T, _ = transport._composite_weights(sigma, delta)
-        batch = {"sigmas": np.ascontiguousarray(np.moveaxis(sigmas, 2, 0)), "sigma": sigma,
+        weights, t_far_T, _ = transport._composite_weights(_transpose(sigma), _transpose(delta))
+        batch = {"sigmas": np.ascontiguousarray(sigmas.transpose(2, 1, 0)), "sigma": _transpose(sigma),
                  "weights": weights, "transmittance_far": t_far_T}
         marginal, residual = _marginals_from_batch(batch)
         assert marginal.flags.c_contiguous
-        assert marginal.tobytes() == reference_marginals(sigmas, sigma, weights).tobytes()
+        assert marginal.tobytes() == reference_marginals(sigmas, sigma, _transpose(weights)).tobytes()
         assert residual is t_far_T
 
     @pytest.mark.parametrize("n", COMPONENT_COUNTS)
@@ -484,11 +492,11 @@ class TestComponentMajorReferences:
         sigmas[:, rng.random(192) < 0.3] = 0.0
         delta = rng.uniform(0.01, 0.1, (3, 192))
         sigma = sigmas[:, :, 0] if n == 1 else reference_total(sigmas.reshape(-1, n)).reshape(3, 192)
-        weights, t_far_T, _ = transport._composite_weights(sigma, delta)
-        batch = {"sigmas": np.ascontiguousarray(np.moveaxis(sigmas, 2, 0)), "sigma": sigma,
+        weights, t_far_T, _ = transport._composite_weights(_transpose(sigma), _transpose(delta))
+        batch = {"sigmas": np.ascontiguousarray(sigmas.transpose(2, 1, 0)), "sigma": _transpose(sigma),
                  "weights": weights, "transmittance_far": t_far_T}
         marginal, _ = _marginals_from_batch(batch)
-        assert marginal.tobytes() == reference_marginals(sigmas, sigma, weights).tobytes()
+        assert marginal.tobytes() == reference_marginals(sigmas, sigma, _transpose(weights)).tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(COMPONENT_COUNTS).flatmap(lambda n: st.lists(FIELDS, min_size=n, max_size=n)),
@@ -507,24 +515,65 @@ class TestComponentMajorReferences:
 
         batch = transport._render_batch(scene, grid.origins, grid.directions, grid.t_fars, quad,
                                         np.random.default_rng(seed))
-        t = batch["t"]
+        t = _transpose(batch["t"])
         pts = (grid.origins[:, None, :] + t[:, :, None] * grid.directions[:, None, :]).reshape(-1, 3)
         sigma, color = scene.evaluate(pts)
         sigmas = scene.density_components(pts).reshape(t.shape + (scene.n,))
-        expected_color = _expected_color(batch["weights"], color.reshape(t.shape + (3,)))
-        expected_marginals = reference_marginals(sigmas, sigma.reshape(t.shape), batch["weights"])
+        expected_color = _expected_color(_transpose(batch["weights"]), color.reshape(t.shape + (3,)))
+        expected_marginals = reference_marginals(sigmas, sigma.reshape(t.shape), _transpose(batch["weights"]))
         assert view.color.reshape(-1, 3).tobytes() == expected_color.tobytes()
         assert view.marginals.reshape(-1, scene.n).tobytes() == expected_marginals.tobytes()
 
         ray = grid.ray(0)
         one = transport._render_ray(scene, ray, quad)
-        one_t = one["t"]
+        one_t = _transpose(one["t"])
         one_pts = ray.origin + one_t[0][:, None] * ray.direction
         one_sigma = scene.evaluate(one_pts)[0][None, :]
         one_sigmas = scene.density_components(one_pts)[None, :, :]
-        expected_one = reference_marginals(one_sigmas, one_sigma, one["weights"])[0]
+        expected_one = reference_marginals(one_sigmas, one_sigma, _transpose(one["weights"]))[0]
         marginal, _ = component_marginal(scene, ray, quad)
         assert marginal.tobytes() == expected_one.tobytes()
+
+
+SMALL_QUADRATURES = st.builds(QuadratureConfig, n_coarse=st.one_of(st.integers(2, 7), st.integers(8, 70)),
+                              n_fine=st.one_of(st.just(0), st.integers(1, 8), st.integers(60, 140)),
+                              seed=st.integers(0, 2**16), stratified=st.booleans())
+
+
+class TestSamplesMajorRender:
+    """Whole-image renders in 1-row and 2-row blocks, and the single-ray
+    calls, equal the row-major batch with per-row ``searchsorted`` that the
+    samples-major batch replaced (``reference_render_batch``), bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(COMPONENT_COUNTS).flatmap(lambda n: st.lists(FIELDS, min_size=n, max_size=n)),
+           st.lists(RAYS, min_size=1, max_size=7), SMALL_QUADRATURES, st.sampled_from([1, 2]))
+    def test_small_blocks_and_single_rays_match_row_major_batch(self, fields, rays, quad, rows_per_block):
+        scene = CompositeScene(tuple(fields))
+        grid = RayGrid(origins=np.array([r.origin for r in rays]), directions=np.array([r.direction for r in rays]),
+                       t_fars=np.array([r.t_far for r in rays]), shape=(1, len(rays)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(compose, "block_rows", lambda row_points: rows_per_block)
+            view = render_ray_grid(scene, grid, quad)
+        draws = transport._draw_uniforms(np.random.default_rng(quad.seed), len(grid), quad)
+        expected = reference_render_batch(scene, grid.origins, grid.directions, grid.t_fars, quad, draws)
+        for name, key in [("color", "color"), ("depth", "depth"), ("depth_raw", "depth_raw"), ("alpha", "alpha"),
+                          ("marginals", "marginals"), ("residual", "transmittance_far"), ("empty", "empty")]:
+            assert getattr(view, name).reshape(expected[key].shape).tobytes() == expected[key].tobytes(), name
+        assert view.labels.ravel().tobytes() == compose._labels(expected["marginals"]).tobytes()
+
+        ray = rays[0]
+        one = reference_render_batch(scene, ray.origin[None, :], ray.direction[None, :], np.array([ray.t_far]),
+                                     quad, transport._draw_uniforms(np.random.default_rng(quad.seed), 1, quad))
+        render = hierarchical_render(scene, ray, quad)
+        for key in ("color", "weights", "t", "transmittance_far", "alpha", "depth", "depth_raw", "empty"):
+            assert np.asarray(getattr(render, key)).tobytes() == np.asarray(one[key][0]).tobytes(), key
+        both = composite_render(scene, ray, quad)
+        assert both.marginal.tobytes() == one["marginals"][0].tobytes() and both.render.color.tobytes() == \
+            render.color.tobytes()
+        marginal, residual = component_marginal(scene, ray, quad)
+        assert marginal.tobytes() == one["marginals"][0].tobytes() and residual == one["transmittance_far"][0]
+        assert segment_ray(scene, ray, quad) == compose._labels(one["marginals"])[0]
 
 
 def _layout_fields():

@@ -96,6 +96,19 @@ class TestFitConfig:
         with pytest.raises(ValueError):
             FitConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs,error", [
+        ({"iterations": 10.0}, TypeError), ({"batch_size": 64.5}, TypeError), ({"decay_every": True}, TypeError),
+        ({"seed": 0.0}, TypeError), ({"seed": True}, TypeError), ({"seed": "1"}, TypeError),
+        ({"seed": -1}, ValueError), ({"seed": np.int64(-2)}, ValueError),
+    ])
+    def test_rejects_bad_counts_and_seeds(self, kwargs, error):
+        with pytest.raises(error, match=next(iter(kwargs))):
+            FitConfig(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        cfg = FitConfig(iterations=np.int64(3), batch_size=np.int32(8), decay_every=np.int16(2), seed=np.uint8(7))
+        assert (cfg.iterations, cfg.batch_size, cfg.decay_every, cfg.seed) == (3, 8, 2, 7)
+
 
 class TestGradients:
     def test_analytic_matches_central_differences(self):

@@ -195,6 +195,13 @@ class TestValidation:
         with pytest.raises(SceneFormatError, match=f"{key} must be an integer"):
             doc_to_scene(doc)
 
+    @pytest.mark.parametrize("value", [-1, -3, -2**40])
+    def test_quadrature_seed_must_be_non_negative(self, value):
+        doc = scene_to_doc(two_blob_demo_scene(), quadrature=QuadratureConfig(seed=3))
+        doc["quadrature"]["seed"] = value
+        with pytest.raises(SceneFormatError, match="seed must be >= 0"):
+            doc_to_scene(doc)
+
     @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [False]])
     def test_stratified_must_be_boolean(self, value):
         doc = scene_to_doc(two_blob_demo_scene(), quadrature=QuadratureConfig(seed=3))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from rayfields.compose import CompositeScene, _marginals_from_batch
 from rayfields.fields import GaussianBlobField, PiecewiseConstantRayField
 from rayfields.geometry import Ray
 from rayfields.transport import (
@@ -23,10 +24,11 @@ from rayfields.transport import (
     transmittance,
     transmittance_grid,
 )
-from rayfields.transport import _fine_positions
+from rayfields.transport import EMPTY_WEIGHT_EPS, _draw_uniforms, _fine_positions, _render_batch, _sum_samples, _total
 
-from references import (RAYS, SCENES, reference_probability_balance, reference_quadrature_render,
-                        reference_transmittance, reference_transmittance_grid)
+from references import (FIELDS, RAYS, SCENES, reference_fine_positions, reference_probability_balance,
+                        reference_quadrature_render, reference_render_batch, reference_transmittance,
+                        reference_transmittance_grid)
 
 X_RAY = Ray((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 10.0)
 
@@ -241,13 +243,19 @@ def _boundary_draws(tiny, offset, n=4096, k=64, f=32):
     return weights, np.take_along_axis(cdf, edges, axis=1) + offset
 
 
+def _transpose(a):
+    """A C-ordered transpose: rows (N, S) to the samples-major (S, N) arrays
+    of the render batch, and back."""
+    return np.ascontiguousarray(a.T)
+
+
 class TestFinePositions:
     def test_chunking_cannot_change_draws(self):
         weights, u = _boundary_draws(1e-13, 0.0)
         t_fars = np.full(weights.shape[0], 40.0)
-        whole = _fine_positions(weights, t_fars, u)
+        whole = _fine_positions(_transpose(weights), t_fars, u)
         chunked = np.concatenate([
-            _fine_positions(weights[lo:lo + 512], t_fars[lo:lo + 512], u[lo:lo + 512])
+            _fine_positions(_transpose(weights[lo:lo + 512]), t_fars[lo:lo + 512], u[lo:lo + 512])
             for lo in range(0, weights.shape[0], 512)
         ])
         assert np.array_equal(whole, chunked)
@@ -255,9 +263,113 @@ class TestFinePositions:
     def test_draws_stay_inside_the_ray(self):
         weights, u = _boundary_draws(0.0, 1e-15)
         t_fars = np.linspace(1.0, 40.0, weights.shape[0])
-        t = _fine_positions(weights, t_fars, u)
+        t = _fine_positions(_transpose(weights), t_fars, u)
         assert np.all(t >= 0.0)
         assert np.all(t <= t_fars[:, None])
+
+
+# Sample counts on each side of NumPy's pairwise-sum boundaries: below 8 a
+# contiguous axis is summed left to right, up to 128 in one block of eight
+# lanes, and above 128 in halves.
+SAMPLE_COUNTS = st.one_of(st.integers(2, 7), st.integers(8, 128), st.integers(129, 300))
+ZERO_OR_WEIGHT = st.one_of(st.just(0.0), st.just(-0.0), st.floats(1e-300, 1e-12), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _coarse_rows(draw):
+    """Coarse weight rows (N, k) with zero-weight and flat stretches and
+    empty rows, ray cutoffs, and fine uniforms (N, f) that include draws
+    exactly on, and one ulp either side of, the rows' CDF values."""
+    n = draw(st.integers(1, 300))
+    k = draw(SAMPLE_COUNTS)
+    f = draw(st.integers(1, 24))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    weights = rng.random((n, k)) * 10.0 ** rng.uniform(-14, 0, (n, 1))
+    for lo, hi in rng.integers(0, k + 1, (rng.integers(0, 4), 2)):
+        weights[:, min(lo, hi):max(lo, hi)] = 0.0 if rng.random() < 0.5 else 1e-300
+    weights[rng.random(n) < 0.2] = 0.0
+    weights[:, :min(k, 4)] = draw(arrays(np.float64, min(k, 4), elements=ZERO_OR_WEIGHT))
+    u = rng.random((n, f))
+    cdf = np.cumsum(np.where((weights.sum(axis=1) > EMPTY_WEIGHT_EPS)[:, None], weights, 1.0), axis=1)
+    cdf /= cdf[:, -1:]
+    on = rng.random((n, f)) < 0.5
+    hits = np.take_along_axis(cdf, rng.integers(0, k, (n, f)), axis=1)
+    hits = np.nextafter(hits, rng.choice([-np.inf, np.inf], (n, f))) if rng.random() < 0.3 else hits
+    u[on] = hits[on]
+    u.flat[rng.integers(0, u.size, 3)] = draw(st.sampled_from([0.0, 1.0 - 1e-12, 1.0]))
+    return weights, rng.uniform(0.5, 40.0, n), u
+
+
+def _scene_rays(draw_seed, n_rays):
+    """Origins, unit directions and cutoffs of ``n_rays`` random rays."""
+    rng = np.random.default_rng(draw_seed)
+    dirs = rng.normal(size=(n_rays, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return rng.uniform(-4, 4, (n_rays, 3)), dirs, rng.uniform(0.5, 40.0, n_rays)
+
+
+QUADRATURES = st.builds(QuadratureConfig,
+                        n_coarse=st.one_of(st.integers(2, 7), st.integers(8, 128), st.integers(129, 150)),
+                        n_fine=st.one_of(st.just(0), st.integers(1, 8), st.integers(100, 140)),
+                        seed=st.integers(0, 2**16), stratified=st.booleans())
+
+
+def _batch_as_rows(batch):
+    """A samples-major render batch with its (S, N) arrays as rows (N, S)."""
+    rows = dict(batch)
+    for key in ("t", "weights", "sigma"):
+        rows[key] = _transpose(batch[key])
+    rows["sigmas"] = np.ascontiguousarray(batch["sigmas"].transpose(0, 2, 1))
+    return rows
+
+
+class TestSamplesMajorReferences:
+    """The samples-major render batch and its branchless fine-bin search
+    equal the row-major batch with per-row ``searchsorted`` that they
+    replaced (tests/references.py), bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_coarse_rows())
+    def test_fine_positions_match_per_row_search(self, rows):
+        weights, t_fars, u = rows
+        got = _fine_positions(_transpose(weights), t_fars, u)
+        assert got.tobytes() == reference_fine_positions(weights, t_fars, u).tobytes()
+
+    def test_every_block_size_matches_per_row_search(self):
+        weights, u = _boundary_draws(1e-13, 0.0, n=300)
+        u[::7] = np.random.default_rng(1).random((43, u.shape[1]))
+        weights[::5] = 0.0
+        t_fars = np.linspace(0.5, 40.0, 300)
+        for n in range(1, 301):
+            got = _fine_positions(_transpose(weights[:n]), t_fars[:n], u[:n])
+            assert got.tobytes() == reference_fine_positions(weights[:n], t_fars[:n], u[:n]).tobytes(), n
+
+    @settings(max_examples=300, deadline=None)
+    @given(SAMPLE_COUNTS.flatmap(lambda s: st.tuples(st.just(s), st.integers(1, 40))).flatmap(
+        lambda shape: arrays(np.float64, shape, elements=st.one_of(ZERO_OR_WEIGHT, st.floats(-1.0, 0.0)))))
+    def test_sample_sums_match_row_sums(self, terms):
+        rows = np.ascontiguousarray(terms.T)
+        assert _total(terms).tobytes() == rows.sum(axis=1).tobytes()
+        stack = np.stack([terms, 0.5 * terms, -terms])
+        expected = np.ascontiguousarray(stack.transpose(0, 2, 1)).cumsum(axis=-1)[..., -1] + 0.0
+        assert _sum_samples(stack).tobytes() == expected.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([1, 2, 5, 8, 9, 16]).flatmap(lambda n: st.lists(FIELDS, min_size=n, max_size=n)),
+           st.integers(1, 300), st.integers(0, 2**32 - 1), QUADRATURES)
+    def test_render_batch_matches_row_major_batch(self, fields, n_rays, seed, quad):
+        scene = CompositeScene(tuple(fields))
+        origins, dirs, t_fars = _scene_rays(seed, n_rays)
+        draws = _draw_uniforms(np.random.default_rng(quad.seed), n_rays, quad)
+        batch = _render_batch(scene, origins, dirs, t_fars, quad, None, draws)
+        marginals, _ = _marginals_from_batch(batch)
+        rows = _batch_as_rows(batch)
+        expected = reference_render_batch(scene, origins, dirs, t_fars, quad, draws)
+        assert marginals.tobytes() == expected.pop("marginals").tobytes()
+        assert rows.keys() == expected.keys()
+        for key, value in expected.items():
+            assert rows[key].shape == value.shape and rows[key].tobytes() == value.tobytes(), key
 
 
 class TestRaySamplesValidation:
@@ -276,6 +388,19 @@ class TestRaySamplesValidation:
             QuadratureConfig(n_coarse=1)
         with pytest.raises(ValueError):
             QuadratureConfig(n_fine=-1)
+
+    @pytest.mark.parametrize("kwargs,error", [
+        ({"n_coarse": 64.0}, TypeError), ({"n_fine": 3.5}, TypeError), ({"n_coarse": True}, TypeError),
+        ({"n_fine": "8"}, TypeError), ({"seed": 1.0}, TypeError), ({"seed": False}, TypeError),
+        ({"seed": -1}, ValueError), ({"seed": np.int64(-3)}, ValueError),
+    ])
+    def test_quadrature_config_rejects_bad_counts_and_seeds(self, kwargs, error):
+        with pytest.raises(error, match=next(iter(kwargs))):
+            QuadratureConfig(**kwargs)
+
+    def test_quadrature_config_accepts_numpy_integers(self):
+        quad = QuadratureConfig(n_coarse=np.int32(8), n_fine=np.int64(0), seed=np.uint64(2**63))
+        assert hierarchical_render(_constant_field(0.5), X_RAY, quad).t.shape == (8,)
 
 
 def _render_bytes(result):
