@@ -12,9 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import transport
+from ._threads import block_rows, chunked_row_map
 from .fields import PiecewiseConstantRayField
 from .geometry import Ray
-from .transport import QuadratureConfig, RaySamples
+from .transport import QuadratureConfig
 
 __all__ = [
     "slab_demo_field",
@@ -54,6 +55,18 @@ def _slab_color_reference(field: PiecewiseConstantRayField, t_far: float) -> flo
     return float(full.color[0] / alpha)
 
 
+def _check_plain_batch(batch: dict) -> None:
+    """The checks ``RaySamples`` makes on explicit samples, on every ray of a
+    coarse-only batch: depths strictly increasing, densities >= 0 and
+    finite."""
+    if np.any(np.diff(batch["t"], axis=0) <= 0):
+        raise ValueError("sample depths must be strictly increasing")
+    if np.any(batch["sigma"] < 0):
+        raise ValueError("densities must be >= 0 and widths > 0")
+    if not np.all(np.isfinite(batch["sigma"])):
+        raise ValueError("sigma must be finite")
+
+
 def stratified_bias_demo(k: int = 50, n_trials: int = 10_000, seed: int = 0,
                          hierarchical: bool = False) -> dict:
     """Measure the stratified color estimator on the slab field.
@@ -62,25 +75,37 @@ def stratified_bias_demo(k: int = 50, n_trials: int = 10_000, seed: int = 0,
     empirical slab miss rate against its closed form, and the setup.  With
     ``hierarchical`` a second round of k samples is drawn from the coarse
     weights and merged before compositing (it inherits the same bias).
+
+    Trial t draws its uniforms (coarse, then fine) from its own generator,
+    seeded with ``(seed, t)``, and renders as row t of one batched render of
+    the slab ray; the trials run in cache-sized blocks of rows on the worker
+    pool.  Each trial's draws and result depend on that trial alone, so the
+    output does not depend on the block size or the worker count.
     """
+    transport._check_integer(n_trials, "n_trials", 2)
     field = slab_demo_field()
     ray = slab_demo_ray()
     reference = _slab_color_reference(field, ray.t_far)
+    quad = QuadratureConfig(n_coarse=k, n_fine=k if hierarchical else 0, seed=seed, stratified=True)
 
     colors = np.empty(n_trials)
     misses = np.empty(n_trials, dtype=bool)
-    quad = QuadratureConfig(n_coarse=k, n_fine=k, seed=seed, stratified=True)
-    for trial in range(n_trials):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, trial)))
-        if hierarchical:
-            res = transport.hierarchical_render(field, ray, quad, rng=rng)
-            ts = res.t
-            colors[trial] = res.color[0]
-        else:
-            ts = transport.stratified_samples(k, ray.t_far, rng)
-            res = transport.quadrature_render(RaySamples.from_field(field, ray, ts))
-            colors[trial] = res.color[0]
-        misses[trial] = not np.any((ts >= 50.0) & (ts <= 51.0))
+
+    def run(lo: int, hi: int) -> None:
+        draws = [transport._draw_uniforms(np.random.default_rng(np.random.SeedSequence((seed, trial))), 1, quad)
+                 for trial in range(lo, hi)]
+        u_coarse = np.concatenate([coarse for coarse, _ in draws])
+        u_fine = np.concatenate([fine for _, fine in draws]) if hierarchical else None
+        n = hi - lo
+        batch = transport._render_batch(field, np.tile(ray.origin, (n, 1)), np.tile(ray.direction, (n, 1)),
+                                        np.full(n, ray.t_far), quad, None, draws=(u_coarse, u_fine))
+        if not hierarchical:
+            _check_plain_batch(batch)
+        ts = batch["t"]
+        colors[lo:hi] = batch["color"][:, 0]
+        misses[lo:hi] = ~np.any((ts >= 50.0) & (ts <= 51.0), axis=0)
+
+    chunked_row_map(run, n_trials, block_rows(quad.n_coarse + quad.n_fine))
 
     mean = float(colors.mean())
     se = float(colors.std(ddof=1) / np.sqrt(n_trials))

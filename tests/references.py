@@ -2,8 +2,9 @@
 color mixer, of the points-major render-batch reductions, of the row-major
 render batch with its per-row fine-bin search, and of the single-ray
 transport routines and observation sampler, and of the fit loop with its
-loss core and RGB-D batch, kept as references, plus hypothesis strategies
-for fields, scenes, points and rays.
+loss core and RGB-D batch, and of the bias demo as one single-ray render
+per trial, kept as references, plus hypothesis strategies for fields,
+scenes, points and rays.
 
 The package's kernels avoid boolean-mask gathers, short-axis reductions and
 (N, n, 3) color stacks, its render batch is samples-major, component-major
@@ -26,7 +27,9 @@ from rayfields.fitting import _Adam
 from rayfields.geometry import Ray, RayGrid, ray_at
 from rayfields.losses import (RgbdSample, _as_rng, _color_nll_values, _depth_nll, _draw_free_importance,
                               _draw_jitter, k_o_schedule)
-from rayfields.transport import EMPTY_WEIGHT_EPS, RenderResult
+from rayfields.estimlab import slab_demo_field, slab_demo_ray, stratified_miss_probability
+from rayfields.transport import (EMPTY_WEIGHT_EPS, QuadratureConfig, RaySamples, RenderResult, analytic_piecewise,
+                                 hierarchical_render, quadrature_render, stratified_samples)
 
 
 def masked_sigmoid(z):
@@ -268,6 +271,44 @@ def reference_render_batch(evaluator, origins, dirs, t_fars, quad, draws):
     return {"t": t, "weights": weights, "color": np.ascontiguousarray(out_color.T), "depth": depth,
             "depth_raw": depth_raw, "alpha": -np.expm1(-tau), "transmittance_far": t_far_T, "empty": empty,
             "sigma": sigma, "sigmas": sigmas, "marginals": np.ascontiguousarray(marginals.T)}
+
+
+def reference_bias_demo(k, n_trials, seed, hierarchical):
+    """``stratified_bias_demo`` as a loop of one single-ray render per trial:
+    ``hierarchical_render``, or stratified samples evaluated through
+    ``RaySamples.from_field`` and composited by ``quadrature_render``."""
+    field = slab_demo_field()
+    ray = slab_demo_ray()
+    full = analytic_piecewise(field, ray.t_far)
+    reference = float(full.color[0] / (1.0 - full.transmittance))
+
+    colors = np.empty(n_trials)
+    misses = np.empty(n_trials, dtype=bool)
+    quad = QuadratureConfig(n_coarse=k, n_fine=k, seed=seed, stratified=True)
+    for trial in range(n_trials):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, trial)))
+        if hierarchical:
+            res = hierarchical_render(field, ray, quad, rng=rng)
+            ts = res.t
+        else:
+            ts = stratified_samples(k, ray.t_far, rng)
+            res = quadrature_render(RaySamples.from_field(field, ray, ts))
+        colors[trial] = res.color[0]
+        misses[trial] = not np.any((ts >= 50.0) & (ts <= 51.0))
+
+    mean = float(colors.mean())
+    return {
+        "k": k,
+        "n_trials": n_trials,
+        "hierarchical": hierarchical,
+        "analytic_color": reference,
+        "empirical_mean": mean,
+        "std_error": float(colors.std(ddof=1) / np.sqrt(n_trials)),
+        "bias": mean - reference,
+        "miss_rate": float(misses.mean()),
+        "miss_rate_std_error": float(misses.std(ddof=1) / np.sqrt(n_trials)),
+        "analytic_miss_probability": stratified_miss_probability(k, ray.t_far, 50.0, 51.0),
+    }
 
 
 def stack_colors(colors, n_points):

@@ -14,13 +14,18 @@ Closed-form anchors, computed by hand:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rayfields import _threads, estimlab
 from rayfields.estimlab import (
     slab_demo_field,
     slab_demo_ray,
     stratified_bias_demo,
     stratified_miss_probability,
 )
+
+from references import reference_bias_demo
 
 
 class TestMissProbability:
@@ -101,3 +106,79 @@ class TestSlabDemo:
             "miss_rate_std_error",
             "analytic_miss_probability",
         }
+
+    @pytest.mark.parametrize("n_trials", [1, 0, -3])
+    def test_rejects_fewer_than_two_trials(self, n_trials):
+        with pytest.raises(ValueError, match="n_trials must be >= 2"):
+            stratified_bias_demo(k=10, n_trials=n_trials)
+
+    @pytest.mark.parametrize("n_trials", [2.5, 10.0, "10", True, None])
+    def test_rejects_a_non_integer_trial_count(self, n_trials):
+        with pytest.raises(TypeError, match="n_trials must be an integer"):
+            stratified_bias_demo(k=10, n_trials=n_trials)
+
+    def test_accepts_numpy_integer_trial_counts(self):
+        expected = stratified_bias_demo(k=10, n_trials=5, seed=3)
+        assert stratified_bias_demo(k=10, n_trials=np.int64(5), seed=3) == expected
+
+
+class _TiedUniforms:
+    """Stands in for a trial's generator: alternating draws of the largest
+    uniform below 1 and 0, so that bins 1 and 2 share an edge depth."""
+
+    def __init__(self, seed=None):
+        pass
+
+    def random(self, size):
+        return np.resize([1.0 - 2.0**-53, 0.0], size).astype(np.float64)
+
+
+class TestPlainSampleChecks:
+    """The plain demo keeps the checks that explicit samples had: strictly
+    increasing depths, and densities that are >= 0 and finite."""
+
+    def test_tied_depths_are_rejected(self, monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng", _TiedUniforms)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            stratified_bias_demo(k=8, n_trials=3)
+
+    @pytest.mark.parametrize("sigma,message", [(-1.0, "densities must be >= 0"), (np.nan, "sigma must be finite")])
+    def test_bad_densities_are_rejected(self, monkeypatch, sigma, message):
+        field = slab_demo_field()
+        object.__setattr__(field, "sigmas", np.array([0.0, 100.0, sigma, 10.0]))
+        monkeypatch.setattr(estimlab, "slab_demo_field", lambda: field)
+        with pytest.raises(ValueError, match=message):
+            stratified_bias_demo(k=8, n_trials=3)
+
+
+def _bits(demo: dict) -> dict:
+    return {key: (type(value), repr(value)) for key, value in demo.items()}
+
+
+class TestBatchedDemoReference:
+    """Trials as rows of one batched render give the per-trial loop's dict
+    bit for bit, whatever the block size and worker count."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.integers(2, 130), hierarchical=st.booleans(), block=st.integers(1, 40),
+           full_blocks=st.integers(0, 3), last=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_trial_loop(self, threads, k, hierarchical, block, full_blocks, last, seed):
+        n_trials = max(2, full_blocks * block + last)  # the last block holds 1 or 2 rows
+        row_points = 2 * k if hierarchical else k
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv(_threads.THREADS_ENV_VAR, threads)
+            mp.setattr(_threads, "BLOCK_POINTS", block * row_points)
+            got = stratified_bias_demo(k=k, n_trials=n_trials, seed=seed, hierarchical=hierarchical)
+        assert _bits(got) == _bits(reference_bias_demo(k, n_trials, seed, hierarchical))
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("k,n_trials,hierarchical", [
+        (130, 127, True), (130, 128, True),  # 126-row blocks
+        (100, 328, False), (100, 329, False),  # 327-row blocks
+        (10_000, 50, False),  # criterion 1's dense case: 3-row blocks, the last of 2
+    ])
+    def test_matches_per_trial_loop_at_the_real_block_size(self, monkeypatch, threads, k, n_trials, hierarchical):
+        monkeypatch.setenv(_threads.THREADS_ENV_VAR, threads)
+        got = stratified_bias_demo(k=k, n_trials=n_trials, seed=2028, hierarchical=hierarchical)
+        assert _bits(got) == _bits(reference_bias_demo(k, n_trials, 2028, hierarchical))

@@ -346,7 +346,7 @@ class TestSamplesMajorReferences:
             assert got.tobytes() == reference_fine_positions(weights[:n], t_fars[:n], u[:n]).tobytes(), n
 
     @settings(max_examples=300, deadline=None)
-    @given(SAMPLE_COUNTS.flatmap(lambda s: st.tuples(st.just(s), st.integers(1, 40))).flatmap(
+    @given(SAMPLE_COUNTS.flatmap(lambda s: st.tuples(st.just(s), st.integers(1, 100))).flatmap(
         lambda shape: arrays(np.float64, shape, elements=st.one_of(ZERO_OR_WEIGHT, st.floats(-1.0, 0.0)))))
     def test_sample_sums_match_row_sums(self, terms):
         rows = np.ascontiguousarray(terms.T)
@@ -397,6 +397,16 @@ class TestRaySamplesValidation:
     def test_quadrature_config_rejects_bad_counts_and_seeds(self, kwargs, error):
         with pytest.raises(error, match=next(iter(kwargs))):
             QuadratureConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, np.int64(1), 1.0, None])
+    def test_quadrature_config_rejects_non_bool_stratified(self, value):
+        with pytest.raises(TypeError, match="stratified"):
+            QuadratureConfig(n_coarse=8, n_fine=0, stratified=value)
+
+    def test_quadrature_config_accepts_numpy_bools(self):
+        ray = Ray((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 15.0)
+        quad = QuadratureConfig(n_coarse=3, n_fine=0, stratified=np.bool_(False))
+        assert hierarchical_render(_constant_field(0.5), ray, quad).t.tolist() == [2.5, 7.5, 12.5]
 
     def test_quadrature_config_accepts_numpy_integers(self):
         quad = QuadratureConfig(n_coarse=np.int32(8), n_fine=np.int64(0), seed=np.uint64(2**63))

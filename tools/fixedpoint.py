@@ -14,7 +14,11 @@ under that tree and under ``--src`` (default: this checkout's ``src/``), at
 - ``hierarchical_render``, ``composite_render``, ``component_marginal`` and
   ``segment_ray`` on single rays, for stratified, unstratified and
   coarse-only quadratures;
-- the files the CLI ``render`` command writes for a 3-view render.
+- every value ``stratified_bias_demo`` returns, plain and hierarchical, for
+  2 trials (one 2-row block) and for 1 and 2 trials more than a block
+  holds (a last block of 1 or 2 rows);
+- the files the CLI ``render`` command writes for a 3-view render, and the
+  stdout of the CLI ``bias-demo`` command, plain and ``--hierarchical``.
 
 Prints one line per output and thread count: ``identical``, or the max
 absolute and max relative difference.  Exits 1 if any output differs or
@@ -37,16 +41,20 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # Per size: camera image (width, height), CLI render resolution, the
-# quadratures (name, n_coarse, n_fine, stratified) and the single-ray pixels.
+# quadratures (name, n_coarse, n_fine, stratified), the single-ray pixels,
+# the bias-demo bin counts and the CLI bias-demo trial count.
 SIZES = {
     "tiny": {"image": (6, 5), "cli_resolution": 8, "pixels": (0, 7, 14, 29),
-             "quads": [("main", 8, 16, True), ("unstratified", 7, 9, False), ("coarse", 5, 0, True)]},
+             "quads": [("main", 8, 16, True), ("unstratified", 7, 9, False), ("coarse", 5, 0, True)],
+             "bias_ks": (50,), "cli_trials": 300},
     "full": {"image": (24, 24), "cli_resolution": 64, "pixels": (0, 77, 150, 290, 301, 433, 500, 575),
-             "quads": [("main", 64, 128, True), ("unstratified", 32, 64, False), ("coarse", 64, 0, True)]},
+             "quads": [("main", 64, 128, True), ("unstratified", 32, 64, False), ("coarse", 64, 0, True)],
+             "bias_ks": (8, 50, 129), "cli_trials": 10_000},
 }
 COMPONENT_COUNTS = (1, 2, 5, 8, 9, 16)
-# Sample points per render block (rayfields._threads.BLOCK_POINTS), so the
-# manifest can end a render on a block of 1 or 2 rows through public calls.
+# Sample points per block (rayfields._threads.BLOCK_POINTS), so the manifest
+# can end a render or a bias demo on a block of 1 or 2 rows through public
+# calls.
 BLOCK_POINTS = 32_768
 
 
@@ -79,10 +87,23 @@ def _camera(rf, width: int, height: int):
     return rf.Camera(position=(4.5, 1.0, 2.2), look_at=(0.0, 0.0, 0.5), width=width, height=height)
 
 
+def _cli(cli, argv: list[str]) -> tuple[int, bytes]:
+    """Exit code and stdout of one CLI command; stderr is discarded."""
+    captured = io.StringIO()
+    with open(os.devnull, "w") as devnull:
+        stdout, stderr = sys.stdout, sys.stderr
+        sys.stdout, sys.stderr = captured, devnull
+        try:
+            code = cli.main(argv)
+        finally:
+            sys.stdout, sys.stderr = stdout, stderr
+    return code, captured.getvalue().encode()
+
+
 def _emit(size: str) -> dict:
     """Every manifest output, by name, from the rayfields on sys.path."""
     import rayfields as rf
-    from rayfields import cli
+    from rayfields import cli, estimlab
 
     p = SIZES[size]
     out = {}
@@ -113,6 +134,22 @@ def _emit(size: str) -> dict:
                 out[f"{tag}.component_marginal"] = np.append(marginal, residual)
                 out[f"{tag}.segment_ray"] = np.asarray(rf.segment_ray(scene, ray, quad))
 
+    for k in p["bias_ks"]:
+        for hierarchical in (False, True):
+            mode = "hierarchical" if hierarchical else "plain"
+            block = max(1, BLOCK_POINTS // (2 * k if hierarchical else k))
+            for n_trials in (2, block + 1, block + 2):
+                demo = estimlab.stratified_bias_demo(k=k, n_trials=n_trials, seed=k + n_trials,
+                                                     hierarchical=hierarchical)
+                for key, value in demo.items():
+                    out[f"bias_demo.k{k}.{mode}.n{n_trials}.{key}"] = np.asarray(value)
+
+    for flags in ([], ["--hierarchical"]):
+        code, stdout = _cli(cli, ["bias-demo", "--n-trials", str(p["cli_trials"]), "--seed", "7", *flags])
+        name = "cli.bias-demo" + "".join(f".{flag[2:]}" for flag in flags)
+        out[f"{name}.exit"] = np.asarray(code)
+        out[f"{name}.stdout"] = np.frombuffer(stdout, dtype=np.uint8)
+
     n_coarse, n_fine = p["quads"][0][1:3]
     with tempfile.TemporaryDirectory() as work:
         scene_path = os.path.join(work, "scene.json")
@@ -120,14 +157,7 @@ def _emit(size: str) -> dict:
         render_dir = os.path.join(work, "render")
         argv = ["render", "--scene", scene_path, "--out", render_dir, "--resolution", str(p["cli_resolution"]),
                 "--views", "3", "--n-coarse", str(n_coarse), "--n-fine", str(n_fine), "--seed", "7"]
-        with open(os.devnull, "w") as devnull:
-            stdout, stderr = sys.stdout, sys.stderr
-            sys.stdout = sys.stderr = devnull
-            try:
-                code = cli.main(argv)
-            finally:
-                sys.stdout, sys.stderr = stdout, stderr
-        out["cli.render.exit"] = np.asarray(code)
+        out["cli.render.exit"] = np.asarray(_cli(cli, argv)[0])
         for name in sorted(os.listdir(render_dir)):
             with open(os.path.join(render_dir, name), "rb") as fh:
                 out[f"cli.render.{name}"] = np.frombuffer(fh.read(), dtype=np.uint8)
