@@ -4,10 +4,11 @@ Batched passes work on point arrays of rows (rays) by samples, in either
 layout.  ``chunked_row_map`` cuts the rows into blocks of about
 ``BLOCK_POINTS`` sample points, so that a block's temporaries stay in
 cache, and spreads the blocks over at most as many threads as there are
-cores and blocks.  Randomness is always drawn
-before work is split, and blocks write disjoint rows of preallocated
-outputs, so neither the block size nor the worker count can change a result
-bit.  OBSURF_THREADS caps the pool ("0" or unset means auto).
+cores and blocks.  Randomness is drawn either before work is split or,
+inside a block, from each row's own generator, and blocks write disjoint
+rows of preallocated outputs, so neither the block size nor the worker
+count can change a result bit.  OBSURF_THREADS caps the pool ("0" or unset
+means auto).
 """
 
 from __future__ import annotations

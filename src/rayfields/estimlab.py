@@ -55,13 +55,15 @@ def _slab_color_reference(field: PiecewiseConstantRayField, t_far: float) -> flo
     return float(full.color[0] / alpha)
 
 
-def _check_plain_batch(batch: dict) -> None:
+def _check_plain_batch(batch: dict, t_fars: np.ndarray) -> None:
     """The checks ``RaySamples`` makes on explicit samples, on every ray of a
-    coarse-only batch: depths strictly increasing, densities >= 0 and
-    finite."""
+    coarse-only batch, in its order: depths strictly increasing, densities
+    >= 0 and widths > 0, densities finite.  Its finiteness checks of depths,
+    widths and colors are left out: the batch rejects non-finite points, and
+    the slab field non-finite colors."""
     if np.any(np.diff(batch["t"], axis=0) <= 0):
         raise ValueError("sample depths must be strictly increasing")
-    if np.any(batch["sigma"] < 0):
+    if np.any(batch["sigma"] < 0) or np.any(transport._ownership_deltas(batch["t"], t_fars) <= 0):
         raise ValueError("densities must be >= 0 and widths > 0")
     if not np.all(np.isfinite(batch["sigma"])):
         raise ValueError("sigma must be finite")
@@ -97,10 +99,11 @@ def stratified_bias_demo(k: int = 50, n_trials: int = 10_000, seed: int = 0,
         u_coarse = np.concatenate([coarse for coarse, _ in draws])
         u_fine = np.concatenate([fine for _, fine in draws]) if hierarchical else None
         n = hi - lo
+        t_fars = np.full(n, ray.t_far)
         batch = transport._render_batch(field, np.tile(ray.origin, (n, 1)), np.tile(ray.direction, (n, 1)),
-                                        np.full(n, ray.t_far), quad, None, draws=(u_coarse, u_fine))
+                                        t_fars, quad, None, draws=(u_coarse, u_fine))
         if not hierarchical:
-            _check_plain_batch(batch)
+            _check_plain_batch(batch, t_fars)
         ts = batch["t"]
         colors[lo:hi] = batch["color"][:, 0]
         misses[lo:hi] = ~np.any((ts >= 50.0) & (ts <= 51.0), axis=0)

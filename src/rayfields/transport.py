@@ -152,11 +152,6 @@ def _ray_points(origin_rows, dir_rows, t):
     return rows.reshape(3, -1).T
 
 
-# Fewest columns (rays or points) for which ``_total`` adds whole rows: on
-# fewer, transposing is cheaper (a (10_000, 3) block: 33 us against 2.8 ms).
-_PAIRWISE_MIN_COLUMNS = 64
-
-
 def _pairwise(rows: np.ndarray) -> np.ndarray:
     """NumPy's pairwise sum of 8 or more rows: eight lanes added row by row,
     folded as ((0+1)+(2+3))+((4+5)+(6+7)), then the leftover rows in
@@ -180,14 +175,10 @@ def _total(rows: np.ndarray) -> np.ndarray:
     """Sum over the first axis of rows (k, N), bit-identical to
     ``sum(axis=1)`` of the same values as a C-ordered (N, k) array.  NumPy
     adds such a contiguous axis from 0.0, left to right below 8 terms and
-    pairwise from 8 on; both are reproduced here on whole rows.  Below
-    ``_PAIRWISE_MIN_COLUMNS`` columns a C-ordered copy of that array is
-    cheaper than k / 8 whole-row adds (a single column is that contiguous
-    axis already)."""
-    if rows.shape[0] < 8:
+    pairwise from 8 on; both are reproduced here on whole rows.  A single
+    column is that contiguous axis already."""
+    if rows.shape[0] < 8 or rows.shape[1] == 1:
         return rows.sum(axis=0)  # an outer-axis sum: 0.0, then row by row
-    if rows.shape[1] < _PAIRWISE_MIN_COLUMNS:
-        return np.ascontiguousarray(rows.T).sum(axis=1)
     out = _pairwise(rows)
     out += 0.0  # the 0.0 NumPy starts from: -0.0 becomes 0.0
     return out

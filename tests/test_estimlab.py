@@ -133,14 +133,34 @@ class _TiedUniforms:
         return np.resize([1.0 - 2.0**-53, 0.0], size).astype(np.float64)
 
 
+class _FarUniforms:
+    """Stands in for a trial's generator: draws of 0, except 4 in the last
+    bin, whose depth then lies past t_far and leaves that bin a negative
+    width while the depths still increase."""
+
+    def __init__(self, seed=None):
+        pass
+
+    def random(self, size):
+        u = np.zeros(size)
+        u[..., -1] = 4.0
+        return u
+
+
 class TestPlainSampleChecks:
     """The plain demo keeps the checks that explicit samples had: strictly
-    increasing depths, and densities that are >= 0 and finite."""
+    increasing depths, densities >= 0 and widths > 0, and finite densities."""
 
     def test_tied_depths_are_rejected(self, monkeypatch):
         monkeypatch.setattr(np.random, "default_rng", _TiedUniforms)
         with pytest.raises(ValueError, match="strictly increasing"):
             stratified_bias_demo(k=8, n_trials=3)
+
+    def test_non_positive_widths_are_rejected(self, monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng", _FarUniforms)
+        for demo in (stratified_bias_demo, reference_bias_demo):
+            with pytest.raises(ValueError, match="widths > 0"):
+                demo(k=8, n_trials=3, seed=0, hierarchical=False)
 
     @pytest.mark.parametrize("sigma,message", [(-1.0, "densities must be >= 0"), (np.nan, "sigma must be finite")])
     def test_bad_densities_are_rejected(self, monkeypatch, sigma, message):
