@@ -30,7 +30,6 @@ import numpy as np
 from . import estimlab, images, metrics
 from ._threads import resolve_workers
 from .compose import CompositeScene, RenderedView, render_ray_grid
-from .fields import GroundPlaneField
 from .fitting import FitConfig, FitDivergence, fit
 from .geometry import Camera, pinhole_rays, rig_views
 from .losses import LossConfig, RgbdSample
@@ -82,7 +81,7 @@ def _view_color(view: RenderedView) -> np.ndarray:
 
 def _background_component(scene: CompositeScene) -> int | None:
     """Index of a trailing ground-plane component, if the scene has one."""
-    if isinstance(scene.components[-1], GroundPlaneField):
+    if scene.components[-1].kind == "ground_plane":
         return scene.n - 1
     return None
 

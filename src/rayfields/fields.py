@@ -21,8 +21,10 @@ returns d(raw density)/d(param) for each of them as one contiguous (N,) row,
 so a caller that only needs a vector-Jacobian product contracts the rows
 with its per-point weights and never forms the (N, P) Jacobian.  Colors
 come straight from parameter slots (``_color_source``), so their gradient is
-a selection, not a product.  ``evaluate_with_grad`` assembles the dense
-Jacobians from both for callers that want them.
+a selection, not a product.
+
+A kind also owns its half-maximum surface (``_surface_distance``) and, for
+object kinds, its footprint (``on_footprint``, ``footprint_radius``).
 """
 
 from __future__ import annotations
@@ -34,8 +36,11 @@ from typing import ClassVar
 
 import numpy as np
 
+from .geometry import _hit_box, _hit_ellipsoid, _smallest_positive_root
+
 __all__ = [
     "DEFAULT_SIGMA_MAX",
+    "HALF_MAX_RADIUS",
     "LOG_DENSITY_FLOOR",
     "Field",
     "UnsupportedGradient",
@@ -52,6 +57,9 @@ DEFAULT_SIGMA_MAX = 10.0
 
 # Densities below this are treated as zero when a log is taken.
 LOG_DENSITY_FLOOR = 1e-12
+
+# A Gaussian bump crosses half its peak at this many scale units from center.
+HALF_MAX_RADIUS = math.sqrt(2.0 * math.log(2.0))
 
 
 class UnsupportedGradient(TypeError):
@@ -116,16 +124,16 @@ def _sum3(a: np.ndarray) -> np.ndarray:
     return (a[0] + a[1]) + a[2]
 
 
-def _rows(color: np.ndarray, n: int) -> np.ndarray:
-    """Color as n C-ordered rows (n, 3): a single (3,) row is repeated into a
-    fresh array, an (n, 3) array is returned as it is if C-ordered."""
-    return np.tile(color, (n, 1)) if color.ndim == 1 else np.ascontiguousarray(color)
-
-
 def _channel_rows(color: np.ndarray, n: int) -> np.ndarray:
     """Color as channel-major rows (3, n): a single (3,) row broadcast (a
     read-only view), an (n, 3) array transposed (a view)."""
     return np.broadcast_to(color[:, None], (3, n)) if color.ndim == 1 else color.T
+
+
+def _zero_padded(table: np.ndarray) -> np.ndarray:
+    """``table`` with one zero row before its first row and after its last."""
+    zero = np.zeros((1,) + table.shape[1:])
+    return np.concatenate((zero, table, zero))
 
 
 def _check_points(points) -> tuple[np.ndarray, bool]:
@@ -151,6 +159,9 @@ class Field(abc.ABC):
     # rows ``_raw_density_rows`` returns; every other parameter's density
     # derivative is exactly 0.
     density_params: ClassVar[tuple[int, ...]] = ()
+    # Object kinds: xy bounding-circle radius, per unit size, of an object
+    # built by ``on_footprint``; None for a kind not placed as an object.
+    footprint_radius: ClassVar[float | None] = None
 
     def __post_init__(self):
         """Store each layout group, checked by its domain's rule, then the cap (``width`` rule)."""
@@ -246,7 +257,8 @@ class Field(abc.ABC):
         changes density (all kinds here are Lambertian)."""
         pts, single = _check_points(points)
         sigma, color = self._density_color(pts)
-        color = _rows(color, pts.shape[0])
+        # C-ordered (N, 3) rows; a single (3,) row is repeated into a fresh array.
+        color = np.tile(color, (pts.shape[0], 1)) if color.ndim == 1 else np.ascontiguousarray(color)
         if single:
             return float(sigma[0]), color[0]
         return sigma, color
@@ -267,36 +279,10 @@ class Field(abc.ABC):
         sigma, color = self._density_color(pts)
         return sigma, _channel_rows(color, pts.shape[0]), sigma[None, :]
 
-    def _color_slots(self, pts: np.ndarray):
-        """At checked points (N, 3): the clipped color, (N, 3) or one (3,)
-        row; the channels whose color has a gradient (N, 3); and the
-        parameter index each channel comes from (N, 3).  d(color)/d(param)
-        is 1 at those indices in those channels and 0 elsewhere; it stays
-        alive exactly at 0 and 1, so a descent step can leave the clip edge."""
-        color, offset = self._color_source(pts)
-        shape = (pts.shape[0], 3)
-        inside = np.broadcast_to((color >= 0.0) & (color <= 1.0), shape)
-        slots = np.broadcast_to(np.asarray(offset)[..., None] + np.arange(3), shape)
-        return np.clip(color, 0.0, 1.0), inside, slots
-
-    def evaluate_with_grad(self, points, direction=None):
-        """Like evaluate(), plus d(sigma)/d(params) (N, P) and
-        d(color)/d(params) (N, 3, P); d(sigma) is zero where the cap binds."""
-        pts, single = _check_points(points)
-        raw, rows = self._raw_density_rows(pts)
-        n, p = pts.shape[0], self.n_params
-        d_sigma = np.zeros((n, p))
-        d_sigma[:, list(self.density_params)] = rows.T
-        if self.sigma_max is not None:
-            d_sigma *= (raw < self.sigma_max)[:, None]
-        sigma = self._cap(raw)
-        color, inside, slots = self._color_slots(pts)
-        color = _rows(color, n)
-        d_color = np.zeros((n, 3, p))
-        d_color[np.arange(n)[:, None], np.arange(3), slots] = inside
-        if single:
-            return float(sigma[0]), color[0], d_sigma[0], d_color[0]
-        return sigma, color, d_sigma, d_color
+    def _surface_distance(self, origins: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+        """Distance (N,) along rays (origins, unit dirs (N, 3)) to the
+        half-maximum surface, inf where a ray misses it."""
+        raise TypeError(f"no analytic surface for field kind {self.kind!r}")
 
 
 class _ConstantColorField(Field):
@@ -324,6 +310,7 @@ class GaussianBlobField(_ConstantColorField):
     """
 
     kind: ClassVar[str] = "gaussian_blob"
+    footprint_radius = 1.0
     layout = (("center", 3, "free"), ("scale", 3, "width"), ("amplitude", 1, "nonneg"), ("color", 3, "unit"))
     center: np.ndarray
     scale: np.ndarray
@@ -348,6 +335,16 @@ class GaussianBlobField(_ConstantColorField):
         rows[6] = g
         return raw, rows
 
+    @classmethod
+    def on_footprint(cls, xy, size, color, softness, sigma_max) -> "GaussianBlobField":
+        """Full-density blob, half-maximum ball of radius ``size`` on the ground at ``xy``; no ``softness``."""
+        scale = size / HALF_MAX_RADIUS
+        return cls(center=(xy[0], xy[1], size), scale=(scale, scale, scale), amplitude=sigma_max,
+                   color=color, sigma_max=sigma_max)
+
+    def _surface_distance(self, origins, dirs):
+        return _hit_ellipsoid(self.center, self.scale * HALF_MAX_RADIUS, origins, dirs)
+
 
 @dataclass(frozen=True)
 class SoftSphereField(_ConstantColorField):
@@ -357,6 +354,7 @@ class SoftSphereField(_ConstantColorField):
     """
 
     kind: ClassVar[str] = "soft_sphere"
+    footprint_radius = 1.0
     layout = (("center", 3, "free"), ("radius", 1, "width"), ("softness", 1, "width"),
               ("amplitude", 1, "nonneg"), ("color", 3, "unit"))
     center: np.ndarray
@@ -387,6 +385,15 @@ class SoftSphereField(_ConstantColorField):
         rows[5] = s
         return raw, rows
 
+    @classmethod
+    def on_footprint(cls, xy, size, color, softness, sigma_max) -> "SoftSphereField":
+        """A sphere at full density of radius ``size`` resting on the ground at ``xy``."""
+        return cls(center=(xy[0], xy[1], size), radius=size, softness=softness, amplitude=sigma_max,
+                   color=color, sigma_max=sigma_max)
+
+    def _surface_distance(self, origins, dirs):
+        return _hit_ellipsoid(self.center, np.full(3, self.radius), origins, dirs)
+
 
 @dataclass(frozen=True)
 class SoftBoxField(_ConstantColorField):
@@ -396,6 +403,7 @@ class SoftBoxField(_ConstantColorField):
     """
 
     kind: ClassVar[str] = "soft_box"
+    footprint_radius = math.sqrt(2.0)
     layout = (("center", 3, "free"), ("half_size", 3, "width"), ("softness", 1, "width"),
               ("amplitude", 1, "nonneg"), ("color", 3, "unit"))
     center: np.ndarray
@@ -426,6 +434,15 @@ class SoftBoxField(_ConstantColorField):
         np.divide(raw * np.sum(one_minus * (-q), axis=0), w, out=rows[6])
         rows[7] = f
         return raw, rows
+
+    @classmethod
+    def on_footprint(cls, xy, size, color, softness, sigma_max) -> "SoftBoxField":
+        """A cube at full density of half-size ``size`` resting on the ground at ``xy``."""
+        return cls(center=(xy[0], xy[1], size), half_size=(size, size, size), softness=softness,
+                   amplitude=sigma_max, color=color, sigma_max=sigma_max)
+
+    def _surface_distance(self, origins, dirs):
+        return _hit_box(self.center, self.half_size, origins, dirs)
 
 
 @dataclass(frozen=True)
@@ -509,6 +526,18 @@ class GroundPlaneField(Field):
         np.multiply(self.amplitude * du_dsd * dsd, -1.0 / w, out=rows[2])
         return raw, rows
 
+    def _surface_distance(self, origins, dirs):
+        """The plane z = 0 met from above, or the dome sphere, whichever comes first."""
+        dz = dirs[:, 2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_plane = -origins[:, 2] / dz
+        t_plane = np.where((dz < 0.0) & (t_plane > 0.0), t_plane, np.inf)
+        r = self.dome_radius
+        b = 2.0 * (origins * dirs).sum(axis=1)
+        c = (origins * origins).sum(axis=1) - r * r
+        t_dome = _smallest_positive_root(np.ones(origins.shape[0]), b, c)
+        return np.minimum(t_plane, t_dome)
+
 
 @dataclass(frozen=True)
 class PiecewiseConstantRayField(Field):
@@ -559,21 +588,18 @@ class PiecewiseConstantRayField(Field):
         return cls(ray.origin, ray.direction, breakpoints, sigmas, colors)
 
     def _interval_index(self, pts):
+        """Row of each point in the zero-padded interval tables: 0 before the
+        first breakpoint, i + 1 in interval i, m + 1 at or past the last."""
         # C order: a matrix-vector product may round differently on other layouts.
         t = np.ascontiguousarray(pts - self.axis_origin) @ self.axis_direction
-        idx = np.searchsorted(self.breakpoints, t, side="right") - 1
-        valid = (idx >= 0) & (idx < self.sigmas.shape[0]) & (t >= self.breakpoints[0])
-        return np.clip(idx, 0, self.sigmas.shape[0] - 1), valid
+        return np.searchsorted(self.breakpoints, t, side="right")
 
     def _raw_density(self, pts):
-        idx, valid = self._interval_index(pts)
-        return np.where(valid, self.sigmas[idx], 0.0)
+        return _zero_padded(self.sigmas)[self._interval_index(pts)]
 
     def _raw(self, pts):
-        idx, valid = self._interval_index(pts)
-        sigma = np.where(valid, self.sigmas[idx], 0.0)
-        color = np.where(valid[:, None], self.colors[idx], 0.0)
-        return sigma, color
+        idx = self._interval_index(pts)
+        return _zero_padded(self.sigmas)[idx], _zero_padded(self.colors)[idx]
 
     def params(self) -> np.ndarray:
         return np.concatenate([self.sigmas, self.colors.ravel()])

@@ -1,4 +1,6 @@
-"""Rays, pinhole cameras, and the three-view turntable rig."""
+"""Rays, pinhole cameras, the three-view turntable rig, and the ray-ellipsoid
+and ray-box intersections from which the field kinds in ``fields`` find
+their half-maximum surfaces."""
 
 from __future__ import annotations
 
@@ -171,3 +173,46 @@ def rig_views(base: Camera) -> tuple[Camera, Camera, Camera]:
         rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
         views.append(replace(base, position=rot @ base.position))
     return tuple(views)
+
+
+def _smallest_positive_root(a, b, c):
+    """Per-row smallest positive root of a t^2 + b t + c = 0 (inf if none)."""
+    disc = b * b - 4.0 * a * c
+    ok = disc >= 0.0
+    sq = np.sqrt(np.where(ok, disc, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = (-b - sq) / (2.0 * a)
+        t2 = (-b + sq) / (2.0 * a)
+    t1 = np.where(ok & (t1 > 0.0), t1, np.inf)
+    t2 = np.where(ok & (t2 > 0.0), t2, np.inf)
+    return np.minimum(t1, t2)
+
+
+def _hit_ellipsoid(center, radii, origins, dirs):
+    po = (origins - center) / radii
+    pd = dirs / radii
+    a = (pd * pd).sum(axis=1)
+    b = 2.0 * (po * pd).sum(axis=1)
+    c = (po * po).sum(axis=1) - 1.0
+    return _smallest_positive_root(a, b, c)
+
+
+def _hit_box(center, half, origins, dirs):
+    lo = center - half
+    hi = center + half
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / dirs
+    t_lo = (lo - origins) * inv
+    t_hi = (hi - origins) * inv
+    near = np.minimum(t_lo, t_hi)
+    far = np.maximum(t_lo, t_hi)
+    # Parallel rays: inside the slab -> (-inf, inf), outside -> no hit.
+    parallel = dirs == 0.0
+    inside = (origins >= lo) & (origins <= hi)
+    near = np.where(parallel, np.where(inside, -np.inf, np.inf), near)
+    far = np.where(parallel, np.where(inside, np.inf, -np.inf), far)
+    t_enter = near.max(axis=1)
+    t_exit = far.min(axis=1)
+    hit = (t_enter <= t_exit) & (t_exit > 0.0)
+    t = np.where(t_enter > 0.0, t_enter, t_exit)
+    return np.where(hit & (t > 0.0), t, np.inf)

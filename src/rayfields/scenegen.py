@@ -2,29 +2,24 @@
 
 Objects (blobs, spheres, boxes) sit bottom-flush on the ground plane inside
 a square placement box; a rejection loop enforces a bounding-circle
-separation rule and the whole scene restarts when it stalls.  Ground-truth
-depth and masks come from closed-form surface intersections (soft-edged
-densities are treated as hard surfaces at their half-maximum level set);
-supervision colors come from rendering the scene itself.
+separation rule and the whole scene restarts when it stalls.  Each object
+kind builds itself from its footprint (``on_footprint``) and states its
+bounding circle (``footprint_radius``).  Ground-truth depth and masks come
+from closed-form surface intersections: soft-edged densities are treated as
+hard surfaces at their half-maximum level set, which each field kind
+computes itself (``fields``, with the intersections in ``geometry``).
+Supervision colors come from rendering the scene itself.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._threads import block_rows, chunked_row_map
 from .compose import CompositeScene, render_ray_grid
-from .fields import (
-    DEFAULT_SIGMA_MAX,
-    Field,
-    GaussianBlobField,
-    GroundPlaneField,
-    SoftBoxField,
-    SoftSphereField,
-)
+from .fields import DEFAULT_SIGMA_MAX, FIELD_KINDS, HALF_MAX_RADIUS, Field, GroundPlaneField
 from .geometry import Camera, RayGrid, pinhole_rays
 from .losses import RgbdSample
 from .transport import QuadratureConfig, _panels
@@ -44,9 +39,6 @@ __all__ = [
     "sample_observations",
     "samples_from_views",
 ]
-
-# A Gaussian bump crosses half its peak at this many scale units from center.
-HALF_MAX_RADIUS = math.sqrt(2.0 * math.log(2.0))
 
 # Eight fixed object colors (linear RGB).
 PALETTE = (
@@ -122,38 +114,11 @@ def _background(config: SceneGenConfig) -> GroundPlaneField:
 def _make_object(kind: str, xy: np.ndarray, size: float, color, config: SceneGenConfig) -> tuple[Field, float]:
     """Build one object bottom-flush with the ground; returns it with its
     xy bounding-circle radius."""
-    sm = config.sigma_max
-    if kind == "gaussian_blob":
-        scale = size / HALF_MAX_RADIUS
-        field = GaussianBlobField(
-            center=(xy[0], xy[1], size),
-            scale=(scale, scale, size / HALF_MAX_RADIUS),
-            amplitude=sm,
-            color=color,
-            sigma_max=sm,
-        )
-        return field, size
-    if kind == "soft_sphere":
-        field = SoftSphereField(
-            center=(xy[0], xy[1], size),
-            radius=size,
-            softness=config.edge_softness,
-            amplitude=sm,
-            color=color,
-            sigma_max=sm,
-        )
-        return field, size
-    if kind == "soft_box":
-        field = SoftBoxField(
-            center=(xy[0], xy[1], size),
-            half_size=(size, size, size),
-            softness=config.edge_softness,
-            amplitude=sm,
-            color=color,
-            sigma_max=sm,
-        )
-        return field, size * math.sqrt(2.0)
-    raise ValueError(f"unknown object kind {kind!r}")
+    cls = FIELD_KINDS.get(kind)
+    if cls is None or cls.footprint_radius is None:
+        raise ValueError(f"unknown object kind {kind!r}")
+    field = cls.on_footprint(xy, size, color, config.edge_softness, config.sigma_max)
+    return field, size * cls.footprint_radius
 
 
 def sample_scene(config: SceneGenConfig, rng: np.random.Generator) -> tuple[CompositeScene, list[dict]]:
@@ -200,74 +165,9 @@ def sample_scene(config: SceneGenConfig, rng: np.random.Generator) -> tuple[Comp
     )
 
 
-def _smallest_positive_root(a, b, c):
-    """Per-row smallest positive root of a t^2 + b t + c = 0 (inf if none)."""
-    disc = b * b - 4.0 * a * c
-    ok = disc >= 0.0
-    sq = np.sqrt(np.where(ok, disc, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = (-b - sq) / (2.0 * a)
-        t2 = (-b + sq) / (2.0 * a)
-    t1 = np.where(ok & (t1 > 0.0), t1, np.inf)
-    t2 = np.where(ok & (t2 > 0.0), t2, np.inf)
-    return np.minimum(t1, t2)
-
-
-def _hit_ellipsoid(center, radii, origins, dirs):
-    po = (origins - center) / radii
-    pd = dirs / radii
-    a = (pd * pd).sum(axis=1)
-    b = 2.0 * (po * pd).sum(axis=1)
-    c = (po * po).sum(axis=1) - 1.0
-    return _smallest_positive_root(a, b, c)
-
-
-def _hit_box(center, half, origins, dirs):
-    lo = center - half
-    hi = center + half
-    with np.errstate(divide="ignore"):
-        inv = 1.0 / dirs
-    t_lo = (lo - origins) * inv
-    t_hi = (hi - origins) * inv
-    near = np.minimum(t_lo, t_hi)
-    far = np.maximum(t_lo, t_hi)
-    # Parallel rays: inside the slab -> (-inf, inf), outside -> no hit.
-    parallel = dirs == 0.0
-    inside = (origins >= lo) & (origins <= hi)
-    near = np.where(parallel, np.where(inside, -np.inf, np.inf), near)
-    far = np.where(parallel, np.where(inside, np.inf, -np.inf), far)
-    t_enter = near.max(axis=1)
-    t_exit = far.min(axis=1)
-    hit = (t_enter <= t_exit) & (t_exit > 0.0)
-    t = np.where(t_enter > 0.0, t_enter, t_exit)
-    return np.where(hit & (t > 0.0), t, np.inf)
-
-
-def _hit_ground(field: GroundPlaneField, origins, dirs):
-    dz = dirs[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_plane = -origins[:, 2] / dz
-    t_plane = np.where((dz < 0.0) & (t_plane > 0.0), t_plane, np.inf)
-    r = field.dome_radius
-    b = 2.0 * (origins * dirs).sum(axis=1)
-    c = (origins * origins).sum(axis=1) - r * r
-    t_dome = _smallest_positive_root(np.ones(origins.shape[0]), b, c)
-    return np.minimum(t_plane, t_dome)
-
-
 def surface_distance(field: Field, origins, dirs) -> np.ndarray:
     """Distance to the field's half-maximum surface (inf when missed)."""
-    origins = np.asarray(origins, dtype=np.float64)
-    dirs = np.asarray(dirs, dtype=np.float64)
-    if isinstance(field, GaussianBlobField):
-        return _hit_ellipsoid(field.center, field.scale * HALF_MAX_RADIUS, origins, dirs)
-    if isinstance(field, SoftSphereField):
-        return _hit_ellipsoid(field.center, np.full(3, field.radius), origins, dirs)
-    if isinstance(field, SoftBoxField):
-        return _hit_box(field.center, field.half_size, origins, dirs)
-    if isinstance(field, GroundPlaneField):
-        return _hit_ground(field, origins, dirs)
-    raise TypeError(f"no analytic surface for field kind {field.kind!r}")
+    return field._surface_distance(np.asarray(origins, dtype=np.float64), np.asarray(dirs, dtype=np.float64))
 
 
 @dataclass(frozen=True)

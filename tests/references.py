@@ -1,4 +1,5 @@
 """Earlier versions of the field kernels, of the color Jacobians, of the
+piecewise-constant field's interval lookup with its validity mask, of the
 color mixer, of the points-major render-batch reductions, of the row-major
 render batch with its per-row fine-bin search, and of the single-ray
 transport routines and observation sampler, and of the fit loop with its
@@ -134,6 +135,17 @@ def reference_color_jacobian(field, pts):
             d_color[:, ch, offset + ch] = 1.0
     inside = (color >= 0.0) & (color <= 1.0)
     return np.clip(color, 0.0, 1.0), d_color * inside[:, :, None]
+
+
+def reference_piecewise_raw(field, pts):
+    """``PiecewiseConstantRayField._raw`` (density and color; its first output
+    is ``_raw_density``) as a clipped interval index plus a validity mask
+    that zeroes points before the first breakpoint or at or past the last."""
+    t = np.ascontiguousarray(pts - field.axis_origin) @ field.axis_direction
+    idx = np.searchsorted(field.breakpoints, t, side="right") - 1
+    valid = (idx >= 0) & (idx < field.sigmas.shape[0]) & (t >= field.breakpoints[0])
+    idx = np.clip(idx, 0, field.sigmas.shape[0] - 1)
+    return np.where(valid, field.sigmas[idx], 0.0), np.where(valid[:, None], field.colors[idx], 0.0)
 
 
 def stacked_mix(sigmas, colors):

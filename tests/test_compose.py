@@ -631,8 +631,3 @@ class TestPublicLayout:
             for points in self._layouts(pts).values():
                 for g, w in zip(field.evaluate(points) + (field.density(points),), ref):
                     self._same(g, w)
-            if field is not piecewise:
-                ref = field.evaluate_with_grad(pts)
-                for points in self._layouts(pts).values():
-                    for g, w in zip(field.evaluate_with_grad(points), ref):
-                        self._same(g, w)

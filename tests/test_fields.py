@@ -22,10 +22,12 @@ from rayfields.fields import (
     field_from_params,
     _sigmoid,
 )
+from rayfields.fitting import loss_gradient
+from rayfields.geometry import Ray
+from rayfields.losses import LossConfig, RgbdSample
 from rayfields.scenedoc import doc_to_scene, dumps_canonical, scene_to_doc
 
-from references import (FIELDS, GROUNDS, POINTS, masked_sigmoid, reference_color_jacobian,
-                        reference_density_grad)
+from references import FIELDS, GROUNDS, POINTS, masked_sigmoid, reference_density_grad, reference_piecewise_raw
 
 
 def _example_fields():
@@ -322,6 +324,27 @@ class TestGroundPlane:
                              dome_radius=0.0, dome_color=(0, 0, 0))
 
 
+@st.composite
+def _piecewise_cases(draw):
+    """A piecewise field and depths before 0, on each breakpoint, one ulp
+    either side of it, inside each interval and past the end.  An axis along
+    x from the origin makes every depth exact, so points land on the
+    breakpoints themselves."""
+    m = draw(st.integers(1, 6))
+    widths = draw(st.lists(st.floats(1e-3, 5.0), min_size=m, max_size=m))
+    breakpoints = np.concatenate([[0.0], np.cumsum(widths)])
+    values = st.one_of(st.just(0.0), st.just(-0.0), st.floats(0.0, 50.0))
+    sigmas = draw(st.lists(values, min_size=m, max_size=m))
+    colors = draw(arrays(np.float64, (m, 3), elements=st.one_of(st.just(-0.0), st.floats(-1.0, 2.0))))
+    origin, direction = draw(st.sampled_from([((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
+                                              ((0.3, -1.2, 0.7), (0.2, -0.9, 0.4))]))
+    field = PiecewiseConstantRayField(origin, direction, breakpoints, sigmas, colors)
+    t = np.concatenate([[-1.0, -5e-324], breakpoints, np.nextafter(breakpoints, -np.inf),
+                        np.nextafter(breakpoints, np.inf), breakpoints[:-1] + np.diff(breakpoints) / 2,
+                        [breakpoints[-1] + 1.0, 1e6]])
+    return field, field.axis_origin + t[:, None] * field.axis_direction
+
+
 class TestPiecewiseConstant:
     def _field(self):
         return PiecewiseConstantRayField(
@@ -363,9 +386,21 @@ class TestPiecewiseConstant:
             PiecewiseConstantRayField((0, 0, 0), (1, 0, 0), [0.0, 1.0, 2.0], [0.5, sigma],
                                       [(1, 1, 1), (color, 0, 0)])
 
+    @settings(max_examples=300, deadline=None)
+    @given(_piecewise_cases())
+    def test_lookup_matches_masked_reference(self, case):
+        field, pts = case
+        for points in (np.ascontiguousarray(pts), np.asfortranarray(pts)):
+            sigma, color = reference_piecewise_raw(field, points)
+            assert field._raw_density(points).tobytes() == sigma.tobytes()
+            raw_sigma, raw_color = field._raw(points)
+            assert raw_sigma.tobytes() == sigma.tobytes() and raw_color.tobytes() == color.tobytes()
+
     def test_gradients_unsupported(self):
         with pytest.raises(UnsupportedGradient):
-            self._field().evaluate_with_grad(np.zeros((2, 3)))
+            self._field()._raw_density_rows(np.zeros((2, 3)))
+        with pytest.raises(UnsupportedGradient):
+            self._field()._color_source(np.zeros((2, 3)))
 
 
 class TestFieldGradients:
@@ -378,17 +413,26 @@ class TestFieldGradients:
             rng.uniform(-1.2, 1.2, (25, 3)),
             rng.uniform(-0.3, 0.3, (10, 3)),
         ])
-        sig, col, d_sig, d_col = field.evaluate_with_grad(pts)
+        # The capped density's derivative: each density row, zeroed where the
+        # cap binds (as the loss does), and exactly 0 for every other parameter.
+        raw, rows = field._raw_density_rows(pts)
+        d_sig = np.zeros((pts.shape[0], field.n_params))
+        d_sig[:, list(field.density_params)] = rows.T * (raw < field.sigma_max)[:, None]
+        # The color's derivative: 1 in each channel's parameter slot where the
+        # unclipped color lies in [0, 1], else 0.
+        color, offset = field._color_source(pts)
+        d_col = np.zeros((pts.shape[0], 3, field.n_params))
+        slots = np.broadcast_to(np.asarray(offset)[..., None] + np.arange(3), (pts.shape[0], 3))
+        d_col[np.arange(pts.shape[0])[:, None], np.arange(3), slots] = (color >= 0.0) & (color <= 1.0)
         base = field.params()
         h = 1e-6
         for j in range(base.shape[0]):
             plus, minus = base.copy(), base.copy()
             plus[j] += h
             minus[j] -= h
-            sp, cp = field.with_params(plus).evaluate(pts)
-            sm, cm = field.with_params(minus).evaluate(pts)
-            fd_sig = (sp - sm) / (2 * h)
-            fd_col = (cp - cm) / (2 * h)
+            fp, fm = field.with_params(plus), field.with_params(minus)
+            fd_sig = (fp.density(pts) - fm.density(pts)) / (2 * h)
+            fd_col = (fp.evaluate(pts)[1] - fm.evaluate(pts)[1]) / (2 * h)
             # Skip points that straddle the density cap or color clip for
             # this parameter (the subgradient there is one-sided).
             interior = np.abs(fd_sig - d_sig[:, j]) < np.maximum(1e-4, 1e-3 * np.abs(fd_sig))
@@ -398,38 +442,26 @@ class TestFieldGradients:
             assert col_ok.mean() > 0.9
 
     def test_sigma_cap_masks_gradient(self):
+        # The ray starts at the blob's centre and its observed depth is 0.01,
+        # so every surface and free-space point has a raw density near 20,
+        # past the cap of 10.
         f = GaussianBlobField(center=(0, 0, 0), scale=(1, 1, 1), amplitude=20.0,
                               color=(0.5, 0.5, 0.5), sigma_max=10.0)
-        sig, _, d_sig, _ = f.evaluate_with_grad(np.zeros((1, 3)))
-        assert sig[0] == 10.0
-        assert np.array_equal(d_sig[0], np.zeros(f.n_params))
+        sample = RgbdSample(ray=Ray((0, 0, 0), (1, 0, 0), 10.0), color=np.full(3, 0.4), depth=0.01)
+        scene = CompositeScene((f,), t_far=10.0)
+        assert np.all(f.density(np.zeros((1, 3))) == 10.0)
+        grad = loss_gradient(scene, [sample] * 4, 0, LossConfig(n_free_samples=3), rng=0)
+        assert np.array_equal(grad[list(f.density_params)], np.zeros(len(f.density_params)))
 
 
 class TestColorJacobian:
-    """evaluate_with_grad builds d(color) from each kind's color slots; it must
-    equal the per-kind blocks bit for bit, clip edges and checker cells included."""
+    """The ground plane's colors come from all three of its color groups."""
 
-    FIELDS = [
-        GaussianBlobField(center=(0, 0, 0), scale=(1, 1, 1), amplitude=5.0, color=(1.0, 0.0, 1.2)),
-        SoftSphereField(center=(0, 0, 0), radius=1.0, softness=0.1, amplitude=5.0, color=(-0.1, 0.5, 1.0)),
-        SoftBoxField(center=(0, 0, 0), half_size=(1, 1, 1), softness=0.1, amplitude=5.0, color=(0.3, 2.0, 0.0)),
-        GroundPlaneField(softness=0.2, amplitude=9.0, color_a=(0.0, 1.0, 0.5), color_b=(1.5, -0.2, 0.3),
-                         checker_size=0.6, dome_radius=2.0, dome_color=(0.2, 1.0, 7.0)),
-        GroundPlaneField(softness=0.2, amplitude=9.0, color_a=(0.6, 0.6, 0.6), color_b=(1.5, -0.2, 0.3),
-                         checker_size=0.0, dome_radius=2.0, dome_color=(0.5, 0.6, 0.7)),
-    ]
-
-    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.kind)
-    def test_equals_old_per_kind_blocks(self, field):
-        pts = np.random.default_rng(8).uniform(-3.0, 3.0, (300, 3))
-        _, color, _, d_color = field.evaluate_with_grad(pts)
-        ref_color, ref_d_color = reference_color_jacobian(field, pts)
-        assert np.array_equal(color, ref_color) and np.array_equal(d_color, ref_d_color)
-        _, _, _, single = field.evaluate_with_grad(pts[7])
-        assert np.array_equal(single, reference_color_jacobian(field, pts[7:8])[1][0])
+    GROUND = GroundPlaneField(softness=0.2, amplitude=9.0, color_a=(0.0, 1.0, 0.5), color_b=(1.5, -0.2, 0.3),
+                              checker_size=0.6, dome_radius=2.0, dome_color=(0.2, 1.0, 7.0))
 
     def test_ground_plane_points_reach_every_surface(self):
-        ground = self.FIELDS[3]
+        ground = self.GROUND
         pts = np.random.default_rng(8).uniform(-3.0, 3.0, (300, 3))
         _, offsets = ground._color_source(pts)
         assert set(np.unique(offsets)) == {2, 5, 10}
@@ -469,10 +501,6 @@ class TestKernelReferences:
         sigma = ref_raw if field.sigma_max is None else np.minimum(ref_raw, field.sigma_max)
         assert field.density(pts).tobytes() == sigma.tobytes()
         assert field.evaluate(pts)[0].tobytes() == sigma.tobytes()
-        live = np.ones_like(ref_raw) if field.sigma_max is None else ref_raw < field.sigma_max
-        ewg_sigma, _, d_sigma, _ = field.evaluate_with_grad(pts)
-        assert ewg_sigma.tobytes() == sigma.tobytes()
-        assert d_sigma.tobytes() == (ref_grad * live[:, None]).tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(FIELDS, POINTS)

@@ -516,20 +516,6 @@ class TestFit:
         assert err.value.iteration == 0
         assert err.value.term in {"depth_nll", "total"}
 
-    def test_fit_path_forms_no_dense_jacobian(self, monkeypatch):
-        # Both methods that build dense Jacobians raise; a fit on every gradient kind
-        # still runs, so its gradient comes from density rows and color slots.
-        scene, batch = all_kinds_case()
-
-        def dense(*args, **kwargs):
-            raise AssertionError("dense Jacobian built on the fit path")
-
-        monkeypatch.setattr(rf.Field, "evaluate_with_grad", dense)
-        monkeypatch.setattr(rf.Field, "_color_slots", dense)
-        rep = fit(scene, batch, FitConfig(iterations=5, batch_size=16, seed=2))
-        assert len(rep.trace) == 5 and rep.skipped_steps == 0
-        assert not np.array_equal(rep.final_params, scene.params())
-
     def test_batch_larger_than_dataset_ok(self):
         target = two_blob_scene()
         data = scene_samples(target, side=5)

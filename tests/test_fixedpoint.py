@@ -1,6 +1,7 @@
 """Smoke test of tools/fixedpoint.py at its tiny size: src/ as committed at
-HEAD shows no difference against HEAD (render and bias-demo outputs alike),
-and a copy whose color mixer is off by one ulp is caught."""
+HEAD shows no difference against HEAD (render, bias-demo, scene-generation
+and CLI dataset outputs alike), and a copy whose color mixer is off by one
+ulp is caught."""
 
 import io
 import os
@@ -50,6 +51,9 @@ def test_head_against_itself_is_identical(head_src):
         assert f"bias_demo.k50.{mode}.n{n_trials}.empirical_mean: [1] identical" in run.stdout
     assert "cli.bias-demo.stdout: [1] identical" in run.stdout
     assert "cli.bias-demo.hierarchical.stdout: [1] identical" in run.stdout
+    assert "cli.generate.view_0_mask.pgm: [1] identical" in run.stdout
+    assert "scenegen.box.seed0.surface_distance0: [1] identical" in run.stdout
+    assert "cli.eval.stdout: [1] identical" in run.stdout
 
 
 def test_one_ulp_in_the_mixer_is_reported(head_src):

@@ -146,6 +146,12 @@ class TestSampleScene:
         for m in meta:
             assert m["radius"] == pytest.approx(m["size"] * math.sqrt(2.0))
 
+    @pytest.mark.parametrize("kind", ["ground_plane", "teapot"])
+    def test_unplaceable_kind_rejected(self, kind):
+        # A field kind without a footprint is as unknown as a name that is no kind.
+        with pytest.raises(ValueError, match="unknown object kind"):
+            sample_scene(SceneGenConfig(kinds=(kind,)), np.random.default_rng(0))
+
 
 class TestSurfaceDistance:
     def test_blob_head_on(self):
@@ -167,31 +173,37 @@ class TestSurfaceDistance:
         sig, _ = blob.evaluate(origin + t * direction)
         assert sig == pytest.approx(5.0, rel=1e-9)
 
-    @pytest.mark.parametrize("kind", ["gaussian_blob", "soft_sphere"])
+    # Per kind: a field and the point its rays are aimed at.  The box's rays
+    # enter through the interior of its -x face; the ground's meet the plane,
+    # which sits at exactly half the amplitude.
+    NUMERIC_ROOT_CASES = {
+        "gaussian_blob": (rf.GaussianBlobField(center=(0.2, 0.1, 0.7), scale=(0.45, 0.5, 0.35), amplitude=10.0,
+                                               color=(1, 0, 0), sigma_max=10.0), (0.2, 0.1, 0.7)),
+        "soft_sphere": (rf.SoftSphereField(center=(0.2, 0.1, 0.7), radius=0.6, softness=0.03, amplitude=10.0,
+                                           color=(1, 0, 0), sigma_max=10.0), (0.2, 0.1, 0.7)),
+        "soft_box": (rf.SoftBoxField(center=(0.2, 0.1, 0.7), half_size=(0.5, 0.5, 0.5), softness=0.03,
+                                     amplitude=10.0, color=(1, 0, 0), sigma_max=10.0), (0.2, 0.1, 0.7)),
+        "ground_plane": (rf.GroundPlaneField(softness=0.05, amplitude=10.0, color_a=(0.6,) * 3, color_b=(0.5,) * 3,
+                                             checker_size=0.0, dome_radius=30.0, dome_color=(0.5, 0.6, 0.7),
+                                             sigma_max=10.0), (0.2, 0.1, 0.0)),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(NUMERIC_ROOT_CASES))
     def test_matches_numeric_root(self, kind):
-        if kind == "gaussian_blob":
-            field = rf.GaussianBlobField(
-                center=(0.2, 0.1, 0.7), scale=(0.45, 0.5, 0.35), amplitude=10.0,
-                color=(1, 0, 0), sigma_max=10.0,
-            )
-        else:
-            field = rf.SoftSphereField(
-                center=(0.2, 0.1, 0.7), radius=0.6, softness=0.03, amplitude=10.0,
-                color=(1, 0, 0), sigma_max=10.0,
-            )
+        field, aim = self.NUMERIC_ROOT_CASES[kind]
         rng = np.random.default_rng(5)
         checked = 0
         for _ in range(20):
             origin = np.array([-4.0, 0.0, 1.0]) + rng.normal(0, 0.3, 3)
-            direction = np.array([0.2, 0.1, 0.7]) - origin + rng.normal(0, 0.1, 3)
+            direction = np.array(aim) - origin + rng.normal(0, 0.1, 3)
             direction /= np.linalg.norm(direction)
             analytic = surface_distance(field, origin[None], direction[None])[0]
             numeric = bisect_half_max(field, origin, direction, 12.0)
             if np.isfinite(analytic):
                 checked += 1
-                # soft_sphere's numeric half-max sits within a softness width
-                # of the geometric radius; the blob's is exact.
-                tol = 1e-6 if kind == "gaussian_blob" else 5e-2
+                # A soft edge's numeric half-max sits within a softness width
+                # of the geometric surface; the blob's and the plane's are exact.
+                tol = 1e-6 if kind in ("gaussian_blob", "ground_plane") else 5e-2
                 assert analytic == pytest.approx(numeric, abs=tol)
             else:
                 assert numeric == np.inf or numeric > 11.0
@@ -250,8 +262,9 @@ class TestSurfaceDistance:
             axis_origin=(0, 0, 0), axis_direction=(1, 0, 0),
             breakpoints=[0.0, 1.0], sigmas=[1.0], colors=[(1, 1, 1)],
         )
-        with pytest.raises(TypeError):
-            surface_distance(field, np.zeros((1, 3)), np.ones((1, 3)))
+        for field in (field, rf.merged_field(one_blob_scene())):
+            with pytest.raises(TypeError, match=f"no analytic surface for field kind '{field.kind}'"):
+                surface_distance(field, np.zeros((1, 3)), np.ones((1, 3)))
 
 
 def one_blob_scene():

@@ -18,7 +18,15 @@ under that tree and under ``--src`` (default: this checkout's ``src/``), at
   2 trials (one 2-row block) and for 1 and 2 trials more than a block
   holds (a last block of 1 or 2 rows);
 - the files the CLI ``render`` command writes for a 3-view render, and the
-  stdout of the CLI ``bias-demo`` command, plain and ``--hierarchical``.
+  stdout of the CLI ``bias-demo`` command, plain and ``--hierarchical``;
+- for generated scenes of each object-kind mix: ``sample_scene`` params and
+  metadata, ``ground_truth_maps`` depth and mask and every component's
+  ``surface_distance`` on a camera grid, ``sample_observations`` and
+  ``surface_samples`` as stacked origins, directions, depths and colors, and
+  ``total_loss`` and ``loss_gradient`` on the observations;
+- the files of a 3-view CLI ``generate``, of a short CLI ``fit`` to that
+  dataset and of a CLI ``render`` of the fitted scene, and the stdout of CLI
+  ``eval`` between that render and the dataset.
 
 Prints one line per output and thread count: ``identical``, or the max
 absolute and max relative difference.  Exits 1 if any output differs or
@@ -42,15 +50,22 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # Per size: camera image (width, height), CLI render resolution, the
 # quadratures (name, n_coarse, n_fine, stratified), the single-ray pixels,
-# the bias-demo bin counts and the CLI bias-demo trial count.
+# the bias-demo bin counts, the CLI bias-demo trial count, the generated
+# scenes' seeds and image size, the observation sampler's panels and the CLI
+# fit's iteration count.
 SIZES = {
     "tiny": {"image": (6, 5), "cli_resolution": 8, "pixels": (0, 7, 14, 29),
              "quads": [("main", 8, 16, True), ("unstratified", 7, 9, False), ("coarse", 5, 0, True)],
-             "bias_ks": (50,), "cli_trials": 300},
+             "bias_ks": (50,), "cli_trials": 300,
+             "gen_seeds": (0,), "gen_resolution": 8, "n_panels": 64, "fit_iterations": 5},
     "full": {"image": (24, 24), "cli_resolution": 64, "pixels": (0, 77, 150, 290, 301, 433, 500, 575),
              "quads": [("main", 64, 128, True), ("unstratified", 32, 64, False), ("coarse", 64, 0, True)],
-             "bias_ks": (8, 50, 129), "cli_trials": 10_000},
+             "bias_ks": (8, 50, 129), "cli_trials": 10_000,
+             "gen_seeds": (0, 1, 2), "gen_resolution": 32, "n_panels": 2048, "fit_iterations": 50},
 }
+# Object-kind mixes of the generated scenes: every kind, then each alone.
+KIND_MIXES = {"all": ("gaussian_blob", "soft_sphere", "soft_box"), "blob": ("gaussian_blob",),
+              "sphere": ("soft_sphere",), "box": ("soft_box",)}
 COMPONENT_COUNTS = (1, 2, 5, 8, 9, 16)
 # Sample points per block (rayfields._threads.BLOCK_POINTS), so the manifest
 # can end a render or a bias demo on a block of 1 or 2 rows through public
@@ -100,10 +115,21 @@ def _cli(cli, argv: list[str]) -> tuple[int, bytes]:
     return code, captured.getvalue().encode()
 
 
+def _stacked(samples) -> np.ndarray:
+    """RGB-D samples as rows (origin, direction, depth, color)."""
+    return np.array([[*s.ray.origin, *s.ray.direction, s.depth, *s.color] for s in samples]).reshape(-1, 10)
+
+
+def _files(out: dict, prefix: str, directory: str) -> None:
+    for name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, name), "rb") as fh:
+            out[f"{prefix}.{name}"] = np.frombuffer(fh.read(), dtype=np.uint8)
+
+
 def _emit(size: str) -> dict:
     """Every manifest output, by name, from the rayfields on sys.path."""
     import rayfields as rf
-    from rayfields import cli, estimlab
+    from rayfields import cli, estimlab, scenegen
 
     p = SIZES[size]
     out = {}
@@ -158,9 +184,45 @@ def _emit(size: str) -> dict:
         argv = ["render", "--scene", scene_path, "--out", render_dir, "--resolution", str(p["cli_resolution"]),
                 "--views", "3", "--n-coarse", str(n_coarse), "--n-fine", str(n_fine), "--seed", "7"]
         out["cli.render.exit"] = np.asarray(_cli(cli, argv)[0])
-        for name in sorted(os.listdir(render_dir)):
-            with open(os.path.join(render_dir, name), "rb") as fh:
-                out[f"cli.render.{name}"] = np.frombuffer(fh.read(), dtype=np.uint8)
+        _files(out, "cli.render", render_dir)
+
+    loss_config = rf.LossConfig(n_free_samples=3)
+    for mix, kinds in KIND_MIXES.items():
+        config = rf.SceneGenConfig(kinds=kinds, n_objects_max=6, resolution=p["gen_resolution"], checker_size=0.5)
+        for seed in p["gen_seeds"]:
+            tag = f"scenegen.{mix}.seed{seed}"
+            scene, meta = rf.sample_scene(config, np.random.default_rng(seed))
+            out[f"{tag}.params"] = scene.params()
+            for i, entry in enumerate(meta):
+                for key, value in entry.items():  # text as its bytes
+                    value = np.frombuffer(value.encode(), dtype=np.uint8) if isinstance(value, str) else value
+                    out[f"{tag}.object{i}.{key}"] = np.asarray(value)
+            grid = rf.pinhole_rays(scenegen.default_camera(config), scene.t_far)
+            out[f"{tag}.depth"], out[f"{tag}.mask"] = scenegen.ground_truth_maps(scene, grid)
+            for i, comp in enumerate(scene.components):
+                out[f"{tag}.surface_distance{i}"] = rf.surface_distance(comp, grid.origins, grid.directions)
+            observations = rf.sample_observations(scene, grid, seed=seed, n_panels=p["n_panels"])
+            out[f"{tag}.sample_observations"] = _stacked(observations)
+            out[f"{tag}.surface_samples"] = _stacked(rf.surface_samples(scene, grid))
+            total, breakdown = rf.total_loss(scene, observations, 3, loss_config, rng=seed)
+            out[f"{tag}.total_loss"] = np.array([total, *breakdown.values()])
+            out[f"{tag}.loss_gradient"] = rf.loss_gradient(scene, observations, 3, loss_config, rng=seed)
+
+    with tempfile.TemporaryDirectory() as work:
+        data, fitted, rendered = (os.path.join(work, name) for name in ("data", "fit", "render"))
+        commands = [
+            ("generate", data, ["generate", "--scene-seed", "7", "--resolution", str(p["gen_resolution"]),
+                                "--n-coarse", str(n_coarse), "--n-fine", str(n_fine), "--seed", "7"]),
+            ("fit", fitted, ["fit", "--data", data, "--init-random", "3", "--iterations", str(p["fit_iterations"]),
+                             "--batch-size", "64", "--fit-seed", "1"]),
+            ("fit_render", rendered, ["render", "--scene", os.path.join(fitted, "scene.json"), "--views", "3",
+                                      "--n-coarse", str(n_coarse), "--n-fine", str(n_fine), "--seed", "7"]),
+        ]
+        for name, directory, argv in commands:
+            out[f"cli.{name}.exit"] = np.asarray(_cli(cli, [*argv, "--out", directory])[0])
+            _files(out, f"cli.{name}", directory)
+        code, stdout = _cli(cli, ["eval", "--pred", rendered, "--truth", data])
+        out["cli.eval.exit"], out["cli.eval.stdout"] = np.asarray(code), np.frombuffer(stdout, dtype=np.uint8)
     return out
 
 
