@@ -392,6 +392,10 @@ def _cmd_eval(args) -> int:
         truth_rgb = images.read_ppm(os.path.join(args.truth, f"view_{v}.ppm"))
         if pred_mask.shape != truth_mask.shape or pred_rgb.shape != truth_rgb.shape:
             raise _InputError(f"view {v}: image shapes differ between directories")
+        n_fg = int(np.count_nonzero(truth_mask > 0))
+        if n_fg < 2:
+            raise _InputError(f"view {v}: the truth mask has {n_fg} foreground pixel(s); "
+                              "the foreground ARI needs at least 2")
         entry = {
             "view": v,
             "ari": metrics.ari(pred_mask, truth_mask),

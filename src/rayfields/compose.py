@@ -19,6 +19,13 @@ batch is samples-major on top of that (see transport.py): its component
 densities are (n, S, N), so the component masses sum whole (n, N) rows
 over samples.  The public methods return points-major
 C-ordered arrays ((N, n) densities, (N, 3) colors), as they always have.
+
+Segmentation (``segment_ray``, ``component_marginal``) reads the depth law
+alone: its render pass evaluates per-component densities only and stops at
+the weights, so no component color is clipped, gathered or mixed for it.
+Its masses are bit-identical to ``composite_render``'s, and like every
+single-ray call without a generator it reuses its quadrature's memoized
+draws.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from . import transport
 from ._threads import block_rows, chunked_row_map
 from .fields import Field, UnsupportedGradient, _channel_rows, _check_points
 from .geometry import Ray, RayGrid, ray_at
-from .transport import EMPTY_WEIGHT_EPS, QuadratureConfig, RenderResult, _sum_samples, _total
+from .transport import EMPTY_WEIGHT_EPS, QuadratureConfig, RenderResult, _density_total, _sum_samples, _total
 
 __all__ = [
     "NEUTRAL_COLOR",
@@ -272,14 +279,14 @@ def composite_render(scene: CompositeScene, ray: Ray, quad: QuadratureConfig) ->
 def component_marginal(scene: CompositeScene, ray: Ray, quad: QuadratureConfig) -> tuple[np.ndarray, float]:
     """Per-component depth mass (n,) plus the vacuum residual; together they
     sum to ~1."""
-    marginal, residual = _marginals_from_batch(transport._render_ray(scene, ray, quad))
+    marginal, residual = _marginals_from_batch(transport._render_ray(scene, ray, quad, colors=False))
     return marginal[0], float(residual[0])
 
 
 def segment_ray(scene: CompositeScene, ray: Ray, quad: QuadratureConfig) -> int:
     """Index of the component holding the most depth mass; EMPTY_SEGMENT (-1)
     when the ray absorbs (almost) nothing.  Ties go to the lowest index."""
-    return int(_labels(_marginals_from_batch(transport._render_ray(scene, ray, quad))[0])[0])
+    return int(_labels(_marginals_from_batch(transport._render_ray(scene, ray, quad, colors=False))[0])[0])
 
 
 @dataclass(frozen=True)
@@ -382,7 +389,7 @@ class _MergedField(Field):
         return total, color.T
 
     def _raw_density(self, pts):
-        return _total(self._scene._density_components(pts))
+        return _density_total(self._scene._density_components(pts))  # as ``_raw`` forms it
 
     def params(self) -> np.ndarray:
         return self._scene.params()

@@ -279,6 +279,11 @@ class Field(abc.ABC):
         sigma, color = self._density_color(pts)
         return sigma, _channel_rows(color, pts.shape[0]), sigma[None, :]
 
+    def _density_components(self, pts: np.ndarray) -> np.ndarray:
+        """Density as one row (1, N) at checked points (N, 3), as
+        ``CompositeScene._density_components`` gives a one-component scene's."""
+        return self._density(pts)[None, :]
+
     def _surface_distance(self, origins: np.ndarray, dirs: np.ndarray) -> np.ndarray:
         """Distance (N,) along rays (origins, unit dirs (N, 3)) to the
         half-maximum surface, inf where a ray misses it."""

@@ -85,6 +85,12 @@ class SceneGenConfig:
             raise ValueError("bad size range")
         if self.placement_halfwidth <= 0 or self.max_attempts < 1 or self.max_restarts < 1:
             raise ValueError("bad placement settings")
+        if isinstance(self.kinds, str):
+            raise ValueError(f"kinds must be a sequence of object kind names, not the string {self.kinds!r}")
+        if len(self.kinds) == 0:
+            raise ValueError("kinds must name at least one object kind")
+        for kind in self.kinds:
+            _object_kind(kind)
 
 
 def default_camera(config: SceneGenConfig) -> Camera:
@@ -111,12 +117,18 @@ def _background(config: SceneGenConfig) -> GroundPlaneField:
     )
 
 
-def _make_object(kind: str, xy: np.ndarray, size: float, color, config: SceneGenConfig) -> tuple[Field, float]:
-    """Build one object bottom-flush with the ground; returns it with its
-    xy bounding-circle radius."""
+def _object_kind(kind) -> type[Field]:
+    """The field class of an object kind: one with a footprint."""
     cls = FIELD_KINDS.get(kind)
     if cls is None or cls.footprint_radius is None:
         raise ValueError(f"unknown object kind {kind!r}")
+    return cls
+
+
+def _make_object(kind: str, xy: np.ndarray, size: float, color, config: SceneGenConfig) -> tuple[Field, float]:
+    """Build one object bottom-flush with the ground; returns it with its
+    xy bounding-circle radius."""
+    cls = _object_kind(kind)
     field = cls.on_footprint(xy, size, color, config.edge_softness, config.sigma_max)
     return field, size * cls.footprint_radius
 

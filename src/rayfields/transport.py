@@ -11,6 +11,11 @@ Two batched primitives carry every estimate: ``_panels`` (midpoint-panel
 densities and optical depth, read by transmittance, the probability balance
 and the observation sampler) and ``_composite`` (samples to weights, color,
 depth and alpha).  A single ray is a one-row batch of the same path.
+Segmentation reads the depth law alone: its final pass evaluates densities
+only and stops at the weights (``_composite_weights``), so no color is
+evaluated, mixed or summed for it.  A single-ray call without a generator
+takes its draws from its quadrature's seed, and those draws are memoized
+per quadrature (``_seeded_draws``).
 
 A render batch of N rays with S samples each is samples-major, channel-major
 and component-major: depths, densities, widths and weights are (S, N),
@@ -27,6 +32,7 @@ keeps rows (N, n_panels).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -182,6 +188,12 @@ def _total(rows: np.ndarray) -> np.ndarray:
     out = _pairwise(rows)
     out += 0.0  # the 0.0 NumPy starts from: -0.0 becomes 0.0
     return out
+
+
+def _density_total(sigmas: np.ndarray) -> np.ndarray:
+    """Total of per-component densities (n, N) as a scene forms it: a lone
+    component's row is the total itself, more rows sum by ``_total``."""
+    return sigmas[0] if sigmas.shape[0] == 1 else _total(sigmas)
 
 
 def _sum_samples(terms: np.ndarray) -> np.ndarray:
@@ -398,13 +410,16 @@ def _fine_positions(weights: np.ndarray, t_fars: np.ndarray, u_fine: np.ndarray)
     return frac_in_bin
 
 
-def _render_batch(evaluator, origins, dirs, t_fars, quad: QuadratureConfig, rng, draws=None) -> dict:
+def _render_batch(evaluator, origins, dirs, t_fars, quad: QuadratureConfig, rng, draws=None, colors=True) -> dict:
     """Two-pass render of many rays; returns raw per-ray arrays, samples-major.
 
     The coarse pass evaluates density only, and only to place fine samples
     (a coarse-only quadrature skips it); the final pass evaluates each
     component once and keeps its densities (``"sigmas"``, (n, S, N)) for
-    the component marginals.
+    the component marginals.  With ``colors=False`` the final pass
+    evaluates densities only and stops at the weights: it returns ``t``,
+    ``weights``, ``transmittance_far``, ``sigma`` and ``sigmas``, all that
+    the component marginals read, bit-identical to the full pass.
 
     All randomness comes from ``rng`` in one pinned order (coarse uniforms,
     then fine uniforms) unless pre-drawn ``draws`` are handed in, so results
@@ -422,6 +437,12 @@ def _render_batch(evaluator, origins, dirs, t_fars, quad: QuadratureConfig, rng,
     else:
         t = t_c
     pts, _ = _check_points(_ray_points(origin_rows, dir_rows, t))
+    if not colors:
+        sigmas = evaluator._density_components(pts)
+        sigma = _density_total(sigmas).reshape(t.shape)
+        weights, t_far_T, _ = _composite_weights(sigma, _ownership_deltas(t, t_fars))
+        return {"t": t, "weights": weights, "transmittance_far": t_far_T, "sigma": sigma,
+                "sigmas": sigmas.reshape(-1, *t.shape)}
     sigma, color, sigmas = evaluator._evaluate(pts)
     sigma = sigma.reshape(t.shape)
     batch = _composite(t, sigma, color.reshape(3, *t.shape), _ownership_deltas(t, t_fars))
@@ -429,12 +450,26 @@ def _render_batch(evaluator, origins, dirs, t_fars, quad: QuadratureConfig, rng,
     return batch
 
 
-def _render_ray(field, ray: Ray, quad: QuadratureConfig, rng: np.random.Generator | None = None) -> dict:
+@lru_cache(maxsize=16)
+def _seeded_draws(quad: QuadratureConfig):
+    """``_draw_uniforms`` of one ray from a fresh generator seeded with
+    ``quad.seed``, as read-only arrays: every such call draws the same, so
+    single-ray calls that repeat a quadrature share one set."""
+    draws = _draw_uniforms(np.random.default_rng(quad.seed), 1, quad)
+    for u in draws:
+        if u is not None:
+            u.flags.writeable = False
+    return draws
+
+
+def _render_ray(field, ray: Ray, quad: QuadratureConfig, rng: np.random.Generator | None = None,
+                colors=True) -> dict:
     """One ray as a one-row ``_render_batch``; the draws come from ``rng``,
-    or from a fresh generator seeded with ``quad.seed``."""
-    if rng is None:
-        rng = np.random.default_rng(quad.seed)
-    return _render_batch(field, ray.origin[None, :], ray.direction[None, :], np.array([ray.t_far]), quad, rng)
+    or, without one, are those of a fresh generator seeded with
+    ``quad.seed``, memoized per quadrature (``_seeded_draws``)."""
+    draws = _seeded_draws(quad) if rng is None else None
+    return _render_batch(field, ray.origin[None, :], ray.direction[None, :], np.array([ray.t_far]), quad, rng,
+                         draws, colors)
 
 
 def hierarchical_render(field, ray: Ray, quad: QuadratureConfig, rng: np.random.Generator | None = None) -> RenderResult:

@@ -9,7 +9,7 @@ import pytest
 
 from rayfields import cli, scenegen
 from rayfields.cli import EXIT_GENERATION, EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
-from rayfields.images import read_pfm, read_pgm, read_ppm
+from rayfields.images import read_pfm, read_pgm, read_ppm, write_pgm, write_ppm
 from rayfields.scenedoc import load_scene
 
 
@@ -418,6 +418,19 @@ class TestEval:
         result = json.loads(stdout)
         assert result["mean_ari"] < 1.0
         assert result["mean_mse"] > 0.0
+
+    @pytest.mark.parametrize("n_fg", [0, 1])
+    def test_too_few_foreground_pixels_exit_2(self, tmp_path, capsys, n_fg):
+        # 4x4 views whose truth mask has fewer than two object pixels: the
+        # foreground ARI has nothing to score.
+        for name in ("pred", "truth"):
+            os.makedirs(tmp_path / name)
+            labels = np.zeros((4, 4), dtype=np.int32)
+            labels.flat[:n_fg] = 1
+            write_pgm(tmp_path / name / "view_0_mask.pgm", labels)
+            write_ppm(tmp_path / name / "view_0.ppm", np.full((4, 4, 3), 0.5))
+        code = main(["eval", "--pred", str(tmp_path / "pred"), "--truth", str(tmp_path / "truth")])
+        assert_one_error_line(code, capsys)
 
     def test_empty_directories_exit_2(self, tmp_path, capsys):
         (tmp_path / "a").mkdir()

@@ -23,7 +23,7 @@ from rayfields.compose import (
     _total,
 )
 from rayfields import compose, transport
-from rayfields.fields import (GaussianBlobField, GroundPlaneField, PiecewiseConstantRayField, SoftBoxField,
+from rayfields.fields import (Field, GaussianBlobField, GroundPlaneField, PiecewiseConstantRayField, SoftBoxField,
                               SoftSphereField)
 from rayfields.geometry import Camera, Ray, RayGrid, pinhole_rays
 from rayfields.transport import EMPTY_WEIGHT_EPS, QuadratureConfig, hierarchical_render
@@ -631,3 +631,95 @@ class TestPublicLayout:
             for points in self._layouts(pts).values():
                 for g, w in zip(field.evaluate(points) + (field.density(points),), ref):
                     self._same(g, w)
+
+
+def _kind_scene(n):
+    """A scene of n components cycling blob, sphere, box and ground, the
+    objects scattered about the origin."""
+    rng = np.random.default_rng(300 + n)
+    comps = []
+    for i in range(n):
+        field = _layout_fields()[i % 4]
+        if not isinstance(field, GroundPlaneField):
+            params = field.params()
+            params[:3] += rng.uniform(-0.6, 0.6, 3)
+            field = field.with_params(params)
+        comps.append(field)
+    return CompositeScene(tuple(comps), t_far=12.0)
+
+
+SEGMENT_QUADRATURES = {
+    "stratified": QuadratureConfig(n_coarse=16, n_fine=32, seed=3),
+    "unstratified": QuadratureConfig(n_coarse=9, n_fine=11, seed=8, stratified=False),
+    "coarse-only": QuadratureConfig(n_coarse=12, n_fine=0, seed=5),
+}
+
+
+def _segment_rays():
+    """Nine rays from inside the ground's dome: objects, ground and dome."""
+    cam = Camera(position=(2.2, 0.3, 1.4), look_at=(0.0, 0.0, 0.3), width=3, height=3, vertical_fov=1.2)
+    grid = pinhole_rays(cam, 12.0, clip_z=None)
+    return [grid.ray(i) for i in range(len(grid))]
+
+
+def _segment_evaluators():
+    """(id, evaluator): scenes and their merged fields of every component
+    count, then each field kind alone."""
+    out = []
+    for n in COMPONENT_COUNTS:
+        scene = _kind_scene(n)
+        out += [(f"scene{n}", scene), (f"merged{n}", merged_field(scene))]
+    return out + [(f"lone-{field.kind}", field) for field in _layout_fields()]
+
+
+class TestDensityOnlySegmentation:
+    """``segment_ray`` and ``component_marginal`` run a density-only pass that
+    stops at the weights; they equal ``composite_render``'s label, masses
+    and residual bit for bit, and never reach color code."""
+
+    @pytest.mark.parametrize("quad", SEGMENT_QUADRATURES.values(), ids=SEGMENT_QUADRATURES.keys())
+    @pytest.mark.parametrize("evaluator", [pytest.param(e, id=name) for name, e in _segment_evaluators()])
+    def test_equals_composite_render(self, evaluator, quad):
+        for ray in _segment_rays():
+            full = composite_render(evaluator, ray, quad)
+            marginal, residual = component_marginal(evaluator, ray, quad)
+            assert marginal.tobytes() == full.marginal.tobytes()
+            assert np.float64(residual).tobytes() == np.float64(full.residual).tobytes()
+            assert segment_ray(evaluator, ray, quad) == full.label
+
+    def test_cases_reach_every_outcome(self):
+        # Empty rays, the first component and later ones, unabsorbed light and opaque rays.
+        quad = SEGMENT_QUADRATURES["stratified"]
+        runs = [composite_render(evaluator, ray, quad) for _, evaluator in _segment_evaluators()
+                for ray in _segment_rays()]
+        labels = {run.label for run in runs}
+        assert {EMPTY_SEGMENT, 0} <= labels and max(labels) > 1
+        assert min(run.residual for run in runs) < 1e-3 and max(run.residual for run in runs) > 0.999
+
+    def test_density_only_batch_keys(self):
+        ray = _segment_rays()[4]
+        quad = SEGMENT_QUADRATURES["stratified"]
+        full = transport._render_ray(_kind_scene(5), ray, quad)
+        lean = transport._render_ray(_kind_scene(5), ray, quad, colors=False)
+        assert sorted(lean) == ["sigma", "sigmas", "t", "transmittance_far", "weights"]
+        for key, value in lean.items():
+            assert value.tobytes() == full[key].tobytes(), key
+
+    @pytest.mark.parametrize("quad", SEGMENT_QUADRATURES.values(), ids=SEGMENT_QUADRATURES.keys())
+    def test_no_color_work(self, monkeypatch, quad):
+        cases = [(evaluator, ray) for _, evaluator in _segment_evaluators() for ray in _segment_rays()[::2]]
+        expected = [composite_render(evaluator, ray, quad) for evaluator, ray in cases]
+
+        def color_work(*args, **kwargs):
+            raise AssertionError("segmentation reached color code")
+
+        monkeypatch.setattr(compose, "_mix", color_work)
+        monkeypatch.setattr(transport, "_composite", color_work)
+        monkeypatch.setattr(Field, "_density_color", color_work)
+        monkeypatch.setattr(GroundPlaneField, "_colors", color_work)
+        with pytest.raises(AssertionError, match="color code"):
+            composite_render(*cases[0], quad)
+        for (evaluator, ray), full in zip(cases, expected):
+            marginal, residual = component_marginal(evaluator, ray, quad)
+            assert marginal.tobytes() == full.marginal.tobytes() and residual == full.residual
+            assert segment_ray(evaluator, ray, quad) == full.label

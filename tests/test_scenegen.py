@@ -152,6 +152,17 @@ class TestSampleScene:
         with pytest.raises(ValueError, match="unknown object kind"):
             sample_scene(SceneGenConfig(kinds=(kind,)), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("kinds, message", [
+        ((), "at least one object kind"),
+        ("soft_box", "not the string 'soft_box'"),
+        (("gaussian_blob", "teapot"), "unknown object kind 'teapot'"),
+        (("soft_sphere", "ground_plane"), "unknown object kind 'ground_plane'"),
+    ], ids=["empty", "bare string", "unknown name", "no footprint"])
+    def test_config_checks_kinds(self, kinds, message):
+        # Rejected by the config itself, before any draw could miss the bad name.
+        with pytest.raises(ValueError, match=message):
+            SceneGenConfig(kinds=kinds)
+
 
 class TestSurfaceDistance:
     def test_blob_head_on(self):

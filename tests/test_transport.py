@@ -24,7 +24,8 @@ from rayfields.transport import (
     transmittance,
     transmittance_grid,
 )
-from rayfields.transport import EMPTY_WEIGHT_EPS, _draw_uniforms, _fine_positions, _render_batch, _sum_samples, _total
+from rayfields.transport import (EMPTY_WEIGHT_EPS, _draw_uniforms, _fine_positions, _render_batch, _seeded_draws,
+                                 _sum_samples, _total)
 
 from references import (FIELDS, RAYS, SCENES, reference_fine_positions, reference_probability_balance,
                         reference_quadrature_render, reference_render_batch, reference_transmittance,
@@ -230,6 +231,58 @@ class TestHierarchicalRender:
         quad = QuadratureConfig(n_coarse=8, n_fine=0, seed=0, stratified=False)
         res = hierarchical_render(field, X_RAY, quad)
         assert np.allclose(res.t, (np.arange(8) + 0.5) / 8 * 10.0)
+
+
+SEEDED_QUADRATURES = [QuadratureConfig(n_coarse=16, n_fine=32, seed=41),
+                      QuadratureConfig(n_coarse=9, n_fine=11, seed=42, stratified=False),
+                      QuadratureConfig(n_coarse=12, n_fine=0, seed=43)]
+
+
+class TestSeededDraws:
+    """Single-ray calls without a generator reuse their quadrature's draws."""
+
+    @pytest.mark.parametrize("quad", SEEDED_QUADRATURES, ids=["stratified", "unstratified", "coarse-only"])
+    def test_equal_fresh_draws(self, quad):
+        fresh = _draw_uniforms(np.random.default_rng(quad.seed), 1, quad)
+        for _ in range(2):  # the first call fills the cache, the second reads it
+            cached = _seeded_draws(quad)
+            assert [u is None for u in cached] == [u is None for u in fresh]
+            for got, want in zip(cached, fresh):
+                if want is not None:
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_draws_are_read_only(self):
+        for u in _seeded_draws(SEEDED_QUADRATURES[0]):
+            with pytest.raises(ValueError, match="read-only"):
+                u[0, 0] = 0.5
+            with pytest.raises(ValueError, match="read-only"):
+                u += 1.0
+
+    def test_seed_changes_draws(self):
+        quad = SEEDED_QUADRATURES[0]
+        other = QuadratureConfig(n_coarse=quad.n_coarse, n_fine=quad.n_fine, seed=quad.seed + 1)
+        for a, b in zip(_seeded_draws(quad), _seeded_draws(other)):
+            assert a.tobytes() != b.tobytes()
+
+    def test_seeded_render_equals_fresh_generator(self):
+        field = GaussianBlobField(center=(5, 0, 0), scale=(0.6, 0.6, 0.6), amplitude=8.0, color=(0.9, 0.5, 0.1))
+        for quad in SEEDED_QUADRATURES:
+            seeded = hierarchical_render(field, X_RAY, quad)
+            fresh = hierarchical_render(field, X_RAY, quad, rng=np.random.default_rng(quad.seed))
+            for key, value in vars(seeded).items():
+                assert np.asarray(value).tobytes() == np.asarray(getattr(fresh, key)).tobytes(), key
+
+    def test_explicit_generator_still_advances(self):
+        field = GaussianBlobField(center=(5, 0, 0), scale=(0.6, 0.6, 0.6), amplitude=8.0, color=(0.9, 0.5, 0.1))
+        quad = SEEDED_QUADRATURES[0]
+        g = np.random.default_rng(quad.seed)
+        first = hierarchical_render(field, X_RAY, quad, rng=g)
+        second = hierarchical_render(field, X_RAY, quad, rng=g)
+        assert first.t.tobytes() != second.t.tobytes()
+        expected = np.random.default_rng(quad.seed)
+        expected.random(quad.n_coarse + quad.n_fine)
+        expected.random(quad.n_coarse + quad.n_fine)
+        assert g.random() == expected.random()
 
 
 def _boundary_draws(tiny, offset, n=4096, k=64, f=32):
