@@ -9,10 +9,13 @@ Subcommands:
 * ``eval``      — compare two rendered dataset directories (ARI / MSE).
 
 Exit codes: 0 success, 2 bad input, 3 scene generation failed, 4 numerical
-failure.  All randomness is seeded and all outputs are byte-stable: rerunning
-a command with the same arguments reproduces identical files regardless of
-the worker-thread count (see the OBSURF_THREADS environment variable).
-Timings go to stderr only.
+failure.  ``main`` maps each exception a command may raise to its code and
+one ``error:`` line on stderr: bad input, a missing or malformed file and
+an input too large for memory exit 2, a scene that cannot be placed 3, a
+diverged fit 4.  All randomness is seeded and all outputs are byte-stable:
+rerunning a command with the same arguments reproduces identical files
+regardless of the worker-thread count (see the OBSURF_THREADS environment
+variable).  Timings go to stderr only.
 """
 
 from __future__ import annotations
@@ -148,10 +151,6 @@ def _ensure_out_dir(path: str) -> None:
     os.makedirs(path, exist_ok=True)
 
 
-def _image_too_large(camera: Camera) -> _InputError:
-    return _InputError(f"a {camera.width}x{camera.height} image does not fit in memory")
-
-
 # ----------------------------------------------------------------- render
 
 
@@ -172,10 +171,7 @@ def _cmd_render(args) -> int:
     started = time.perf_counter()
     written: list[str] = []
     for v, cam in enumerate(cameras):
-        try:
-            view = render_ray_grid(scene, pinhole_rays(cam, scene.t_far), replace(quad, seed=_view_seed(quad.seed, v)))
-        except MemoryError as exc:
-            raise _image_too_large(cam) from exc
+        view = render_ray_grid(scene, pinhole_rays(cam, scene.t_far), replace(quad, seed=_view_seed(quad.seed, v)))
         if not np.all(np.isfinite(view.color)):
             _stderr("error: render produced non-finite colors")
             return EXIT_NUMERICAL
@@ -203,20 +199,12 @@ def _cmd_generate(args) -> int:
         )
     except ValueError as exc:
         raise _InputError(f"bad object counts {args.n_objects_min}..{args.n_objects_max}: {exc}") from exc
-    rng = np.random.default_rng(args.scene_seed)
-    try:
-        scene, meta = sample_scene(config, rng)
-    except PlacementError as exc:
-        _stderr(f"error: {exc}")
-        return EXIT_GENERATION
+    scene, meta = sample_scene(config, np.random.default_rng(args.scene_seed))
 
     camera = default_camera(config)
     _ensure_out_dir(args.out)
     started = time.perf_counter()
-    try:
-        views = render_dataset(scene, rig_views(camera)[: args.views], None, quad)
-    except MemoryError as exc:
-        raise _image_too_large(camera) from exc
+    views = render_dataset(scene, rig_views(camera)[: args.views], None, quad)
     written: list[str] = []
     for v, gt in enumerate(views):
         if not np.all(np.isfinite(gt.rgb)):
@@ -294,11 +282,7 @@ def _cmd_fit(args) -> int:
         init_scene = _load_document(args.init).scene
     elif args.init_random is not None:
         config = SceneGenConfig(n_objects_min=args.init_random, n_objects_max=args.init_random)
-        try:
-            init_scene, _ = sample_scene(config, np.random.default_rng(args.fit_seed))
-        except PlacementError as exc:
-            _stderr(f"error: {exc}")
-            return EXIT_GENERATION
+        init_scene, _ = sample_scene(config, np.random.default_rng(args.fit_seed))
         init_scene = CompositeScene(init_scene.components, t_far=data_doc.scene.t_far)
     else:
         raise _InputError("a start point is required: --init SCENE or --init-random N_OBJECTS")
@@ -316,11 +300,7 @@ def _cmd_fit(args) -> int:
     except ValueError as exc:
         raise _InputError(f"bad fit settings: {exc}") from exc
     started = time.perf_counter()
-    try:
-        report = fit(init_scene, samples, config)
-    except FitDivergence as exc:
-        _stderr(f"error: {exc}")
-        return EXIT_NUMERICAL
+    report = fit(init_scene, samples, config)
     elapsed = time.perf_counter() - started
     _stderr(f"fit {len(samples)} samples for {config.iterations} iterations in {elapsed:.1f}s")
 
@@ -493,15 +473,21 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     try:
         return args.func(args)
-    except _InputError as exc:
+    except (_InputError, SceneFormatError, images.ImageFormatError) as exc:
         _stderr(f"error: {exc}")
         return EXIT_INPUT
     except FileNotFoundError as exc:
         _stderr(f"error: file not found: {exc.filename or exc}")
         return EXIT_INPUT
-    except (SceneFormatError, images.ImageFormatError) as exc:
-        _stderr(f"error: {exc}")
+    except MemoryError as exc:
+        _stderr(f"error: not enough memory: {exc}")
         return EXIT_INPUT
+    except PlacementError as exc:
+        _stderr(f"error: {exc}")
+        return EXIT_GENERATION
+    except FitDivergence as exc:
+        _stderr(f"error: {exc}")
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -13,12 +13,19 @@ per-component densities are contiguous rows (n, N) and colors are rows
 whose color is the same everywhere hands over a single (3,) row, and
 ``_mix`` adds the density-weighted colors one component at a time, so no
 (N, n, 3) color array is built on the render, ``evaluate``,
-``composite_eval`` or loss paths.  ``transport._total`` sums the (n, N)
+``composite_eval`` or loss paths.  ``fields._total`` sums the (n, N)
 rows over components in the order NumPy summed (N, n) points.  A render
 batch is samples-major on top of that (see transport.py): its component
 densities are (n, S, N), so the component masses sum whole (n, N) rows
 over samples.  The public methods return points-major
 C-ordered arrays ((N, n) densities, (N, 3) colors), as they always have.
+
+A scene owns only the batch methods ``_evaluate`` and
+``_density_components``: its ``evaluate`` and ``density`` are every field's
+(``fields._PointQueries``), and every total density that it, its merged
+view or a render pass returns is ``fields._density_total`` of the component
+rows.  ``_mix`` and the loss keep ``_total``: their references are stacked
+(N, n) sums.
 
 Segmentation (``segment_ray``, ``component_marginal``) reads the depth law
 alone: its render pass evaluates per-component densities only and stops at
@@ -36,9 +43,9 @@ import numpy as np
 
 from . import transport
 from ._threads import block_rows, chunked_row_map
-from .fields import Field, UnsupportedGradient, _channel_rows, _check_points
+from .fields import Field, UnsupportedGradient, _channel_rows, _check_points, _density_total, _PointQueries, _total
 from .geometry import Ray, RayGrid, ray_at
-from .transport import EMPTY_WEIGHT_EPS, QuadratureConfig, RenderResult, _density_total, _sum_samples, _total
+from .transport import EMPTY_WEIGHT_EPS, QuadratureConfig, RenderResult, _sum_samples
 
 __all__ = [
     "NEUTRAL_COLOR",
@@ -88,7 +95,7 @@ def _mix(sigmas: np.ndarray, colors) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
-class CompositeScene:
+class CompositeScene(_PointQueries):
     """Ordered fields sharing one space; ``t_far`` is the scene's default cutoff."""
 
     components: tuple[Field, ...]
@@ -131,7 +138,7 @@ class CompositeScene:
         densities as rows (n, N) at checked points (N, 3)."""
         sigmas, colors = self._components(pts)
         if self.n == 1:  # a lone component's color is its own: (s * c) / s may differ
-            return sigmas[0], _channel_rows(colors[0], pts.shape[0]), sigmas
+            return _density_total(sigmas), _channel_rows(colors[0], pts.shape[0]), sigmas
         total, color = _mix(sigmas, colors)
         return total, color, sigmas
 
@@ -154,30 +161,6 @@ class CompositeScene:
         if single:
             return sigmas[:, 0]
         return sigmas.T.copy()
-
-    def density(self, points):
-        """Total density, bit-identical to ``evaluate(...)[0]``."""
-        pts, single = _check_points(points)
-        total = _total(self._density_components(pts))
-        if single:
-            return float(total[0])
-        return total
-
-    def evaluate_with_components(self, points):
-        """Total density (N,), mixed color (N, 3) and the per-component
-        densities (N, n) behind them, from one evaluation of each component."""
-        pts, _ = _check_points(points)
-        total, color, sigmas = self._evaluate(pts)
-        return total, color.T.copy(), sigmas.T.copy()
-
-    def evaluate(self, points, direction=None):
-        """Total density and density-weighted mean color (the field contract,
-        so scenes slot into any transport routine)."""
-        pts, single = _check_points(points)
-        total, color, _ = self._evaluate(pts)
-        if single:
-            return float(total[0]), color[:, 0].copy()
-        return total, color.T.copy()
 
     def params(self) -> np.ndarray:
         return np.concatenate([c.params() for c in self.components])
@@ -214,8 +197,8 @@ def composite_eval(scene: CompositeScene, x, d=None) -> CompositePoint:
     if not single:
         raise ValueError(f"x must be one point (3,), got {np.shape(x)}")
     sigmas, colors = scene._components(pts)
-    total, color = _mix(sigmas, colors)
-    return CompositePoint(float(total[0]), sigmas[:, 0], color[:, 0], bool(total[0] > 0.0))
+    total = _density_total(sigmas)[0]
+    return CompositePoint(float(total), sigmas[:, 0], _mix(sigmas, colors)[1][:, 0], bool(total > 0.0))
 
 
 def joint_depth_component_pdf(scene: CompositeScene, ray: Ray, t: float, quad: QuadratureConfig) -> np.ndarray:

@@ -25,6 +25,15 @@ a selection, not a product.
 
 A kind also owns its half-maximum surface (``_surface_distance``) and, for
 object kinds, its footprint (``on_footprint``, ``footprint_radius``).
+
+The point queries ``evaluate`` and ``density`` are written once, in
+``_PointQueries``, which ``Field`` and ``compose.CompositeScene`` (and so a
+merged scene view) inherit.  They read only the two batch methods a render
+calls, ``_evaluate`` and ``_density_components``, and a field is a
+one-component scene to them.  A total of per-component densities, whether
+a point query, a render pass or a merged view returns it, follows one rule,
+``_density_total``: a lone row is the total itself, and more rows sum by
+``_total`` in the order NumPy sums (N, n) points.
 """
 
 from __future__ import annotations
@@ -124,6 +133,44 @@ def _sum3(a: np.ndarray) -> np.ndarray:
     return (a[0] + a[1]) + a[2]
 
 
+def _pairwise(rows: np.ndarray) -> np.ndarray:
+    """NumPy's pairwise sum of 8 or more rows: eight lanes added row by row,
+    folded as ((0+1)+(2+3))+((4+5)+(6+7)), then the leftover rows in
+    order; blocks of more than 128 rows are split in two (at a multiple of
+    8) and summed recursively."""
+    n = rows.shape[0]
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _pairwise(rows[:half]) + _pairwise(rows[half:])
+    lanes = rows[:8].copy()
+    tail = n - n % 8
+    for at in range(8, tail, 8):
+        lanes += rows[at : at + 8]
+    out = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
+    for row in rows[tail:]:
+        out += row
+    return out
+
+
+def _total(rows: np.ndarray) -> np.ndarray:
+    """Sum over the first axis of rows (k, N), bit-identical to
+    ``sum(axis=1)`` of the same values as a C-ordered (N, k) array.  NumPy
+    adds such a contiguous axis from 0.0, left to right below 8 terms and
+    pairwise from 8 on; both are reproduced here on whole rows.  A single
+    column is that contiguous axis already."""
+    if rows.shape[0] < 8 or rows.shape[1] == 1:
+        return rows.sum(axis=0)  # an outer-axis sum: 0.0, then row by row
+    out = _pairwise(rows)
+    out += 0.0  # the 0.0 NumPy starts from: -0.0 becomes 0.0
+    return out
+
+
+def _density_total(sigmas: np.ndarray) -> np.ndarray:
+    """Total density of per-component densities (n, N): a lone component's
+    row is the total itself, more rows sum by ``_total``."""
+    return sigmas[0] if sigmas.shape[0] == 1 else _total(sigmas)
+
+
 def _channel_rows(color: np.ndarray, n: int) -> np.ndarray:
     """Color as channel-major rows (3, n): a single (3,) row broadcast (a
     read-only view), an (n, 3) array transposed (a view)."""
@@ -147,7 +194,42 @@ def _check_points(points) -> tuple[np.ndarray, bool]:
     return pts, single
 
 
-class Field(abc.ABC):
+class _PointQueries(abc.ABC):
+    """``evaluate`` and ``density`` of anything a render evaluates: a field,
+    a scene or a scene's merged view.  They are built from the two batch
+    methods the render calls, so a query returns the bits a render sample
+    at the same point reads."""
+
+    @abc.abstractmethod
+    def _evaluate(self, pts: np.ndarray):
+        """Total density (N,), color as channel-major rows (3, N) and
+        per-component densities as rows (n, N) at checked points (N, 3)."""
+
+    @abc.abstractmethod
+    def _density_components(self, pts: np.ndarray) -> np.ndarray:
+        """Per-component densities as rows (n, N) at checked points (N, 3)."""
+
+    def evaluate(self, points, direction=None) -> tuple[np.ndarray, np.ndarray]:
+        """Density (N,) and C-ordered color (N, 3) at points (N, 3), or a
+        float and a (3,) color at one point (3,).  ``direction`` is accepted
+        but never changes either (all kinds here are Lambertian)."""
+        pts, single = _check_points(points)
+        sigma, color, _ = self._evaluate(pts)
+        if single:
+            return float(sigma[0]), color[:, 0].copy()
+        return sigma, color.T.copy()
+
+    def density(self, points):
+        """Density alone at ``points``, bit-identical to ``evaluate(...)[0]``
+        without the color work: the ``_density_total`` of the component rows."""
+        pts, single = _check_points(points)
+        sigma = _density_total(self._density_components(pts))
+        if single:
+            return float(sigma[0])
+        return sigma
+
+
+class Field(_PointQueries):
     """Base contract shared by all field kinds."""
 
     kind: ClassVar[str]
@@ -252,36 +334,13 @@ class Field(abc.ABC):
         """Capped density (N,) at checked points (N, 3)."""
         return self._cap(self._raw_density(pts))
 
-    def evaluate(self, points, direction=None) -> tuple[np.ndarray, np.ndarray]:
-        """Density and color at ``points``; direction is accepted but never
-        changes density (all kinds here are Lambertian)."""
-        pts, single = _check_points(points)
-        sigma, color = self._density_color(pts)
-        # C-ordered (N, 3) rows; a single (3,) row is repeated into a fresh array.
-        color = np.tile(color, (pts.shape[0], 1)) if color.ndim == 1 else np.ascontiguousarray(color)
-        if single:
-            return float(sigma[0]), color[0]
-        return sigma, color
-
-    def density(self, points):
-        """Density alone at ``points``, bit-identical to ``evaluate(...)[0]``
-        without the color work."""
-        pts, single = _check_points(points)
-        sigma = self._density(pts)
-        if single:
-            return float(sigma[0])
-        return sigma
-
     def _evaluate(self, pts: np.ndarray):
-        """Density (N,), color as channel-major rows (3, N) and per-component
-        densities as rows (1, N) at checked points (N, 3): a field renders
-        as a one-component scene (``CompositeScene._evaluate``)."""
+        """The batch of a one-component scene: density, color rows, density as one row (1, N)."""
         sigma, color = self._density_color(pts)
         return sigma, _channel_rows(color, pts.shape[0]), sigma[None, :]
 
     def _density_components(self, pts: np.ndarray) -> np.ndarray:
-        """Density as one row (1, N) at checked points (N, 3), as
-        ``CompositeScene._density_components`` gives a one-component scene's."""
+        """The density as one row (1, N), as a one-component scene gives it."""
         return self._density(pts)[None, :]
 
     def _surface_distance(self, origins: np.ndarray, dirs: np.ndarray) -> np.ndarray:

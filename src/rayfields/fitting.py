@@ -54,7 +54,6 @@ class FitConfig:
     decay_factor: float = 0.5
     grad_clip_norm: float = 1.0
     skip_norm: float = 1000.0
-    optimizer: str = "adam"
     seed: int = 0
     loss: LossConfig = dc_field(default_factory=LossConfig)
 
@@ -65,8 +64,6 @@ class FitConfig:
             raise ValueError("bad learning-rate schedule")
         if self.grad_clip_norm <= 0 or self.skip_norm <= 0:
             raise ValueError("grad_clip_norm and skip_norm must be positive")
-        if self.optimizer != "adam":
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
 @dataclass

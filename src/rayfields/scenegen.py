@@ -196,8 +196,10 @@ class GroundTruth:
     mask: np.ndarray
 
 
-def ground_truth_maps(scene: CompositeScene, grid: RayGrid, background_last: bool = True):
-    """Analytic depth (H, W) and mask (H, W) for a ray grid."""
+def ground_truth_maps(scene: CompositeScene, grid: RayGrid):
+    """Analytic depth (H, W) and mask (H, W) for a ray grid; the mask takes
+    the ids of ``GroundTruth``, the scene's last component being its
+    background."""
     h, w = grid.shape
     n = len(grid)
     hits = np.full((n, scene.n), np.inf)
@@ -206,9 +208,7 @@ def ground_truth_maps(scene: CompositeScene, grid: RayGrid, background_last: boo
     hits = np.where(hits <= grid.t_fars[:, None], hits, np.inf)
     nearest = np.argmin(hits, axis=1)
     depth = hits[np.arange(n), nearest]
-    labels = nearest + 1
-    if background_last:
-        labels = np.where(nearest == scene.n - 1, 0, labels)
+    labels = np.where(nearest == scene.n - 1, 0, nearest + 1)
     labels = np.where(np.isfinite(depth), labels, 0)
     return depth.reshape(h, w), labels.reshape(h, w).astype(np.int32)
 

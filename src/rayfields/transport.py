@@ -24,9 +24,11 @@ are an (S*N, 3) view of rows (3, S*N), so the field kernels read each
 coordinate contiguously and a sum over samples adds whole rows.  The sums
 keep the order NumPy used on the rows (N, S) that the batch replaced:
 ``_total`` pairwise for weights and depths, ``_sum_samples`` one sample
-after the other for colors and component masses.  Only the random draws and
-the fine depths drawn from them are rows (N, S), and the panel primitive
-keeps rows (N, n_panels).
+after the other for colors and component masses.  ``_total`` lives in
+``fields``, beside ``_density_total``, the rule every pass here totals
+per-component densities by.  Only the random draws and the fine depths
+drawn from them are rows (N, S), and the panel primitive keeps rows
+(N, n_panels).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import PiecewiseConstantRayField, _check_points
+from .fields import PiecewiseConstantRayField, _check_points, _density_total, _total
 from .geometry import Ray, ray_at
 
 __all__ = [
@@ -156,44 +158,6 @@ def _ray_points(origin_rows, dir_rows, t):
     rows = np.multiply(t, dir_rows, order="C")
     rows += origin_rows
     return rows.reshape(3, -1).T
-
-
-def _pairwise(rows: np.ndarray) -> np.ndarray:
-    """NumPy's pairwise sum of 8 or more rows: eight lanes added row by row,
-    folded as ((0+1)+(2+3))+((4+5)+(6+7)), then the leftover rows in
-    order; blocks of more than 128 rows are split in two (at a multiple of
-    8) and summed recursively."""
-    n = rows.shape[0]
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        return _pairwise(rows[:half]) + _pairwise(rows[half:])
-    lanes = rows[:8].copy()
-    tail = n - n % 8
-    for at in range(8, tail, 8):
-        lanes += rows[at : at + 8]
-    out = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
-    for row in rows[tail:]:
-        out += row
-    return out
-
-
-def _total(rows: np.ndarray) -> np.ndarray:
-    """Sum over the first axis of rows (k, N), bit-identical to
-    ``sum(axis=1)`` of the same values as a C-ordered (N, k) array.  NumPy
-    adds such a contiguous axis from 0.0, left to right below 8 terms and
-    pairwise from 8 on; both are reproduced here on whole rows.  A single
-    column is that contiguous axis already."""
-    if rows.shape[0] < 8 or rows.shape[1] == 1:
-        return rows.sum(axis=0)  # an outer-axis sum: 0.0, then row by row
-    out = _pairwise(rows)
-    out += 0.0  # the 0.0 NumPy starts from: -0.0 becomes 0.0
-    return out
-
-
-def _density_total(sigmas: np.ndarray) -> np.ndarray:
-    """Total of per-component densities (n, N) as a scene forms it: a lone
-    component's row is the total itself, more rows sum by ``_total``."""
-    return sigmas[0] if sigmas.shape[0] == 1 else _total(sigmas)
 
 
 def _sum_samples(terms: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from rayfields import cli, scenegen
+from rayfields import cli, estimlab, scenegen
 from rayfields.cli import EXIT_GENERATION, EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
 from rayfields.images import read_pfm, read_pgm, read_ppm, write_pgm, write_ppm
 from rayfields.scenedoc import load_scene
@@ -385,6 +385,20 @@ class TestBiasDemo:
         assert code == EXIT_INPUT
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_out_of_memory_exits_2(self, capsys, monkeypatch):
+        def out_of_memory(**_kwargs):
+            # numpy's words for the demo's arrays, without allocating them
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,) "
+                              "and data type float64")
+
+        monkeypatch.setattr(estimlab, "stratified_bias_demo", out_of_memory)
+        code = main(["bias-demo", "--k", "1000000000000", "--n-trials", "2"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT
+        assert captured.out == ""
+        assert captured.err.startswith("error: not enough memory: Unable to allocate 7.28 TiB")
+        assert captured.err.count("\n") == 1
 
     def test_hierarchical_flag(self, capsys):
         code, stdout = run_cli(

@@ -153,10 +153,6 @@ class TestMixReference:
             ref_total, ref_color = sigmas[:, 0], colors[:, 0]
         else:
             ref_total, ref_color = stacked_mix(sigmas, colors.copy())
-        total, color, per_comp = scene.evaluate_with_components(pts)
-        assert total.tobytes() == ref_total.tobytes()
-        assert color.tobytes() == ref_color.tobytes()
-        assert per_comp.tobytes() == sigmas.tobytes()
         total, color = scene.evaluate(pts)
         assert total.tobytes() == ref_total.tobytes() and color.tobytes() == ref_color.tobytes()
         got_sigmas, got_colors = scene.evaluate_components(pts)
@@ -607,13 +603,11 @@ class TestPublicLayout:
         scene = CompositeScene(tuple(fields[i % 4] for i in range(n)))
         pts = np.random.default_rng(n).uniform(-4, 4, (61, 3))
         ref = {"evaluate": scene.evaluate(pts), "components": scene.evaluate_components(pts),
-               "density_components": (scene.density_components(pts),), "density": (scene.density(pts),),
-               "with_components": scene.evaluate_with_components(pts)}
-        assert ref["components"][1].shape == (61, n, 3) and ref["with_components"][2].shape == (61, n)
+               "density_components": (scene.density_components(pts),), "density": (scene.density(pts),)}
+        assert ref["components"][1].shape == (61, n, 3) and ref["density_components"][0].shape == (61, n)
         for points in self._layouts(pts).values():
             got = {"evaluate": scene.evaluate(points), "components": scene.evaluate_components(points),
-                   "density_components": (scene.density_components(points),), "density": (scene.density(points),),
-                   "with_components": scene.evaluate_with_components(points)}
+                   "density_components": (scene.density_components(points),), "density": (scene.density(points),)}
             for name, outputs in ref.items():
                 for g, w in zip(got[name], outputs):
                     self._same(g, w)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from rayfields.compose import CompositeScene
+from rayfields.compose import CompositeScene, composite_eval, merged_field
 from rayfields.fields import (
     _DOMAINS,
     DEFAULT_SIGMA_MAX,
@@ -228,6 +228,20 @@ class TestDensity:
             single = field.density(pts[i])
             assert type(single) is float
             assert single == field.evaluate(pts[i])[0]
+
+    def test_negative_zero_amplitude_keeps_its_sign(self):
+        # An amplitude of -0.0 passes the non-negative rule and gives -0.0
+        # densities: a 1-component scene, its merged view and the lone field
+        # each return the same signed zero from density and evaluate.
+        blob = GaussianBlobField(center=(0, 0, 0), scale=(1, 1, 1), amplitude=-0.0, color=(1, 0, 0))
+        scene = CompositeScene((blob,))
+        pts = np.zeros((2, 3))
+        for query in (scene, merged_field(scene), blob):
+            sigma = query.density(pts)
+            assert sigma.tobytes() == query.evaluate(pts)[0].tobytes() == np.full(2, -0.0).tobytes()
+            single = query.density(pts[0])
+            assert math.copysign(1.0, single) == math.copysign(1.0, query.evaluate(pts[0])[0]) == -1.0
+        assert math.copysign(1.0, composite_eval(scene, pts[0]).sigma) == -1.0
 
 
 class TestGaussianBlob:

@@ -89,7 +89,6 @@ class TestFitConfig:
             {"decay_factor": 1.5},
             {"grad_clip_norm": 0.0},
             {"skip_norm": -1.0},
-            {"optimizer": "sgd"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

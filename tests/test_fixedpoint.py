@@ -1,7 +1,7 @@
 """Smoke test of tools/fixedpoint.py at its tiny size: src/ as committed at
-HEAD shows no difference against HEAD (render, bias-demo, scene-generation
-and CLI dataset outputs alike), and a copy whose color mixer is off by one
-ulp is caught."""
+HEAD shows no difference against HEAD (render, point-query, bias-demo,
+scene-generation and CLI dataset outputs alike), and a copy whose color
+mixer is off by one ulp is caught."""
 
 import io
 import os
@@ -47,6 +47,8 @@ def test_head_against_itself_is_identical(head_src):
     assert summary.endswith("all identical") and "OBSURF_THREADS 1" in summary
     assert "scene16.main.strip1.color: [1] identical" in run.stdout
     assert "cli.render.view_2.ppm: [1] identical" in run.stdout
+    assert "scene1.points.scene.density: [1] identical" in run.stdout
+    assert "scene16.points.merged.evaluate.single: [1] identical" in run.stdout
     for mode, n_trials in (("plain", 657), ("hierarchical", 328)):  # last blocks of 2 and 1 rows
         assert f"bias_demo.k50.{mode}.n{n_trials}.empirical_mean: [1] identical" in run.stdout
     assert "cli.bias-demo.stdout: [1] identical" in run.stdout

@@ -14,6 +14,11 @@ under that tree and under ``--src`` (default: this checkout's ``src/``), at
 - ``hierarchical_render``, ``composite_render``, ``component_marginal`` and
   ``segment_ray`` on single rays, for stratified, unstratified and
   coarse-only quadratures;
+- on the same scenes, at a fixed set of points that includes vacuum: the
+  point queries ``evaluate``, ``density``, ``density_components``,
+  ``evaluate_components`` and ``composite_eval``, ``evaluate`` and
+  ``density`` of ``merged_field(scene)`` and of each component, all on the
+  points at once and on each point alone;
 - every value ``stratified_bias_demo`` returns, plain and hierarchical, for
   2 trials (one 2-row block) and for 1 and 2 trials more than a block
   holds (a last block of 1 or 2 rows);
@@ -98,6 +103,37 @@ def _scene(rf, n: int):
     return rf.CompositeScene(tuple(comps), t_far=12.0)
 
 
+def _query_points() -> np.ndarray:
+    """Points (N, 3) for the point queries: 40 around the scenes' objects,
+    then 3 so far from them that every object kind's density underflows to
+    0 (vacuum on scenes without ground, inside the dome where there is one)."""
+    near = np.random.default_rng(77).uniform((-2.0, -2.0, -0.3), (2.0, 2.0, 2.0), (40, 3))
+    return np.concatenate([near, [(0.0, 0.0, 60.0), (-80.0, 30.0, 5.0), (50.0, -50.0, 50.0)]])
+
+
+def _point_queries(rf, scene, tag: str, out: dict) -> None:
+    """``evaluate`` and ``density`` of the scene, of its merged view and of
+    each component, and the scene's ``evaluate_components``,
+    ``density_components`` and ``composite_eval``, on ``_query_points`` as
+    one (N, 3) call and point by point; single-point results are stacked."""
+    pts = _query_points()
+    queries = {"scene": scene, "merged": rf.merged_field(scene)}
+    queries.update((f"component{i}", comp) for i, comp in enumerate(scene.components))
+    for name, query in queries.items():
+        out[f"{tag}.{name}.evaluate.sigma"], out[f"{tag}.{name}.evaluate.color"] = query.evaluate(pts)
+        out[f"{tag}.{name}.density"] = query.density(pts)
+        out[f"{tag}.{name}.evaluate.single"] = np.array([[s, *c] for s, c in map(query.evaluate, pts)])
+        out[f"{tag}.{name}.density.single"] = np.array([query.density(p) for p in pts])
+    out[f"{tag}.scene.evaluate_components.sigmas"], out[f"{tag}.scene.evaluate_components.colors"] = \
+        scene.evaluate_components(pts)
+    out[f"{tag}.scene.density_components"] = scene.density_components(pts)
+    singles = [scene.evaluate_components(p) for p in pts]
+    out[f"{tag}.scene.evaluate_components.single"] = np.array([np.append(s, c) for s, c in singles])
+    out[f"{tag}.scene.density_components.single"] = np.array([scene.density_components(p) for p in pts])
+    points = [rf.composite_eval(scene, p) for p in pts]
+    out[f"{tag}.scene.composite_eval"] = np.array([[q.sigma, *q.sigmas, *q.color, q.color_defined] for q in points])
+
+
 def _camera(rf, width: int, height: int):
     return rf.Camera(position=(4.5, 1.0, 2.2), look_at=(0.0, 0.0, 0.5), width=width, height=height)
 
@@ -135,6 +171,7 @@ def _emit(size: str) -> dict:
     out = {}
     for n in COMPONENT_COUNTS:
         scene = _scene(rf, n)
+        _point_queries(rf, scene, f"scene{n}.points", out)
         for qname, n_coarse, n_fine, stratified in p["quads"]:
             quad = rf.QuadratureConfig(n_coarse=n_coarse, n_fine=n_fine, seed=n, stratified=stratified)
             image = rf.pinhole_rays(_camera(rf, *p["image"]), scene.t_far)
