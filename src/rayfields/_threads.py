@@ -18,8 +18,14 @@ from concurrent.futures import ThreadPoolExecutor
 
 THREADS_ENV_VAR = "OBSURF_THREADS"
 
-# Sample points per block: 256 KB per float64 temporary, so the ~10 arrays a
-# block keeps live fit in a 4 MiB L2 cache.
+# Sample points per block; one float64 row of a block is 256 KB.  Counted
+# with tracemalloc on the render benchmark's 5-component scene at 192
+# samples per ray, a render block peaks at about 23 live rows, in its final
+# pass's evaluation: about 7 of points, depths and draws, one per component
+# density, 3 of the ground's colors and 8 in the color mix.  A 9-component
+# observation block peaks at about 24, 8 of them the lanes of its pairwise
+# density sum.  A component kernel's own temporaries add 3 (blob) to 8
+# (ground colors) rows while it runs.
 BLOCK_POINTS = 32_768
 
 

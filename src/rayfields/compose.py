@@ -120,17 +120,13 @@ class CompositeScene(_PointQueries):
         """Per-component densities as rows (n, N) and clipped colors (a list
         of n, each (N, 3) or one (3,) row) at checked points (N, 3)."""
         sigmas = np.empty((self.n, pts.shape[0]))
-        colors = []
-        for row, comp in zip(sigmas, self.components):
-            row[:], color = comp._density_color(pts)
-            colors.append(color)
-        return sigmas, colors
+        return sigmas, [comp._density_color(pts, out=row)[1] for row, comp in zip(sigmas, self.components)]
 
     def _density_components(self, pts: np.ndarray) -> np.ndarray:
         """Per-component densities as rows (n, N) at checked points (N, 3)."""
         sigmas = np.empty((self.n, pts.shape[0]))
         for row, comp in zip(sigmas, self.components):
-            row[:] = comp._density(pts)
+            comp._density(pts, out=row)
         return sigmas
 
     def _evaluate(self, pts: np.ndarray):
@@ -191,14 +187,16 @@ class CompositePoint:
 def composite_eval(scene: CompositeScene, x, d=None) -> CompositePoint:
     """Total density, per-component densities, and expected color at a point.
 
-    Where total density vanishes the color is a flagged neutral gray.
+    Where total density vanishes the color is a flagged neutral gray;
+    elsewhere it is ``scene.evaluate(x)[1]``, bit for bit.
     """
     pts, single = _check_points(x)
     if not single:
         raise ValueError(f"x must be one point (3,), got {np.shape(x)}")
-    sigmas, colors = scene._components(pts)
-    total = _density_total(sigmas)[0]
-    return CompositePoint(float(total), sigmas[:, 0], _mix(sigmas, colors)[1][:, 0], bool(total > 0.0))
+    total, color, sigmas = scene._evaluate(pts)
+    defined = bool(total[0] > 0.0)
+    return CompositePoint(float(total[0]), sigmas[:, 0], color[:, 0].copy() if defined else NEUTRAL_COLOR.copy(),
+                          defined)
 
 
 def joint_depth_component_pdf(scene: CompositeScene, ray: Ray, t: float, quad: QuadratureConfig) -> np.ndarray:

@@ -26,6 +26,18 @@ a selection, not a product.
 A kind also owns its half-maximum surface (``_surface_distance``) and, for
 object kinds, its footprint (``on_footprint``, ``footprint_radius``).
 
+The density kernels are allocation-lean, and every kind keeps one density
+formula.  A kernel overwrites only arrays it allocated itself, never the
+caller's points: on the density and render paths a kind's chain
+(``_parts`` or ``_bump`` with ``in_place=True``) squares its offsets over
+themselves, sums them into their first row and writes each ``_sigmoid``
+over its argument, while the gradient path keeps every intermediate it
+returns.  ``_density`` and ``_density_color`` write the capped density
+straight into a row the caller passes (``out``), so a scene fills its
+(n, N) component rows without a copy.  Only the destinations differ
+between the paths, never the operations or their order, so every path
+gives the same bits.
+
 The point queries ``evaluate`` and ``density`` are written once, in
 ``_PointQueries``, which ``Field`` and ``compose.CompositeScene`` (and so a
 merged scene view) inherit.  They read only the two batch methods a render
@@ -108,15 +120,17 @@ def _starts(layout, *groups: str) -> list[int]:
     return [sum(size for _, size, _ in layout[: names.index(group)]) for group in groups]
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, both
-    from e = exp(-|z|), which never overflows."""
-    e = np.abs(z)
+    from e = exp(-|z|), which never overflows.  Written into ``out`` (which
+    may be ``z`` itself) when given."""
+    numerator = np.greater_equal(z, 0.0, out=np.empty(z.shape))  # 1.0 or 0.0
+    e = np.abs(z, out=out)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.where(z >= 0, 1.0, e)
-    out /= np.add(e, 1.0, out=e)
-    return out
+    np.maximum(e, numerator, out=numerator)  # 1.0 where z >= 0 (as e <= 1), e below
+    np.add(e, 1.0, out=e)
+    return np.divide(numerator, e, out=e)
 
 
 def _offsets(pts: np.ndarray, center: np.ndarray) -> np.ndarray:
@@ -126,11 +140,14 @@ def _offsets(pts: np.ndarray, center: np.ndarray) -> np.ndarray:
     return np.subtract(pts.T, center[:, None], order="C")
 
 
-def _sum3(a: np.ndarray) -> np.ndarray:
+def _sum3(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Sum of the three rows of (3, N), added left to right: the order
     ``np.sum`` adds three terms in, so the result is bit-identical unless
-    all three terms are -0.0 (squares never are)."""
-    return (a[0] + a[1]) + a[2]
+    all three terms are -0.0 (squares never are).  Written into ``out``
+    (which may be ``a[0]``) when given."""
+    out = np.add(a[0], a[1], out=out)
+    out += a[2]
+    return out
 
 
 def _pairwise(rows: np.ndarray) -> np.ndarray:
@@ -203,7 +220,9 @@ class _PointQueries(abc.ABC):
     @abc.abstractmethod
     def _evaluate(self, pts: np.ndarray):
         """Total density (N,), color as channel-major rows (3, N) and
-        per-component densities as rows (n, N) at checked points (N, 3)."""
+        per-component densities as rows (n, N) at checked points (N, 3).
+        The color rows are either read-only (one color broadcast) or a fresh
+        buffer (or a view of one) that the caller owns."""
 
     @abc.abstractmethod
     def _density_components(self, pts: np.ndarray) -> np.ndarray:
@@ -319,20 +338,28 @@ class Field(_PointQueries):
             at += size
         return groups
 
-    def _cap(self, raw: np.ndarray) -> np.ndarray:
+    def _cap(self, raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``raw`` capped at ``sigma_max``, written into ``out`` when given
+        (else into a fresh array, or ``raw`` itself without a cap)."""
         sigma_max = getattr(self, "sigma_max", None)
-        return raw if sigma_max is None else np.minimum(raw, sigma_max)
+        if sigma_max is not None:
+            return np.minimum(raw, sigma_max, out=out)
+        if out is None:
+            return raw
+        out[...] = raw
+        return out
 
-    def _density_color(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _density_color(self, pts: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Capped density (N,) and clipped color at checked points (N, 3);
         the color is (N, 3), or one (3,) row for a kind whose color is the
-        same everywhere."""
+        same everywhere.  The density lands in ``out`` when given."""
         raw, color = self._raw(pts)
-        return self._cap(raw), np.clip(color, 0.0, 1.0)
+        return self._cap(raw, out), np.clip(color, 0.0, 1.0)
 
-    def _density(self, pts: np.ndarray) -> np.ndarray:
-        """Capped density (N,) at checked points (N, 3)."""
-        return self._cap(self._raw_density(pts))
+    def _density(self, pts: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Capped density (N,) at checked points (N, 3), written into
+        ``out`` (and returned) when given."""
+        return self._cap(self._raw_density(pts), out)
 
     def _evaluate(self, pts: np.ndarray):
         """The batch of a one-component scene: density, color rows, density as one row (1, N)."""
@@ -382,12 +409,19 @@ class GaussianBlobField(_ConstantColorField):
     color: np.ndarray
     sigma_max: float | None = DEFAULT_SIGMA_MAX
 
-    def _bump(self, pts):
-        u = _offsets(pts, self.center) / self.scale[:, None]
-        return u, np.exp(-0.5 * _sum3(u * u))
+    def _bump(self, pts, in_place=False):
+        """Scaled offsets u (3, N) and the unit bump exp(-|u|^2 / 2) (N,);
+        ``in_place`` squares u over itself, so only the bump is valid."""
+        u = _offsets(pts, self.center)
+        u /= self.scale[:, None]
+        sq = np.multiply(u, u, out=u if in_place else None)
+        g = _sum3(sq, out=sq[0])
+        g *= -0.5
+        return u, np.exp(g, out=g)
 
     def _raw_density(self, pts):
-        return self.amplitude * self._bump(pts)[1]
+        g = self._bump(pts, in_place=True)[1]
+        return np.multiply(self.amplitude, g, out=g)
 
     def _raw_density_rows(self, pts):
         u, g = self._bump(pts)
@@ -428,14 +462,22 @@ class SoftSphereField(_ConstantColorField):
     color: np.ndarray
     sigma_max: float | None = DEFAULT_SIGMA_MAX
 
-    def _parts(self, pts):
+    def _parts(self, pts, in_place=False):
+        """Offsets (3, N), distance r (N,) and the edge sigmoid (N,);
+        ``in_place`` computes each over the one before, so only the sigmoid
+        is valid."""
         diff = _offsets(pts, self.center)
-        r = np.maximum(np.sqrt(_sum3(diff * diff)), 1e-12)
-        s = _sigmoid((self.radius - r) / self.softness)
-        return diff, r, s
+        sq = np.multiply(diff, diff, out=diff if in_place else None)
+        r = _sum3(sq, out=sq[0])
+        np.sqrt(r, out=r)
+        np.maximum(r, 1e-12, out=r)
+        z = np.subtract(self.radius, r, out=r if in_place else None)
+        z /= self.softness
+        return diff, r, _sigmoid(z, out=z)
 
     def _raw_density(self, pts):
-        return self.amplitude * self._parts(pts)[2]
+        s = self._parts(pts, in_place=True)[2]
+        return np.multiply(self.amplitude, s, out=s)
 
     def _raw_density_rows(self, pts):
         diff, r, s = self._parts(pts)
@@ -477,14 +519,22 @@ class SoftBoxField(_ConstantColorField):
     color: np.ndarray
     sigma_max: float | None = DEFAULT_SIGMA_MAX
 
-    def _parts(self, pts):
+    def _parts(self, pts, in_place=False):
+        """Offsets (3, N), face coordinates q (3, N), their sigmoids s
+        (3, N) and the product f (N,) of the three; ``in_place`` computes
+        each over the one before, so only f is valid."""
         diff = _offsets(pts, self.center)
-        q = (self.half_size[:, None] - np.abs(diff)) / self.softness
-        s = _sigmoid(q)
-        return diff, q, s, (s[0] * s[1]) * s[2]
+        q = np.abs(diff, out=diff if in_place else None)
+        np.subtract(self.half_size[:, None], q, out=q)
+        q /= self.softness
+        s = _sigmoid(q, out=q if in_place else None)
+        f = np.multiply(s[0], s[1], out=s[0] if in_place else None)
+        f *= s[2]
+        return diff, q, s, f
 
     def _raw_density(self, pts):
-        return self.amplitude * self._parts(pts)[3]
+        f = self._parts(pts, in_place=True)[3]
+        return np.multiply(self.amplitude, f, out=f)
 
     def _raw_density_rows(self, pts):
         diff, q, s, f = self._parts(pts)
@@ -537,44 +587,67 @@ class GroundPlaneField(Field):
     dome_color: np.ndarray
     sigma_max: float | None = DEFAULT_SIGMA_MAX
 
-    def _parts(self, pts):
-        s_plane = _sigmoid(-pts[:, 2] / self.softness)
-        rho = np.maximum(np.sqrt(_sum3((pts * pts).T)), 1e-12)
-        s_dome = _sigmoid((rho - self.dome_radius) / self.softness)
-        union = 1.0 - (1.0 - s_plane) * (1.0 - s_dome)
-        return s_plane, rho, s_dome, union
+    def _parts(self, pts, in_place=False):
+        """Plane sigmoid (N,), distance rho from the origin (N,) and dome
+        sigmoid (N,); ``in_place`` computes the dome sigmoid over rho."""
+        z = np.negative(pts[:, 2])
+        z /= self.softness
+        s_plane = _sigmoid(z, out=z)
+        sq = np.multiply(pts.T, pts.T, order="C")
+        rho = _sum3(sq, out=sq[0])
+        np.sqrt(rho, out=rho)
+        np.maximum(rho, 1e-12, out=rho)
+        z = np.subtract(rho, self.dome_radius, out=rho if in_place else None)
+        z /= self.softness
+        return s_plane, rho, _sigmoid(z, out=z)
 
-    def _colors(self, pts, s_plane, s_dome):
-        """Color (N, 3), a view of channel-major rows (3, N), and the
-        parameter index of each point's red channel (``color_offsets``):
-        color_b on odd checker cells, dome_color where the dome dominates,
-        color_a elsewhere."""
+    @staticmethod
+    def _union(s_plane, s_dome, in_place=False):
+        """1 - (1 - s_plane) (1 - s_dome); ``in_place`` computes it over both sigmoids."""
+        free = np.subtract(1.0, s_plane, out=s_plane if in_place else None)
+        free *= np.subtract(1.0, s_dome, out=s_dome if in_place else None)
+        return np.subtract(1.0, free, out=free)
+
+    def _surface(self, pts, s_plane, s_dome):
+        """Palette entry of each point: 1 (color_b) on odd checker cells, 2
+        (dome_color) where the dome dominates, 0 (color_a) elsewhere."""
         surface = 0
         if self.checker_size > 0:
             cells = np.floor(pts[:, 0] / self.checker_size) + np.floor(pts[:, 1] / self.checker_size)
             surface = cells.astype(np.int64) % 2
-        surface = np.where(s_dome > s_plane, 2, surface)
+        return np.where(s_dome > s_plane, 2, surface)
+
+    def _colors(self, surface):
+        """Color (N, 3) of palette entries, a view of channel-major rows (3, N)."""
         palette = np.stack([self.color_a, self.color_b, self.dome_color], axis=1)  # one row per channel
-        return np.take(palette, surface, axis=1).T, self.color_offsets[surface]
+        return np.take(palette, surface, axis=1).T
 
     def _raw_density(self, pts):
-        return self.amplitude * self._parts(pts)[3]
+        s_plane, _, s_dome = self._parts(pts, in_place=True)
+        union = self._union(s_plane, s_dome, in_place=True)
+        return np.multiply(self.amplitude, union, out=union)
 
     def _raw(self, pts):
-        s_plane, _, s_dome, union = self._parts(pts)
-        return self.amplitude * union, self._colors(pts, s_plane, s_dome)[0]
+        s_plane, _, s_dome = self._parts(pts, in_place=True)
+        color = self._colors(self._surface(pts, s_plane, s_dome))
+        union = self._union(s_plane, s_dome, in_place=True)
+        return np.multiply(self.amplitude, union, out=union), color
 
     def _color_source(self, pts):
-        s_plane, _, s_dome, _ = self._parts(pts)
-        return self._colors(pts, s_plane, s_dome)
+        """The color and its parameter index (``color_offsets``) of each point's red channel."""
+        s_plane, _, s_dome = self._parts(pts, in_place=True)
+        surface = self._surface(pts, s_plane, s_dome)
+        return self._colors(surface), self.color_offsets[surface]
 
     def _grad_sources(self, pts, n):
         """One ``_parts`` pass serves the density rows and the colors."""
         parts = self._parts(pts)
-        return *self._raw_density_rows(pts, parts), *self._colors(pts[:n], parts[0][:n], parts[2][:n])
+        surface = self._surface(pts[:n], parts[0][:n], parts[2][:n])
+        return *self._raw_density_rows(pts, parts), self._colors(surface), self.color_offsets[surface]
 
     def _raw_density_rows(self, pts, parts=()):
-        s_plane, rho, s_dome, union = parts or self._parts(pts)
+        s_plane, rho, s_dome = parts or self._parts(pts)
+        union = self._union(s_plane, s_dome)
         raw = self.amplitude * union
         w = self.softness
         z = pts[:, 2]

@@ -22,7 +22,7 @@ from .compose import CompositeScene, render_ray_grid
 from .fields import DEFAULT_SIGMA_MAX, FIELD_KINDS, HALF_MAX_RADIUS, Field, GroundPlaneField
 from .geometry import Camera, RayGrid, pinhole_rays
 from .losses import RgbdSample
-from .transport import QuadratureConfig, _panels
+from .transport import QuadratureConfig, _check_integer, _panels
 
 __all__ = [
     "HALF_MAX_RADIUS",
@@ -301,8 +301,9 @@ def sample_observations(scene: CompositeScene, grid: RayGrid, seed: int,
     in blocks of about ``BLOCK_POINTS`` panel points, spread over the
     workers; results depend on neither the blocks nor the worker count.
     """
-    if n_panels < 2:
-        raise ValueError("n_panels must be >= 2")
+    _check_integer(n_panels, "n_panels", 2)
+    if not np.isfinite(depth_offset):
+        raise ValueError(f"depth_offset must be finite, got {depth_offset!r}")
     if censored not in ("drop", "boundary"):
         raise ValueError("censored must be 'drop' or 'boundary'")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 17)))

@@ -267,15 +267,18 @@ def _composite_weights(sigma: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray
     return weights, np.exp(-cum[-1]), cum[-1]
 
 
-def _composite(t: np.ndarray, sigma: np.ndarray, color: np.ndarray, delta: np.ndarray) -> dict:
+def _composite(t: np.ndarray, sigma: np.ndarray, color: np.ndarray, delta: np.ndarray,
+               own_color: bool = False) -> dict:
     """Composite samples-major samples (depths, densities and widths (S, N),
     colors as channel-major rows (3, S, N)) into per-ray weights (S, N),
-    color (N, 3), depth, alpha and the empty flag."""
+    color (N, 3), depth, alpha and the empty flag.  With ``own_color`` the
+    color rows are a buffer the caller allocated and gives up: they are
+    weighted in place."""
     weights, t_far_T, tau = _composite_weights(sigma, delta)
     wsum = _total(weights)
     empty = wsum <= EMPTY_WEIGHT_EPS
     safe = np.where(empty, 1.0, wsum)
-    out_color = _sum_samples(weights * color)
+    out_color = _sum_samples(np.multiply(weights, color, out=color if own_color else None))
     out_color /= safe
     out_color[:, empty] = 0.0
     depth_raw = _total(weights * t)
@@ -409,7 +412,9 @@ def _render_batch(evaluator, origins, dirs, t_fars, quad: QuadratureConfig, rng,
                 "sigmas": sigmas.reshape(-1, *t.shape)}
     sigma, color, sigmas = evaluator._evaluate(pts)
     sigma = sigma.reshape(t.shape)
-    batch = _composite(t, sigma, color.reshape(3, *t.shape), _ownership_deltas(t, t_fars))
+    color = color.reshape(3, *t.shape)
+    # A writeable color is the evaluator's fresh buffer (``_PointQueries._evaluate``).
+    batch = _composite(t, sigma, color, _ownership_deltas(t, t_fars), own_color=color.flags.writeable)
     batch.update(sigma=sigma, sigmas=sigmas.reshape(-1, *t.shape))
     return batch
 

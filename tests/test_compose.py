@@ -83,6 +83,46 @@ class TestCompositeEvaluate:
         s2, c2 = a.evaluate(pts)
         assert np.array_equal(s1, s2) and np.array_equal(c1, c2)
 
+    @pytest.mark.parametrize("kind", ["gaussian_blob", "soft_sphere", "soft_box", "ground_plane"])
+    def test_lone_component_point_color_is_evaluate_color(self, kind):
+        """On 1-component scenes ``composite_eval`` reports the color
+        ``evaluate`` does (the component's own, not (s * c) / s), and the
+        flagged neutral gray where the density is 0."""
+        rng = np.random.default_rng(40)
+        mixed_differs = vacuum = checked = 0
+        for _ in range(100):
+            center = (*rng.uniform(-1.0, 1.0, 2), rng.uniform(0.2, 1.0))
+            color = tuple(rng.uniform(-0.2, 1.2, 3))
+            amplitude = float(rng.choice([0.0, rng.uniform(0.5, 12.0)], p=[0.05, 0.95]))
+            field = {
+                "gaussian_blob": lambda: GaussianBlobField(center=center, scale=tuple(rng.uniform(0.2, 0.7, 3)),
+                                                           amplitude=amplitude, color=color),
+                "soft_sphere": lambda: SoftSphereField(center=center, radius=float(rng.uniform(0.2, 0.6)),
+                                                       softness=0.05, amplitude=amplitude, color=color),
+                "soft_box": lambda: SoftBoxField(center=center, half_size=tuple(rng.uniform(0.2, 0.5, 3)),
+                                                 softness=0.04, amplitude=amplitude, color=color),
+                "ground_plane": lambda: GroundPlaneField(softness=0.05, amplitude=amplitude, color_a=color,
+                                                         color_b=tuple(rng.uniform(0.0, 1.0, 3)),
+                                                         checker_size=0.5, dome_radius=100.0,
+                                                         dome_color=(0.5, 0.6, 0.7)),
+            }[kind]()
+            scene = CompositeScene((field,))
+            # Near the object, then one point whose density underflows to 0.
+            pts = np.concatenate([rng.uniform((-2.0, -2.0, -0.3), (2.0, 2.0, 2.0), (11, 3)), [(0.0, 0.0, 60.0)]])
+            for p in pts:
+                point = composite_eval(scene, p)
+                sigma, color = scene.evaluate(p)
+                assert point.sigma == sigma and point.color_defined == (sigma > 0.0)
+                if point.color_defined:
+                    assert point.color.tobytes() == color.tobytes()
+                    sigmas, colors = scene._components(p[None, :])
+                    mixed_differs += _mix(sigmas, colors)[1][:, 0].tobytes() != color.tobytes()
+                else:
+                    assert point.color.tobytes() == NEUTRAL_COLOR.tobytes()
+                    vacuum += 1
+                checked += 1
+        assert checked >= 1000 and vacuum >= 100 and mixed_differs > 0
+
     def test_params_concatenate(self):
         scene = _two_blob_scene()
         v = scene.params()
@@ -159,6 +199,8 @@ class TestMixReference:
         assert got_sigmas.tobytes() == sigmas.tobytes() and got_colors.tobytes() == colors.tobytes()
         assert scene.density(pts).tobytes() == ref_total.tobytes()
         point_total, point_color = stacked_mix(sigmas[:1], colors[:1].copy())
+        if scene.n == 1 and point_total[0] > 0.0:  # a lone component's color is its own, as in evaluate
+            point_color = colors[:1, 0]
         point = composite_eval(scene, pts[0])
         assert point.sigma == point_total[0] and point.sigmas.tobytes() == sigmas[0].tobytes()
         assert point.color.tobytes() == point_color[0].tobytes()

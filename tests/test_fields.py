@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from rayfields._threads import BLOCK_POINTS
 from rayfields.compose import CompositeScene, composite_eval, merged_field
 from rayfields.fields import (
     _DOMAINS,
@@ -546,4 +547,54 @@ class TestKernelReferences:
         raw, rows = ground._raw_density_rows(pts)
         assert raw.tobytes() == ref_raw.tobytes()
         assert rows.tobytes() == np.ascontiguousarray(ref_grad[:, ground.density_params].T).tobytes()
+
+
+@st.composite
+def _piecewise_fields(draw):
+    m = draw(st.integers(1, 6))
+    widths = draw(st.lists(st.floats(1e-2, 20.0), min_size=m, max_size=m))
+    sigmas = draw(st.lists(st.floats(0.0, 50.0), min_size=m, max_size=m))
+    colors = draw(arrays(np.float64, (m, 3), elements=st.floats(-1.0, 2.0)))
+    origin = draw(st.tuples(*[st.floats(-2, 2)] * 3))
+    direction = draw(st.sampled_from([(1.0, 0.0, 0.0), (0.2, -0.9, 0.4), (-0.5, 0.5, 0.7)]))
+    sigma_max = draw(st.one_of(st.none(), st.floats(0.5, 20.0)))
+    return PiecewiseConstantRayField(origin, direction, np.concatenate([[0.0], np.cumsum(widths)]), sigmas, colors,
+                                     sigma_max=sigma_max)
+
+
+@st.composite
+def _block_points(draw):
+    """(N, 3) points, N from 1 to one full render block, spread from the
+    objects' scale out to past every dome, from a drawn seed."""
+    n = draw(st.one_of(st.integers(1, 64), st.integers(1, BLOCK_POINTS), st.just(BLOCK_POINTS)))
+    spread = draw(st.sampled_from([1.0, 3.0, 60.0]))
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-spread, spread, (n, 3))
+
+
+class TestKernelContract:
+    """Every density a kind computes is one value: ``_density`` with and
+    without a destination row, ``_density_color``, and the capped ``_raw``
+    and ``_raw_density_rows``, bit for bit, on C-ordered points and on
+    (N, 3) views of channel-major rows.  No kernel writes its points."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(FIELDS, _piecewise_fields()), _block_points(), st.booleans())
+    def test_density_paths_agree(self, field, pts, channel_major):
+        if channel_major:
+            pts = np.ascontiguousarray(pts.T).T
+        before = pts.copy()
+        want = field._density(pts)
+        rows = np.full((3, pts.shape[0]), np.nan)
+        row = rows[1]
+        assert field._density(pts, out=row) is row
+        assert row.tobytes() == want.tobytes() and np.isnan(rows[[0, 2]]).all()
+        density, _ = field._density_color(pts)
+        assert density.tobytes() == want.tobytes()
+        row = rows[2]
+        assert field._density_color(pts, out=row)[0] is row
+        assert row.tobytes() == want.tobytes()
+        assert field._cap(field._raw(pts)[0]).tobytes() == want.tobytes()
+        if not isinstance(field, PiecewiseConstantRayField):
+            assert field._cap(field._raw_density_rows(pts)[0]).tobytes() == want.tobytes()
+        assert pts.tobytes() == before.tobytes()
 

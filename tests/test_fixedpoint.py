@@ -1,7 +1,7 @@
 """Smoke test of tools/fixedpoint.py at its tiny size: src/ as committed at
 HEAD shows no difference against HEAD (render, point-query, bias-demo,
-scene-generation and CLI dataset outputs alike), and a copy whose color
-mixer is off by one ulp is caught."""
+scene-generation and CLI dataset outputs alike), a copy whose color mixer
+is off by one ulp is caught, and ``--allow`` lets one named output differ."""
 
 import io
 import os
@@ -67,3 +67,27 @@ def test_one_ulp_in_the_mixer_is_reported(head_src):
     assert run.returncode == 1, run.stdout + run.stderr
     assert "differ" in run.stdout.strip().splitlines()[-1]
     assert "scene5.main.image.color: [1] max abs" in run.stdout
+
+
+def test_allowed_output_may_differ(head_src):
+    """A change to ``composite_eval`` on 1-component scenes alone fails the
+    run, passes with that output allowed, and an unknown name is an error."""
+    compose = head_src / "rayfields" / "compose.py"
+    compose.write_text(compose.read_text() + (
+        "\n\n_exact_composite_eval = composite_eval\n\n\n"
+        "def composite_eval(scene, x, d=None):\n"
+        "    point = _exact_composite_eval(scene, x, d)\n"
+        "    if scene.n > 1:\n"
+        "        return point\n"
+        "    return CompositePoint(point.sigma, point.sigmas, point.color * (1.0 + 2.0**-52), point.color_defined)\n"))
+    name = "scene1.points.scene.composite_eval"
+    run = _fixedpoint("--src", str(head_src))
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert f"{name}: [1] max abs" in run.stdout
+    assert [line.split(":")[0] for line in run.stdout.splitlines() if "max abs" in line] == [name]
+    run = _fixedpoint("--src", str(head_src), "--allow", name)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert f"{name}: [1] allowed, max abs" in run.stdout
+    assert run.stdout.strip().splitlines()[-1].endswith("allowed")
+    run = _fixedpoint("--src", str(head_src), "--allow", name, "--allow", "no.such.output")
+    assert run.returncode == 2 and "--allow names no output: no.such.output" in run.stderr

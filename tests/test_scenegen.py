@@ -449,6 +449,21 @@ class TestSampleObservations:
         assert [s.depth for s in a] == [s.depth for s in b]
         assert [s.depth for s in a] != [s.depth for s in c]
 
+    @pytest.mark.parametrize("n_panels", [2.5, 64.0, "64", True])
+    def test_non_integer_panel_count_is_rejected(self, n_panels):
+        with pytest.raises(TypeError, match="n_panels must be an integer"):
+            sample_observations(self.constant_scene(), _parallel_x_grid(4, 4.0), seed=1, n_panels=n_panels)
+
+    @pytest.mark.parametrize("n_panels", [1, 0, -3])
+    def test_panel_count_below_two_is_rejected(self, n_panels):
+        with pytest.raises(ValueError, match="n_panels must be >= 2"):
+            sample_observations(self.constant_scene(), _parallel_x_grid(4, 4.0), seed=1, n_panels=n_panels)
+
+    @pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf])
+    def test_non_finite_depth_offset_is_rejected(self, offset):
+        with pytest.raises(ValueError, match="depth_offset must be finite"):
+            sample_observations(self.constant_scene(), _parallel_x_grid(4, 4.0), seed=1, depth_offset=offset)
+
     @settings(max_examples=100, deadline=None)
     @given(SCENES, GRIDS, st.integers(0, 2**31), st.integers(2, 300), st.floats(-0.5, 0.5),
            st.sampled_from(["drop", "boundary"]))

@@ -1,6 +1,6 @@
 """Fixed-point check: do two source trees give the same seeded outputs?
 
-    python3 tools/fixedpoint.py --base REV [--src DIR] [--size {tiny,full}]
+    python3 tools/fixedpoint.py --base REV [--src DIR] [--size {tiny,full}] [--allow NAME ...]
 
 Exports ``src/`` at git revision REV with ``git archive`` into a temporary
 directory.  Then runs one fixed manifest of public calls in subprocesses,
@@ -35,8 +35,11 @@ under that tree and under ``--src`` (default: this checkout's ``src/``), at
 
 Prints one line per output and thread count: ``identical``, or the max
 absolute and max relative difference.  Exits 1 if any output differs or
-only one tree produced it, else 0.  ``--size tiny`` shrinks every image and
-sample count, for a smoke test.
+only one tree produced it, else 0.  ``--allow NAME`` (repeatable) names an
+output that a change means to alter: where it differs the line reads
+``allowed`` with its difference, and it does not fail the run; a NAME that
+matches no output exits 2.  ``--size tiny`` shrinks every image and sample
+count, for a smoke test.
 """
 
 from __future__ import annotations
@@ -301,6 +304,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--base", help="git revision whose src/ is the reference")
     parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="source tree to check (default: src/)")
     parser.add_argument("--size", choices=sorted(SIZES), default="full")
+    parser.add_argument("--allow", action="append", default=[], metavar="NAME",
+                        help="an output that may differ (repeatable)")
     parser.add_argument("--emit", help=argparse.SUPPRESS)
     parser.add_argument("--expect", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -323,21 +328,31 @@ def main(argv: list[str] | None = None) -> int:
                 for t in thread_counts}
 
     names = sorted(set().union(*(run.keys() for run in runs.values())))
-    differ = 0
+    unknown = sorted(set(args.allow) - set(names))
+    if unknown:
+        parser.error(f"--allow names no output: {', '.join(unknown)}")
+    differ = allowed = 0
     for name in names:
         verdicts = []
         for t in thread_counts:
             base, change = runs["base", t].get(name), runs["change", t].get(name)
             if base is None or change is None:
                 verdict = f"absent from {'base' if base is None else 'change'}"
+                differ += 1
+            elif (verdict := _difference(base, change)) is None:
+                verdict = "identical"
+            elif name in args.allow:
+                verdict = f"allowed, {verdict}"
+                allowed += 1
             else:
-                verdict = _difference(base, change) or "identical"
-            differ += verdict != "identical"
+                differ += 1
             verdicts.append(f"[{t}] {verdict}")
         print(f"{name}: {'  '.join(verdicts)}")
     threads = " and ".join(map(str, thread_counts))
-    print(f"fixedpoint: {len(names)} outputs at OBSURF_THREADS {threads} against {args.base}: "
-          f"{'all identical' if differ == 0 else f'{differ} differ'}")
+    verdict = f"{differ} differ" if differ else "all identical"
+    if allowed:
+        verdict += f" except {allowed} allowed"
+    print(f"fixedpoint: {len(names)} outputs at OBSURF_THREADS {threads} against {args.base}: {verdict}")
     return 1 if differ else 0
 
 
