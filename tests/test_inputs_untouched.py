@@ -135,7 +135,9 @@ def test_total_loss(scene):
     def inputs(samples):
         return [a for s in samples for a in (s.ray.origin, s.ray.direction, s.color)]
 
+    def packed():
+        return (_BatchArrays.from_samples(make()[0]),)
+
     config = rf.LossConfig()
     _check(lambda samples: rf.total_loss(scene, samples, 3, config, 11), make, inputs)
-    packed = lambda: (_BatchArrays.from_samples(make()[0]),)  # noqa: E731
     _check(lambda arrays: rf.total_loss(scene, arrays, 3, config, 11), packed, lambda a: [a.packed])
