@@ -159,8 +159,8 @@ def _pairwise(rows: np.ndarray) -> np.ndarray:
     if n > 128:
         half = n // 2 - (n // 2) % 8
         return _pairwise(rows[:half]) + _pairwise(rows[half:])
-    lanes = rows[:8].copy()
     tail = n - n % 8
+    lanes = rows[:8].copy() if tail > 8 else rows[:8]  # written only when more rows add into them
     for at in range(8, tail, 8):
         lanes += rows[at : at + 8]
     out = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))

@@ -75,6 +75,16 @@ class RgbdSample:
             raise ValueError("observed depth must lie strictly inside (0, t_far)")
 
 
+def _unchecked_sample(ray: Ray, color: np.ndarray, depth: float) -> RgbdSample:
+    """An ``RgbdSample`` stored as given, without ``__post_init__``: for
+    parts that already pass its checks (a finite float64 (3,) color, a
+    Python float depth strictly inside (0, ray.t_far)), which are what the
+    checked constructor would store."""
+    sample = object.__new__(RgbdSample)
+    sample.__dict__.update(ray=ray, color=color, depth=depth)
+    return sample
+
+
 @dataclass(frozen=True)
 class LossConfig:
     """Loss hyperparameters: color noise scale, surface jitter width, and the

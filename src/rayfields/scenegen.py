@@ -20,8 +20,8 @@ import numpy as np
 from ._threads import block_rows, chunked_row_map
 from .compose import CompositeScene, render_ray_grid
 from .fields import DEFAULT_SIGMA_MAX, FIELD_KINDS, HALF_MAX_RADIUS, Field, GroundPlaneField
-from .geometry import Camera, RayGrid, pinhole_rays
-from .losses import RgbdSample
+from .geometry import _UNIT_TOL, Camera, RayGrid, _unchecked_ray, pinhole_rays
+from .losses import RgbdSample, _unchecked_sample
 from .transport import QuadratureConfig, _check_integer, _panels
 
 __all__ = [
@@ -235,15 +235,57 @@ def render_dataset(scene: CompositeScene, rig, resolution: int | None,
     return views
 
 
+# A direction passes the unit-length check of ``Ray`` unexamined only if its
+# norm, taken for all rows at once, lies this far inside ``_UNIT_TOL``: the
+# per-vector ``np.linalg.norm`` that ``Ray`` takes may round a few ulps away.
+_UNIT_MARGIN = _UNIT_TOL - 64 * np.finfo(np.float64).eps
+
+
+def _plain_float64(a, shape: tuple) -> bool:
+    """Whether ``a`` is a float64 ``np.ndarray`` of ``shape``, whose rows
+    the checked constructors would store as they are."""
+    return type(a) is np.ndarray and a.dtype == np.float64 and a.shape == shape
+
+
+def _rows_pass(grid: RayGrid, rows: np.ndarray, depths, colors) -> bool:
+    """Whether the grid rows ``rows``, with their colors (len(rows), 3), pass
+    every check of ``Ray`` and ``RgbdSample`` for certain: finite origins and
+    colors and unit-length directions (a norm inside ``_UNIT_MARGIN`` is also
+    finite), all float64 arrays whose rows are stored as views.  Depths
+    inside (0, t_far) are what selected the rows."""
+    n = depths.shape[0] if type(depths) is np.ndarray and depths.ndim == 1 else -1
+    if not (_plain_float64(depths, (n,)) and _plain_float64(grid.t_fars, (n,))
+            and _plain_float64(grid.origins, (n, 3)) and _plain_float64(grid.directions, (n, 3))
+            and _plain_float64(colors, (len(rows), 3))):
+        return False
+    directions = grid.directions[rows]
+    norms = np.sqrt(np.einsum("ij,ij->i", directions, directions))
+    return bool((np.abs(norms - 1.0) <= _UNIT_MARGIN).all() and np.isfinite(grid.origins[rows]).all()
+                and np.isfinite(colors).all())
+
+
 def _grid_samples(grid: RayGrid, depths: np.ndarray, colors_of, keep=True) -> list[RgbdSample]:
     """Supervised rays of the grid rows whose depth (one per row) is finite
     and inside (0, t_far), among the rows ``keep`` allows; ``colors_of(rows)``
-    gives those rows' colors (len(rows), 3)."""
+    gives those rows' colors (len(rows), 3).
+
+    The kept rows are checked once, as arrays (``_rows_pass``), and every
+    ``Ray`` and ``RgbdSample`` is then built without its per-object checks,
+    holding the same row views and floats the checked constructors store.
+    If any row fails that check, or lies too near the unit-length tolerance
+    for it to decide, the whole call builds each sample through the checked
+    constructors instead, so every error keeps its type, message and order."""
     rows = np.flatnonzero(np.isfinite(depths) & (depths > 0.0) & (depths < grid.t_fars) & keep)
     colors = colors_of(rows)
+    if not _rows_pass(grid, rows, depths, colors):
+        return [
+            RgbdSample(ray=grid.ray(int(i)), color=colors[j], depth=float(depths[i]))
+            for j, i in enumerate(rows)
+        ]
+    origins, directions = grid.origins, grid.directions
     return [
-        RgbdSample(ray=grid.ray(int(i)), color=colors[j], depth=float(depths[i]))
-        for j, i in enumerate(rows)
+        _unchecked_sample(_unchecked_ray(origins[i], directions[i], t_far), color, depth)
+        for i, t_far, color, depth in zip(rows.tolist(), grid.t_fars[rows].tolist(), colors, depths[rows].tolist())
     ]
 
 

@@ -487,6 +487,18 @@ class TestComponentMajorReferences:
         sigmas[rng.random((64, n)) < 0.2] = 0.0
         assert _total(np.ascontiguousarray(sigmas.T)).tobytes() == reference_total(sigmas).tobytes()
 
+    @pytest.mark.parametrize("columns", [1, 2, 3, 32_768])
+    def test_total_of_8_to_40_rows_leaves_them_untouched(self, columns):
+        """Below 16 rows the pairwise lanes are the first eight rows themselves."""
+        rng = np.random.default_rng(columns)
+        for n in range(8, 41):
+            sigmas = rng.random((columns, n)) * 10.0 ** rng.uniform(-4, 4, (columns, n))
+            sigmas[rng.random((columns, n)) < 0.2] = 0.0
+            rows = np.ascontiguousarray(sigmas.T)
+            before = rows.copy()
+            assert _total(rows).tobytes() == reference_total(sigmas).tobytes()
+            assert rows.tobytes() == before.tobytes()
+
     @settings(max_examples=300, deadline=None)
     @given(_row_mix_inputs())
     def test_mix_matches_reference(self, inputs):

@@ -29,6 +29,10 @@ under that tree and under ``--src`` (default: this checkout's ``src/``), at
   ``surface_distance`` on a camera grid, ``sample_observations`` and
   ``surface_samples`` as stacked origins, directions, depths and colors, and
   ``total_loss`` and ``loss_gradient`` on the observations;
+- the fit benchmark's batches: ``sample_observations`` of a generated scene
+  of 8 objects (3 blobs, 3 spheres, 2 boxes) and the ground, 9 components,
+  on each view of the 3-view rig, and ``total_loss`` and ``loss_gradient``
+  on a fixed draw of a batch of those observations;
 - the files of a 3-view CLI ``generate``, of a short CLI ``fit`` to that
   dataset and of a CLI ``render`` of the fitted scene, and the stdout of CLI
   ``eval`` between that render and the dataset.
@@ -59,22 +63,27 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # Per size: camera image (width, height), CLI render resolution, the
 # quadratures (name, n_coarse, n_fine, stratified), the single-ray pixels,
 # the bias-demo bin counts, the CLI bias-demo trial count, the generated
-# scenes' seeds and image size, the observation sampler's panels and the CLI
-# fit's iteration count.
+# scenes' seeds and image size, the observation sampler's panels, the CLI
+# fit's iteration count, and the fit benchmark's image size, panels and batch
+# size.
 SIZES = {
     "tiny": {"image": (6, 5), "cli_resolution": 8, "pixels": (0, 7, 14, 29),
              "quads": [("main", 8, 16, True), ("unstratified", 7, 9, False), ("coarse", 5, 0, True)],
              "bias_ks": (50,), "cli_trials": 300,
-             "gen_seeds": (0,), "gen_resolution": 8, "n_panels": 64, "fit_iterations": 5},
+             "gen_seeds": (0,), "gen_resolution": 8, "n_panels": 64, "fit_iterations": 5,
+             "fit_bench": (6, 64, 32)},
     "full": {"image": (24, 24), "cli_resolution": 64, "pixels": (0, 77, 150, 290, 301, 433, 500, 575),
              "quads": [("main", 64, 128, True), ("unstratified", 32, 64, False), ("coarse", 64, 0, True)],
              "bias_ks": (8, 50, 129), "cli_trials": 10_000,
-             "gen_seeds": (0, 1, 2), "gen_resolution": 32, "n_panels": 2048, "fit_iterations": 50},
+             "gen_seeds": (0, 1, 2), "gen_resolution": 32, "n_panels": 2048, "fit_iterations": 50,
+             "fit_bench": (16, 2048, 512)},
 }
 # Object-kind mixes of the generated scenes: every kind, then each alone.
 KIND_MIXES = {"all": ("gaussian_blob", "soft_sphere", "soft_box"), "blob": ("gaussian_blob",),
               "sphere": ("soft_sphere",), "box": ("soft_box",)}
 COMPONENT_COUNTS = (1, 2, 5, 8, 9, 16)
+# Object kinds of the fit benchmark's scene.
+FIT_BENCH_MIX = {"gaussian_blob": 3, "soft_sphere": 3, "soft_box": 2}
 # Sample points per block (rayfields._threads.BLOCK_POINTS), so the manifest
 # can end a render or a bias demo on a block of 1 or 2 rows through public
 # calls.
@@ -165,6 +174,40 @@ def _files(out: dict, prefix: str, directory: str) -> None:
             out[f"{prefix}.{name}"] = np.frombuffer(fh.read(), dtype=np.uint8)
 
 
+def _fit_bench(rf, scenegen, resolution: int, n_panels: int, batch_size: int, out: dict) -> None:
+    """The fit benchmark's batches: observations of the first generated
+    scene with the objects of ``FIT_BENCH_MIX``, view by view of the rig,
+    and the loss and its gradient on a fixed draw of ``batch_size`` of them
+    (overlap penalty ramped in)."""
+    n_objects = sum(FIT_BENCH_MIX.values())
+    config = rf.SceneGenConfig(n_objects_min=n_objects, n_objects_max=n_objects, resolution=resolution)
+    rng = np.random.default_rng(19)
+    for _ in range(500):
+        try:
+            scene, meta = rf.sample_scene(config, rng)
+        except rf.PlacementError:
+            continue
+        kinds = [entry["kind"] for entry in meta]
+        if all(kinds.count(kind) == count for kind, count in FIT_BENCH_MIX.items()):
+            break
+    else:
+        raise RuntimeError(f"no generated scene has the object mix {FIT_BENCH_MIX}")
+    out["fit_bench.params"] = scene.params()
+    samples = []
+    for v, camera in enumerate(rf.rig_views(scenegen.default_camera(config))):
+        grid = rf.pinhole_rays(camera, scene.t_far)
+        observations = rf.sample_observations(scene, grid, seed=v, n_panels=n_panels)
+        out[f"fit_bench.view{v}.sample_observations"] = _stacked(observations)
+        samples += observations
+    draw = np.random.default_rng(5).choice(len(samples), size=min(batch_size, len(samples)), replace=False)
+    batch = [samples[i] for i in draw]
+    loss_config = rf.LossConfig()
+    iteration = (loss_config.ramp_start + loss_config.ramp_end) // 2
+    total, breakdown = rf.total_loss(scene, batch, iteration, loss_config, rng=5)
+    out["fit_bench.total_loss"] = np.array([total, *breakdown.values()])
+    out["fit_bench.loss_gradient"] = rf.loss_gradient(scene, batch, iteration, loss_config, rng=5)
+
+
 def _emit(size: str) -> dict:
     """Every manifest output, by name, from the rayfields on sys.path."""
     import rayfields as rf
@@ -247,6 +290,8 @@ def _emit(size: str) -> dict:
             total, breakdown = rf.total_loss(scene, observations, 3, loss_config, rng=seed)
             out[f"{tag}.total_loss"] = np.array([total, *breakdown.values()])
             out[f"{tag}.loss_gradient"] = rf.loss_gradient(scene, observations, 3, loss_config, rng=seed)
+
+    _fit_bench(rf, scenegen, *p["fit_bench"], out)
 
     with tempfile.TemporaryDirectory() as work:
         data, fitted, rendered = (os.path.join(work, name) for name in ("data", "fit", "render"))
