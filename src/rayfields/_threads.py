@@ -5,10 +5,10 @@ layout.  ``chunked_row_map`` cuts the rows into blocks of about
 ``BLOCK_POINTS`` sample points, so that a block's temporaries stay in
 cache, and spreads the blocks over at most as many threads as there are
 cores and blocks.  Randomness is drawn either before work is split or,
-inside a block, from each row's own generator, and blocks write disjoint
-rows of preallocated outputs, so neither the block size nor the worker
-count can change a result bit.  OBSURF_THREADS caps the pool ("0" or unset
-means auto).
+inside a block, from each row's own generator, and each block returns its
+rows, which the caller joins in span order: no worker writes a shared
+array, and neither the block size nor the worker count can change a result
+bit.  OBSURF_THREADS caps the pool ("0" or unset means auto).
 """
 
 from __future__ import annotations
@@ -48,16 +48,14 @@ def block_rows(row_points: int) -> int:
     return max(1, BLOCK_POINTS // row_points)
 
 
-def chunked_row_map(fn, n_rows: int, rows_per_block: int) -> None:
-    """Call ``fn(lo, hi)`` over consecutive spans of ``rows_per_block`` rows
-    covering [0, n_rows): in order on the calling thread at 1 worker,
-    otherwise on at most min(workers, cores, spans) threads."""
-    spans = [(lo, min(lo + rows_per_block, n_rows)) for lo in range(0, n_rows, rows_per_block)]
+def chunked_row_map(fn, n_rows: int, rows_per_block: int) -> list:
+    """``fn(lo, hi)`` for each consecutive span of ``rows_per_block`` rows
+    covering [0, n_rows), in span order (zero rows are the one span
+    (0, 0)): run in order on the calling thread at 1 worker, otherwise on
+    at most min(workers, cores, spans) threads."""
+    spans = [(lo, min(lo + rows_per_block, n_rows)) for lo in range(0, n_rows, rows_per_block)] or [(0, 0)]
     workers = min(resolve_workers(), os.cpu_count() or 1, len(spans))
     if workers <= 1:
-        for lo, hi in spans:
-            fn(lo, hi)
-        return
+        return [fn(lo, hi) for lo, hi in spans]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for _ in pool.map(lambda span: fn(*span), spans):
-            pass
+        return list(pool.map(lambda span: fn(*span), spans))

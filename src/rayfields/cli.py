@@ -33,6 +33,7 @@ import numpy as np
 from . import estimlab, images, metrics
 from ._threads import resolve_workers
 from .compose import CompositeScene, RenderedView, render_ray_grid
+from .fields import DEFAULT_SIGMA_MAX
 from .fitting import FitConfig, FitDivergence, fit
 from .geometry import Camera, pinhole_rays, rig_views
 from .losses import LossConfig, RgbdSample
@@ -147,10 +148,6 @@ def _require_at_least(minimum: int, args, *flags: str) -> None:
             raise _InputError(f"{flag} must be >= {minimum}, got {value}")
 
 
-def _ensure_out_dir(path: str) -> None:
-    os.makedirs(path, exist_ok=True)
-
-
 # ----------------------------------------------------------------- render
 
 
@@ -166,7 +163,7 @@ def _cmd_render(args) -> int:
     quad = _quad_from_args(args, doc.quadrature)
     cameras = rig_views(camera)[: args.views]
 
-    _ensure_out_dir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     background = _background_component(scene)
     started = time.perf_counter()
     written: list[str] = []
@@ -202,7 +199,7 @@ def _cmd_generate(args) -> int:
     scene, meta = sample_scene(config, np.random.default_rng(args.scene_seed))
 
     camera = default_camera(config)
-    _ensure_out_dir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     started = time.perf_counter()
     views = render_dataset(scene, rig_views(camera)[: args.views], None, quad)
     written: list[str] = []
@@ -222,7 +219,7 @@ def _cmd_generate(args) -> int:
         for m in meta
     ]
     names = tuple(m["name"] for m in meta) + ("background",)
-    doc = scene_to_doc(scene, sigma_max=config.sigma_max, camera=camera,
+    doc = scene_to_doc(scene, sigma_max=DEFAULT_SIGMA_MAX, camera=camera,
                        quadrature=quad, names=names, objects=objects)
     scene_path = os.path.join(args.out, "scene.json")
     save_scene(scene_path, doc)
@@ -304,7 +301,7 @@ def _cmd_fit(args) -> int:
     elapsed = time.perf_counter() - started
     _stderr(f"fit {len(samples)} samples for {config.iterations} iterations in {elapsed:.1f}s")
 
-    _ensure_out_dir(args.out)
+    os.makedirs(args.out, exist_ok=True)
     fitted_doc = scene_to_doc(
         report.final_scene,
         sigma_max=data_doc.sigma_max,
@@ -330,10 +327,7 @@ def _cmd_fit(args) -> int:
         "trace": kept_trace,
     }
     report_path = os.path.join(args.out, "report.json")
-    tmp = report_path + ".tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        fh.write(dumps_canonical(report_doc))
-    os.replace(tmp, report_path)
+    images._atomic_write(report_path, dumps_canonical(report_doc).encode("ascii"))
     for path in (scene_path, report_path):
         print(path)
     return EXIT_OK

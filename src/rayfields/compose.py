@@ -290,53 +290,32 @@ class RenderedView:
 
 def render_ray_grid(scene: CompositeScene, grid: RayGrid, quad: QuadratureConfig) -> RenderedView:
     """Render one ray per pixel.  All draws happen up front from the config
-    seed; rows are then processed in blocks of about ``BLOCK_POINTS`` sample
-    points, spread over the workers (neither changes bits).
+    seed; rows are then rendered in blocks of about ``BLOCK_POINTS`` sample
+    points on the workers and joined in order (neither changes bits).
     """
-    n = len(grid)
     h, w = grid.shape
-    rng = np.random.default_rng(quad.seed)
-    u_coarse, u_fine = transport._draw_uniforms(rng, n, quad)
+    u_coarse, u_fine = transport._draw_uniforms(np.random.default_rng(quad.seed), len(grid), quad)
 
-    color = np.empty((n, 3))
-    depth = np.empty(n)
-    depth_raw = np.empty(n)
-    alpha = np.empty(n)
-    marginals = np.empty((n, scene.n))
-    residual = np.empty(n)
-    empty = np.empty(n, dtype=bool)
-
-    def run(lo: int, hi: int) -> None:
+    def run(lo: int, hi: int):
         batch = transport._render_batch(
             scene,
             grid.origins[lo:hi],
             grid.directions[lo:hi],
             grid.t_fars[lo:hi],
             quad,
-            rng=None,
-            draws=(
-                None if u_coarse is None else u_coarse[lo:hi],
-                None if u_fine is None else u_fine[lo:hi],
-            ),
+            (None if u_coarse is None else u_coarse[lo:hi], None if u_fine is None else u_fine[lo:hi]),
         )
-        marg, res = _marginals_from_batch(batch)
-        color[lo:hi] = batch["color"]
-        depth[lo:hi] = batch["depth"]
-        depth_raw[lo:hi] = batch["depth_raw"]
-        alpha[lo:hi] = batch["alpha"]
-        marginals[lo:hi] = marg
-        residual[lo:hi] = res
-        empty[lo:hi] = batch["empty"]
+        return (batch["color"], batch["depth"], batch["depth_raw"], batch["alpha"],
+                *_marginals_from_batch(batch), batch["empty"])
 
-    chunked_row_map(run, n, block_rows(quad.n_coarse + quad.n_fine))
-
-    labels = _labels(marginals)
+    blocks = chunked_row_map(run, len(grid), block_rows(quad.n_coarse + quad.n_fine))
+    color, depth, depth_raw, alpha, marginals, residual, empty = map(np.concatenate, zip(*blocks))
     return RenderedView(
-        color=color.reshape(h, w, 3),
+        color=np.ascontiguousarray(color).reshape(h, w, 3),  # joined from transposed (3, N) rows
         depth=depth.reshape(h, w),
         depth_raw=depth_raw.reshape(h, w),
         alpha=alpha.reshape(h, w),
-        labels=labels.reshape(h, w),
+        labels=_labels(marginals).reshape(h, w),
         marginals=marginals.reshape(h, w, scene.n),
         residual=residual.reshape(h, w),
         empty=empty.reshape(h, w),

@@ -81,8 +81,8 @@ def stratified_bias_demo(k: int = 50, n_trials: int = 10_000, seed: int = 0,
     Trial t draws its uniforms (coarse, then fine) from its own generator,
     seeded with ``(seed, t)``, and renders as row t of one batched render of
     the slab ray; the trials run in cache-sized blocks of rows on the worker
-    pool.  Each trial's draws and result depend on that trial alone, so the
-    output does not depend on the block size or the worker count.
+    pool, joined in order.  Each trial's draws and result depend on it alone,
+    so the output depends on neither the block size nor the worker count.
     """
     transport._check_integer(n_trials, "n_trials", 2)
     field = slab_demo_field()
@@ -90,10 +90,7 @@ def stratified_bias_demo(k: int = 50, n_trials: int = 10_000, seed: int = 0,
     reference = _slab_color_reference(field, ray.t_far)
     quad = QuadratureConfig(n_coarse=k, n_fine=k if hierarchical else 0, seed=seed, stratified=True)
 
-    colors = np.empty(n_trials)
-    misses = np.empty(n_trials, dtype=bool)
-
-    def run(lo: int, hi: int) -> None:
+    def run(lo: int, hi: int):
         draws = [transport._draw_uniforms(np.random.default_rng(np.random.SeedSequence((seed, trial))), 1, quad)
                  for trial in range(lo, hi)]
         u_coarse = np.concatenate([coarse for coarse, _ in draws])
@@ -101,15 +98,14 @@ def stratified_bias_demo(k: int = 50, n_trials: int = 10_000, seed: int = 0,
         n = hi - lo
         t_fars = np.full(n, ray.t_far)
         batch = transport._render_batch(field, np.tile(ray.origin, (n, 1)), np.tile(ray.direction, (n, 1)),
-                                        t_fars, quad, None, draws=(u_coarse, u_fine))
+                                        t_fars, quad, (u_coarse, u_fine))
         if not hierarchical:
             _check_plain_batch(batch, t_fars)
         ts = batch["t"]
-        colors[lo:hi] = batch["color"][:, 0]
-        misses[lo:hi] = ~np.any((ts >= 50.0) & (ts <= 51.0), axis=0)
+        return batch["color"][:, 0], ~np.any((ts >= 50.0) & (ts <= 51.0), axis=0)
 
-    chunked_row_map(run, n_trials, block_rows(quad.n_coarse + quad.n_fine))
-
+    blocks = chunked_row_map(run, n_trials, block_rows(quad.n_coarse + quad.n_fine))
+    colors, misses = map(np.concatenate, zip(*blocks))
     mean = float(colors.mean())
     se = float(colors.std(ddof=1) / np.sqrt(n_trials))
     miss_rate = float(misses.mean())

@@ -29,14 +29,14 @@ object kinds, its footprint (``on_footprint``, ``footprint_radius``).
 The density kernels are allocation-lean, and every kind keeps one density
 formula.  A kernel overwrites only arrays it allocated itself, never the
 caller's points: on the density and render paths a kind's chain
-(``_parts`` or ``_bump`` with ``in_place=True``) squares its offsets over
-themselves, sums them into their first row and writes each ``_sigmoid``
-over its argument, while the gradient path keeps every intermediate it
-returns.  ``_density`` and ``_density_color`` write the capped density
-straight into a row the caller passes (``out``), so a scene fills its
-(n, N) component rows without a copy.  Only the destinations differ
-between the paths, never the operations or their order, so every path
-gives the same bits.
+(``_parts`` with ``in_place=True``, its unit profile last) squares its
+offsets over themselves, sums them into their first row and writes each
+``_sigmoid`` over its argument, while the gradient path keeps every
+intermediate it returns.  ``_density`` and ``_density_color`` write the
+capped density straight into a row the caller passes (``out``), so a
+scene fills its (n, N) component rows without a copy.  Only the
+destinations differ between the paths, never the operations or their
+order, so every path gives the same bits.
 
 The point queries ``evaluate`` and ``density`` are written once, in
 ``_PointQueries``, which ``Field`` and ``compose.CompositeScene`` (and so a
@@ -389,6 +389,11 @@ class _ConstantColorField(Field):
     def _raw(self, pts):
         return self._raw_density(pts), self.color
 
+    def _raw_density(self, pts):
+        """Amplitude times the unit profile ending ``_parts``, in place."""
+        profile = self._parts(pts, in_place=True)[-1]
+        return np.multiply(self.amplitude, profile, out=profile)
+
     def _color_source(self, pts):
         return self.color, self.color_offset
 
@@ -409,7 +414,7 @@ class GaussianBlobField(_ConstantColorField):
     color: np.ndarray
     sigma_max: float | None = DEFAULT_SIGMA_MAX
 
-    def _bump(self, pts, in_place=False):
+    def _parts(self, pts, in_place=False):
         """Scaled offsets u (3, N) and the unit bump exp(-|u|^2 / 2) (N,);
         ``in_place`` squares u over itself, so only the bump is valid."""
         u = _offsets(pts, self.center)
@@ -419,12 +424,8 @@ class GaussianBlobField(_ConstantColorField):
         g *= -0.5
         return u, np.exp(g, out=g)
 
-    def _raw_density(self, pts):
-        g = self._bump(pts, in_place=True)[1]
-        return np.multiply(self.amplitude, g, out=g)
-
     def _raw_density_rows(self, pts):
-        u, g = self._bump(pts)
+        u, g = self._parts(pts)
         raw = self.amplitude * g
         scale = self.scale[:, None]
         rows = np.empty((7, pts.shape[0]))
@@ -474,10 +475,6 @@ class SoftSphereField(_ConstantColorField):
         z = np.subtract(self.radius, r, out=r if in_place else None)
         z /= self.softness
         return diff, r, _sigmoid(z, out=z)
-
-    def _raw_density(self, pts):
-        s = self._parts(pts, in_place=True)[2]
-        return np.multiply(self.amplitude, s, out=s)
 
     def _raw_density_rows(self, pts):
         diff, r, s = self._parts(pts)
@@ -531,10 +528,6 @@ class SoftBoxField(_ConstantColorField):
         f = np.multiply(s[0], s[1], out=s[0] if in_place else None)
         f *= s[2]
         return diff, q, s, f
-
-    def _raw_density(self, pts):
-        f = self._parts(pts, in_place=True)[3]
-        return np.multiply(self.amplitude, f, out=f)
 
     def _raw_density_rows(self, pts):
         diff, q, s, f = self._parts(pts)

@@ -83,11 +83,12 @@ class FitReport:
 
 
 class _Adam:
-    def __init__(self, n: int, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, n: int):
         self.m = np.zeros(n)
         self.v = np.zeros(n)
         self.t = 0
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
 
     def step(self, grad: np.ndarray, lr: float) -> np.ndarray:
         self.t += 1

@@ -15,8 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compose import CompositeScene
-from .fields import DEFAULT_SIGMA_MAX, FIELD_KINDS, Field, GroundPlaneField, field_from_params
+from .fields import DEFAULT_SIGMA_MAX, FIELD_KINDS, Field, GaussianBlobField, field_from_params
 from .geometry import Camera, rig_views
+from .images import _atomic_write
+from .scenegen import _background
 from .transport import QuadratureConfig
 
 __all__ = [
@@ -217,11 +219,7 @@ def dumps_canonical(doc: dict) -> str:
 
 
 def save_scene(path: str | os.PathLike, doc: dict) -> None:
-    text = dumps_canonical(doc)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    _atomic_write(path, dumps_canonical(doc).encode("ascii"))
 
 
 def load_scene(path: str | os.PathLike) -> SceneDocument:
@@ -233,25 +231,17 @@ def load_scene(path: str | os.PathLike) -> SceneDocument:
     return doc_to_scene(doc)
 
 
-def two_blob_demo_scene(sigma_max: float = DEFAULT_SIGMA_MAX, t_far: float = 40.0) -> CompositeScene:
+def two_blob_demo_scene() -> CompositeScene:
     """Two Gaussian blobs over a gray ground with a distant dome: the small
     fixture used by the fitting demos and as a fitting start point."""
-    from .fields import GaussianBlobField
-
     # Blob amplitudes stay below the density cap: at the cap the clamp kills
     # parameter gradients over the blob core, which stalls fitting.
     blob_a = GaussianBlobField(
         center=(-0.9, -0.3, 0.55), scale=(0.5, 0.5, 0.45),
-        amplitude=0.8 * sigma_max, color=(0.75, 0.25, 0.2), sigma_max=sigma_max,
+        amplitude=0.8 * DEFAULT_SIGMA_MAX, color=(0.75, 0.25, 0.2),
     )
     blob_b = GaussianBlobField(
         center=(0.9, 0.4, 0.5), scale=(0.45, 0.45, 0.4),
-        amplitude=0.8 * sigma_max, color=(0.2, 0.35, 0.75), sigma_max=sigma_max,
+        amplitude=0.8 * DEFAULT_SIGMA_MAX, color=(0.2, 0.35, 0.75),
     )
-    ground = GroundPlaneField(
-        softness=0.05, amplitude=sigma_max,
-        color_a=(0.62, 0.62, 0.62), color_b=(0.52, 0.52, 0.52),
-        checker_size=0.0, dome_radius=30.0, dome_color=(0.55, 0.6, 0.68),
-        sigma_max=sigma_max,
-    )
-    return CompositeScene((blob_a, blob_b, ground), t_far=t_far)
+    return CompositeScene((blob_a, blob_b, _background()))

@@ -68,15 +68,8 @@ class SceneGenConfig:
     size_min: float = 0.35
     size_max: float = 0.75
     kinds: tuple[str, ...] = ("gaussian_blob", "soft_sphere", "soft_box")
-    edge_softness: float = 0.03
-    sigma_max: float = DEFAULT_SIGMA_MAX
-    t_far: float = 40.0
     resolution: int = 64
-    ground_color: tuple = (0.62, 0.62, 0.62)
-    ground_color_b: tuple = (0.52, 0.52, 0.52)
     checker_size: float = 0.0
-    dome_radius: float = 30.0
-    dome_color: tuple = (0.55, 0.60, 0.68)
 
     def __post_init__(self):
         if not 1 <= self.n_objects_min <= self.n_objects_max:
@@ -104,16 +97,16 @@ def default_camera(config: SceneGenConfig) -> Camera:
     )
 
 
-def _background(config: SceneGenConfig) -> GroundPlaneField:
+def _background(checker_size: float = 0.0) -> GroundPlaneField:
+    """The ground plane and distant dome of generated and demo scenes."""
     return GroundPlaneField(
         softness=0.05,
-        amplitude=config.sigma_max,
-        color_a=config.ground_color,
-        color_b=config.ground_color_b,
-        checker_size=config.checker_size,
-        dome_radius=config.dome_radius,
-        dome_color=config.dome_color,
-        sigma_max=config.sigma_max,
+        amplitude=DEFAULT_SIGMA_MAX,
+        color_a=(0.62, 0.62, 0.62),
+        color_b=(0.52, 0.52, 0.52),
+        checker_size=checker_size,
+        dome_radius=30.0,
+        dome_color=(0.55, 0.60, 0.68),
     )
 
 
@@ -125,12 +118,11 @@ def _object_kind(kind) -> type[Field]:
     return cls
 
 
-def _make_object(kind: str, xy: np.ndarray, size: float, color, config: SceneGenConfig) -> tuple[Field, float]:
-    """Build one object bottom-flush with the ground; returns it with its
-    xy bounding-circle radius."""
+def _make_object(kind: str, xy: np.ndarray, size: float, color) -> tuple[Field, float]:
+    """Build one object at full density, edge softness 0.03, bottom-flush
+    with the ground; returns it with its xy bounding-circle radius."""
     cls = _object_kind(kind)
-    field = cls.on_footprint(xy, size, color, config.edge_softness, config.sigma_max)
-    return field, size * cls.footprint_radius
+    return cls.on_footprint(xy, size, color, 0.03, DEFAULT_SIGMA_MAX), size * cls.footprint_radius
 
 
 def sample_scene(config: SceneGenConfig, rng: np.random.Generator) -> tuple[CompositeScene, list[dict]]:
@@ -150,7 +142,7 @@ def sample_scene(config: SceneGenConfig, rng: np.random.Generator) -> tuple[Comp
             size = float(rng.uniform(config.size_min, config.size_max))
             color = PALETTE[int(rng.integers(len(PALETTE)))]
             xy = rng.uniform(-config.placement_halfwidth, config.placement_halfwidth, 2)
-            field, radius = _make_object(kind, xy, size, color, config)
+            field, radius = _make_object(kind, xy, size, color)
             clash = any(
                 np.hypot(*(xy - other["xy"])) < config.min_separation_factor * (radius + other["radius"])
                 for other in placed
@@ -167,11 +159,11 @@ def sample_scene(config: SceneGenConfig, rng: np.random.Generator) -> tuple[Comp
                 "field": field,
             })
         if len(placed) == n_objects:
-            fields = tuple(p["field"] for p in placed) + (_background(config),)
+            fields = tuple(p["field"] for p in placed) + (_background(config.checker_size),)
             meta = [
                 {k: v for k, v in p.items() if k != "field"} for p in placed
             ]
-            return CompositeScene(fields, t_far=config.t_far), meta
+            return CompositeScene(fields), meta
     raise PlacementError(
         f"no valid arrangement after {config.max_restarts} restarts; relax the placement settings"
     )
@@ -340,21 +332,18 @@ def sample_observations(scene: CompositeScene, grid: RayGrid, seed: int,
     downstream likelihood that probes density over a jitter window
     [t, t + delta] can center that window on the drawn event by passing
     ``-delta / 2``.  All randomness comes from ``seed``.  The panel pass runs
-    in blocks of about ``BLOCK_POINTS`` panel points, spread over the
-    workers; results depend on neither the blocks nor the worker count.
+    in blocks of about ``BLOCK_POINTS`` panel points on the workers, joined
+    in order; results depend on neither the blocks nor the worker count.
     """
     _check_integer(n_panels, "n_panels", 2)
     if not np.isfinite(depth_offset):
         raise ValueError(f"depth_offset must be finite, got {depth_offset!r}")
     if censored not in ("drop", "boundary"):
         raise ValueError("censored must be 'drop' or 'boundary'")
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 17)))
-    n = len(grid)
-    u = rng.random(n)
+    u = np.random.default_rng(np.random.SeedSequence((seed, 17))).random(len(grid))
     targets = -np.log1p(-u)
-    depths = np.full(n, np.nan)
 
-    def run(lo: int, hi: int) -> None:
+    def run(lo: int, hi: int) -> np.ndarray:
         t_fars = grid.t_fars[lo:hi]
         sigma, h, cum = _panels(scene, grid.origins[lo:hi], grid.directions[lo:hi], t_fars, n_panels)
         target = targets[lo:hi]
@@ -363,10 +352,9 @@ def sample_observations(scene: CompositeScene, grid: RayGrid, seed: int,
         rows = np.arange(hi - lo)
         fraction = (target - cum[rows, panel]) / np.maximum(sigma[rows, panel], 1e-300)
         escaped = t_fars - 1e-6 if censored == "boundary" else np.nan
-        depths[lo:hi] = np.where(alive, panel * h + fraction, escaped)
+        return np.where(alive, panel * h + fraction, escaped)
 
-    chunked_row_map(run, n, block_rows(n_panels))
-    depths += depth_offset
+    depths = np.concatenate(chunked_row_map(run, len(grid), block_rows(n_panels))) + depth_offset
     return _grid_samples(grid, depths, _scene_colors(scene, grid, depths))
 
 

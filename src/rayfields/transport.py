@@ -377,7 +377,7 @@ def _fine_positions(weights: np.ndarray, t_fars: np.ndarray, u_fine: np.ndarray)
     return frac_in_bin
 
 
-def _render_batch(evaluator, origins, dirs, t_fars, quad: QuadratureConfig, rng, draws=None, colors=True) -> dict:
+def _render_batch(evaluator, origins, dirs, t_fars, quad: QuadratureConfig, draws, colors=True) -> dict:
     """Two-pass render of many rays; returns raw per-ray arrays, samples-major.
 
     The coarse pass evaluates density only, and only to place fine samples
@@ -388,12 +388,11 @@ def _render_batch(evaluator, origins, dirs, t_fars, quad: QuadratureConfig, rng,
     ``weights``, ``transmittance_far``, ``sigma`` and ``sigmas``, all that
     the component marginals read, bit-identical to the full pass.
 
-    All randomness comes from ``rng`` in one pinned order (coarse uniforms,
-    then fine uniforms) unless pre-drawn ``draws`` are handed in, so results
-    never depend on how callers chunk rays afterwards.
+    All randomness comes in ``draws``, the rows (coarse uniforms, fine
+    uniforms) of ``_draw_uniforms`` for these rays, so results never depend
+    on how callers chunk rays; zero rays give arrays of zero rays.
     """
-    n = origins.shape[0]
-    u_coarse, u_fine = _draw_uniforms(rng, n, quad) if draws is None else draws
+    u_coarse, u_fine = draws
     origin_rows, dir_rows = (np.ascontiguousarray(a.T)[:, None, :] for a in (origins, dirs))
     t_c = _coarse_positions(t_fars, quad.n_coarse, u_coarse)
     if quad.n_fine > 0:
@@ -409,13 +408,13 @@ def _render_batch(evaluator, origins, dirs, t_fars, quad: QuadratureConfig, rng,
         sigma = _density_total(sigmas).reshape(t.shape)
         weights, t_far_T, _ = _composite_weights(sigma, _ownership_deltas(t, t_fars))
         return {"t": t, "weights": weights, "transmittance_far": t_far_T, "sigma": sigma,
-                "sigmas": sigmas.reshape(-1, *t.shape)}
+                "sigmas": sigmas.reshape(len(sigmas), *t.shape)}
     sigma, color, sigmas = evaluator._evaluate(pts)
     sigma = sigma.reshape(t.shape)
     color = color.reshape(3, *t.shape)
     # A writeable color is the evaluator's fresh buffer (``_PointQueries._evaluate``).
     batch = _composite(t, sigma, color, _ownership_deltas(t, t_fars), own_color=color.flags.writeable)
-    batch.update(sigma=sigma, sigmas=sigmas.reshape(-1, *t.shape))
+    batch.update(sigma=sigma, sigmas=sigmas.reshape(len(sigmas), *t.shape))
     return batch
 
 
@@ -436,8 +435,8 @@ def _render_ray(field, ray: Ray, quad: QuadratureConfig, rng: np.random.Generato
     """One ray as a one-row ``_render_batch``; the draws come from ``rng``,
     or, without one, are those of a fresh generator seeded with
     ``quad.seed``, memoized per quadrature (``_seeded_draws``)."""
-    draws = _seeded_draws(quad) if rng is None else None
-    return _render_batch(field, ray.origin[None, :], ray.direction[None, :], np.array([ray.t_far]), quad, rng,
+    draws = _seeded_draws(quad) if rng is None else _draw_uniforms(rng, 1, quad)
+    return _render_batch(field, ray.origin[None, :], ray.direction[None, :], np.array([ray.t_far]), quad,
                          draws, colors)
 
 

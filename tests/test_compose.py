@@ -376,7 +376,7 @@ class TestRenderGrid:
 
         draws = transport._draw_uniforms(np.random.default_rng(quad.seed), len(grid), quad)
         batch = transport._render_batch(scene, grid.origins, grid.directions, grid.t_fars,
-                                        quad, rng=None, draws=draws)
+                                        quad, draws)
         t = _transpose(batch["t"])
         pts = (grid.origins[:, None, :] + t[:, :, None] * grid.directions[:, None, :]).reshape(-1, 3)
         sig_tot = scene.evaluate(pts)[0].reshape(t.shape)
@@ -564,7 +564,7 @@ class TestComponentMajorReferences:
             view = render_ray_grid(scene, grid, quad)
 
         batch = transport._render_batch(scene, grid.origins, grid.directions, grid.t_fars, quad,
-                                        np.random.default_rng(seed))
+                                        transport._draw_uniforms(np.random.default_rng(seed), len(grid), quad))
         t = _transpose(batch["t"])
         pts = (grid.origins[:, None, :] + t[:, :, None] * grid.directions[:, None, :]).reshape(-1, 3)
         sigma, color = scene.evaluate(pts)

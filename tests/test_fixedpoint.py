@@ -62,14 +62,21 @@ def test_head_against_itself_is_identical(head_src):
 
 
 def test_one_ulp_in_the_mixer_is_reported(head_src):
+    """A 1-ulp change in ``_mix`` is reported as a difference, and a deleted
+    ``CompositeScene.evaluate_components`` as its group's absent API, with
+    the other groups compared as usual."""
     compose = head_src / "rayfields" / "compose.py"
     text = compose.read_text()
     assert text.count("    acc /= safe\n") == 1
-    compose.write_text(text.replace("    acc /= safe\n", "    acc /= safe\n    acc *= 1.0 + 2.0**-52\n"))
+    compose.write_text(text.replace("    acc /= safe\n", "    acc /= safe\n    acc *= 1.0 + 2.0**-52\n")
+                       + "\n\ndel CompositeScene.evaluate_components\n")
     run = _fixedpoint("--src", str(head_src))
     assert run.returncode == 1, run.stdout + run.stderr
     assert "differ" in run.stdout.strip().splitlines()[-1]
     assert "scene5.main.image.color: [1] max abs" in run.stdout
+    assert "scene5.points: absent from change (AttributeError: " in run.stdout
+    assert "scene5.points.scene.density:" not in run.stdout
+    assert "Traceback" not in run.stderr
 
 
 def test_allowed_output_may_differ(head_src):

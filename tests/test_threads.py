@@ -10,23 +10,26 @@ import pytest
 from rayfields import _threads, compose, scenegen
 from rayfields._threads import BLOCK_POINTS, block_rows, chunked_row_map
 from rayfields.compose import render_ray_grid
-from rayfields.geometry import Camera, pinhole_rays
+from rayfields.geometry import Camera, RayGrid, pinhole_rays
 from rayfields.scenedoc import two_blob_demo_scene
-from rayfields.scenegen import SceneGenConfig, sample_observations, sample_scene
+from rayfields.scenegen import SceneGenConfig, sample_observations, sample_scene, surface_samples
 from rayfields.transport import QuadratureConfig
 
 RENDER_BLOCK = block_rows(64 + 128)
 
 
 def recorded_spans(n_rows, rows_per_block):
+    """The spans in the order ``fn`` ran on them, and the list
+    ``chunked_row_map`` returned; ``fn`` returns its span."""
     spans, lock = [], threading.Lock()
 
     def fn(lo, hi):
         with lock:
             spans.append((lo, hi))
+        return lo, hi
 
-    chunked_row_map(fn, n_rows, rows_per_block)
-    return spans
+    returned = chunked_row_map(fn, n_rows, rows_per_block)
+    return spans, returned
 
 
 class TestBlocks:
@@ -44,14 +47,20 @@ class TestBlocks:
     @pytest.mark.parametrize("threads", ["1", "2", "8"])
     def test_spans_cover_rows_once_in_order(self, n_rows, threads, monkeypatch):
         monkeypatch.setenv("OBSURF_THREADS", threads)
-        spans = recorded_spans(n_rows, RENDER_BLOCK)
+        spans, returned = recorded_spans(n_rows, RENDER_BLOCK)
         if threads == "1":
             assert spans == sorted(spans)
         spans.sort()
+        assert returned == spans
         assert spans[0][0] == 0 and spans[-1][1] == n_rows
         assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
         assert all(0 < hi - lo <= RENDER_BLOCK for lo, hi in spans)
         assert len(spans) == -(-n_rows // RENDER_BLOCK)
+
+    @pytest.mark.parametrize("threads", ["1", "2", "8"])
+    def test_zero_rows_run_one_empty_span(self, threads, monkeypatch):
+        monkeypatch.setenv("OBSURF_THREADS", threads)
+        assert recorded_spans(0, RENDER_BLOCK) == ([(0, 0)], [(0, 0)])
 
     def test_one_worker_runs_on_calling_thread(self, monkeypatch):
         monkeypatch.setenv("OBSURF_THREADS", "1")
@@ -87,15 +96,15 @@ class TestThreadBound:
         return sizes
 
     def test_bounded_by_cores(self, pool_sizes):
-        assert len(recorded_spans(10_000, 1)) == 10_000
+        assert len(recorded_spans(10_000, 1)[1]) == 10_000
         assert pool_sizes == [4]
 
     def test_bounded_by_blocks(self, pool_sizes):
-        assert len(recorded_spans(3, 1)) == 3
+        assert len(recorded_spans(3, 1)[1]) == 3
         assert pool_sizes == [3]
 
     def test_single_block_starts_no_pool(self, pool_sizes):
-        assert recorded_spans(5, 10) == [(0, 5)]
+        assert recorded_spans(5, 10) == ([(0, 5)], [(0, 5)])
         assert pool_sizes == []
 
     def test_render_and_sampler_bounded(self, pool_sizes, monkeypatch):
@@ -157,3 +166,27 @@ class TestInvariance:
         for rows in (1, 10**9):  # one row per block; the whole view in one block
             monkeypatch.setattr(compose, "block_rows", lambda _points, rows=rows: rows)
             assert render("2") == reference, rows
+
+
+class TestEmptyGrid:
+    """A grid of zero rays renders to empty images of the usual dtypes and
+    yields no samples, at any worker count."""
+
+    @pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0, 0)])
+    @pytest.mark.parametrize("quad", [QuadratureConfig(n_coarse=8, n_fine=16, seed=1),
+                                      QuadratureConfig(n_coarse=8, n_fine=0, seed=1),
+                                      QuadratureConfig(n_coarse=8, n_fine=4, seed=1, stratified=False)])
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_zero_rays(self, shape, quad, threads, monkeypatch):
+        monkeypatch.setenv("OBSURF_THREADS", threads)
+        scene = two_blob_demo_scene()
+        grid = RayGrid(np.empty((0, 3)), np.empty((0, 3)), np.empty(0), shape)
+        view = render_ray_grid(scene, grid, quad)
+        expected = {"color": (shape + (3,), np.float64), "depth": (shape, np.float64),
+                    "depth_raw": (shape, np.float64), "alpha": (shape, np.float64),
+                    "labels": (shape, np.int32), "marginals": (shape + (scene.n,), np.float64),
+                    "residual": (shape, np.float64), "empty": (shape, np.bool_)}
+        assert {k: (v.shape, v.dtype) for k, v in vars(view).items()} == expected
+        for censored in ("drop", "boundary"):
+            assert sample_observations(scene, grid, seed=1, n_panels=16, censored=censored) == []
+        assert surface_samples(scene, grid) == []

@@ -415,7 +415,7 @@ class TestSamplesMajorReferences:
         scene = CompositeScene(tuple(fields))
         origins, dirs, t_fars = _scene_rays(seed, n_rays)
         draws = _draw_uniforms(np.random.default_rng(quad.seed), n_rays, quad)
-        batch = _render_batch(scene, origins, dirs, t_fars, quad, None, draws)
+        batch = _render_batch(scene, origins, dirs, t_fars, quad, draws)
         marginals, _ = _marginals_from_batch(batch)
         rows = _batch_as_rows(batch)
         expected = reference_render_batch(scene, origins, dirs, t_fars, quad, draws)

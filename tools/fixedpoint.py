@@ -39,17 +39,21 @@ under that tree and under ``--src`` (default: this checkout's ``src/``), at
 
 Prints one line per output and thread count: ``identical``, or the max
 absolute and max relative difference.  Exits 1 if any output differs or
-only one tree produced it, else 0.  ``--allow NAME`` (repeatable) names an
-output that a change means to alter: where it differs the line reads
-``allowed`` with its difference, and it does not fail the run; a NAME that
-matches no output exits 2.  ``--size tiny`` shrinks every image and sample
-count, for a smoke test.
+only one tree produced it, else 0.  A manifest group that a tree cannot
+run for want of an API (AttributeError or ImportError) prints one line,
+``absent from base`` or ``change`` with the error, in place of its
+outputs, and counts as a difference; any other error is fatal.
+``--allow NAME`` (repeatable) names an output that a change means to
+alter: where it differs the line reads ``allowed`` with its difference,
+and it does not fail the run; a NAME that matches no output exits 2.
+``--size tiny`` shrinks every image and sample count, for a smoke test.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
+import json
 import os
 import subprocess
 import sys
@@ -88,6 +92,9 @@ FIT_BENCH_MIX = {"gaussian_blob": 3, "soft_sphere": 3, "soft_box": 2}
 # can end a render or a bias demo on a block of 1 or 2 rows through public
 # calls.
 BLOCK_POINTS = 32_768
+# Key of the emitted record of which outputs each group gave and which
+# groups were absent; no output name starts with an underscore.
+GROUPS_KEY = "__groups__"
 
 
 def _scene(rf, n: int):
@@ -174,11 +181,13 @@ def _files(out: dict, prefix: str, directory: str) -> None:
             out[f"{prefix}.{name}"] = np.frombuffer(fh.read(), dtype=np.uint8)
 
 
-def _fit_bench(rf, scenegen, resolution: int, n_panels: int, batch_size: int, out: dict) -> None:
+def _fit_bench(rf, resolution: int, n_panels: int, batch_size: int, out: dict) -> None:
     """The fit benchmark's batches: observations of the first generated
     scene with the objects of ``FIT_BENCH_MIX``, view by view of the rig,
     and the loss and its gradient on a fixed draw of ``batch_size`` of them
     (overlap penalty ramped in)."""
+    from rayfields import scenegen
+
     n_objects = sum(FIT_BENCH_MIX.values())
     config = rf.SceneGenConfig(n_objects_min=n_objects, n_objects_max=n_objects, resolution=resolution)
     rng = np.random.default_rng(19)
@@ -208,40 +217,38 @@ def _fit_bench(rf, scenegen, resolution: int, n_panels: int, batch_size: int, ou
     out["fit_bench.loss_gradient"] = rf.loss_gradient(scene, batch, iteration, loss_config, rng=5)
 
 
-def _emit(size: str) -> dict:
-    """Every manifest output, by name, from the rayfields on sys.path."""
-    import rayfields as rf
-    from rayfields import cli, estimlab, scenegen
+def _scene_rays(rf, n: int, p: dict, out: dict) -> None:
+    """Every ``RenderedView`` field of ``_scene(rf, n)`` for the camera image
+    and the strips, and the single-ray calls on its pixels, per quadrature."""
+    scene = _scene(rf, n)
+    for qname, n_coarse, n_fine, stratified in p["quads"]:
+        quad = rf.QuadratureConfig(n_coarse=n_coarse, n_fine=n_fine, seed=n, stratified=stratified)
+        image = rf.pinhole_rays(_camera(rf, *p["image"]), scene.t_far)
+        block = max(1, BLOCK_POINTS // (n_coarse + n_fine))
+        grids = {"image": image}
+        if qname == "main":
+            for width in (1, 2, block + 1, block + 2):
+                grids[f"strip{width}"] = rf.pinhole_rays(_camera(rf, width, 1), scene.t_far)
+        for gname, grid in grids.items():
+            view = rf.render_ray_grid(scene, grid, quad)
+            for field, value in vars(view).items():
+                out[f"scene{n}.{qname}.{gname}.{field}"] = np.asarray(value)
+        for pixel in p["pixels"]:
+            ray = image.ray(pixel)
+            tag = f"scene{n}.{qname}.ray{pixel}"
+            for field, value in vars(rf.hierarchical_render(scene, ray, quad)).items():
+                out[f"{tag}.hierarchical_render.{field}"] = np.asarray(value)
+            both = rf.composite_render(scene, ray, quad)
+            out[f"{tag}.composite_render.marginal"] = both.marginal
+            out[f"{tag}.composite_render.residual"] = np.asarray(both.residual)
+            out[f"{tag}.composite_render.color"] = both.render.color
+            marginal, residual = rf.component_marginal(scene, ray, quad)
+            out[f"{tag}.component_marginal"] = np.append(marginal, residual)
+            out[f"{tag}.segment_ray"] = np.asarray(rf.segment_ray(scene, ray, quad))
 
-    p = SIZES[size]
-    out = {}
-    for n in COMPONENT_COUNTS:
-        scene = _scene(rf, n)
-        _point_queries(rf, scene, f"scene{n}.points", out)
-        for qname, n_coarse, n_fine, stratified in p["quads"]:
-            quad = rf.QuadratureConfig(n_coarse=n_coarse, n_fine=n_fine, seed=n, stratified=stratified)
-            image = rf.pinhole_rays(_camera(rf, *p["image"]), scene.t_far)
-            block = max(1, BLOCK_POINTS // (n_coarse + n_fine))
-            grids = {"image": image}
-            if qname == "main":
-                for width in (1, 2, block + 1, block + 2):
-                    grids[f"strip{width}"] = rf.pinhole_rays(_camera(rf, width, 1), scene.t_far)
-            for gname, grid in grids.items():
-                view = rf.render_ray_grid(scene, grid, quad)
-                for field, value in vars(view).items():
-                    out[f"scene{n}.{qname}.{gname}.{field}"] = np.asarray(value)
-            for pixel in p["pixels"]:
-                ray = image.ray(pixel)
-                tag = f"scene{n}.{qname}.ray{pixel}"
-                for field, value in vars(rf.hierarchical_render(scene, ray, quad)).items():
-                    out[f"{tag}.hierarchical_render.{field}"] = np.asarray(value)
-                both = rf.composite_render(scene, ray, quad)
-                out[f"{tag}.composite_render.marginal"] = both.marginal
-                out[f"{tag}.composite_render.residual"] = np.asarray(both.residual)
-                out[f"{tag}.composite_render.color"] = both.render.color
-                marginal, residual = rf.component_marginal(scene, ray, quad)
-                out[f"{tag}.component_marginal"] = np.append(marginal, residual)
-                out[f"{tag}.segment_ray"] = np.asarray(rf.segment_ray(scene, ray, quad))
+
+def _bias_demo(p: dict, out: dict) -> None:
+    from rayfields import estimlab
 
     for k in p["bias_ks"]:
         for hierarchical in (False, True):
@@ -253,11 +260,19 @@ def _emit(size: str) -> dict:
                 for key, value in demo.items():
                     out[f"bias_demo.k{k}.{mode}.n{n_trials}.{key}"] = np.asarray(value)
 
+
+def _cli_bias_demo(p: dict, out: dict) -> None:
+    from rayfields import cli
+
     for flags in ([], ["--hierarchical"]):
         code, stdout = _cli(cli, ["bias-demo", "--n-trials", str(p["cli_trials"]), "--seed", "7", *flags])
         name = "cli.bias-demo" + "".join(f".{flag[2:]}" for flag in flags)
         out[f"{name}.exit"] = np.asarray(code)
         out[f"{name}.stdout"] = np.frombuffer(stdout, dtype=np.uint8)
+
+
+def _cli_render(rf, p: dict, out: dict) -> None:
+    from rayfields import cli
 
     n_coarse, n_fine = p["quads"][0][1:3]
     with tempfile.TemporaryDirectory() as work:
@@ -269,30 +284,40 @@ def _emit(size: str) -> dict:
         out["cli.render.exit"] = np.asarray(_cli(cli, argv)[0])
         _files(out, "cli.render", render_dir)
 
+
+def _generated(rf, mix: str, p: dict, out: dict) -> None:
+    """The generated scenes of one object-kind mix, per seed."""
+    from rayfields import scenegen
+
     loss_config = rf.LossConfig(n_free_samples=3)
-    for mix, kinds in KIND_MIXES.items():
-        config = rf.SceneGenConfig(kinds=kinds, n_objects_max=6, resolution=p["gen_resolution"], checker_size=0.5)
-        for seed in p["gen_seeds"]:
-            tag = f"scenegen.{mix}.seed{seed}"
-            scene, meta = rf.sample_scene(config, np.random.default_rng(seed))
-            out[f"{tag}.params"] = scene.params()
-            for i, entry in enumerate(meta):
-                for key, value in entry.items():  # text as its bytes
-                    value = np.frombuffer(value.encode(), dtype=np.uint8) if isinstance(value, str) else value
-                    out[f"{tag}.object{i}.{key}"] = np.asarray(value)
-            grid = rf.pinhole_rays(scenegen.default_camera(config), scene.t_far)
-            out[f"{tag}.depth"], out[f"{tag}.mask"] = scenegen.ground_truth_maps(scene, grid)
-            for i, comp in enumerate(scene.components):
-                out[f"{tag}.surface_distance{i}"] = rf.surface_distance(comp, grid.origins, grid.directions)
-            observations = rf.sample_observations(scene, grid, seed=seed, n_panels=p["n_panels"])
-            out[f"{tag}.sample_observations"] = _stacked(observations)
-            out[f"{tag}.surface_samples"] = _stacked(rf.surface_samples(scene, grid))
-            total, breakdown = rf.total_loss(scene, observations, 3, loss_config, rng=seed)
-            out[f"{tag}.total_loss"] = np.array([total, *breakdown.values()])
-            out[f"{tag}.loss_gradient"] = rf.loss_gradient(scene, observations, 3, loss_config, rng=seed)
+    config = rf.SceneGenConfig(kinds=KIND_MIXES[mix], n_objects_max=6, resolution=p["gen_resolution"],
+                               checker_size=0.5)
+    for seed in p["gen_seeds"]:
+        tag = f"scenegen.{mix}.seed{seed}"
+        scene, meta = rf.sample_scene(config, np.random.default_rng(seed))
+        out[f"{tag}.params"] = scene.params()
+        for i, entry in enumerate(meta):
+            for key, value in entry.items():  # text as its bytes
+                value = np.frombuffer(value.encode(), dtype=np.uint8) if isinstance(value, str) else value
+                out[f"{tag}.object{i}.{key}"] = np.asarray(value)
+        grid = rf.pinhole_rays(scenegen.default_camera(config), scene.t_far)
+        out[f"{tag}.depth"], out[f"{tag}.mask"] = scenegen.ground_truth_maps(scene, grid)
+        for i, comp in enumerate(scene.components):
+            out[f"{tag}.surface_distance{i}"] = rf.surface_distance(comp, grid.origins, grid.directions)
+        observations = rf.sample_observations(scene, grid, seed=seed, n_panels=p["n_panels"])
+        out[f"{tag}.sample_observations"] = _stacked(observations)
+        out[f"{tag}.surface_samples"] = _stacked(rf.surface_samples(scene, grid))
+        total, breakdown = rf.total_loss(scene, observations, 3, loss_config, rng=seed)
+        out[f"{tag}.total_loss"] = np.array([total, *breakdown.values()])
+        out[f"{tag}.loss_gradient"] = rf.loss_gradient(scene, observations, 3, loss_config, rng=seed)
 
-    _fit_bench(rf, scenegen, *p["fit_bench"], out)
 
+def _cli_dataset(p: dict, out: dict) -> None:
+    """A CLI ``generate``, a ``fit`` to its dataset, a ``render`` of the
+    fitted scene and an ``eval`` of that render against the dataset."""
+    from rayfields import cli
+
+    n_coarse, n_fine = p["quads"][0][1:3]
     with tempfile.TemporaryDirectory() as work:
         data, fitted, rendered = (os.path.join(work, name) for name in ("data", "fit", "render"))
         commands = [
@@ -308,7 +333,44 @@ def _emit(size: str) -> dict:
             _files(out, f"cli.{name}", directory)
         code, stdout = _cli(cli, ["eval", "--pred", rendered, "--truth", data])
         out["cli.eval.exit"], out["cli.eval.stdout"] = np.asarray(code), np.frombuffer(stdout, dtype=np.uint8)
-    return out
+
+
+def _manifest(rf, p: dict) -> list:
+    """The manifest as (group, fill) pairs; ``fill(out)`` adds the group's
+    outputs to ``out``."""
+    groups = []
+    for n in COMPONENT_COUNTS:
+        groups.append((f"scene{n}.points", lambda out, n=n: _point_queries(rf, _scene(rf, n), f"scene{n}.points", out)))
+        groups.append((f"scene{n}.rays", lambda out, n=n: _scene_rays(rf, n, p, out)))
+    groups += [("bias_demo", lambda out: _bias_demo(p, out)),
+               ("cli.bias-demo", lambda out: _cli_bias_demo(p, out)),
+               ("cli.render", lambda out: _cli_render(rf, p, out))]
+    groups += [(f"scenegen.{mix}", lambda out, mix=mix: _generated(rf, mix, p, out)) for mix in KIND_MIXES]
+    groups += [("fit_bench", lambda out: _fit_bench(rf, *p["fit_bench"], out)),
+               ("cli.dataset", lambda out: _cli_dataset(p, out))]
+    return groups
+
+
+def _emit(size: str) -> dict:
+    """Every manifest output, by name, from the rayfields on sys.path, and
+    under ``GROUPS_KEY`` a JSON record of the output names of each group
+    and of the groups whose API this tree lacks: a group that raises
+    AttributeError or ImportError gives no output and is recorded with its
+    error.  Any other error propagates."""
+    import rayfields as rf
+
+    outputs, names, absent = {}, {}, {}
+    for group, fill in _manifest(rf, SIZES[size]):
+        out = {}
+        try:
+            fill(out)
+        except (AttributeError, ImportError) as exc:
+            absent[group] = f"{type(exc).__name__}: {exc}"
+            continue
+        outputs.update(out)
+        names[group] = sorted(out)
+    outputs[GROUPS_KEY] = np.asarray(json.dumps({"names": names, "absent": absent}))
+    return outputs
 
 
 def _difference(a: np.ndarray, b: np.ndarray) -> str | None:
@@ -372,11 +434,21 @@ def main(argv: list[str] | None = None) -> int:
                 for tree, src in (("base", base_src), ("change", os.path.abspath(args.src)))
                 for t in thread_counts}
 
+    records = {key: json.loads(str(run.pop(GROUPS_KEY))) for key, run in runs.items()}
+    absent: dict[str, dict[str, str]] = {}  # group: {tree: error}
+    for (tree, _), record in records.items():
+        for group, error in record["absent"].items():
+            absent.setdefault(group, {}).setdefault(tree, error)
+    hidden = {name for record in records.values() for group in absent for name in record["names"].get(group, ())}
     names = sorted(set().union(*(run.keys() for run in runs.values())))
     unknown = sorted(set(args.allow) - set(names))
     if unknown:
         parser.error(f"--allow names no output: {', '.join(unknown)}")
+    names = [name for name in names if name not in hidden]
     differ = allowed = 0
+    for group, errors in sorted(absent.items()):
+        print(f"{group}: absent from {' and '.join(sorted(errors))} ({next(iter(errors.values()))})")
+        differ += 1
     for name in names:
         verdicts = []
         for t in thread_counts:
