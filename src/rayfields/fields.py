@@ -20,8 +20,8 @@ names the parameters its density depends on (``density_params``) and
 returns d(raw density)/d(param) for each of them as one contiguous (N,) row,
 so a caller that only needs a vector-Jacobian product contracts the rows
 with its per-point weights and never forms the (N, P) Jacobian.  Colors
-come straight from parameter slots (``_color_source``), so their gradient is
-a selection, not a product.
+come from a palette of parameter slots (``color_offsets``, ``_grad_sources``),
+so their gradient is a selection, not a product.
 
 A kind also owns its half-maximum surface (``_surface_distance``) and, for
 object kinds, its footprint (``on_footprint``, ``footprint_radius``).
@@ -275,10 +275,10 @@ class Field(_PointQueries):
                 raise ValueError(f"{name} must be {words}")
             object.__setattr__(self, name, value)
 
-    @abc.abstractmethod
     def _raw(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Uncapped density (N,) and unclipped color at ``pts``: (N, 3), or
-        one (3,) row that holds at every point."""
+        one (3,) row that holds at every point (here, the one ``color``)."""
+        return self._raw_density(pts), self.color
 
     @abc.abstractmethod
     def _raw_density(self, pts: np.ndarray) -> np.ndarray:
@@ -290,16 +290,10 @@ class Field(_PointQueries):
         (len(density_params), N) array, one contiguous row per parameter."""
         raise UnsupportedGradient(f"field kind {self.kind!r} has no parameter gradients")
 
-    def _color_source(self, pts: np.ndarray):
-        """Unclipped color, equal to ``_raw(pts)[1]`` ((N, 3) or one (3,)
-        row), and where it comes from: the parameter index of each point's
-        red channel, one int or (N,) ints, with green and blue right after
-        it."""
-        raise UnsupportedGradient(f"field kind {self.kind!r} has no parameter gradients")
-
     def _grad_sources(self, pts: np.ndarray, n: int):
-        """``_raw_density_rows(pts)`` and ``_color_source(pts[:n])``, as one tuple."""
-        return *self._raw_density_rows(pts), *self._color_source(pts[:n])
+        """``_raw_density_rows(pts)``, the unclipped palette (k, 3), row j's red channel being parameter
+        ``color_offsets[j]``, and each of the first ``n`` points' palette row (None: the one ``color``)."""
+        return *self._raw_density_rows(pts), self.color[None], None
 
     @property
     def n_params(self) -> int:
@@ -379,23 +373,17 @@ class Field(_PointQueries):
 class _ConstantColorField(Field):
     """A kind with one color everywhere: its ``color`` group, after every density parameter."""
 
-    color_offset: ClassVar[int]
+    color_offsets: ClassVar[tuple[int]]
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls.color_offset = _starts(cls.layout, "color")[0]
-        cls.density_params = tuple(range(cls.color_offset))
-
-    def _raw(self, pts):
-        return self._raw_density(pts), self.color
+        cls.color_offsets = tuple(_starts(cls.layout, "color"))
+        cls.density_params = tuple(range(cls.color_offsets[0]))
 
     def _raw_density(self, pts):
         """Amplitude times the unit profile ending ``_parts``, in place."""
         profile = self._parts(pts, in_place=True)[-1]
         return np.multiply(self.amplitude, profile, out=profile)
-
-    def _color_source(self, pts):
-        return self.color, self.color_offset
 
 
 @dataclass(frozen=True)
@@ -427,10 +415,12 @@ class GaussianBlobField(_ConstantColorField):
     def _raw_density_rows(self, pts):
         u, g = self._parts(pts)
         raw = self.amplitude * g
-        scale = self.scale[:, None]
         rows = np.empty((7, pts.shape[0]))
-        np.divide(np.multiply(raw, u, out=rows[0:3]), scale, out=rows[0:3])
-        np.divide(np.multiply(raw, u * u, out=rows[3:6]), scale, out=rows[3:6])
+        np.multiply(raw, u, out=rows[0:3])
+        np.multiply(u, u, out=rows[3:6])
+        rows[3:6] *= raw
+        by_center_and_scale = rows[0:6].reshape(2, 3, -1)  # raw u / scale, raw u^2 / scale
+        np.divide(by_center_and_scale, self.scale[:, None], out=by_center_and_scale)
         rows[6] = g
         return raw, rows
 
@@ -532,13 +522,13 @@ class SoftBoxField(_ConstantColorField):
     def _raw_density_rows(self, pts):
         diff, q, s, f = self._parts(pts)
         raw = self.amplitude * f
-        one_minus = 1.0 - s
         w = self.softness
         rows = np.empty((8, pts.shape[0]))
+        one_minus = np.subtract(1.0, s, out=s)
         np.multiply(raw, one_minus, out=rows[3:6])
-        np.multiply(rows[3:6], np.sign(diff), out=rows[0:3])
+        np.multiply(rows[3:6], np.sign(diff, out=diff), out=rows[0:3])
         rows[0:6] /= w
-        np.divide(raw * np.sum(one_minus * (-q), axis=0), w, out=rows[6])
+        np.divide(raw * np.add.reduce(one_minus * (-q), axis=0), w, out=rows[6])  # np.sum's reduction
         rows[7] = f
         return raw, rows
 
@@ -569,7 +559,7 @@ class GroundPlaneField(Field):
     layout = (("softness", 1, "width"), ("amplitude", 1, "nonneg"), ("color_a", 3, "unit"),
               ("color_b", 3, "unit"), ("checker_size", 1, "cell"), ("dome_radius", 1, "width"),
               ("dome_color", 3, "unit"))
-    color_offsets: ClassVar[np.ndarray] = np.array(_starts(layout, "color_a", "color_b", "dome_color"))
+    color_offsets = tuple(_starts(layout, "color_a", "color_b", "dome_color"))
     density_params = (0, 1, 9)  # softness, amplitude, dome_radius
     softness: float
     amplitude: float
@@ -610,33 +600,33 @@ class GroundPlaneField(Field):
             surface = cells.astype(np.int64) % 2
         return np.where(s_dome > s_plane, 2, surface)
 
-    def _colors(self, surface):
-        """Color (N, 3) of palette entries, a view of channel-major rows (3, N)."""
-        palette = np.stack([self.color_a, self.color_b, self.dome_color], axis=1)  # one row per channel
-        return np.take(palette, surface, axis=1).T
+    def _palette(self):
+        """Unclipped colors of palette entries 0, 1 and 2, as rows (3, 3)."""
+        return np.array([self.color_a, self.color_b, self.dome_color])
 
     def _raw_density(self, pts):
         s_plane, _, s_dome = self._parts(pts, in_place=True)
         union = self._union(s_plane, s_dome, in_place=True)
         return np.multiply(self.amplitude, union, out=union)
 
-    def _raw(self, pts):
+    def _raw(self, pts, palette=None):
+        """Uncapped density and colors (N, 3) gathered from ``palette`` (default: the unclipped one)."""
         s_plane, _, s_dome = self._parts(pts, in_place=True)
-        color = self._colors(self._surface(pts, s_plane, s_dome))
+        palette = self._palette() if palette is None else palette
+        color = np.take(palette.T, self._surface(pts, s_plane, s_dome), axis=1).T
         union = self._union(s_plane, s_dome, in_place=True)
         return np.multiply(self.amplitude, union, out=union), color
 
-    def _color_source(self, pts):
-        """The color and its parameter index (``color_offsets``) of each point's red channel."""
-        s_plane, _, s_dome = self._parts(pts, in_place=True)
-        surface = self._surface(pts, s_plane, s_dome)
-        return self._colors(surface), self.color_offsets[surface]
+    def _density_color(self, pts, out=None):
+        """Clips the 3x3 palette, not the gathered (N, 3) colors: the same bits."""
+        raw, color = self._raw(pts, self._palette().clip(0.0, 1.0))
+        return self._cap(raw, out), color
 
     def _grad_sources(self, pts, n):
-        """One ``_parts`` pass serves the density rows and the colors."""
+        """One ``_parts`` pass serves the density rows and the surface points' palette entries."""
         parts = self._parts(pts)
         surface = self._surface(pts[:n], parts[0][:n], parts[2][:n])
-        return *self._raw_density_rows(pts, parts), self._colors(surface), self.color_offsets[surface]
+        return *self._raw_density_rows(pts, parts), self._palette(), surface
 
     def _raw_density_rows(self, pts, parts=()):
         s_plane, rho, s_dome = parts or self._parts(pts)

@@ -2,7 +2,7 @@
 
 The loss landscape comes from losses.total_loss.  Gradients are closed-form:
 each field kind supplies the derivative of its density as one row per
-parameter it depends on and the parameter slots of its color (fields),
+parameter it depends on and the parameter slots of its colors (fields),
 losses._loss_eval contracts them with per-point weights into the gradient of
 the whole parameter vector without forming a Jacobian, and
 finite_diff_gradient cross-checks the result.
@@ -10,8 +10,8 @@ The optimizer is Adam with bias correction, a stepwise-halving learning
 rate, global norm clipping, and a skip threshold for pathological steps.
 After every step each parameter is projected back into the box that the
 domain table of fields (``fields._DOMAINS``) gives its layout group, and the
-scene is rebuilt by a plan made before the loop; only the reported scene goes
-through ``CompositeScene.with_params``.
+scene is rebuilt by a plan made before the loop (``CompositeScene.with_params``
+only for a vector its check rejects); the last scene built is reported.
 """
 
 from __future__ import annotations
@@ -178,11 +178,11 @@ def fit(initial_scene: CompositeScene, dataset, config: FitConfig) -> FitReport:
         if not np.isfinite(total):
             term = next((k for k, v in breakdown.items() if not np.isfinite(v)), "total")
             raise FitDivergence(it, term)
-        if not np.all(np.isfinite(grad)):
+        if not np.isfinite(grad).all():
             raise FitDivergence(it, "gradient")
 
         lr = config.learning_rate * config.decay_factor ** (it // config.decay_every)
-        norm = float(np.linalg.norm(grad))
+        norm = float(np.sqrt(grad.dot(grad)))  # np.linalg.norm, without its wrapper
         skip = norm > config.skip_norm
         skipped += skip
         if not skip:
@@ -194,7 +194,7 @@ def fit(initial_scene: CompositeScene, dataset, config: FitConfig) -> FitReport:
 
     return FitReport(
         trace=trace,
-        final_scene=initial_scene.with_params(params),
+        final_scene=scene,
         final_params=params,
         seed=config.seed,
         skipped_steps=skipped,

@@ -11,22 +11,18 @@ jittered point, and overlapping components pay the amount of density not
 explained by the dominant one.
 
 The batched core, ``_loss_eval``, serves total_loss and the fitter's
-gradient, on one packed (B, 10) batch array (``_BatchArrays``).  It
-evaluates densities at every surface and free-space point and colors only at
-the surface points, in one kernel pass per component.  It keeps the layout
-the mixer works in: per-component densities are rows (n, N), and the
-predicted color and its error are channel-major rows (3, B).  The gradient
-is a vector-Jacobian product: the per-point weights of all components
-(stacked rows (n, N), zero where the density cap binds) are contracted, one
-component at a time, with the kind's density rows, one contiguous row per
-parameter the density depends on, and the color error lands in that
-component's three color slots, as three sums for a constant-color kind and
-a scatter over per-point slots for the ground plane.  Neither the (N, P)
-density Jacobian nor an (N, 3, P) color Jacobian is formed.
+gradient on one packed (10, B) batch (``_BatchArrays``).  It evaluates each
+component once at all surface and free-space points, held as channel-major
+rows, and keeps densities as rows (n, N) and colors as rows (3, B).  The
+gradient is a vector-Jacobian product that forms no Jacobian: per-point
+weights (rows (n, N), zero where the cap binds) meet each kind's density
+rows, and the color error lands in its palette's slots, the palettes of all
+components clipped in one call.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -146,7 +142,8 @@ def _depth_nll(sig_surf, sig_free, t_obs, q):
     free-space optical depth estimated from the densities (D, F) at the
     proposal draws, t * mean density under the uniform proposal (``q`` None)
     or the mean of density / proposal density."""
-    inner = t_obs * sig_free.mean(axis=1) if q is None else (sig_free / q).mean(axis=1)
+    f = sig_free.shape[1]  # a sum over f, divided by f, is NumPy's mean without its wrapper
+    inner = t_obs * (sig_free.sum(axis=1) / f) if q is None else (sig_free / q).sum(axis=1) / f
     return -np.log(np.maximum(sig_surf, LOG_DENSITY_FLOOR)) + inner
 
 
@@ -179,10 +176,10 @@ def depth_nll_importance(field, sample: RgbdSample, rng, config: LossConfig = Lo
     return float(depth_nll_draws(field, sample, rng, config, 1, "importance")[0])
 
 
-def _color_nll_values(predicted: np.ndarray, observed: np.ndarray, sigma_c: float) -> np.ndarray:
+def _color_nll_values(err: np.ndarray, sigma_c: float) -> np.ndarray:
+    """Gaussian color NLL of color errors as channel-major rows (3, ...)."""
     constant = 3.0 * (0.5 * np.log(2.0 * np.pi) + np.log(sigma_c))
-    err = predicted - observed
-    return constant + (err * err).sum(axis=-1) / (2.0 * sigma_c**2)
+    return constant + _sum3(err * err) / (2.0 * sigma_c**2)
 
 
 def color_nll(field, sample: RgbdSample, rng, config: LossConfig = LossConfig()) -> float:
@@ -191,7 +188,7 @@ def color_nll(field, sample: RgbdSample, rng, config: LossConfig = LossConfig())
     eps = _draw_jitter(rng, 1, config.delta)[0]
     point = sample.ray.origin + (sample.depth + eps) * sample.ray.direction
     _, predicted = field.evaluate(point)
-    return float(_color_nll_values(predicted[None, :], sample.color[None, :], config.sigma_c)[0])
+    return float(_color_nll_values((predicted - sample.color)[:, None], config.sigma_c)[0])
 
 
 def overlap_loss(scene: CompositeScene, point) -> float:
@@ -215,8 +212,8 @@ def k_o_schedule(iteration: int, config: LossConfig) -> float:
 
 @dataclass
 class _BatchArrays:
-    """Sample list flattened once into rows (M, 10) of origin, direction,
-    depth and color, each a view, so a batch is one gather (``take``)."""
+    """Sample list flattened once into channel-major rows (10, M) of origin, direction,
+    depth and color, read through (M, 3) and (M,) views; a batch is one gather (``take``)."""
 
     packed: np.ndarray
 
@@ -225,21 +222,34 @@ class _BatchArrays:
         batch = list(batch)
         if not batch:
             raise ValueError("batch must be non-empty")
-        return cls(np.column_stack([np.concatenate([s.ray.origin for s in batch]).reshape(-1, 3),
-                                    np.concatenate([s.ray.direction for s in batch]).reshape(-1, 3),
-                                    [s.depth for s in batch],
-                                    np.concatenate([s.color for s in batch]).reshape(-1, 3)]))
+        return cls(np.vstack([np.concatenate([s.ray.origin for s in batch]).reshape(-1, 3).T,
+                              np.concatenate([s.ray.direction for s in batch]).reshape(-1, 3).T,
+                              [s.depth for s in batch],
+                              np.concatenate([s.color for s in batch]).reshape(-1, 3).T]))
 
-    origins = property(lambda self: self.packed[:, 0:3])
-    directions = property(lambda self: self.packed[:, 3:6])
-    t_obs = property(lambda self: self.packed[:, 6])
-    colors = property(lambda self: self.packed[:, 7:10])
+    origins = property(lambda self: self.packed[0:3].T)
+    directions = property(lambda self: self.packed[3:6].T)
+    t_obs = property(lambda self: self.packed[6])
+    colors = property(lambda self: self.packed[7:10].T)
 
     def take(self, idx) -> "_BatchArrays":
-        return _BatchArrays(self.packed[idx])
+        return _BatchArrays(self.packed[:, idx])
 
     def __len__(self) -> int:
-        return self.packed.shape[0]
+        return self.packed.shape[1]
+
+
+@functools.lru_cache(maxsize=16)
+def _gradient_layout(kinds: tuple[type, ...]):
+    """For components of the field types ``kinds``: the gradient's length, each component's first
+    palette row, and the parameter index of each density row and of each palette channel."""
+    starts = np.cumsum([0] + [sum(size for _, size, _ in kind.layout) for kind in kinds])
+    first_rows = np.cumsum([0] + [len(kind.color_offsets) for kind in kinds[:-1]])
+    density = np.concatenate([at + np.array(kind.density_params, dtype=int) for kind, at in zip(kinds, starts)])
+    color = np.concatenate([at + np.add.outer(kind.color_offsets, range(3)).ravel() for kind, at in zip(kinds, starts)])
+    for array in (first_rows, density, color):
+        array.flags.writeable = False  # shared by every call
+    return int(starts[-1]), first_rows, density, color
 
 
 def _loss_eval(scene: CompositeScene, arrays: _BatchArrays, iteration: int,
@@ -251,47 +261,46 @@ def _loss_eval(scene: CompositeScene, arrays: _BatchArrays, iteration: int,
     finite differences share randomness with the analytic gradient.
     """
     rng = _as_rng(rng)
-    b = len(arrays)
-    n_comp = scene.n
+    b, f = len(arrays), config.n_free_samples
     eps = _draw_jitter(rng, b, config.delta)
-    pos, q = _draw_free_importance(rng, arrays.t_obs, config.n_free_samples)
-    f = config.n_free_samples
+    pos, q = _draw_free_importance(rng, arrays.t_obs, f)
 
-    surf_pts = arrays.origins + (arrays.t_obs + eps)[:, None] * arrays.directions
-    free_pts = (arrays.origins[:, None, :] + pos[:, :, None] * arrays.directions[:, None, :]).reshape(-1, 3)
-    stacked, _ = _check_points(np.concatenate([surf_pts, free_pts], axis=0))
+    # Surface points, then each ray's free-space points, as channel-major rows.
+    coords = np.empty((3, b * (1 + f)))
+    np.add(arrays.origins.T, (arrays.t_obs + eps) * arrays.directions.T, out=coords[:, :b])
+    np.add(arrays.origins.T[:, :, None], pos * arrays.directions.T[:, :, None], out=coords[:, b:].reshape(3, b, f))
+    pts, _ = _check_points(coords.T)
 
-    # Densities at every point, one row per component; colors only at the
-    # surface points.
-    sigmas = np.empty((n_comp, stacked.shape[0]))
-    colors = []
-    grads = []
-    for i, comp in enumerate(scene.components):
+    # One density row per component at every point; surface colors from palettes clipped at once.
+    sigmas = np.empty((scene.n, pts.shape[0]))
+    sources, colors = [], []
+    for row, comp in zip(sigmas, scene.components):
         if want_grads:
-            raw, rows, color, offset = comp._grad_sources(stacked, b)
-            sigmas[i] = comp._cap(raw)
-            live = None if comp.sigma_max is None else raw < comp.sigma_max
-            color, unclipped = color.clip(0.0, 1.0), color
-            grads.append((comp, rows, live, color == unclipped, offset))  # inside [0, 1]: clipping keeps it
+            raw, rows, palette, index = comp._grad_sources(pts, b)
+            sources.append((rows, palette, index))
+            comp._cap(raw, out=row)
         else:
-            sigmas[i] = comp._density(stacked)
-            color = comp._density_color(surf_pts)[1]
-        colors.append(color)
+            colors.append(comp._density_color(pts[:b])[1])
+            comp._density(pts, out=row)
+    if want_grads:
+        size, first_rows, density_slots, color_slots = _gradient_layout(tuple(map(type, scene.components)))
+        unclipped = np.concatenate([palette for _, palette, _ in sources])
+        palette = unclipped.clip(0.0, 1.0)
+        colors = [palette[r] if index is None else np.take(palette[r : r + len(p)].T, index, axis=1).T
+                  for (_, p, index), r in zip(sources, first_rows)]
     sig_surf = sigmas[:, :b]
 
     sig_tot_free = _total(sigmas[:, b:]).reshape(b, f)
     sig_tot_surf, c_pred = _mix(sig_surf, colors)
-    log_live = sig_tot_surf > LOG_DENSITY_FLOOR
     depth_per_ray = _depth_nll(sig_tot_surf, sig_tot_free, arrays.t_obs, q)
-    color_per_ray = _color_nll_values(c_pred.T, arrays.colors, config.sigma_c)
-
-    dominant = np.argmax(sig_surf, axis=0)
-    overlap_per_ray = sig_tot_surf - sig_surf[dominant, np.arange(b)]
+    err = np.subtract(c_pred, arrays.colors.T, order="C")  # C order: ``err @ share`` below
+    color_per_ray = _color_nll_values(err, config.sigma_c)
+    overlap_per_ray = sig_tot_surf - sig_surf.max(axis=0)
 
     k_o = k_o_schedule(iteration, config)
-    depth_mean = float(depth_per_ray.mean())
-    color_mean = float(color_per_ray.mean())
-    overlap_mean = float(overlap_per_ray.mean())
+    depth_mean = float(depth_per_ray.sum()) / b  # NumPy's mean, without its wrapper
+    color_mean = float(color_per_ray.sum()) / b
+    overlap_mean = float(overlap_per_ray.sum()) / b
     overlap_weighted = k_o * overlap_mean
     total = depth_mean + color_mean + overlap_weighted
     breakdown = {"depth_nll": depth_mean, "color_nll": color_mean, "overlap": overlap_mean,
@@ -305,33 +314,34 @@ def _loss_eval(scene: CompositeScene, arrays: _BatchArrays, iteration: int,
     #   d(overlap)/dp = dsigma_i(surf) where i is not the dominant component
     # so the density part is one per-point weight row per component (stacked
     # (n, N); zero where the cap binds) contracted with its density rows, and
-    # the color part lands only in the color slots.  Per-ray arrays are (3, B).
+    # the color part lands in its palette's slots, zero for a clipped channel.
     color_live = sig_tot_surf > 0.0
-    err = np.subtract(c_pred, arrays.colors.T, order="C")  # C order: ``err @ share`` below
     err /= config.sigma_c**2
     err *= color_live
     inv_tot = np.where(color_live, 1.0 / np.where(color_live, sig_tot_surf, 1.0), 0.0)
-    d_log = np.where(log_live, 1.0 / np.maximum(sig_tot_surf, LOG_DENSITY_FLOOR), 0.0)
-    diffs = np.empty((3, n_comp, b))
-    for diff, color in zip(diffs.transpose(1, 0, 2), colors):
-        np.subtract(color[:, None] if color.ndim == 1 else color.T, c_pred, out=diff)
+    d_log = np.where(sig_tot_surf > LOG_DENSITY_FLOOR, 1.0 / np.maximum(sig_tot_surf, LOG_DENSITY_FLOOR), 0.0)
+    diffs = np.subtract(palette[first_rows].T[:, :, None], c_pred[:, None, :])
+    for i, (_, _, index) in enumerate(sources):
+        if index is not None:
+            np.subtract(colors[i].T, c_pred, out=diffs[:, i])
     diffs *= err[:, None]
-    weights = np.empty((n_comp, stacked.shape[0]))
-    weights[:, :b] = inv_tot * _sum3(diffs) - d_log + k_o * (dominant != np.arange(n_comp)[:, None])
+    weights = np.empty(sigmas.shape)
+    weights[:, :b] = inv_tot * _sum3(diffs) - d_log
+    if k_o > 0.0:  # argmax takes the first of tied components
+        weights[:, :b] += k_o * (np.argmax(sig_surf, axis=0) != np.arange(scene.n)[:, None])
     weights[:, b:] = (1.0 / (q * f)).ravel()
+    weights *= sigmas < np.array([np.inf if c.sigma_max is None else c.sigma_max for c in scene.components])[:, None]
     shares = sig_surf * inv_tot
-    grad, at = np.zeros(sum(comp.n_params for comp in scene.components)), 0
-    for (comp, rows, live, inside, offset), w, share in zip(grads, weights, shares):
-        part = grad[at : at + comp.n_params]
-        at += part.shape[0]
-        if live is not None:
-            w *= live
-        part[list(comp.density_params)] = rows @ w
-        if np.ndim(offset) == 0:
-            part[offset : offset + 3] += np.where(inside, err @ share, 0.0)
+    color_grad = np.empty(unclipped.shape)  # before the clip: err @ share, or per-row sums in ray order
+    for (_, p, index), r, share in zip(sources, first_rows, shares):
+        if index is None:
+            np.matmul(err, share, out=color_grad[r])
         else:
-            slots = offset + np.arange(3)[:, None]
-            part += np.bincount(slots.ravel(), (err * inside.T * share).ravel(), part.shape[0])
+            bins = 3 * index + np.arange(3)[:, None]  # palette row and channel, channel-major
+            color_grad[r : r + len(p)] = np.bincount(bins.ravel(), (err * share).ravel(), p.size).reshape(p.shape)
+    grad = np.zeros(size)
+    grad[density_slots] = np.concatenate([rows @ w for (rows, _, _), w in zip(sources, weights)])
+    grad[color_slots] += np.where(palette == unclipped, color_grad, 0.0).ravel()
     grad /= b
     return total, breakdown, grad
 

@@ -438,6 +438,15 @@ class ReferenceBatch:
         return self.t_obs.shape[0]
 
 
+def color_source(field, pts):
+    """A kind's unclipped color at points (N, 3), (N, 3) or one (3,) row for
+    a kind of one color, and the parameter index of each point's red channel
+    (an int or (N,) ints), read off its palette and palette rows."""
+    _, _, palette, index = field._grad_sources(pts, pts.shape[0])
+    offsets = np.array(field.color_offsets)
+    return (palette[0], int(offsets[0])) if index is None else (palette[index], offsets[index])
+
+
 def reference_loss_eval(scene, arrays, iteration, config, rng, want_grads):
     """The loss core with one gradient pass per component: its surface
     weights and color share built from its own (3, B) arithmetic, and the
@@ -457,7 +466,7 @@ def reference_loss_eval(scene, arrays, iteration, config, rng, want_grads):
             raw, rows = comp._raw_density_rows(stacked)
             sigmas[i] = comp._cap(raw)
             live = None if comp.sigma_max is None else raw < comp.sigma_max
-            color, offset = comp._color_source(surf_pts)
+            color, offset = color_source(comp, surf_pts)
             inside = (color >= 0.0) & (color <= 1.0)
             color = np.clip(color, 0.0, 1.0)
             grads.append((comp, rows, live, color, inside, offset))
@@ -470,7 +479,7 @@ def reference_loss_eval(scene, arrays, iteration, config, rng, want_grads):
     sig_tot_surf, c_pred = _mix(sig_surf, colors)
     log_live = sig_tot_surf > LOG_DENSITY_FLOOR
     depth_per_ray = _depth_nll(sig_tot_surf, sig_tot_free, arrays.t_obs, q)
-    color_per_ray = _color_nll_values(c_pred.T, arrays.colors, config.sigma_c)
+    color_per_ray = _color_nll_values((c_pred.T - arrays.colors).T, config.sigma_c)
     dominant = np.argmax(sig_surf, axis=0)
     overlap_per_ray = sig_tot_surf - sig_surf[dominant, np.arange(b)]
     k_o = k_o_schedule(iteration, config)

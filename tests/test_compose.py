@@ -764,7 +764,7 @@ class TestDensityOnlySegmentation:
         monkeypatch.setattr(compose, "_mix", color_work)
         monkeypatch.setattr(transport, "_composite", color_work)
         monkeypatch.setattr(Field, "_density_color", color_work)
-        monkeypatch.setattr(GroundPlaneField, "_colors", color_work)
+        monkeypatch.setattr(GroundPlaneField, "_palette", color_work)
         with pytest.raises(AssertionError, match="color code"):
             composite_render(*cases[0], quad)
         for (evaluator, ray), full in zip(cases, expected):

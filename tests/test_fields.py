@@ -28,7 +28,8 @@ from rayfields.geometry import Ray
 from rayfields.losses import LossConfig, RgbdSample
 from rayfields.scenedoc import doc_to_scene, dumps_canonical, scene_to_doc
 
-from references import FIELDS, GROUNDS, POINTS, masked_sigmoid, reference_density_grad, reference_piecewise_raw
+from references import (FIELDS, GROUNDS, POINTS, color_source, masked_sigmoid, reference_density_grad,
+                        reference_piecewise_raw)
 
 
 def _example_fields():
@@ -415,7 +416,7 @@ class TestPiecewiseConstant:
         with pytest.raises(UnsupportedGradient):
             self._field()._raw_density_rows(np.zeros((2, 3)))
         with pytest.raises(UnsupportedGradient):
-            self._field()._color_source(np.zeros((2, 3)))
+            self._field()._grad_sources(np.zeros((2, 3)), 2)
 
 
 class TestFieldGradients:
@@ -435,7 +436,7 @@ class TestFieldGradients:
         d_sig[:, list(field.density_params)] = rows.T * (raw < field.sigma_max)[:, None]
         # The color's derivative: 1 in each channel's parameter slot where the
         # unclipped color lies in [0, 1], else 0.
-        color, offset = field._color_source(pts)
+        color, offset = color_source(field, pts)
         d_col = np.zeros((pts.shape[0], 3, field.n_params))
         slots = np.broadcast_to(np.asarray(offset)[..., None] + np.arange(3), (pts.shape[0], 3))
         d_col[np.arange(pts.shape[0])[:, None], np.arange(3), slots] = (color >= 0.0) & (color <= 1.0)
@@ -478,7 +479,7 @@ class TestColorJacobian:
     def test_ground_plane_points_reach_every_surface(self):
         ground = self.GROUND
         pts = np.random.default_rng(8).uniform(-3.0, 3.0, (300, 3))
-        _, offsets = ground._color_source(pts)
+        _, offsets = color_source(ground, pts)
         assert set(np.unique(offsets)) == {2, 5, 10}
 
 
@@ -521,7 +522,7 @@ class TestKernelReferences:
     @given(FIELDS, POINTS)
     def test_colors_clipped_per_point(self, field, pts):
         if isinstance(field, GroundPlaneField):
-            color, _ = field._color_source(pts)
+            color, _ = color_source(field, pts)
         else:
             color = np.broadcast_to(field.color, pts.shape)
         _, evaluated = field.evaluate(pts)
@@ -541,7 +542,7 @@ class TestKernelReferences:
         far = rng.normal(size=(50, 3))
         far *= 40.0 / np.linalg.norm(far, axis=1, keepdims=True)
         pts = np.concatenate([plane, far])
-        _, offsets = ground._color_source(pts)
+        _, offsets = color_source(ground, pts)
         assert set(np.unique(offsets)) == {2, 5, 10}
         ref_raw, ref_grad = reference_density_grad(ground, pts)
         raw, rows = ground._raw_density_rows(pts)

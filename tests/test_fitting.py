@@ -28,8 +28,8 @@ from rayfields.losses import (
 )
 from rayfields.scenegen import surface_samples
 
-from references import (SCENES, ReferenceBatch, reference_color_jacobian, reference_density_grad, reference_fit,
-                        reference_loss_eval, stack_colors, stacked_mix)
+from references import (SCENES, ReferenceBatch, color_source, reference_color_jacobian, reference_density_grad,
+                        reference_fit, reference_loss_eval, stack_colors, stacked_mix)
 
 
 def two_blob_scene() -> rf.CompositeScene:
@@ -201,7 +201,7 @@ def dense_reference_loss(scene, batch, iteration, config, seed):
     safe_tot = np.where(color_live, sig_tot_surf, 1.0)
     c_pred = (sig_surf[:, :, None] * col_surf).sum(axis=1) / safe_tot[:, None]
     c_pred[~color_live] = NEUTRAL_COLOR
-    color = _color_nll_values(c_pred, arrays.colors, config.sigma_c)
+    color = _color_nll_values((c_pred - arrays.colors).T, config.sigma_c)
     dominant = np.argmax(sig_surf, axis=1)
     overlap = sig_tot_surf - sig_surf[np.arange(b), dominant]
     k_o = k_o_schedule(iteration, config)
@@ -347,7 +347,7 @@ class TestGradientAssembly:
         sigmas = scene.density_components(surf)
         assert np.any(sigmas[:, 0] == 10.0)  # the blob core sits at the cap
         assert sigmas.sum(axis=1).min() < LOG_DENSITY_FLOOR
-        _, offsets = scene.components[3]._color_source(surf)
+        _, offsets = color_source(scene.components[3], surf)
         assert set(np.unique(offsets)) == {2, 5, 10}
         scene, batch = empty_rays_case()
         arrays = _BatchArrays.from_samples(batch)
@@ -359,7 +359,7 @@ class TestGradientAssembly:
         arrays = _BatchArrays.from_samples(batch)
         surf = arrays.origins + arrays.t_obs[:, None] * arrays.directions
         sigmas = scene.density_components(surf)
-        assert set(np.unique(scene.components[8]._color_source(surf)[1])) == {2, 5, 10}
+        assert set(np.unique(color_source(scene.components[8], surf)[1])) == {2, 5, 10}
         assert scene.components[0].sigma_max is None
         assert np.any(sigmas[:, 3] == scene.components[3].sigma_max)  # the sphere core sits at the cap
         assert np.all(sigmas[:, :8].max(axis=0) > 1.0)  # every object is hit
@@ -560,6 +560,20 @@ class TestFitFixedPoint:
         k_o = [e["k_o"] for e in rep.trace]
         assert k_o[0] == 0.0 and 0.0 < k_o[10] < self.CONFIG.loss.k_o_max and k_o[-1] == self.CONFIG.loss.k_o_max
         assert not np.array_equal(rep.final_params, scene.params())
+
+    @pytest.mark.parametrize("skip_norm", [1000.0, 1e-9], ids=["steps", "all_skipped"])
+    def test_final_scene_is_the_checked_scene(self, skip_norm):
+        """The reported scene is the one the loop built last: its kinds,
+        attribute types and bytes, and its params(), are those of the
+        checked ``with_params`` of the final parameters."""
+        scene, batch = all_kinds_case()
+        rep = fit(scene, batch, FitConfig(iterations=6, batch_size=16, seed=1, learning_rate=0.02,
+                                          skip_norm=skip_norm))
+        assert rep.skipped_steps == (6 if skip_norm < 1.0 else 0)
+        checked = scene.with_params(rep.final_params)
+        assert scene_attributes(rep.final_scene) == scene_attributes(checked)
+        assert rep.final_scene.params().tobytes() == rep.final_params.tobytes()
+        assert type(rep.final_scene.t_far) is float and rep.final_scene.t_far == scene.t_far
 
     def test_rebuilds_through_with_params_once(self, monkeypatch):
         scene, batch = all_kinds_case()

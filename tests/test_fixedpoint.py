@@ -1,6 +1,6 @@
 """Smoke test of tools/fixedpoint.py at its tiny size: src/ as committed at
 HEAD shows no difference against HEAD (render, point-query, bias-demo,
-scene-generation, fit-benchmark and CLI dataset outputs alike), a copy
+scene-generation, fit-benchmark, fit and CLI dataset outputs alike), a copy
 whose color mixer is off by one ulp is caught, and ``--allow`` lets one
 named output differ."""
 
@@ -58,6 +58,8 @@ def test_head_against_itself_is_identical(head_src):
     assert "scenegen.box.seed0.surface_distance0: [1] identical" in run.stdout
     assert "fit_bench.view2.sample_observations: [1] identical" in run.stdout
     assert "fit_bench.loss_gradient: [1] identical" in run.stdout
+    for name in ("final_params", "final_scene", "skipped_steps", "trace.k_o", "trace.total", "trace.grad_norm"):
+        assert f"fit_bench.fit.{name}: [1] identical" in run.stdout
     assert "cli.eval.stdout: [1] identical" in run.stdout
 
 

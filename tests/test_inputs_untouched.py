@@ -126,18 +126,54 @@ def test_sample_observations(scene):
     _check(call, lambda: (_grid(9),), lambda g: [g.origins, g.directions, g.t_fars])
 
 
+def _observations(scene):
+    return rf.sample_observations(scene, _grid(9), seed=5, n_panels=64, censored="boundary")
+
+
+def _sample_arrays(samples):
+    return [a for s in samples for a in (s.ray.origin, s.ray.direction, s.color)]
+
+
+def _packed(scene):
+    return (_BatchArrays.from_samples(_observations(scene)),)
+
+
 @pytest.mark.parametrize("scene", SCENES)
 def test_total_loss(scene):
-    def make():
-        grid = _grid(9)
-        return (rf.sample_observations(scene, grid, seed=5, n_panels=64, censored="boundary"),)
-
-    def inputs(samples):
-        return [a for s in samples for a in (s.ray.origin, s.ray.direction, s.color)]
-
-    def packed():
-        return (_BatchArrays.from_samples(make()[0]),)
-
     config = rf.LossConfig()
-    _check(lambda samples: rf.total_loss(scene, samples, 3, config, 11), make, inputs)
-    _check(lambda arrays: rf.total_loss(scene, arrays, 3, config, 11), packed, lambda a: [a.packed])
+    _check(lambda samples: rf.total_loss(scene, samples, 3, config, 11), lambda: (_observations(scene),),
+           _sample_arrays)
+    _check(lambda arrays: rf.total_loss(scene, arrays, 3, config, 11), lambda: _packed(scene),
+           lambda a: [a.packed])
+
+
+@pytest.mark.parametrize("scene", SCENES)
+@pytest.mark.parametrize("iteration", [3, 100_000], ids=["k_o_zero", "k_o_max"])
+def test_loss_gradient(scene, iteration):
+    config = rf.LossConfig()
+    _check(lambda samples: rf.loss_gradient(scene, samples, iteration, config, 11), lambda: (_observations(scene),),
+           _sample_arrays)
+    _check(lambda arrays: rf.loss_gradient(scene, arrays, iteration, config, 11), lambda: _packed(scene),
+           lambda a: [a.packed])
+
+
+@pytest.mark.parametrize("scene", SCENES)
+def test_fit(scene):
+    """The dataset's arrays and the initial scene's parameter arrays are
+    read only, through steps taken with the overlap weight off and on."""
+    config = rf.FitConfig(iterations=4, batch_size=8, seed=2, learning_rate=0.02,
+                          loss=rf.LossConfig(ramp_start=0, ramp_end=2))
+
+    def make():
+        return _observations(scene), scene.with_params(scene.params())
+
+    def inputs(samples, start):
+        return _sample_arrays(samples) + [v for c in start.components for v in vars(c).values()
+                                          if isinstance(v, np.ndarray)]
+
+    def call(samples, start):
+        report = rf.fit(start, samples, config)
+        assert report.final_scene.params().tobytes() == report.final_params.tobytes()
+        return report.trace, report.final_params, report.skipped_steps
+
+    _check(call, make, inputs)

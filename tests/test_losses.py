@@ -31,6 +31,7 @@ from rayfields.losses import (
     overlap_loss,
     total_loss,
 )
+from rayfields.fitting import loss_gradient
 
 ZERO_ERR_NLL_02 = -2.0714981376882827
 ZERO_ERR_NLL_10 = 2.7568155996140185
@@ -420,3 +421,23 @@ class TestTotalLoss:
         good, _ = total_loss(scene, batch, 0, cfg, rng=3)
         bad, _ = total_loss(shifted, batch, 0, cfg, rng=3)
         assert good < bad
+
+
+class TestDominantTieRule:
+    """Where components tie at a surface point, the first of them is the
+    dominant one (argmax's first-index rule), so the overlap term reaches
+    only the others."""
+
+    def test_first_of_tied_components_is_dominant(self):
+        blob = rf.GaussianBlobField(center=(0.0, 0.0, 0.5), scale=(0.5, 0.5, 0.4), amplitude=6.0,
+                                    color=(0.8, 0.2, 0.2))
+        scene = rf.CompositeScene((blob, blob), t_far=40.0)  # every ray ties
+        _, batch = TestTotalLoss().make_scene_and_batch()
+        on = LossConfig(k_o_max=0.05, ramp_start=0, ramp_end=0)
+        off = LossConfig(k_o_max=0.0, ramp_start=0, ramp_end=0)
+        assert k_o_schedule(0, on) == 0.05 and k_o_schedule(0, off) == 0.0
+        diff = loss_gradient(scene, batch, 0, on, rng=4) - loss_gradient(scene, batch, 0, off, rng=4)
+        density = list(blob.density_params)
+        first, second = diff[: blob.n_params], diff[blob.n_params :]
+        assert np.all(first[density] == 0.0)
+        assert np.all(second[density] != 0.0)

@@ -33,6 +33,9 @@ under that tree and under ``--src`` (default: this checkout's ``src/``), at
   of 8 objects (3 blobs, 3 spheres, 2 boxes) and the ground, 9 components,
   on each view of the 3-view rig, and ``total_loss`` and ``loss_gradient``
   on a fixed draw of a batch of those observations;
+- ``fit`` on those observations from the scene with its object centres
+  moved, for 12 steps while the overlap weight ramps in: the final
+  parameters and scene, the skipped steps and every trace value;
 - the files of a 3-view CLI ``generate``, of a short CLI ``fit`` to that
   dataset and of a CLI ``render`` of the fitted scene, and the stdout of CLI
   ``eval`` between that render and the dataset.
@@ -88,6 +91,8 @@ KIND_MIXES = {"all": ("gaussian_blob", "soft_sphere", "soft_box"), "blob": ("gau
 COMPONENT_COUNTS = (1, 2, 5, 8, 9, 16)
 # Object kinds of the fit benchmark's scene.
 FIT_BENCH_MIX = {"gaussian_blob": 3, "soft_sphere": 3, "soft_box": 2}
+# Steps of the manifest's fit from the fit benchmark's observations.
+FIT_BENCH_ITERATIONS = 12
 # Sample points per block (rayfields._threads.BLOCK_POINTS), so the manifest
 # can end a render or a bias demo on a block of 1 or 2 rows through public
 # calls.
@@ -181,11 +186,10 @@ def _files(out: dict, prefix: str, directory: str) -> None:
             out[f"{prefix}.{name}"] = np.frombuffer(fh.read(), dtype=np.uint8)
 
 
-def _fit_bench(rf, resolution: int, n_panels: int, batch_size: int, out: dict) -> None:
-    """The fit benchmark's batches: observations of the first generated
-    scene with the objects of ``FIT_BENCH_MIX``, view by view of the rig,
-    and the loss and its gradient on a fixed draw of ``batch_size`` of them
-    (overlap penalty ramped in)."""
+def _fit_bench_data(rf, resolution: int, n_panels: int):
+    """The fit benchmark's scene, the first generated scene with the objects
+    of ``FIT_BENCH_MIX`` (the ground last), and its observations, one list
+    per view of the rig."""
     from rayfields import scenegen
 
     n_objects = sum(FIT_BENCH_MIX.values())
@@ -201,13 +205,20 @@ def _fit_bench(rf, resolution: int, n_panels: int, batch_size: int, out: dict) -
             break
     else:
         raise RuntimeError(f"no generated scene has the object mix {FIT_BENCH_MIX}")
+    views = [rf.sample_observations(scene, rf.pinhole_rays(camera, scene.t_far), seed=v, n_panels=n_panels)
+             for v, camera in enumerate(rf.rig_views(scenegen.default_camera(config)))]
+    return scene, views
+
+
+def _fit_bench(rf, resolution: int, n_panels: int, batch_size: int, out: dict) -> None:
+    """The fit benchmark's batches: its observations view by view, and the
+    loss and its gradient on a fixed draw of ``batch_size`` of them
+    (overlap penalty ramped in)."""
+    scene, views = _fit_bench_data(rf, resolution, n_panels)
     out["fit_bench.params"] = scene.params()
-    samples = []
-    for v, camera in enumerate(rf.rig_views(scenegen.default_camera(config))):
-        grid = rf.pinhole_rays(camera, scene.t_far)
-        observations = rf.sample_observations(scene, grid, seed=v, n_panels=n_panels)
+    for v, observations in enumerate(views):
         out[f"fit_bench.view{v}.sample_observations"] = _stacked(observations)
-        samples += observations
+    samples = [sample for observations in views for sample in observations]
     draw = np.random.default_rng(5).choice(len(samples), size=min(batch_size, len(samples)), replace=False)
     batch = [samples[i] for i in draw]
     loss_config = rf.LossConfig()
@@ -215,6 +226,31 @@ def _fit_bench(rf, resolution: int, n_panels: int, batch_size: int, out: dict) -
     total, breakdown = rf.total_loss(scene, batch, iteration, loss_config, rng=5)
     out["fit_bench.total_loss"] = np.array([total, *breakdown.values()])
     out["fit_bench.loss_gradient"] = rf.loss_gradient(scene, batch, iteration, loss_config, rng=5)
+
+
+def _fit_bench_fit(rf, resolution: int, n_panels: int, batch_size: int, out: dict) -> None:
+    """``fit`` on the fit benchmark's observations from its scene with the
+    object centres moved, for ``FIT_BENCH_ITERATIONS`` steps of
+    ``batch_size`` rays, the overlap weight ramping in from zero to its
+    maximum inside the run: the final parameters (as returned and as the
+    final scene holds them), the skipped steps and every trace value."""
+    scene, views = _fit_bench_data(rf, resolution, n_panels)
+    rng = np.random.default_rng(23)
+    start = []
+    for comp in scene.components:
+        params = comp.params()
+        if comp.kind != "ground_plane":
+            params[:3] += rng.normal(0.0, 0.15, 3)  # every object kind leads with its centre
+        start.append(comp.with_params(params))
+    loss = rf.LossConfig(ramp_start=FIT_BENCH_ITERATIONS // 4, ramp_end=3 * FIT_BENCH_ITERATIONS // 4)
+    config = rf.FitConfig(iterations=FIT_BENCH_ITERATIONS, batch_size=batch_size, seed=3, loss=loss)
+    samples = [sample for observations in views for sample in observations]
+    report = rf.fit(rf.CompositeScene(tuple(start), t_far=scene.t_far), samples, config)
+    out["fit_bench.fit.final_params"] = report.final_params
+    out["fit_bench.fit.final_scene"] = report.final_scene.params()
+    out["fit_bench.fit.skipped_steps"] = np.asarray(report.skipped_steps)
+    for key in report.trace[0]:
+        out[f"fit_bench.fit.trace.{key}"] = np.array([entry[key] for entry in report.trace])
 
 
 def _scene_rays(rf, n: int, p: dict, out: dict) -> None:
@@ -347,6 +383,7 @@ def _manifest(rf, p: dict) -> list:
                ("cli.render", lambda out: _cli_render(rf, p, out))]
     groups += [(f"scenegen.{mix}", lambda out, mix=mix: _generated(rf, mix, p, out)) for mix in KIND_MIXES]
     groups += [("fit_bench", lambda out: _fit_bench(rf, *p["fit_bench"], out)),
+               ("fit_bench.fit", lambda out: _fit_bench_fit(rf, *p["fit_bench"], out)),
                ("cli.dataset", lambda out: _cli_dataset(p, out))]
     return groups
 
