@@ -33,6 +33,7 @@ from .fitting import FitConfig, FitDivergence, FitReport, finite_diff_gradient, 
 from .geometry import Camera, Ray, RayGrid, pinhole_rays, ray_at, rig_views
 from .losses import (
     LossConfig,
+    RgbdBatch,
     RgbdSample,
     color_nll,
     depth_nll_importance,
@@ -124,6 +125,7 @@ __all__ = [
     # losses
     "LossConfig",
     "RgbdSample",
+    "RgbdBatch",
     "depth_nll_uniform",
     "depth_nll_importance",
     "color_nll",

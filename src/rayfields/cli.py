@@ -36,7 +36,7 @@ from .compose import CompositeScene, RenderedView, render_ray_grid
 from .fields import DEFAULT_SIGMA_MAX
 from .fitting import FitConfig, FitDivergence, fit
 from .geometry import Camera, pinhole_rays, rig_views
-from .losses import LossConfig, RgbdSample
+from .losses import LossConfig, RgbdBatch
 from .scenedoc import (
     SceneFormatError,
     dumps_canonical,
@@ -247,12 +247,12 @@ def _dataset_views(data_dir: str) -> list[int]:
     return sorted(found)
 
 
-def _load_samples(data_dir: str, camera: Camera, t_far: float) -> list[RgbdSample]:
+def _load_samples(data_dir: str, camera: Camera, t_far: float) -> RgbdBatch:
     indices = _dataset_views(data_dir)
     if not indices:
         raise _InputError(f"no view_*.ppm files in {data_dir}")
     cams = rig_views(camera)
-    samples: list[RgbdSample] = []
+    batches = []
     for v in indices:
         if v >= len(cams):
             raise _InputError(f"view index {v} has no rig camera (rig has {len(cams)})")
@@ -263,12 +263,12 @@ def _load_samples(data_dir: str, camera: Camera, t_far: float) -> list[RgbdSampl
                 f"view {v} is {rgb.shape[1]}x{rgb.shape[0]} but the scene camera is "
                 f"{camera.width}x{camera.height}"
             )
-        samples += _view_samples(cams[v], rgb, depth, t_far)
-    return samples
+        batches.append(_view_samples(cams[v], rgb, depth, t_far))
+    return RgbdBatch._join(batches)
 
 
 def _cmd_fit(args) -> int:
-    _require_at_least(1, args, "--iterations", "--batch-size", "--trace-points")
+    _require_at_least(1, args, "--iterations", "--batch-size", "--trace-points", "--init-random")
     _require_at_least(0, args, "--fit-seed")
     data_doc = _load_document(os.path.join(args.data, "scene.json"))
     if data_doc.camera is None:
@@ -296,6 +296,8 @@ def _cmd_fit(args) -> int:
         )
     except ValueError as exc:
         raise _InputError(f"bad fit settings: {exc}") from exc
+    if not len(samples):
+        raise _InputError(f"no pixel in {args.data} has a finite depth inside the scene's t_far")
     started = time.perf_counter()
     report = fit(init_scene, samples, config)
     elapsed = time.perf_counter() - started

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .compose import CompositeScene
-from .fields import _DOMAINS
-from .losses import LossConfig, _BatchArrays, _loss_eval
+from .fields import _DOMAINS, _scalar
+from .losses import LossConfig, _as_batch, _loss_eval
 from .transport import _check_integer
 
 __all__ = [
@@ -64,6 +64,8 @@ class FitConfig:
             raise ValueError("bad learning-rate schedule")
         if self.grad_clip_norm <= 0 or self.skip_norm <= 0:
             raise ValueError("grad_clip_norm and skip_norm must be positive")
+        for name in ("learning_rate", "grad_clip_norm", "skip_norm"):
+            _scalar(getattr(self, name), name)
 
 
 @dataclass
@@ -131,8 +133,7 @@ def loss_gradient(scene: CompositeScene, batch, iteration: int, config: LossConf
 
     Raises UnsupportedGradient if any component kind lacks gradients.
     """
-    arrays = batch if isinstance(batch, _BatchArrays) else _BatchArrays.from_samples(batch)
-    _, _, grad = _loss_eval(scene, arrays, iteration, config, rng, want_grads=True)
+    _, _, grad = _loss_eval(scene, _as_batch(batch), iteration, config, rng, want_grads=True)
     return grad
 
 
@@ -140,7 +141,7 @@ def finite_diff_gradient(scene: CompositeScene, batch, iteration: int, config: L
                          seed: int, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of total_loss sharing the seed with the
     analytic path (``seed`` must be an integer so draws replay)."""
-    arrays = batch if isinstance(batch, _BatchArrays) else _BatchArrays.from_samples(batch)
+    arrays = _as_batch(batch)
     base = scene.params()
     grad = np.empty_like(base)
     for j in range(base.shape[0]):
@@ -161,7 +162,7 @@ def fit(initial_scene: CompositeScene, dataset, config: FitConfig) -> FitReport:
     inputs give an identical report (wall clock aside).
     """
     started = time.perf_counter()
-    data = dataset if isinstance(dataset, _BatchArrays) else _BatchArrays.from_samples(dataset)
+    data = _as_batch(dataset)
     n_data = len(data)
     scene = initial_scene
     params = scene.params()
@@ -174,7 +175,7 @@ def fit(initial_scene: CompositeScene, dataset, config: FitConfig) -> FitReport:
     for it in range(config.iterations):
         idx = batch_rng.choice(n_data, size=min(config.batch_size, n_data), replace=False)
         loss_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 2, it)))
-        total, breakdown, grad = _loss_eval(scene, data.take(idx), it, config.loss, loss_rng, want_grads=True)
+        total, breakdown, grad = _loss_eval(scene, data[idx], it, config.loss, loss_rng, want_grads=True)
         if not np.isfinite(total):
             term = next((k for k, v in breakdown.items() if not np.isfinite(v)), "total")
             raise FitDivergence(it, term)

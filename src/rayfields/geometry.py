@@ -64,16 +64,6 @@ class Ray:
         return cls(o, d / n, t_far)
 
 
-def _unchecked_ray(origin: np.ndarray, direction: np.ndarray, t_far: float) -> Ray:
-    """A ``Ray`` stored as given, without ``__post_init__``: for parts that
-    already pass its checks (a finite float64 (3,) origin, a finite float64
-    (3,) unit direction, a Python float t_far > 0), which are what the
-    checked constructor would store."""
-    ray = object.__new__(Ray)
-    ray.__dict__.update(origin=origin, direction=direction, t_far=t_far)
-    return ray
-
-
 def ray_at(ray: Ray, t) -> np.ndarray:
     """Point(s) on the ray at parameter ``t`` (scalar or array)."""
     t = np.asarray(t, dtype=np.float64)

@@ -11,7 +11,7 @@ jittered point, and overlapping components pay the amount of density not
 explained by the dominant one.
 
 The batched core, ``_loss_eval``, serves total_loss and the fitter's
-gradient on one packed (10, B) batch (``_BatchArrays``).  It evaluates each
+gradient on one ``RgbdBatch`` of supervised rays.  It evaluates each
 component once at all surface and free-space points, held as channel-major
 rows, and keeps densities as rows (n, N) and colors as rows (3, B).  The
 gradient is a vector-Jacobian product that forms no Jacobian: per-point
@@ -23,18 +23,19 @@ components clipped in one call.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .compose import CompositeScene, _mix, _total
-from .fields import LOG_DENSITY_FLOOR, _check_points, _sum3
-from .geometry import Ray
+from .fields import LOG_DENSITY_FLOOR, _check_points, _scalar, _sum3
+from .geometry import _UNIT_TOL, Ray
 
 __all__ = [
     "T_MIN_PROPOSAL",
     "IMPORTANCE_SPLIT",
     "RgbdSample",
+    "RgbdBatch",
     "LossConfig",
     "depth_nll_uniform",
     "depth_nll_importance",
@@ -71,16 +72,6 @@ class RgbdSample:
             raise ValueError("observed depth must lie strictly inside (0, t_far)")
 
 
-def _unchecked_sample(ray: Ray, color: np.ndarray, depth: float) -> RgbdSample:
-    """An ``RgbdSample`` stored as given, without ``__post_init__``: for
-    parts that already pass its checks (a finite float64 (3,) color, a
-    Python float depth strictly inside (0, ray.t_far)), which are what the
-    checked constructor would store."""
-    sample = object.__new__(RgbdSample)
-    sample.__dict__.update(ray=ray, color=color, depth=depth)
-    return sample
-
-
 @dataclass(frozen=True)
 class LossConfig:
     """Loss hyperparameters: color noise scale, surface jitter width, and the
@@ -104,6 +95,8 @@ class LossConfig:
             raise ValueError("ramp_start must not exceed ramp_end")
         if self.n_free_samples < 1:
             raise ValueError("n_free_samples must be >= 1")
+        for name in ("sigma_c", "delta", "k_o_max"):
+            _scalar(getattr(self, name), name)
 
 
 def _as_rng(rng) -> np.random.Generator:
@@ -210,33 +203,91 @@ def k_o_schedule(iteration: int, config: LossConfig) -> float:
     return config.k_o_max * (iteration - config.ramp_start) / span
 
 
-@dataclass
-class _BatchArrays:
-    """Sample list flattened once into channel-major rows (10, M) of origin, direction,
-    depth and color, read through (M, 3) and (M,) views; a batch is one gather (``take``)."""
+# A direction passes the unit-length check of ``Ray`` for certain if its norm, taken for all rows
+# at once, lies this far inside ``_UNIT_TOL``: ``Ray``'s ``np.linalg.norm`` may round a few ulps away.
+_UNIT_MARGIN = _UNIT_TOL - 64 * np.finfo(np.float64).eps
 
-    packed: np.ndarray
+
+class RgbdBatch:
+    """Supervised rays as read-only channel-major rows ``packed`` (11, M) of
+    origin, direction, observed depth, color and t_far, checked once, as
+    arrays: rows the check cannot pass for certain (a non-finite value, a
+    direction norm near the unit-length tolerance, a depth outside (0, t_far))
+    go through the ``Ray`` and ``RgbdSample`` constructors in row order, so the
+    first bad row raises their error.  ``len``, iteration and an integer index
+    give ``RgbdSample``s viewing the rows; a slice or an index array gives a
+    batch of those rows."""
+
+    __slots__ = ("packed",)
+
+    def __init__(self, origins, directions, t_fars, depths, colors):
+        origins, directions, t_fars, depths, colors = (np.asarray(a, dtype=np.float64)
+                                                       for a in (origins, directions, t_fars, depths, colors))
+        m = t_fars.shape[0]
+        sure = np.zeros(m, dtype=bool)
+        if origins.shape == directions.shape == colors.shape == (m, 3) and depths.shape == (m,):
+            norms = np.sqrt(np.einsum("ij,ij->i", directions, directions))
+            sure = ((np.abs(norms - 1.0) <= _UNIT_MARGIN) & np.isfinite(origins).all(axis=1)
+                    & np.isfinite(colors).all(axis=1) & (depths > 0.0) & (depths < t_fars))
+        for i in np.flatnonzero(~sure):
+            RgbdSample(Ray(origins[i], directions[i], t_fars[i]), colors[i], depths[i])
+        self._set(np.vstack([origins.T, directions.T, depths, colors.T, t_fars]))
+
+    def _set(self, packed: np.ndarray) -> "RgbdBatch":
+        packed.flags.writeable = False
+        self.packed = packed
+        return self
 
     @classmethod
-    def from_samples(cls, batch) -> "_BatchArrays":
-        batch = list(batch)
-        if not batch:
-            raise ValueError("batch must be non-empty")
-        return cls(np.vstack([np.concatenate([s.ray.origin for s in batch]).reshape(-1, 3).T,
-                              np.concatenate([s.ray.direction for s in batch]).reshape(-1, 3).T,
-                              [s.depth for s in batch],
-                              np.concatenate([s.color for s in batch]).reshape(-1, 3).T]))
+    def from_samples(cls, samples) -> "RgbdBatch":
+        """The batch of ``RgbdSample``s, stacked as they are."""
+        samples = list(samples)
+        if not samples:
+            return cls._join([])
+        rays = [s.ray for s in samples]
+        vectors = ([r.origin for r in rays], [r.direction for r in rays], [s.color for s in samples])
+        o, d, c = (np.concatenate(v).reshape(-1, 3).T for v in vectors)
+        return object.__new__(cls)._set(np.vstack([o, d, [s.depth for s in samples], c, [r.t_far for r in rays]]))
+
+    @classmethod
+    def _join(cls, batches) -> "RgbdBatch":
+        """The rows of ``batches``, in order, as one batch."""
+        return object.__new__(cls)._set(np.hstack([np.empty((11, 0))] + [b.packed for b in batches]))
 
     origins = property(lambda self: self.packed[0:3].T)
     directions = property(lambda self: self.packed[3:6].T)
     t_obs = property(lambda self: self.packed[6])
     colors = property(lambda self: self.packed[7:10].T)
 
-    def take(self, idx) -> "_BatchArrays":
-        return _BatchArrays(self.packed[:, idx])
-
     def __len__(self) -> int:
         return self.packed.shape[1]
+
+    @staticmethod
+    def _sample(origin, direction, t_far: float, color, depth: float) -> RgbdSample:
+        """The ``RgbdSample`` of one row, built without re-running the checks the row has passed."""
+        ray = object.__new__(Ray)
+        ray.__dict__.update(origin=origin, direction=direction, t_far=t_far)
+        sample = object.__new__(RgbdSample)
+        sample.__dict__.update(ray=ray, color=color, depth=depth)
+        return sample
+
+    def __getitem__(self, index):
+        rows = self.packed[:, index]
+        if rows.ndim == 2:
+            return object.__new__(RgbdBatch)._set(rows)
+        return self._sample(rows[0:3], rows[3:6], float(rows[10]), rows[7:10], float(rows[6]))
+
+    def __iter__(self):
+        p = self.packed
+        return map(self._sample, p[0:3].T, p[3:6].T, p[10].tolist(), p[7:10].T, p[6].tolist())
+
+
+def _as_batch(batch) -> RgbdBatch:
+    """``batch`` as a non-empty ``RgbdBatch``, stacked unless it is one."""
+    batch = batch if isinstance(batch, RgbdBatch) else RgbdBatch.from_samples(batch)
+    if not len(batch):
+        raise ValueError("batch must be non-empty")
+    return batch
 
 
 @functools.lru_cache(maxsize=16)
@@ -252,7 +303,7 @@ def _gradient_layout(kinds: tuple[type, ...]):
     return int(starts[-1]), first_rows, density, color
 
 
-def _loss_eval(scene: CompositeScene, arrays: _BatchArrays, iteration: int,
+def _loss_eval(scene: CompositeScene, arrays: RgbdBatch, iteration: int,
                config: LossConfig, rng, want_grads: bool):
     """Shared core for total_loss and its analytic gradient.
 
@@ -350,6 +401,5 @@ def total_loss(scene: CompositeScene, batch, iteration: int, config: LossConfig,
     """Mean over the batch of depth NLL (importance proposal) + color NLL +
     scheduled overlap penalty; the total equals the sum of the reported
     breakdown terms exactly.  Pass an integer ``rng`` for reproducibility."""
-    arrays = batch if isinstance(batch, _BatchArrays) else _BatchArrays.from_samples(batch)
-    total, breakdown, _ = _loss_eval(scene, arrays, iteration, config, rng, want_grads=False)
+    total, breakdown, _ = _loss_eval(scene, _as_batch(batch), iteration, config, rng, want_grads=False)
     return total, breakdown

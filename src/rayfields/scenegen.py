@@ -20,8 +20,8 @@ import numpy as np
 from ._threads import block_rows, chunked_row_map
 from .compose import CompositeScene, render_ray_grid
 from .fields import DEFAULT_SIGMA_MAX, FIELD_KINDS, HALF_MAX_RADIUS, Field, GroundPlaneField
-from .geometry import _UNIT_TOL, Camera, RayGrid, _unchecked_ray, pinhole_rays
-from .losses import RgbdSample, _unchecked_sample
+from .geometry import Camera, RayGrid, pinhole_rays
+from .losses import RgbdBatch
 from .transport import QuadratureConfig, _check_integer, _panels
 
 __all__ = [
@@ -227,62 +227,17 @@ def render_dataset(scene: CompositeScene, rig, resolution: int | None,
     return views
 
 
-# A direction passes the unit-length check of ``Ray`` unexamined only if its
-# norm, taken for all rows at once, lies this far inside ``_UNIT_TOL``: the
-# per-vector ``np.linalg.norm`` that ``Ray`` takes may round a few ulps away.
-_UNIT_MARGIN = _UNIT_TOL - 64 * np.finfo(np.float64).eps
-
-
-def _plain_float64(a, shape: tuple) -> bool:
-    """Whether ``a`` is a float64 ``np.ndarray`` of ``shape``, whose rows
-    the checked constructors would store as they are."""
-    return type(a) is np.ndarray and a.dtype == np.float64 and a.shape == shape
-
-
-def _rows_pass(grid: RayGrid, rows: np.ndarray, depths, colors) -> bool:
-    """Whether the grid rows ``rows``, with their colors (len(rows), 3), pass
-    every check of ``Ray`` and ``RgbdSample`` for certain: finite origins and
-    colors and unit-length directions (a norm inside ``_UNIT_MARGIN`` is also
-    finite), all float64 arrays whose rows are stored as views.  Depths
-    inside (0, t_far) are what selected the rows."""
-    n = depths.shape[0] if type(depths) is np.ndarray and depths.ndim == 1 else -1
-    if not (_plain_float64(depths, (n,)) and _plain_float64(grid.t_fars, (n,))
-            and _plain_float64(grid.origins, (n, 3)) and _plain_float64(grid.directions, (n, 3))
-            and _plain_float64(colors, (len(rows), 3))):
-        return False
-    directions = grid.directions[rows]
-    norms = np.sqrt(np.einsum("ij,ij->i", directions, directions))
-    return bool((np.abs(norms - 1.0) <= _UNIT_MARGIN).all() and np.isfinite(grid.origins[rows]).all()
-                and np.isfinite(colors).all())
-
-
-def _grid_samples(grid: RayGrid, depths: np.ndarray, colors_of, keep=True) -> list[RgbdSample]:
+def _grid_samples(grid: RayGrid, depths: np.ndarray, colors_of, keep=True) -> RgbdBatch:
     """Supervised rays of the grid rows whose depth (one per row) is finite
     and inside (0, t_far), among the rows ``keep`` allows; ``colors_of(rows)``
-    gives those rows' colors (len(rows), 3).
-
-    The kept rows are checked once, as arrays (``_rows_pass``), and every
-    ``Ray`` and ``RgbdSample`` is then built without its per-object checks,
-    holding the same row views and floats the checked constructors store.
-    If any row fails that check, or lies too near the unit-length tolerance
-    for it to decide, the whole call builds each sample through the checked
-    constructors instead, so every error keeps its type, message and order."""
+    gives those rows' colors (len(rows), 3)."""
     rows = np.flatnonzero(np.isfinite(depths) & (depths > 0.0) & (depths < grid.t_fars) & keep)
     colors = colors_of(rows)
-    if not _rows_pass(grid, rows, depths, colors):
-        return [
-            RgbdSample(ray=grid.ray(int(i)), color=colors[j], depth=float(depths[i]))
-            for j, i in enumerate(rows)
-        ]
-    origins, directions = grid.origins, grid.directions
-    return [
-        _unchecked_sample(_unchecked_ray(origins[i], directions[i], t_far), color, depth)
-        for i, t_far, color, depth in zip(rows.tolist(), grid.t_fars[rows].tolist(), colors, depths[rows].tolist())
-    ]
+    return RgbdBatch(grid.origins[rows], grid.directions[rows], grid.t_fars[rows], depths[rows], colors)
 
 
 def _view_samples(camera: Camera, rgb: np.ndarray, depth: np.ndarray, t_far: float,
-                  keep=True) -> list[RgbdSample]:
+                  keep=True) -> RgbdBatch:
     """Supervised rays of one view: its pixels' colors (H, W, 3) and depths
     (H, W) on the camera's rays, cut at ``t_far``."""
     flat = rgb.reshape(-1, 3)
@@ -295,10 +250,10 @@ def _scene_colors(scene: CompositeScene, grid: RayGrid, depths: np.ndarray):
     return lambda rows: scene.evaluate(grid.origins[rows] + depths[rows, None] * grid.directions[rows])[1]
 
 
-def surface_samples(scene: CompositeScene, grid: RayGrid) -> list[RgbdSample]:
-    """Sharp geometric supervision: depth at the nearest analytic surface,
-    color as the scene's density-weighted mixture at that exact point.  Rays
-    that meet no surface inside their cutoff are dropped.  (Rendered-image
+def surface_samples(scene: CompositeScene, grid: RayGrid) -> RgbdBatch:
+    """Sharp geometric supervision, as an ``RgbdBatch``: depth at the nearest
+    analytic surface, color as the scene's density-weighted mixture at that
+    exact point.  Rays that meet no surface inside their cutoff are dropped.  (Rendered-image
     supervision mixes translucent-fringe colors along the ray; this variant
     keeps the colors pure.  Note the depth is the half-maximum shell, not a
     draw from the depth law — see ``sample_observations`` for that.)
@@ -309,8 +264,9 @@ def surface_samples(scene: CompositeScene, grid: RayGrid) -> list[RgbdSample]:
 
 def sample_observations(scene: CompositeScene, grid: RayGrid, seed: int,
                         n_panels: int = 2048, depth_offset: float = 0.0,
-                        censored: str = "drop") -> list[RgbdSample]:
-    """One observation per ray drawn from the scene's own depth law.
+                        censored: str = "drop") -> RgbdBatch:
+    """One observation per ray drawn from the scene's own depth law, as an
+    ``RgbdBatch``.
 
     The depth is an inverse-CDF draw from the density sigma(r(t)) * T(t):
     optical depth accumulates over midpoint panels and the draw interpolates
@@ -358,11 +314,8 @@ def sample_observations(scene: CompositeScene, grid: RayGrid, seed: int,
     return _grid_samples(grid, depths, _scene_colors(scene, grid, depths))
 
 
-def samples_from_views(views, t_far: float, foreground_only: bool = False) -> list[RgbdSample]:
-    """Flatten ground-truth views into supervised rays (pixels with a finite
-    surface depth inside the ray's cutoff)."""
-    out: list[RgbdSample] = []
-    for view in views:
-        keep = view.mask.ravel() > 0 if foreground_only else True
-        out += _view_samples(view.camera, view.rgb, view.depth, t_far, keep)
-    return out
+def samples_from_views(views, t_far: float, foreground_only: bool = False) -> RgbdBatch:
+    """Flatten ground-truth views into one ``RgbdBatch`` of supervised rays
+    (pixels with a finite surface depth inside the ray's cutoff), view by view."""
+    return RgbdBatch._join([_view_samples(view.camera, view.rgb, view.depth, t_far,
+                                          view.mask.ravel() > 0 if foreground_only else True) for view in views])

@@ -9,7 +9,7 @@ import pytest
 
 from rayfields import cli, estimlab, scenegen
 from rayfields.cli import EXIT_GENERATION, EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
-from rayfields.images import read_pfm, read_pgm, read_ppm, write_pgm, write_ppm
+from rayfields.images import read_pfm, read_pgm, read_ppm, write_pfm, write_pgm, write_ppm
 from rayfields.scenedoc import load_scene
 
 
@@ -329,11 +329,29 @@ class TestFit:
 
     @pytest.mark.parametrize("flags", [["--iterations", "0"], ["--batch-size", "0"],
                                        ["--trace-points", "0"], ["--learning-rate", "0"],
-                                       ["--k-o-max", "-1"]])
+                                       ["--k-o-max", "-1"], ["--learning-rate", "nan"],
+                                       ["--k-o-max", "nan"], ["--k-o-max", "inf"]])
     def test_unusable_settings_exit_2(self, tmp_path, capsys, flags):
         data = self.make_data(tmp_path, capsys)
         code = main(["fit", "--data", str(data), "--out", str(tmp_path / "o"),
                      "--init", str(data / "scene.json"), "--iterations", "2", *flags])
+        assert_one_error_line(code, capsys)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_init_random_below_one_exits_2(self, tmp_path, capsys, count):
+        data = self.make_data(tmp_path, capsys)
+        code = main(["fit", "--data", str(data), "--out", str(tmp_path / "o"), "--init-random", count,
+                     "--iterations", "2"])
+        assert_one_error_line(code, capsys)
+        assert not (tmp_path / "o").exists()
+
+    def test_no_supervised_ray_exits_2(self, tmp_path, capsys):
+        data = self.make_data(tmp_path, capsys)
+        depth = read_pfm(str(data / "view_0_depth.pfm"))
+        write_pfm(str(data / "view_0_depth.pfm"), np.full(depth.shape, np.inf))
+        code = main(["fit", "--data", str(data), "--out", str(tmp_path / "o"),
+                     "--init", str(data / "scene.json"), "--iterations", "2"])
         assert_one_error_line(code, capsys)
         assert not (tmp_path / "o").exists()
 

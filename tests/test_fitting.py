@@ -19,7 +19,7 @@ from rayfields.fields import LOG_DENSITY_FLOOR
 from rayfields.losses import (
     LossConfig,
     RgbdSample,
-    _BatchArrays,
+    RgbdBatch,
     _color_nll_values,
     _draw_free_importance,
     _draw_jitter,
@@ -89,6 +89,12 @@ class TestFitConfig:
             {"decay_factor": 1.5},
             {"grad_clip_norm": 0.0},
             {"skip_norm": -1.0},
+            {"learning_rate": math.nan},
+            {"learning_rate": math.inf},
+            {"grad_clip_norm": math.nan},
+            {"grad_clip_norm": math.inf},
+            {"skip_norm": math.nan},
+            {"skip_norm": math.inf},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -174,7 +180,7 @@ def dense_reference_loss(scene, batch, iteration, config, seed):
     component's reference density and color Jacobians at every point, a
     (B, 3, P) d(c_pred) per component contracted with the color error, then a
     mean over ray rows.  It shares no field kernel with the package."""
-    arrays = _BatchArrays.from_samples(batch)
+    arrays = RgbdBatch.from_samples(batch)
     rng = np.random.default_rng(seed)
     b, n_comp, f = len(arrays), scene.n, config.n_free_samples
     eps = _draw_jitter(rng, b, config.delta)
@@ -342,7 +348,7 @@ class TestGradientAssembly:
 
     def test_cases_reach_every_regime(self):
         scene, batch = all_kinds_case()
-        arrays = _BatchArrays.from_samples(batch)
+        arrays = RgbdBatch.from_samples(batch)
         surf = arrays.origins + arrays.t_obs[:, None] * arrays.directions
         sigmas = scene.density_components(surf)
         assert np.any(sigmas[:, 0] == 10.0)  # the blob core sits at the cap
@@ -350,13 +356,13 @@ class TestGradientAssembly:
         _, offsets = color_source(scene.components[3], surf)
         assert set(np.unique(offsets)) == {2, 5, 10}
         scene, batch = empty_rays_case()
-        arrays = _BatchArrays.from_samples(batch)
+        arrays = RgbdBatch.from_samples(batch)
         totals = scene.density(arrays.origins + arrays.t_obs[:, None] * arrays.directions)
         assert np.any(totals == 0.0)
         assert np.any((totals > 0.0) & (totals < LOG_DENSITY_FLOOR))
         assert np.any(totals > 1.0)
         scene, batch = fit_mix_case()
-        arrays = _BatchArrays.from_samples(batch)
+        arrays = RgbdBatch.from_samples(batch)
         surf = arrays.origins + arrays.t_obs[:, None] * arrays.directions
         sigmas = scene.density_components(surf)
         assert set(np.unique(color_source(scene.components[8], surf)[1])) == {2, 5, 10}
@@ -595,9 +601,9 @@ class TestFitFixedPoint:
     def test_packed_batch_matches_four_arrays(self, case, config):
         scene, batch = case()
         cfg, iteration = TestGradientAssembly.CONFIGS[config]
-        packed, four = _BatchArrays.from_samples(batch), ReferenceBatch.from_samples(batch)
+        packed, four = RgbdBatch.from_samples(batch), ReferenceBatch.from_samples(batch)
         idx = np.random.default_rng(3).choice(len(batch), size=len(batch) - 2, replace=False)
-        for got, want in ((packed, four), (packed.take(idx), four.take(idx))):
+        for got, want in ((packed, four), (packed[idx], four.take(idx))):
             for name in ("origins", "directions", "t_obs", "colors"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
             assert len(got) == len(want)

@@ -12,7 +12,7 @@ import pytest
 
 import rayfields as rf
 from rayfields.compose import composite_eval
-from rayfields.losses import _BatchArrays
+from rayfields.losses import RgbdBatch
 from rayfields.transport import RaySamples, quadrature_render
 
 
@@ -135,7 +135,7 @@ def _sample_arrays(samples):
 
 
 def _packed(scene):
-    return (_BatchArrays.from_samples(_observations(scene)),)
+    return (RgbdBatch.from_samples(_observations(scene)),)
 
 
 @pytest.mark.parametrize("scene", SCENES)

@@ -90,6 +90,12 @@ class TestLossConfig:
             {"k_o_max": -0.1},
             {"ramp_start": 10, "ramp_end": 5},
             {"n_free_samples": 0},
+            {"sigma_c": np.nan},
+            {"sigma_c": np.inf},
+            {"delta": np.nan},
+            {"delta": np.inf},
+            {"k_o_max": np.nan},
+            {"k_o_max": np.inf},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -188,5 +188,5 @@ class TestEmptyGrid:
                     "residual": (shape, np.float64), "empty": (shape, np.bool_)}
         assert {k: (v.shape, v.dtype) for k, v in vars(view).items()} == expected
         for censored in ("drop", "boundary"):
-            assert sample_observations(scene, grid, seed=1, n_panels=16, censored=censored) == []
-        assert surface_samples(scene, grid) == []
+            assert len(sample_observations(scene, grid, seed=1, n_panels=16, censored=censored)) == 0
+        assert len(surface_samples(scene, grid)) == 0
