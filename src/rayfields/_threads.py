@@ -23,8 +23,10 @@ THREADS_ENV_VAR = "OBSURF_THREADS"
 # samples per ray, a render block peaks at about 23 live rows, in its final
 # pass's evaluation: about 7 of points, depths and draws, one per component
 # density, 3 of the ground's colors and 8 in the color mix.  A 9-component
-# observation block peaks at about 19; its pairwise density sum reads its
-# eight lanes from the component rows (a copy only from 16 components on).
+# observation window (128 rays of 256 panels, at 2,048 panels per ray) peaks
+# at about 19, counted the same way on the fit benchmark's scene; its
+# pairwise density sum reads its eight lanes from the component rows (a copy
+# only from 16 components on).
 # A component kernel's own temporaries add 3 (blob) to 8 (ground colors)
 # rows while it runs.
 BLOCK_POINTS = 32_768

@@ -84,10 +84,13 @@ def write_ppm(path, rgb: np.ndarray) -> None:
 
 
 def _payload(data: bytes, dtype, count: int, offset: int) -> np.ndarray:
-    try:
-        return np.frombuffer(data, dtype=dtype, count=count, offset=offset)
-    except ValueError as exc:
-        raise ImageFormatError(f"truncated image payload: {exc}") from exc
+    """``count`` values of ``dtype`` from byte ``offset`` on.  The byte count
+    is checked before NumPy reads, since a header's width x height may pass
+    the range of ``np.frombuffer``'s count."""
+    need, have = count * np.dtype(dtype).itemsize, len(data) - offset
+    if need > have:
+        raise ImageFormatError(f"truncated image payload: the header asks for {need} bytes, {max(have, 0)} follow")
+    return np.frombuffer(data, dtype=dtype, count=count, offset=offset)
 
 
 def read_ppm(path) -> np.ndarray:

@@ -287,9 +287,16 @@ def sample_observations(scene: CompositeScene, grid: RayGrid, seed: int,
     ``depth_offset`` shifts every reported depth before filtering; a
     downstream likelihood that probes density over a jitter window
     [t, t + delta] can center that window on the drawn event by passing
-    ``-delta / 2``.  All randomness comes from ``seed``.  The panel pass runs
-    in blocks of about ``BLOCK_POINTS`` panel points on the workers, joined
-    in order; results depend on neither the blocks nor the worker count.
+    ``-delta / 2``.  All randomness comes from ``seed``.
+
+    Each ray marches through windows of ``n_panels // 8`` panels (at least
+    1), carrying its optical depth from one window into the next, and leaves
+    the march in the window where that depth first passes its target, so
+    only escaping rays run to t_far.  The rays go in blocks of
+    ``block_rows(window)`` (about ``BLOCK_POINTS`` panel points per window)
+    on the workers, joined in order; results depend on neither the windows,
+    the blocks nor the worker count, and are those of one pass over all
+    panels.
     """
     _check_integer(n_panels, "n_panels", 2)
     if not np.isfinite(depth_offset):
@@ -298,19 +305,31 @@ def sample_observations(scene: CompositeScene, grid: RayGrid, seed: int,
         raise ValueError("censored must be 'drop' or 'boundary'")
     u = np.random.default_rng(np.random.SeedSequence((seed, 17))).random(len(grid))
     targets = -np.log1p(-u)
+    window = max(1, n_panels // 8)
 
     def run(lo: int, hi: int) -> np.ndarray:
         t_fars = grid.t_fars[lo:hi]
-        sigma, h, cum = _panels(scene, grid.origins[lo:hi], grid.directions[lo:hi], t_fars, n_panels)
-        target = targets[lo:hi]
-        alive = target < cum[:, -1]
-        panel = np.minimum((cum[:, :-1] <= target[:, None]).sum(axis=1) - 1, n_panels - 1)
-        rows = np.arange(hi - lo)
-        fraction = (target - cum[rows, panel]) / np.maximum(sigma[rows, panel], 1e-300)
-        escaped = t_fars - 1e-6 if censored == "boundary" else np.nan
-        return np.where(alive, panel * h + fraction, escaped)
+        depths = t_fars - 1e-6 if censored == "boundary" else np.full(hi - lo, np.nan)
+        live = np.arange(hi - lo)  # rays whose optical depth has not yet passed their target
+        carry = None
+        for first in range(0, n_panels, window):
+            if not live.size:
+                break
+            rays = live + lo
+            sigma, h, cum = _panels(scene, grid.origins[rays], grid.directions[rays], t_fars[live], n_panels,
+                                    first, min(first + window, n_panels), carry)
+            target = targets[rays]
+            landed = target < cum[:, -1]
+            land = np.flatnonzero(landed)
+            # A landing panel is the last one whose left edge is at or below the target.
+            panel = (cum[land, :-1] <= target[land, None]).sum(axis=1) - 1
+            fraction = (target[land] - cum[land, panel]) / np.maximum(sigma[land, panel], 1e-300)
+            depths[live[land]] = (panel + first) * h[land] + fraction
+            live, carry = live[~landed], cum[~landed, -1]
+            del sigma, cum  # so that the next window's evaluation does not run beside them
+        return depths
 
-    depths = np.concatenate(chunked_row_map(run, len(grid), block_rows(n_panels))) + depth_offset
+    depths = np.concatenate(chunked_row_map(run, len(grid), block_rows(window))) + depth_offset
     return _grid_samples(grid, depths, _scene_colors(scene, grid, depths))
 
 

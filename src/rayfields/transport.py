@@ -8,9 +8,12 @@ Monte Carlo approximations of those quantities; the piecewise-constant
 oracle at the bottom provides the exact closed forms used to check them.
 
 Two batched primitives carry every estimate: ``_panels`` (midpoint-panel
-densities and optical depth, read by transmittance, the probability balance
-and the observation sampler) and ``_composite`` (samples to weights, color,
-depth and alpha).  A single ray is a one-row batch of the same path.
+densities and optical depth over a range of panels, from the optical depth
+carried in from the panels before it; transmittance and the probability
+balance take a whole ray, and the observation sampler marches each ray
+window by window until its draw lands) and ``_composite`` (samples to
+weights, color, depth and alpha).  A single ray is a one-row batch of the
+same path.
 Segmentation reads the depth law alone: its final pass evaluates densities
 only and stops at the weights (``_composite_weights``), so no color is
 evaluated, mixed or summed for it.  A single-ray call without a generator
@@ -28,7 +31,7 @@ after the other for colors and component masses.  ``_total`` lives in
 ``fields``, beside ``_density_total``, the rule every pass here totals
 per-component densities by.  Only the random draws and the fine depths
 drawn from them are rows (N, S), and the panel primitive keeps rows
-(N, n_panels).
+(N, panels in its range).
 """
 
 from __future__ import annotations
@@ -172,14 +175,26 @@ def _sum_samples(terms: np.ndarray) -> np.ndarray:
     return terms.cumsum(axis=-2, out=terms)[..., -1, :] + 0.0
 
 
-def _panels(field, origins, dirs, t_ends, n_panels: int):
-    """Midpoint rule on ``n_panels`` equal panels of [0, t_end] per ray:
-    densities at the panel midpoints (N, n_panels), panel widths (N,) and
-    the optical depth at every panel edge (N, n_panels + 1), from 0."""
+def _panels(field, origins, dirs, t_ends, n_panels: int, first: int = 0, stop: int | None = None,
+            carry=None):
+    """Midpoint rule on ``n_panels`` equal panels of [0, t_end] per ray, for
+    the panels [first, stop) (default all): densities at their midpoints
+    (N, stop - first), panel widths (N,) and the optical depth at their
+    edges (N, stop - first + 1), from ``carry`` (N,), the optical depth at
+    edge ``first`` (default 0).  The sum runs one panel after the other and
+    the carry enters as the first panel's left addend, so marching a ray
+    window by window, each window carrying the last one's final depth,
+    gives the bits of one whole-ray pass."""
+    stop = n_panels if stop is None else stop
     h = t_ends / n_panels
-    mids = ((np.arange(n_panels) + 0.5) / n_panels)[None, :] * t_ends[:, None]
+    mids = ((np.arange(first, stop) + 0.5) / n_panels)[None, :] * t_ends[:, None]
     sigma = field.density(_ray_points(origins.T[:, :, None], dirs.T[:, :, None], mids)).reshape(mids.shape)
-    cum = np.concatenate([np.zeros((len(t_ends), 1)), np.cumsum(sigma * h[:, None], axis=1)], axis=1)
+    optical = sigma * h[:, None]
+    cum = np.empty((len(t_ends), stop - first + 1))
+    cum[:, 0] = 0.0 if carry is None else carry
+    if carry is not None:
+        optical[:, 0] += carry
+    np.cumsum(optical, axis=1, out=cum[:, 1:])
     return sigma, h, cum
 
 

@@ -464,6 +464,13 @@ class TestEval:
         code = main(["eval", "--pred", str(tmp_path / "pred"), "--truth", str(tmp_path / "truth")])
         assert_one_error_line(code, capsys)
 
+    def test_oversized_image_header_exits_2(self, tmp_path, capsys):
+        generate_small(tmp_path / "truth", capsys, seed=4, views=1)
+        generate_small(tmp_path / "pred", capsys, seed=4, views=1)
+        (tmp_path / "pred" / "view_0.ppm").write_bytes(b"P6\n99999999999 99999999999\n255\n" + b"\x00" * 64)
+        code = main(["eval", "--pred", str(tmp_path / "pred"), "--truth", str(tmp_path / "truth")])
+        assert_one_error_line(code, capsys)
+
     def test_empty_directories_exit_2(self, tmp_path, capsys):
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()

@@ -57,6 +57,7 @@ def test_head_against_itself_is_identical(head_src):
     assert "cli.generate.view_0_mask.pgm: [1] identical" in run.stdout
     assert "scenegen.box.seed0.surface_distance0: [1] identical" in run.stdout
     assert "fit_bench.view2.sample_observations: [1] identical" in run.stdout
+    assert "fit_bench.view1.sample_observations.boundary: [1] identical" in run.stdout
     assert "fit_bench.loss_gradient: [1] identical" in run.stdout
     for name in ("final_params", "final_scene", "skipped_steps", "trace.k_o", "trace.total", "trace.grad_norm"):
         assert f"fit_bench.fit.{name}: [1] identical" in run.stdout

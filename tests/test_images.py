@@ -179,6 +179,16 @@ class TestHeaderValues:
         with pytest.raises(ImageFormatError):
             reader(path)
 
+    @pytest.mark.parametrize("size", [b"99999999999 99999999999", b"3037000500 3037000500"])
+    @pytest.mark.parametrize("fmt", sorted(READERS))
+    def test_oversized_header_rejected(self, tmp_path, fmt, size):
+        """A width x height past ``np.frombuffer``'s count range is a short payload, not an OverflowError."""
+        reader, magic, last = self.READERS[fmt]
+        path = tmp_path / f"huge.{fmt}"
+        path.write_bytes(magic + b"\n" + size + b"\n" + last + b"\n" + b"\x00" * 64)
+        with pytest.raises(ImageFormatError, match="truncated image payload"):
+            reader(path)
+
     def test_bad_pfm_scale_rejected(self, tmp_path):
         path = tmp_path / "bad.pfm"
         path.write_bytes(b"Pf\n1 1\nab\n\x00\x00\x00\x00")

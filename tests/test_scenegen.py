@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rayfields as rf
-from rayfields import scenegen
+from rayfields import _threads, scenegen
 from rayfields.geometry import Camera, pinhole_rays, rig_views
 from rayfields.scenegen import (
     HALF_MAX_RADIUS,
@@ -388,6 +388,11 @@ def _parallel_x_grid(n_rays: int, t_far: float) -> rf.geometry.RayGrid:
     )
 
 
+def _sample_bytes(samples) -> list:
+    return [(s.depth, s.color.tobytes(), s.ray.origin.tobytes(), s.ray.direction.tobytes(), s.ray.t_far)
+            for s in samples]
+
+
 class TestSampleObservations:
     def constant_scene(self, sigma=0.5, t_far=4.0):
         ray = rf.geometry.Ray((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), t_far)
@@ -475,6 +480,41 @@ class TestSampleObservations:
         got = sample_observations(scene, grid, seed, n_panels, offset, censored)
         want = reference_sample_observations(scene, grid, seed, n_panels, offset, censored)
         assert flat(got) == flat(want)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_march_over_many_windows_matches_reference(self, monkeypatch, threads):
+        """The windowed march against the whole-ray reference loop, byte for
+        byte: 67 panels march in nine windows (eight of 8 panels, one of 3),
+        in blocks of 1, 3 and 40 rays, for both censoring modes, a negative
+        offset and a grid of no rays.  A thin fog fills every window, so
+        each window carries a nonzero optical depth into the next."""
+        blob = rf.GaussianBlobField(center=(0.0, 0.0, 0.6), scale=(0.5, 0.5, 0.5), amplitude=10.0,
+                                    color=(0.8, 0.1, 0.1), sigma_max=10.0)
+        fog = rf.GaussianBlobField(center=(0.0, 0.0, 0.0), scale=(20.0, 20.0, 20.0), amplitude=0.1,
+                                   color=(0.5, 0.5, 0.5))
+        scene = rf.CompositeScene((blob, fog), t_far=8.0)
+        cam = Camera(position=(4.6, 0.0, 2.4), look_at=(0.0, 0.0, 0.5), width=10, height=10)
+        grid = pinhole_rays(cam, scene.t_far)
+        n_panels, window, seed = 67, 8, 0
+        # The seed's draws cover the march: rays that escape past all nine
+        # windows, rays that land in the ninth, and rays that land in the
+        # last panel of a window.
+        targets = -np.log1p(-np.random.default_rng(np.random.SeedSequence((seed, 17))).random(len(grid)))
+        cum = rf.transport._panels(scene, grid.origins, grid.directions, grid.t_fars, n_panels)[2]
+        landed = targets < cum[:, -1]
+        panel = (cum[:, :-1] <= targets[:, None]).sum(axis=1) - 1
+        assert 0 < landed.sum() < len(grid)
+        assert np.any(landed & (panel >= 8 * window))
+        assert np.any(landed & (panel % window == window - 1))
+
+        monkeypatch.setenv("OBSURF_THREADS", threads)
+        for rays in (1, 3, 40):
+            monkeypatch.setattr(_threads, "BLOCK_POINTS", rays * window)
+            for g in (grid, _parallel_x_grid(0, 4.0)):
+                for offset, censored in ((0.0, "drop"), (0.0, "boundary"), (-0.3, "drop"), (-0.3, "boundary")):
+                    got = sample_observations(scene, g, seed, n_panels, offset, censored)
+                    want = reference_sample_observations(scene, g, seed, n_panels, offset, censored)
+                    assert _sample_bytes(got) == _sample_bytes(want), (rays, len(g), offset, censored)
 
     def test_depth_offset_shifts_reports(self):
         scene = self.constant_scene()

@@ -28,11 +28,15 @@ under that tree and under ``--src`` (default: this checkout's ``src/``), at
   metadata, ``ground_truth_maps`` depth and mask and every component's
   ``surface_distance`` on a camera grid, ``sample_observations`` and
   ``surface_samples`` as stacked origins, directions, depths and colors, and
-  ``total_loss`` and ``loss_gradient`` on the observations;
+  ``total_loss`` and ``loss_gradient`` on the observations; for the first
+  seed of the mix of every kind, also ``sample_observations`` at few
+  panels per ray (short march windows);
 - the fit benchmark's batches: ``sample_observations`` of a generated scene
   of 8 objects (3 blobs, 3 spheres, 2 boxes) and the ground, 9 components,
-  on each view of the 3-view rig, and ``total_loss`` and ``loss_gradient``
-  on a fixed draw of a batch of those observations;
+  on each view of the 3-view rig, plain and with ``censored="boundary"``
+  and ``depth_offset=-0.035`` (escaped rays reported, offset depths
+  dropped), and ``total_loss`` and ``loss_gradient`` on a fixed draw of a
+  batch of the plain observations;
 - ``fit`` on those observations from the scene with its object centres
   moved, for 12 steps while the overlap weight ramps in: the final
   parameters and scene, the skipped steps and every trace value;
@@ -70,19 +74,19 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # Per size: camera image (width, height), CLI render resolution, the
 # quadratures (name, n_coarse, n_fine, stratified), the single-ray pixels,
 # the bias-demo bin counts, the CLI bias-demo trial count, the generated
-# scenes' seeds and image size, the observation sampler's panels, the CLI
-# fit's iteration count, and the fit benchmark's image size, panels and batch
-# size.
+# scenes' seeds and image size, the observation sampler's panels and its
+# few panels, the CLI fit's iteration count, and the fit benchmark's image
+# size, panels and batch size.
 SIZES = {
     "tiny": {"image": (6, 5), "cli_resolution": 8, "pixels": (0, 7, 14, 29),
              "quads": [("main", 8, 16, True), ("unstratified", 7, 9, False), ("coarse", 5, 0, True)],
              "bias_ks": (50,), "cli_trials": 300,
-             "gen_seeds": (0,), "gen_resolution": 8, "n_panels": 64, "fit_iterations": 5,
+             "gen_seeds": (0,), "gen_resolution": 8, "n_panels": 64, "few_panels": 12, "fit_iterations": 5,
              "fit_bench": (6, 64, 32)},
     "full": {"image": (24, 24), "cli_resolution": 64, "pixels": (0, 77, 150, 290, 301, 433, 500, 575),
              "quads": [("main", 64, 128, True), ("unstratified", 32, 64, False), ("coarse", 64, 0, True)],
              "bias_ks": (8, 50, 129), "cli_trials": 10_000,
-             "gen_seeds": (0, 1, 2), "gen_resolution": 32, "n_panels": 2048, "fit_iterations": 50,
+             "gen_seeds": (0, 1, 2), "gen_resolution": 32, "n_panels": 2048, "few_panels": 96, "fit_iterations": 50,
              "fit_bench": (16, 2048, 512)},
 }
 # Object-kind mixes of the generated scenes: every kind, then each alone.
@@ -186,10 +190,11 @@ def _files(out: dict, prefix: str, directory: str) -> None:
             out[f"{prefix}.{name}"] = np.frombuffer(fh.read(), dtype=np.uint8)
 
 
-def _fit_bench_data(rf, resolution: int, n_panels: int):
+def _fit_bench_data(rf, resolution: int, n_panels: int, **sampler):
     """The fit benchmark's scene, the first generated scene with the objects
-    of ``FIT_BENCH_MIX`` (the ground last), and its observations, one list
-    per view of the rig."""
+    of ``FIT_BENCH_MIX`` (the ground last), and its observations, one batch
+    per view of the rig; ``sampler`` passes further ``sample_observations``
+    options."""
     from rayfields import scenegen
 
     n_objects = sum(FIT_BENCH_MIX.values())
@@ -205,19 +210,24 @@ def _fit_bench_data(rf, resolution: int, n_panels: int):
             break
     else:
         raise RuntimeError(f"no generated scene has the object mix {FIT_BENCH_MIX}")
-    views = [rf.sample_observations(scene, rf.pinhole_rays(camera, scene.t_far), seed=v, n_panels=n_panels)
+    views = [rf.sample_observations(scene, rf.pinhole_rays(camera, scene.t_far), seed=v, n_panels=n_panels,
+                                    **sampler)
              for v, camera in enumerate(rf.rig_views(scenegen.default_camera(config)))]
     return scene, views
 
 
 def _fit_bench(rf, resolution: int, n_panels: int, batch_size: int, out: dict) -> None:
-    """The fit benchmark's batches: its observations view by view, and the
-    loss and its gradient on a fixed draw of ``batch_size`` of them
+    """The fit benchmark's batches: its observations view by view, plain and
+    with escaped rays at the boundary and depths offset back, and the loss
+    and its gradient on a fixed draw of ``batch_size`` of the plain ones
     (overlap penalty ramped in)."""
     scene, views = _fit_bench_data(rf, resolution, n_panels)
     out["fit_bench.params"] = scene.params()
     for v, observations in enumerate(views):
         out[f"fit_bench.view{v}.sample_observations"] = _stacked(observations)
+    _, boundary = _fit_bench_data(rf, resolution, n_panels, censored="boundary", depth_offset=-0.035)
+    for v, observations in enumerate(boundary):
+        out[f"fit_bench.view{v}.sample_observations.boundary"] = _stacked(observations)
     samples = [sample for observations in views for sample in observations]
     draw = np.random.default_rng(5).choice(len(samples), size=min(batch_size, len(samples)), replace=False)
     batch = [samples[i] for i in draw]
@@ -342,6 +352,9 @@ def _generated(rf, mix: str, p: dict, out: dict) -> None:
             out[f"{tag}.surface_distance{i}"] = rf.surface_distance(comp, grid.origins, grid.directions)
         observations = rf.sample_observations(scene, grid, seed=seed, n_panels=p["n_panels"])
         out[f"{tag}.sample_observations"] = _stacked(observations)
+        if mix == "all" and seed == p["gen_seeds"][0]:
+            out[f"{tag}.sample_observations.few_panels"] = _stacked(
+                rf.sample_observations(scene, grid, seed=seed, n_panels=p["few_panels"]))
         out[f"{tag}.surface_samples"] = _stacked(rf.surface_samples(scene, grid))
         total, breakdown = rf.total_loss(scene, observations, 3, loss_config, rng=seed)
         out[f"{tag}.total_loss"] = np.array([total, *breakdown.values()])
