@@ -43,7 +43,8 @@ import numpy as np
 
 from . import transport
 from ._threads import block_rows, chunked_row_map
-from .fields import Field, UnsupportedGradient, _channel_rows, _check_points, _density_total, _PointQueries, _total
+from .fields import (Field, UnsupportedGradient, _channel_rows, _check_points, _density_total, _PointQueries,
+                     _scene_layout, _total)
 from .geometry import Ray, RayGrid, ray_at
 from .transport import EMPTY_WEIGHT_EPS, QuadratureConfig, RenderResult, _sum_samples
 
@@ -162,7 +163,16 @@ class CompositeScene(_PointQueries):
         return np.concatenate([c.params() for c in self.components])
 
     def with_params(self, vector) -> "CompositeScene":
+        """The scene with parameters ``vector``, checked once, whole, against the scene's layout
+        (shape, finiteness, each domain rule); if it passes, each component is built from its span
+        unchecked.  Else, or with a kind that has no layout, each component's ``with_params`` runs
+        in turn, so the first failing constructor's error is raised."""
         v = np.asarray(vector, dtype=np.float64)
+        layout = _scene_layout(tuple(map(type, self.components)))
+        if (layout is not None and v.shape == (layout.size,) and np.isfinite(v).all()
+                and all(test(v[slots]).all() for slots, test in layout.rules)):
+            spans = zip(self.components, layout.spans)
+            return CompositeScene(tuple(c._with_checked_params(v[a:b]) for c, (a, b) in spans), self.t_far)
         sizes = [c.n_params for c in self.components]
         if v.shape != (sum(sizes),):
             raise ValueError(f"expected {sum(sizes)} parameters, got shape {v.shape}")

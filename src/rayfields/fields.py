@@ -10,7 +10,9 @@ single (3,) row, which callers broadcast instead of copying per point.
 The layout is a kind's one description of its parameters.  Color offsets and
 the constant-color kinds' density indices are read off it, and each group
 names a domain in ``_DOMAINS``, which holds what a constructor requires
-beyond finiteness and the box the fitter projects into.  Colors need only be
+beyond finiteness and the box the fitter projects into.  A scene's vector is
+laid out once per tuple of kinds (``_scene_layout``), for the scene's rebuild,
+the fitter's box and the loss gradient's slots.  Colors need only be
 finite, as they are clipped where read.  ``checker_size`` takes any finite
 value (a cell <= 0 draws no checker) but is boxed to [0, inf): a ">= 0" rule
 would reject the step below 0 that ``fitting.finite_diff_gradient`` takes.
@@ -51,6 +53,8 @@ a point query, a render pass or a merged view returns it, follows one rule,
 from __future__ import annotations
 
 import abc
+import collections
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import ClassVar
@@ -118,6 +122,31 @@ def _starts(layout, *groups: str) -> list[int]:
     """Index of the first parameter of each group in a vector laid out by ``layout``."""
     names = [name for name, _, _ in layout]
     return [sum(size for _, size, _ in layout[: names.index(group)]) for group in groups]
+
+
+# A scene's parameter vector: its size, each component's (start, end), the slots of each
+# ``_DOMAINS`` rule with a test, the fitter's projection box (2, size), the gradient's
+# density and color slots, and each component's first row in the scene's palette.
+_SceneLayout = collections.namedtuple("_SceneLayout", "size spans rules box density_slots color_slots first_rows")
+
+
+@functools.lru_cache(maxsize=16)
+def _scene_layout(kinds: tuple[type, ...]) -> _SceneLayout | None:
+    """The layout of a scene whose components have the field types
+    ``kinds``, shared by every call; None if a kind has no ``layout``."""
+    if not all(kind.layout for kind in kinds):
+        return None
+    starts = np.cumsum([0] + [sum(size for _, size, _ in kind.layout) for kind in kinds]).tolist()
+    domains = [domain for kind in kinds for _, size, domain in kind.layout for _ in range(size)]
+    rules = [(np.flatnonzero(np.equal(domains, d)), test) for d, (test, _, _) in _DOMAINS.items() if test]
+    arrays = (np.array([_DOMAINS[d][2] for d in domains]).T,
+              np.concatenate([at + np.array(kind.density_params, dtype=int) for kind, at in zip(kinds, starts)]),
+              np.concatenate([at + np.add.outer(kind.color_offsets, range(3)).ravel()
+                              for kind, at in zip(kinds, starts)]),
+              np.cumsum([0] + [len(kind.color_offsets) for kind in kinds[:-1]]))
+    for array in arrays + tuple(slots for slots, _ in rules):
+        array.flags.writeable = False
+    return _SceneLayout(starts[-1], list(zip(starts, starts[1:])), rules, *arrays)
 
 
 def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -313,7 +342,7 @@ class Field(_PointQueries):
 
     def _with_checked_params(self, vector: np.ndarray) -> "Field":
         """``with_params`` without ``__post_init__``, for a vector whose every
-        slot has passed its group's domain rule (the fitter checks whole vectors)."""
+        slot has passed its group's domain rule (a scene checks whole vectors)."""
         out = object.__new__(type(self))
         out.__dict__.update(self.__dict__, **self._groups(vector))
         return out

@@ -8,10 +8,10 @@ the whole parameter vector without forming a Jacobian, and
 finite_diff_gradient cross-checks the result.
 The optimizer is Adam with bias correction, a stepwise-halving learning
 rate, global norm clipping, and a skip threshold for pathological steps.
-After every step each parameter is projected back into the box that the
-domain table of fields (``fields._DOMAINS``) gives its layout group, and the
-scene is rebuilt by a plan made before the loop (``CompositeScene.with_params``
-only for a vector its check rejects); the last scene built is reported.
+After every step the parameters are projected into the box of the scene's
+layout (``fields._scene_layout``) and the scene is rebuilt by
+``CompositeScene.with_params``, which checks the whole vector once; the last
+scene built is reported.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .compose import CompositeScene
-from .fields import _DOMAINS, _scalar
+from .fields import _scalar, _scene_layout
 from .losses import LossConfig, _as_batch, _loss_eval
 from .transport import _check_integer
 
@@ -101,33 +101,6 @@ class _Adam:
         return lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-class _Rebuild:
-    """Scene rebuild planned once: ``box`` holds each slot's projection box
-    (``_DOMAINS``); a call checks the whole vector by the rules of
-    ``Field.__post_init__`` (finite, then each domain's test, slot by slot)
-    and rebuilds each component unchecked.  A vector that fails, or any vector
-    of a scene with a layout-less (unbounded) kind, takes ``with_params``."""
-
-    def __init__(self, scene: CompositeScene):
-        self.scene, self.checked = scene, all(c.layout for c in scene.components)
-        domains = [d for c in scene.components
-                   for d in [d for _, size, d in c.layout for _ in range(size)] or ["free"] * c.n_params]
-        self.box = np.array([_DOMAINS[d][2] for d in domains]).T
-        self.rules = [(np.flatnonzero(np.equal(domains, d)), test) for d, (test, _, _) in _DOMAINS.items() if test]
-        ends = np.cumsum([c.n_params for c in scene.components]).tolist()
-        self.spans = list(zip(scene.components, [0] + ends[:-1], ends))
-
-    def accepts(self, params: np.ndarray) -> bool:
-        """Whether ``CompositeScene.with_params`` accepts ``params``."""
-        return bool(np.isfinite(params).all()) and all(test(params[idx]).all() for idx, test in self.rules)
-
-    def __call__(self, params: np.ndarray) -> CompositeScene:
-        if not (self.checked and self.accepts(params)):
-            return self.scene.with_params(params)
-        comps = tuple(c._with_checked_params(params[a:b]) for c, a, b in self.spans)
-        return CompositeScene(comps, self.scene.t_far)
-
-
 def loss_gradient(scene: CompositeScene, batch, iteration: int, config: LossConfig, rng) -> np.ndarray:
     """Analytic gradient of total_loss w.r.t. the concatenated scene params.
 
@@ -166,7 +139,7 @@ def fit(initial_scene: CompositeScene, dataset, config: FitConfig) -> FitReport:
     n_data = len(data)
     scene = initial_scene
     params = scene.params()
-    rebuild = _Rebuild(scene)
+    layout = _scene_layout(tuple(map(type, scene.components)))  # None only for kinds the first step rejects
     adam = _Adam(params.shape[0])
     batch_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 1)))
     trace: list[dict] = []
@@ -189,8 +162,8 @@ def fit(initial_scene: CompositeScene, dataset, config: FitConfig) -> FitReport:
         if not skip:
             if norm > config.grad_clip_norm:
                 grad = grad * (config.grad_clip_norm / norm)
-            params = np.clip(params - adam.step(grad, lr), *rebuild.box)
-            scene = rebuild(params)
+            params = np.clip(params - adam.step(grad, lr), *layout.box)
+            scene = scene.with_params(params)
         trace.append(dict(breakdown, iteration=it, grad_norm=norm, learning_rate=lr, skipped=skip))
 
     return FitReport(

@@ -17,18 +17,18 @@ rows, and keeps densities as rows (n, N) and colors as rows (3, B).  The
 gradient is a vector-Jacobian product that forms no Jacobian: per-point
 weights (rows (n, N), zero where the cap binds) meet each kind's density
 rows, and the color error lands in its palette's slots, the palettes of all
-components clipped in one call.
+components clipped in one call.  All these slots and each component's
+first palette row come from the scene's layout (``fields._scene_layout``).
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .compose import CompositeScene, _mix, _total
-from .fields import LOG_DENSITY_FLOOR, _check_points, _scalar, _sum3
+from .fields import LOG_DENSITY_FLOOR, _check_points, _scalar, _scene_layout, _sum3
 from .geometry import _UNIT_TOL, Ray
 
 __all__ = [
@@ -290,19 +290,6 @@ def _as_batch(batch) -> RgbdBatch:
     return batch
 
 
-@functools.lru_cache(maxsize=16)
-def _gradient_layout(kinds: tuple[type, ...]):
-    """For components of the field types ``kinds``: the gradient's length, each component's first
-    palette row, and the parameter index of each density row and of each palette channel."""
-    starts = np.cumsum([0] + [sum(size for _, size, _ in kind.layout) for kind in kinds])
-    first_rows = np.cumsum([0] + [len(kind.color_offsets) for kind in kinds[:-1]])
-    density = np.concatenate([at + np.array(kind.density_params, dtype=int) for kind, at in zip(kinds, starts)])
-    color = np.concatenate([at + np.add.outer(kind.color_offsets, range(3)).ravel() for kind, at in zip(kinds, starts)])
-    for array in (first_rows, density, color):
-        array.flags.writeable = False  # shared by every call
-    return int(starts[-1]), first_rows, density, color
-
-
 def _loss_eval(scene: CompositeScene, arrays: RgbdBatch, iteration: int,
                config: LossConfig, rng, want_grads: bool):
     """Shared core for total_loss and its analytic gradient.
@@ -334,11 +321,11 @@ def _loss_eval(scene: CompositeScene, arrays: RgbdBatch, iteration: int,
             colors.append(comp._density_color(pts[:b])[1])
             comp._density(pts, out=row)
     if want_grads:
-        size, first_rows, density_slots, color_slots = _gradient_layout(tuple(map(type, scene.components)))
+        layout = _scene_layout(tuple(map(type, scene.components)))
         unclipped = np.concatenate([palette for _, palette, _ in sources])
         palette = unclipped.clip(0.0, 1.0)
         colors = [palette[r] if index is None else np.take(palette[r : r + len(p)].T, index, axis=1).T
-                  for (_, p, index), r in zip(sources, first_rows)]
+                  for (_, p, index), r in zip(sources, layout.first_rows)]
     sig_surf = sigmas[:, :b]
 
     sig_tot_free = _total(sigmas[:, b:]).reshape(b, f)
@@ -371,7 +358,7 @@ def _loss_eval(scene: CompositeScene, arrays: RgbdBatch, iteration: int,
     err *= color_live
     inv_tot = np.where(color_live, 1.0 / np.where(color_live, sig_tot_surf, 1.0), 0.0)
     d_log = np.where(sig_tot_surf > LOG_DENSITY_FLOOR, 1.0 / np.maximum(sig_tot_surf, LOG_DENSITY_FLOOR), 0.0)
-    diffs = np.subtract(palette[first_rows].T[:, :, None], c_pred[:, None, :])
+    diffs = np.subtract(palette[layout.first_rows].T[:, :, None], c_pred[:, None, :])
     for i, (_, _, index) in enumerate(sources):
         if index is not None:
             np.subtract(colors[i].T, c_pred, out=diffs[:, i])
@@ -384,15 +371,15 @@ def _loss_eval(scene: CompositeScene, arrays: RgbdBatch, iteration: int,
     weights *= sigmas < np.array([np.inf if c.sigma_max is None else c.sigma_max for c in scene.components])[:, None]
     shares = sig_surf * inv_tot
     color_grad = np.empty(unclipped.shape)  # before the clip: err @ share, or per-row sums in ray order
-    for (_, p, index), r, share in zip(sources, first_rows, shares):
+    for (_, p, index), r, share in zip(sources, layout.first_rows, shares):
         if index is None:
             np.matmul(err, share, out=color_grad[r])
         else:
             bins = 3 * index + np.arange(3)[:, None]  # palette row and channel, channel-major
             color_grad[r : r + len(p)] = np.bincount(bins.ravel(), (err * share).ravel(), p.size).reshape(p.shape)
-    grad = np.zeros(size)
-    grad[density_slots] = np.concatenate([rows @ w for (rows, _, _), w in zip(sources, weights)])
-    grad[color_slots] += np.where(palette == unclipped, color_grad, 0.0).ravel()
+    grad = np.zeros(layout.size)
+    grad[layout.density_slots] = np.concatenate([rows @ w for (rows, _, _), w in zip(sources, weights)])
+    grad[layout.color_slots] += np.where(palette == unclipped, color_grad, 0.0).ravel()
     grad /= b
     return total, breakdown, grad
 

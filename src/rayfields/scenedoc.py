@@ -173,12 +173,12 @@ def doc_to_scene(doc: dict) -> SceneDocument:
         cb = doc["camera"]
         try:
             camera = Camera(
-                position=cb["position"],
-                look_at=cb["look_at"],
-                width=cb["width"],
-                height=cb["height"],
-                vertical_fov=cb.get("vertical_fov", Camera.vertical_fov),
-                up=cb.get("up", (0.0, 0.0, 1.0)),
+                position=[_number(v, "position entry") for v in cb["position"]],
+                look_at=[_number(v, "look_at entry") for v in cb["look_at"]],
+                width=_integer(cb["width"], "width"),
+                height=_integer(cb["height"], "height"),
+                vertical_fov=_number(cb.get("vertical_fov", Camera.vertical_fov), "vertical_fov"),
+                up=[_number(v, "up entry") for v in cb.get("up", (0.0, 0.0, 1.0))],
             )
             # Commands render the rig's views of this camera: each needs a frame.
             for view in rig_views(camera):

@@ -10,7 +10,7 @@ import pytest
 from rayfields import cli, estimlab, scenegen
 from rayfields.cli import EXIT_GENERATION, EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
 from rayfields.images import read_pfm, read_pgm, read_ppm, write_pfm, write_pgm, write_ppm
-from rayfields.scenedoc import load_scene
+from rayfields.scenedoc import dumps_canonical, load_scene, scene_to_doc
 
 
 def run_cli(argv, capsys):
@@ -245,6 +245,26 @@ class TestRender:
         code = main(["render", "--scene", str(bad), "--out", str(tmp_path / "o"), "--resolution", "6"])
         assert_one_error_line(code, capsys)
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key,value", [("width", "8"), ("position", ["4.6", "0", "2.4"])])
+    def test_camera_values_must_be_json_numbers_exit_2(self, tmp_path, capsys, key, value):
+        data = tmp_path / "data"
+        generate_small(data, capsys, views=1)
+        doc = json.loads((data / "scene.json").read_text())
+        doc["camera"][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["render", "--scene", str(bad), "--out", str(tmp_path / "o"), "--resolution", "6"])
+        assert_one_error_line(code, capsys)
+        assert not (tmp_path / "o").exists()
+
+    def test_generated_scene_reloads_byte_identically(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        generate_small(data, capsys, views=1)
+        text = (data / "scene.json").read_text()
+        doc = load_scene(data / "scene.json")
+        again = scene_to_doc(doc.scene, doc.sigma_max, doc.camera, doc.quadrature, doc.names, doc.objects)
+        assert dumps_canonical(again) == text
 
     @pytest.mark.parametrize("edit", [
         {"quadrature": {"n_coarse": "64"}}, {"quadrature": {"n_fine": 12.5}}, {"quadrature": {"seed": True}},

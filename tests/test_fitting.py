@@ -3,6 +3,7 @@ projection, divergence detection, and the learning-rate/skip machinery."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 
 import rayfields as rf
 from rayfields import losses
-from rayfields.fields import PiecewiseConstantRayField, UnsupportedGradient
-from rayfields.fitting import FitConfig, FitDivergence, _Rebuild, finite_diff_gradient, fit, loss_gradient
+from rayfields.fields import Field, PiecewiseConstantRayField, UnsupportedGradient
+from rayfields.fitting import FitConfig, FitDivergence, finite_diff_gradient, fit, loss_gradient
 from rayfields.geometry import Camera, Ray, pinhole_rays
 from rayfields.compose import NEUTRAL_COLOR
 from rayfields.fields import LOG_DENSITY_FLOOR
@@ -581,19 +582,28 @@ class TestFitFixedPoint:
         assert rep.final_scene.params().tobytes() == rep.final_params.tobytes()
         assert type(rep.final_scene.t_far) is float and rep.final_scene.t_far == scene.t_far
 
-    def test_rebuilds_through_with_params_once(self, monkeypatch):
+    def test_accepted_fit_runs_no_field_constructor_check(self, monkeypatch):
+        """Each step of a fit whose vectors are all accepted rebuilds the
+        scene through CompositeScene.with_params, which checks the vector
+        once, whole: no component runs its own constructor checks."""
         scene, batch = all_kinds_case()
-        calls = []
-        checked = rf.CompositeScene.with_params
+        rebuilds, field_checks = [], []
+        with_params, post_init = rf.CompositeScene.with_params, Field.__post_init__
 
-        def counting(self, vector):
-            calls.append(1)
-            return checked(self, vector)
+        def counting_rebuild(self, vector):
+            rebuilds.append(1)
+            return with_params(self, vector)
 
-        monkeypatch.setattr(rf.CompositeScene, "with_params", counting)
+        def counting_check(self):
+            field_checks.append(1)
+            post_init(self)
+
+        monkeypatch.setattr(rf.CompositeScene, "with_params", counting_rebuild)
+        monkeypatch.setattr(Field, "__post_init__", counting_check)
         rep = fit(scene, batch, FitConfig(iterations=12, batch_size=16, seed=2, learning_rate=0.02))
         assert rep.skipped_steps == 0
-        assert len(calls) <= 1
+        assert len(rebuilds) == 12
+        assert field_checks == []
 
     @pytest.mark.parametrize("config", sorted(TestGradientAssembly.CONFIGS))
     @pytest.mark.parametrize("case", [lone_component_case, empty_rays_case, all_kinds_case, fit_mix_case,
@@ -621,54 +631,75 @@ class TestFitFixedPoint:
 EDGE_VALUES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324]
 
 
-def _accepted_by_with_params(scene, vector):
+def _outcome(build, scene, vector):
+    """The attributes (``scene_attributes``) of the scene ``build(scene,
+    vector)`` returns, or the type and message of the error it raises."""
     try:
-        scene.with_params(vector)
-    except ValueError:
-        return False
-    return True
+        return scene_attributes(build(scene, vector))
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def _checked_components(scene, vector):
+    """The scene built from ``vector`` component by component, each by its
+    checked constructor (``dataclasses.replace``, so ``__post_init__`` runs;
+    a kind without a layout by its own ``with_params``)."""
+    ends = np.cumsum([c.n_params for c in scene.components]).tolist()
+    comps = [dataclasses.replace(c, **c._groups(vector[end - c.n_params : end])) if c.layout
+             else c.with_params(vector[end - c.n_params : end]) for c, end in zip(scene.components, ends)]
+    return rf.CompositeScene(tuple(comps), scene.t_far)
 
 
 class TestRebuildCheck:
-    """The fitter's whole-vector check accepts exactly the vectors that
-    CompositeScene.with_params accepts, and its rebuilt scene equals the
-    checked one."""
+    """CompositeScene.with_params, which checks a vector once, whole,
+    accepts exactly the vectors every component's checked constructor
+    accepts and builds the same attributes (types and bytes) from them; for
+    any other vector it raises the first failing constructor's error type
+    and message."""
 
     def test_every_slot_of_every_kind(self):
         scene, _ = all_kinds_case()
-        rebuild = _Rebuild(scene)
         base = scene.params()
+        accepted = 0
         for at in range(base.shape[0]):
             for value in EDGE_VALUES:
                 vector = base.copy()
                 vector[at] = value
-                accepted = _accepted_by_with_params(scene, vector)
-                assert rebuild.accepts(vector) == accepted, (at, value)
-                if accepted:
-                    assert scene_attributes(rebuild(vector)) == scene_attributes(scene.with_params(vector))
-                else:
-                    with pytest.raises(ValueError):
-                        rebuild(vector)
+                want = _outcome(_checked_components, scene, vector)
+                assert _outcome(rf.CompositeScene.with_params, scene, vector) == want, (at, value)
+                accepted += isinstance(want, list)
+        assert 0 < accepted < base.shape[0] * len(EDGE_VALUES)
 
     @settings(max_examples=150, deadline=None)
     @given(SCENES, st.data())
     def test_random_vectors(self, scene, data):
-        rebuild = _Rebuild(scene)
         vector = scene.params()
         entries = st.sampled_from(EDGE_VALUES) | st.floats(-1e3, 1e3)
         for at in data.draw(st.lists(st.integers(0, vector.shape[0] - 1), max_size=4)):
             vector[at] = data.draw(entries)
-        accepted = _accepted_by_with_params(scene, vector)
-        assert rebuild.accepts(vector) == accepted
-        if accepted:
-            assert scene_attributes(rebuild(vector)) == scene_attributes(scene.with_params(vector))
+        assert _outcome(rf.CompositeScene.with_params, scene, vector) == _outcome(_checked_components, scene, vector)
 
     def test_kind_without_layout_uses_with_params(self):
+        """A scene holding a kind without a layout, alone or after a blob,
+        is rebuilt component by component: accepted, and rejected by the blob
+        (a NaN) or by the piecewise kind (a negative density)."""
         ray = Ray((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 10.0)
         piecewise = PiecewiseConstantRayField.on_ray(ray, [0.0, 1.0, 2.0], [0.5, 1.0], [[0.1, 0.2, 0.3]] * 2)
-        scene = rf.CompositeScene((piecewise,), t_far=10.0)
-        vector = scene.params() + 0.25
-        rebuilt = _Rebuild(scene)(vector)
-        assert scene_attributes(rebuilt) == scene_attributes(scene.with_params(vector))
-        with pytest.raises(ValueError):
-            _Rebuild(scene)(np.full(vector.shape, -1.0))
+        blob = two_blob_scene().components[0]
+        for scene in (rf.CompositeScene((piecewise,), t_far=10.0), rf.CompositeScene((blob, piecewise), t_far=10.0)):
+            base = scene.params()
+            nan_first = base.copy()
+            nan_first[0] = math.nan
+            for vector in (base + 0.25, nan_first, np.full(base.shape, -1.0)):
+                want = _outcome(_checked_components, scene, vector)
+                assert _outcome(rf.CompositeScene.with_params, scene, vector) == want
+            assert isinstance(_outcome(rf.CompositeScene.with_params, scene, base + 0.25), list)
+            with pytest.raises(ValueError):
+                scene.with_params(np.full(base.shape, -1.0))
+
+    def test_wrong_shape_rejected(self):
+        scene, _ = all_kinds_case()
+        size = scene.params().shape[0]
+        for shape in ((size - 1,), (size + 1,), (1, size), ()):
+            with pytest.raises(ValueError, match=re.escape(f"expected {size} parameters, got shape {shape}")):
+                scene.with_params(np.zeros(shape))

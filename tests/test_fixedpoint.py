@@ -1,8 +1,8 @@
 """Smoke test of tools/fixedpoint.py at its tiny size: src/ as committed at
 HEAD shows no difference against HEAD (render, point-query, bias-demo,
-scene-generation, fit-benchmark, fit and CLI dataset outputs alike), a copy
-whose color mixer is off by one ulp is caught, and ``--allow`` lets one
-named output differ."""
+scene-generation, scene-rebuild, fit-benchmark, fit and CLI dataset outputs
+alike), a copy whose color mixer is off by one ulp is caught, and
+``--allow`` lets one named output differ."""
 
 import io
 import os
@@ -56,6 +56,8 @@ def test_head_against_itself_is_identical(head_src):
     assert "cli.bias-demo.hierarchical.stdout: [1] identical" in run.stdout
     assert "cli.generate.view_0_mask.pgm: [1] identical" in run.stdout
     assert "scenegen.box.seed0.surface_distance0: [1] identical" in run.stdout
+    for name in ("own.attributes", "negative_zero_amplitude.types", "zero_last_width.error"):
+        assert f"with_params.all.seed0.{name}: [1] identical" in run.stdout
     assert "fit_bench.view2.sample_observations: [1] identical" in run.stdout
     assert "fit_bench.view1.sample_observations.boundary: [1] identical" in run.stdout
     assert "fit_bench.loss_gradient: [1] identical" in run.stdout

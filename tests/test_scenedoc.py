@@ -181,6 +181,27 @@ class TestValidation:
         with pytest.raises(SceneFormatError):
             doc_to_scene(doc)
 
+    @pytest.mark.parametrize("key,value,words", [
+        ("width", "8", "width must be an integer"), ("width", True, "width must be an integer"),
+        ("width", 8.9, "width must be an integer"), ("width", 8.0, "width must be an integer"),
+        ("height", False, "height must be an integer"), ("height", None, "height must be an integer"),
+        ("vertical_fov", "0.8", "vertical_fov must be a number"),
+        ("vertical_fov", True, "vertical_fov must be a number"),
+        ("vertical_fov", None, "vertical_fov must be a number"),
+        ("position", ["4.6", "0", "2.4"], "position entry must be a number"),
+        ("position", [True, False, True], "position entry must be a number"),
+        ("look_at", [0, "0", 0.5], "look_at entry must be a number"),
+        ("up", [0, 0, True], "up entry must be a number"), ("up", [0.0, 0.0, [1.0]], "up entry must be a number"),
+    ])
+    def test_camera_values_must_be_json_numbers(self, key, value, words):
+        """Width and height are JSON integers, the field of view and every
+        vector entry JSON numbers: no strings, booleans or fractions."""
+        doc = scene_to_doc(two_blob_demo_scene(),
+                           camera=Camera(position=(4.6, 0, 2.4), look_at=(0, 0, 0.5), width=8, height=8))
+        doc["camera"][key] = value
+        with pytest.raises(SceneFormatError, match=f"^camera block: {words}, got "):
+            doc_to_scene(doc)
+
     def test_bad_quadrature_block(self):
         doc = scene_to_doc(two_blob_demo_scene(), quadrature=QuadratureConfig(seed=0))
         doc["quadrature"]["n_coarse"] = "many"

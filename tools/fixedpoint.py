@@ -31,6 +31,9 @@ under that tree and under ``--src`` (default: this checkout's ``src/``), at
   ``total_loss`` and ``loss_gradient`` on the observations; for the first
   seed of the mix of every kind, also ``sample_observations`` at few
   panels per ray (short march windows);
+- on the same generated scenes, ``CompositeScene.with_params`` for the
+  scene's own parameters and for edge vectors (NaN, -0.0, zero widths): the
+  rebuilt attributes with their types, or the error's type and message;
 - the fit benchmark's batches: ``sample_observations`` of a generated scene
   of 8 objects (3 blobs, 3 spheres, 2 boxes) and the ground, 9 components,
   on each view of the 3-view rig, plain and with ``censored="boundary"``
@@ -331,13 +334,17 @@ def _cli_render(rf, p: dict, out: dict) -> None:
         _files(out, "cli.render", render_dir)
 
 
+def _gen_config(rf, mix: str, p: dict):
+    """The scene generator's settings for one object-kind mix."""
+    return rf.SceneGenConfig(kinds=KIND_MIXES[mix], n_objects_max=6, resolution=p["gen_resolution"], checker_size=0.5)
+
+
 def _generated(rf, mix: str, p: dict, out: dict) -> None:
     """The generated scenes of one object-kind mix, per seed."""
     from rayfields import scenegen
 
     loss_config = rf.LossConfig(n_free_samples=3)
-    config = rf.SceneGenConfig(kinds=KIND_MIXES[mix], n_objects_max=6, resolution=p["gen_resolution"],
-                               checker_size=0.5)
+    config = _gen_config(rf, mix, p)
     for seed in p["gen_seeds"]:
         tag = f"scenegen.{mix}.seed{seed}"
         scene, meta = rf.sample_scene(config, np.random.default_rng(seed))
@@ -359,6 +366,42 @@ def _generated(rf, mix: str, p: dict, out: dict) -> None:
         total, breakdown = rf.total_loss(scene, observations, 3, loss_config, rng=seed)
         out[f"{tag}.total_loss"] = np.array([total, *breakdown.values()])
         out[f"{tag}.loss_gradient"] = rf.loss_gradient(scene, observations, 3, loss_config, rng=seed)
+
+
+def _with_params(rf, p: dict, out: dict) -> None:
+    """``CompositeScene.with_params`` on the generated scene of every mix and
+    seed, for its own parameter vector and for edge vectors: a NaN first, -0.0
+    in the first width, amplitude and last color slot, a zero first and last
+    width, and a zero first width after a NaN last.  An accepted vector gives
+    every rebuilt component attribute (as float64, in name order) and the
+    attributes' kinds, names and types; a rejected one its error's type and
+    message."""
+    for mix in KIND_MIXES:
+        for seed in p["gen_seeds"]:
+            scene, _ = rf.sample_scene(_gen_config(rf, mix, p), np.random.default_rng(seed))
+            base = scene.params()
+            domains = [domain for comp in scene.components for _, size, domain in comp.layout for _ in range(size)]
+            width, last_width = domains.index("width"), len(domains) - 1 - domains[::-1].index("width")
+            edits = {"own": {}, "nan": {0: np.nan}, "negative_zero_width": {width: -0.0},
+                     "negative_zero_amplitude": {domains.index("nonneg"): -0.0},
+                     "negative_zero_color": {len(base) - 1: -0.0}, "zero_width": {width: 0.0},
+                     "zero_last_width": {last_width: 0.0}, "nan_last_zero_width": {len(base) - 1: np.nan, width: 0.0}}
+            for case, edit in edits.items():
+                vector = base.copy()
+                for at, value in edit.items():
+                    vector[at] = value
+                tag = f"with_params.{mix}.seed{seed}.{case}"
+                try:
+                    rebuilt = scene.with_params(vector)
+                except ValueError as exc:
+                    out[f"{tag}.error"] = np.frombuffer(f"{type(exc).__name__}: {exc}".encode(), dtype=np.uint8)
+                    continue
+                attributes = [(comp.kind, name, value) for comp in rebuilt.components
+                              for name, value in sorted(vars(comp).items())]
+                out[f"{tag}.attributes"] = np.concatenate([np.asarray(value, dtype=np.float64).ravel()
+                                                           for _, _, value in attributes])
+                types = " ".join(f"{kind}.{name}:{type(value).__name__}" for kind, name, value in attributes)
+                out[f"{tag}.types"] = np.frombuffer(types.encode(), dtype=np.uint8)
 
 
 def _cli_dataset(p: dict, out: dict) -> None:
@@ -395,6 +438,7 @@ def _manifest(rf, p: dict) -> list:
                ("cli.bias-demo", lambda out: _cli_bias_demo(p, out)),
                ("cli.render", lambda out: _cli_render(rf, p, out))]
     groups += [(f"scenegen.{mix}", lambda out, mix=mix: _generated(rf, mix, p, out)) for mix in KIND_MIXES]
+    groups.append(("with_params", lambda out: _with_params(rf, p, out)))
     groups += [("fit_bench", lambda out: _fit_bench(rf, *p["fit_bench"], out)),
                ("fit_bench.fit", lambda out: _fit_bench_fit(rf, *p["fit_bench"], out)),
                ("cli.dataset", lambda out: _cli_dataset(p, out))]
