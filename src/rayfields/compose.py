@@ -350,6 +350,7 @@ class _MergedField(Field):
     """A scene flattened into a single field (summed density, mixed color)."""
 
     kind = "merged"
+    sigma_max = None
 
     def __init__(self, scene: CompositeScene):
         self._scene = scene

@@ -14,7 +14,7 @@ import numpy as np
 from . import transport
 from ._threads import block_rows, chunked_row_map
 from .fields import PiecewiseConstantRayField
-from .geometry import Ray
+from .geometry import Ray, _check_integer
 from .transport import QuadratureConfig
 
 __all__ = [
@@ -55,20 +55,6 @@ def _slab_color_reference(field: PiecewiseConstantRayField, t_far: float) -> flo
     return float(full.color[0] / alpha)
 
 
-def _check_plain_batch(batch: dict, t_fars: np.ndarray) -> None:
-    """The checks ``RaySamples`` makes on explicit samples, on every ray of a
-    coarse-only batch, in its order: depths strictly increasing, densities
-    >= 0 and widths > 0, densities finite.  Its finiteness checks of depths,
-    widths and colors are left out: the batch rejects non-finite points, and
-    the slab field non-finite colors."""
-    if np.any(np.diff(batch["t"], axis=0) <= 0):
-        raise ValueError("sample depths must be strictly increasing")
-    if np.any(batch["sigma"] < 0) or np.any(transport._ownership_deltas(batch["t"], t_fars) <= 0):
-        raise ValueError("densities must be >= 0 and widths > 0")
-    if not np.all(np.isfinite(batch["sigma"])):
-        raise ValueError("sigma must be finite")
-
-
 def stratified_bias_demo(k: int = 50, n_trials: int = 10_000, seed: int = 0,
                          hierarchical: bool = False) -> dict:
     """Measure the stratified color estimator on the slab field.
@@ -84,7 +70,7 @@ def stratified_bias_demo(k: int = 50, n_trials: int = 10_000, seed: int = 0,
     pool, joined in order.  Each trial's draws and result depend on it alone,
     so the output depends on neither the block size nor the worker count.
     """
-    transport._check_integer(n_trials, "n_trials", 2)
+    _check_integer(n_trials, "n_trials", 2)
     field = slab_demo_field()
     ray = slab_demo_ray()
     reference = _slab_color_reference(field, ray.t_far)
@@ -99,8 +85,9 @@ def stratified_bias_demo(k: int = 50, n_trials: int = 10_000, seed: int = 0,
         t_fars = np.full(n, ray.t_far)
         batch = transport._render_batch(field, np.tile(ray.origin, (n, 1)), np.tile(ray.direction, (n, 1)),
                                         t_fars, quad, (u_coarse, u_fine))
-        if not hierarchical:
-            _check_plain_batch(batch, t_fars)
+        if not hierarchical:  # the checks explicit samples pass, on every trial's samples
+            transport._check_samples(batch["t"], batch["sigma"], None,
+                                     transport._ownership_deltas(batch["t"], t_fars))
         ts = batch["t"]
         return batch["color"][:, 0], ~np.any((ts >= 50.0) & (ts <= 51.0), axis=0)
 

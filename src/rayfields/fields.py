@@ -7,15 +7,18 @@ a parameter vector, laid out by its ``layout`` table, so optimizers can treat
 scenes as plain arrays.  A kind with one color everywhere reports it as a
 single (3,) row, which callers broadcast instead of copying per point.
 
-The layout is a kind's one description of its parameters.  Color offsets and
-the constant-color kinds' density indices are read off it, and each group
-names a domain in ``_DOMAINS``, which holds what a constructor requires
-beyond finiteness and the box the fitter projects into.  A scene's vector is
-laid out once per tuple of kinds (``_scene_layout``), for the scene's rebuild,
-the fitter's box and the loss gradient's slots.  Colors need only be
-finite, as they are clipped where read.  ``checker_size`` takes any finite
-value (a cell <= 0 draws no checker) but is boxed to [0, inf): a ">= 0" rule
-would reject the step below 0 that ``fitting.finite_diff_gradient`` takes.
+The layout is a kind's one description of its parameters: it declares the
+kind's dataclass fields, and ``Field.__init_subclass__`` compiles it once per
+kind into the vector size and each group's span.  Color offsets (the starts
+of the unit groups) and the constant-color kinds' density indices are read
+off it, and each group names a domain in ``_DOMAINS``, which holds what a
+constructor requires beyond finiteness and the box the fitter projects
+into.  A scene's vector is laid out once per tuple of kinds
+(``_scene_layout``), for the scene's rebuild, the fitter's box and the loss
+gradient's slots.  Colors need only be finite, as they are clipped where
+read.  ``checker_size`` takes any finite value (a cell <= 0 draws no
+checker) but is boxed to [0, inf): a ">= 0" rule would reject the step
+below 0 that ``fitting.finite_diff_gradient`` takes.
 
 The differentiable kinds supply closed-form density gradients as rows: each
 names the parameters its density depends on (``density_params``) and
@@ -108,7 +111,8 @@ def _scalar(v, name):
 
 
 # Per domain: the test a constructor puts to a group's least value beyond
-# finiteness (None: none), its words in an error, and the fitter's box.
+# finiteness (None: none), its words in an error, and the fitter's box.  A unit
+# group is a color: its start is one of the kind's ``color_offsets``.
 _DOMAINS = {
     "free": (None, "finite", (-math.inf, math.inf)),
     "width": (lambda least: least > 0, "positive", (1e-3, math.inf)),
@@ -116,12 +120,6 @@ _DOMAINS = {
     "unit": (None, "finite", (0.0, 1.0)),
     "cell": (None, "finite", (0.0, math.inf)),  # checker_size; see the module docstring
 }
-
-
-def _starts(layout, *groups: str) -> list[int]:
-    """Index of the first parameter of each group in a vector laid out by ``layout``."""
-    names = [name for name, _, _ in layout]
-    return [sum(size for _, size, _ in layout[: names.index(group)]) for group in groups]
 
 
 # A scene's parameter vector: its size, each component's (start, end), the slots of each
@@ -136,8 +134,8 @@ def _scene_layout(kinds: tuple[type, ...]) -> _SceneLayout | None:
     ``kinds``, shared by every call; None if a kind has no ``layout``."""
     if not all(kind.layout for kind in kinds):
         return None
-    starts = np.cumsum([0] + [sum(size for _, size, _ in kind.layout) for kind in kinds]).tolist()
-    domains = [domain for kind in kinds for _, size, domain in kind.layout for _ in range(size)]
+    starts = np.cumsum([0] + [kind._size for kind in kinds]).tolist()
+    domains = [domain for kind in kinds for _, start, stop, domain in kind._spans for _ in range(start, stop)]
     rules = [(np.flatnonzero(np.equal(domains, d)), test) for d, (test, _, _) in _DOMAINS.items() if test]
     arrays = (np.array([_DOMAINS[d][2] for d in domains]).T,
               np.concatenate([at + np.array(kind.density_params, dtype=int) for kind, at in zip(kinds, starts)]),
@@ -282,9 +280,16 @@ class Field(_PointQueries):
 
     kind: ClassVar[str]
     # Parameter groups in vector order: (attribute, size, domain), each domain
-    # a key of ``_DOMAINS``.  A kind without a layout checks its own fields and
+    # a key of ``_DOMAINS``.  The layout declares the kind's dataclass fields:
+    # one per group (a float for size 1, else an array), then ``sigma_max``.
+    # A kind without a layout declares and checks its own fields and
     # overrides params/with_params.
     layout: ClassVar[tuple[tuple[str, int, str], ...]] = ()
+    # Compiled from ``layout``: the vector size and each group's
+    # (attribute, start, stop, domain); the starts of the unit groups.
+    _size: ClassVar[int] = 0
+    _spans: ClassVar[tuple[tuple[str, int, int, str], ...]] = ()
+    color_offsets: ClassVar[tuple[int, ...]]
     # Indices of the parameters the density depends on, in the order of the
     # rows ``_raw_density_rows`` returns; every other parameter's density
     # derivative is exactly 0.
@@ -292,6 +297,22 @@ class Field(_PointQueries):
     # Object kinds: xy bounding-circle radius, per unit size, of an object
     # built by ``on_footprint``; None for a kind not placed as an object.
     footprint_radius: ClassVar[float | None] = None
+    sigma_max: float | None
+
+    def __init_subclass__(cls, **kwargs):
+        """Compile a kind's own ``layout``: write its dataclass annotations
+        (before the kind's ``@dataclass`` runs) and its class data."""
+        super().__init_subclass__(**kwargs)
+        if "layout" not in vars(cls):
+            return
+        stops = np.cumsum([size for _, size, _ in cls.layout]).tolist()
+        cls._spans = tuple((name, stop - size, stop, domain)
+                           for (name, size, domain), stop in zip(cls.layout, stops))
+        cls._size = stops[-1]
+        cls.color_offsets = tuple(start for _, start, _, domain in cls._spans if domain == "unit")
+        cls.__annotations__.update({name: "float" if size == 1 else "np.ndarray" for name, size, _ in cls.layout})
+        cls.__annotations__["sigma_max"] = "float | None"
+        cls.sigma_max = DEFAULT_SIGMA_MAX
 
     def __post_init__(self):
         """Store each layout group, checked by its domain's rule, then the cap (``width`` rule)."""
@@ -326,14 +347,13 @@ class Field(_PointQueries):
 
     @property
     def n_params(self) -> int:
-        return sum(size for _, size, _ in self.layout) or self.params().shape[0]
+        return self._size or self.params().shape[0]
 
     def params(self) -> np.ndarray:
         """Flat parameter vector; ``with_params`` inverts it."""
-        out, at = np.empty(self.n_params), 0
-        for name, size, _ in self.layout:
-            out[at : at + size] = getattr(self, name)
-            at += size
+        out = np.empty(self._size)
+        for name, start, stop, _ in self._spans:
+            out[start:stop] = getattr(self, name)
         return out
 
     def with_params(self, vector: np.ndarray) -> "Field":
@@ -352,21 +372,15 @@ class Field(_PointQueries):
         """Attribute values of a parameter vector laid out by ``layout``;
         only its shape is checked here, each group by ``__post_init__``."""
         v = np.asarray(vector, dtype=np.float64)
-        size = sum(size for _, size, _ in cls.layout)
-        if v.shape != (size,):
-            raise ValueError(f"params must have shape {(size,)}, got {v.shape}")
-        groups, at = {}, 0
-        for name, size, _ in cls.layout:
-            groups[name] = float(v[at]) if size == 1 else v[at : at + size]
-            at += size
-        return groups
+        if v.shape != (cls._size,):
+            raise ValueError(f"params must have shape {(cls._size,)}, got {v.shape}")
+        return {name: float(v[start]) if stop - start == 1 else v[start:stop] for name, start, stop, _ in cls._spans}
 
     def _cap(self, raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``raw`` capped at ``sigma_max``, written into ``out`` when given
         (else into a fresh array, or ``raw`` itself without a cap)."""
-        sigma_max = getattr(self, "sigma_max", None)
-        if sigma_max is not None:
-            return np.minimum(raw, sigma_max, out=out)
+        if self.sigma_max is not None:
+            return np.minimum(raw, self.sigma_max, out=out)
         if out is None:
             return raw
         out[...] = raw
@@ -402,11 +416,8 @@ class Field(_PointQueries):
 class _ConstantColorField(Field):
     """A kind with one color everywhere: its ``color`` group, after every density parameter."""
 
-    color_offsets: ClassVar[tuple[int]]
-
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls.color_offsets = tuple(_starts(cls.layout, "color"))
         cls.density_params = tuple(range(cls.color_offsets[0]))
 
     def _raw_density(self, pts):
@@ -417,19 +428,11 @@ class _ConstantColorField(Field):
 
 @dataclass(frozen=True)
 class GaussianBlobField(_ConstantColorField):
-    """Anisotropic Gaussian density bump with one constant color.
-
-    Params: [center(3), scale(3), amplitude, color(3)].
-    """
+    """Anisotropic Gaussian density bump with one constant color."""
 
     kind: ClassVar[str] = "gaussian_blob"
     footprint_radius = 1.0
     layout = (("center", 3, "free"), ("scale", 3, "width"), ("amplitude", 1, "nonneg"), ("color", 3, "unit"))
-    center: np.ndarray
-    scale: np.ndarray
-    amplitude: float
-    color: np.ndarray
-    sigma_max: float | None = DEFAULT_SIGMA_MAX
 
     def _parts(self, pts, in_place=False):
         """Scaled offsets u (3, N) and the unit bump exp(-|u|^2 / 2) (N,);
@@ -466,21 +469,12 @@ class GaussianBlobField(_ConstantColorField):
 
 @dataclass(frozen=True)
 class SoftSphereField(_ConstantColorField):
-    """Sigmoid-edged solid sphere.
-
-    Params: [center(3), radius, softness, amplitude, color(3)].
-    """
+    """Sigmoid-edged solid sphere."""
 
     kind: ClassVar[str] = "soft_sphere"
     footprint_radius = 1.0
     layout = (("center", 3, "free"), ("radius", 1, "width"), ("softness", 1, "width"),
               ("amplitude", 1, "nonneg"), ("color", 3, "unit"))
-    center: np.ndarray
-    radius: float
-    softness: float
-    amplitude: float
-    color: np.ndarray
-    sigma_max: float | None = DEFAULT_SIGMA_MAX
 
     def _parts(self, pts, in_place=False):
         """Offsets (3, N), distance r (N,) and the edge sigmoid (N,);
@@ -519,21 +513,12 @@ class SoftSphereField(_ConstantColorField):
 
 @dataclass(frozen=True)
 class SoftBoxField(_ConstantColorField):
-    """Axis-aligned box with sigmoid-softened faces.
-
-    Params: [center(3), half_size(3), softness, amplitude, color(3)].
-    """
+    """Axis-aligned box with sigmoid-softened faces."""
 
     kind: ClassVar[str] = "soft_box"
     footprint_radius = math.sqrt(2.0)
     layout = (("center", 3, "free"), ("half_size", 3, "width"), ("softness", 1, "width"),
               ("amplitude", 1, "nonneg"), ("color", 3, "unit"))
-    center: np.ndarray
-    half_size: np.ndarray
-    softness: float
-    amplitude: float
-    color: np.ndarray
-    sigma_max: float | None = DEFAULT_SIGMA_MAX
 
     def _parts(self, pts, in_place=False):
         """Offsets (3, N), face coordinates q (3, N), their sigmoids s
@@ -579,25 +564,13 @@ class GroundPlaneField(Field):
     when ``checker_size`` > 0); the dome, a filled shell outside radius
     ``dome_radius``, takes ``dome_color``.  A dome radius beyond every ray's
     cutoff makes the dome invisible.
-
-    Params: [softness, amplitude, color_a(3), color_b(3), checker_size,
-    dome_radius, dome_color(3)].
     """
 
     kind: ClassVar[str] = "ground_plane"
     layout = (("softness", 1, "width"), ("amplitude", 1, "nonneg"), ("color_a", 3, "unit"),
               ("color_b", 3, "unit"), ("checker_size", 1, "cell"), ("dome_radius", 1, "width"),
               ("dome_color", 3, "unit"))
-    color_offsets = tuple(_starts(layout, "color_a", "color_b", "dome_color"))
     density_params = (0, 1, 9)  # softness, amplitude, dome_radius
-    softness: float
-    amplitude: float
-    color_a: np.ndarray
-    color_b: np.ndarray
-    checker_size: float
-    dome_radius: float
-    dome_color: np.ndarray
-    sigma_max: float | None = DEFAULT_SIGMA_MAX
 
     def _parts(self, pts, in_place=False):
         """Plane sigmoid (N,), distance rho from the origin (N,) and dome

@@ -23,8 +23,8 @@ import numpy as np
 
 from .compose import CompositeScene
 from .fields import _scalar, _scene_layout
+from .geometry import _check_integer
 from .losses import LossConfig, _as_batch, _loss_eval
-from .transport import _check_integer
 
 __all__ = [
     "FitConfig",

@@ -5,6 +5,7 @@ their half-maximum surfaces."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,8 +27,21 @@ GROUND_CLIP_Z = -0.1
 _UNIT_TOL = 1e-9
 
 
+def _check_integer(value, what: str, minimum: int) -> None:
+    """Reject a bool or a non-integer (NumPy integers pass) with TypeError
+    and an integer below ``minimum`` with ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{what} must be >= {minimum}, got {value}")
+
+
 def _vec3(v, name: str) -> np.ndarray:
-    a = np.asarray(v, dtype=np.float64)
+    """``v`` as a finite float (3,) array; only integer and float arrays convert."""
+    a = np.asarray(v)
+    if a.dtype.kind not in "iuf":
+        raise TypeError(f"{name} must hold integers or floats, got dtype {a.dtype}")
+    a = a.astype(np.float64, copy=False)
     if a.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -85,11 +99,13 @@ class Camera:
         object.__setattr__(self, "position", _vec3(self.position, "position"))
         object.__setattr__(self, "look_at", _vec3(self.look_at, "look_at"))
         object.__setattr__(self, "up", _vec3(self.up, "up"))
+        _check_integer(self.width, "width", 1)
+        _check_integer(self.height, "height", 1)
         object.__setattr__(self, "width", int(self.width))
         object.__setattr__(self, "height", int(self.height))
+        if isinstance(self.vertical_fov, bool) or not isinstance(self.vertical_fov, numbers.Real):
+            raise TypeError(f"vertical_fov must be a number, got {self.vertical_fov!r}")
         object.__setattr__(self, "vertical_fov", float(self.vertical_fov))
-        if self.width < 1 or self.height < 1:
-            raise ValueError("image dimensions must be positive")
         if not 0.0 < self.vertical_fov < math.pi:
             raise ValueError("vertical_fov must lie in (0, pi)")
         if np.allclose(self.position, self.look_at):

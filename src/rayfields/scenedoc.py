@@ -120,13 +120,6 @@ def _number(value, what: str) -> float:
     return float(value)
 
 
-def _integer(value, what: str) -> int:
-    """A JSON integer; strings, booleans and floats are not integers."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SceneFormatError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def _require(doc: dict, key: str):
     if key not in doc:
         raise SceneFormatError(f"scene document is missing {key!r}")
@@ -175,9 +168,9 @@ def doc_to_scene(doc: dict) -> SceneDocument:
             camera = Camera(
                 position=[_number(v, "position entry") for v in cb["position"]],
                 look_at=[_number(v, "look_at entry") for v in cb["look_at"]],
-                width=_integer(cb["width"], "width"),
-                height=_integer(cb["height"], "height"),
-                vertical_fov=_number(cb.get("vertical_fov", Camera.vertical_fov), "vertical_fov"),
+                width=cb["width"],
+                height=cb["height"],
+                vertical_fov=cb.get("vertical_fov", Camera.vertical_fov),
                 up=[_number(v, "up entry") for v in cb.get("up", (0.0, 0.0, 1.0))],
             )
             # Commands render the rig's views of this camera: each needs a frame.
@@ -195,9 +188,9 @@ def doc_to_scene(doc: dict) -> SceneDocument:
             if not isinstance(stratified, bool):
                 raise SceneFormatError(f"stratified must be true or false, got {stratified!r}")
             quadrature = QuadratureConfig(
-                n_coarse=_integer(qb["n_coarse"], "n_coarse"),
-                n_fine=_integer(qb["n_fine"], "n_fine"),
-                seed=_integer(qb.get("seed", 0), "seed"),
+                n_coarse=qb["n_coarse"],
+                n_fine=qb["n_fine"],
+                seed=qb.get("seed", 0),
                 stratified=stratified,
             )
         except (KeyError, ValueError, TypeError) as exc:

@@ -20,9 +20,9 @@ import numpy as np
 from ._threads import block_rows, chunked_row_map
 from .compose import CompositeScene, render_ray_grid
 from .fields import DEFAULT_SIGMA_MAX, FIELD_KINDS, HALF_MAX_RADIUS, Field, GroundPlaneField
-from .geometry import Camera, RayGrid, pinhole_rays
+from .geometry import Camera, RayGrid, _check_integer, pinhole_rays
 from .losses import RgbdBatch
-from .transport import QuadratureConfig, _check_integer, _panels
+from .transport import QuadratureConfig, _panels
 
 __all__ = [
     "HALF_MAX_RADIUS",

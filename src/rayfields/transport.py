@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fields import PiecewiseConstantRayField, _check_points, _density_total, _total
-from .geometry import Ray, ray_at
+from .geometry import Ray, _check_integer, ray_at
 
 __all__ = [
     "EMPTY_WEIGHT_EPS",
@@ -68,15 +68,6 @@ __all__ = [
 EMPTY_WEIGHT_EPS = 1e-6
 
 
-def _check_integer(value, what: str, minimum: int) -> None:
-    """Reject a bool or a non-integer (NumPy integers pass) with TypeError
-    and an integer below ``minimum`` with ValueError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{what} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{what} must be >= {minimum}, got {value}")
-
-
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Sample counts and RNG seed for ray integration."""
@@ -94,6 +85,19 @@ class QuadratureConfig:
             raise TypeError(f"stratified must be a bool, got {self.stratified!r}")
 
 
+def _check_samples(t, sigma, color, delta) -> None:
+    """The checks explicit samples pass, over the sample axis (axis 0):
+    depths strictly increasing, densities >= 0 and widths > 0, then each of
+    t, sigma, color (when given) and delta finite."""
+    if np.any(np.diff(t, axis=0) <= 0):
+        raise ValueError("sample depths must be strictly increasing")
+    if np.any(sigma < 0) or np.any(delta <= 0):
+        raise ValueError("densities must be >= 0 and widths > 0")
+    for name, val in (("t", t), ("sigma", sigma), ("color", color), ("delta", delta)):
+        if val is not None and not np.all(np.isfinite(val)):
+            raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class RaySamples:
     """Field evaluations at increasing depths with ownership interval widths."""
@@ -108,18 +112,12 @@ class RaySamples:
         sigma = np.asarray(self.sigma, dtype=np.float64)
         color = np.asarray(self.color, dtype=np.float64)
         delta = np.asarray(self.delta, dtype=np.float64)
-        k = t.shape[0]
-        if t.ndim != 1 or k < 1:
+        if t.ndim != 1 or t.shape[0] < 1:
             raise ValueError("t must be a non-empty 1-D array")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("sample depths must be strictly increasing")
+        k = t.shape[0]
         if sigma.shape != (k,) or delta.shape != (k,) or color.shape != (k, 3):
             raise ValueError("sigma/delta must be (k,) and color (k, 3)")
-        if np.any(sigma < 0) or np.any(delta <= 0):
-            raise ValueError("densities must be >= 0 and widths > 0")
-        for name, val in (("t", t), ("sigma", sigma), ("color", color), ("delta", delta)):
-            if not np.all(np.isfinite(val)):
-                raise ValueError(f"{name} must be finite")
+        _check_samples(t, sigma, color, delta)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "color", color)

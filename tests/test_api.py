@@ -37,16 +37,33 @@ def test_sample_observations_options():
     assert list(params) == ["scene", "grid", "seed", "n_panels", "depth_offset", "censored"]
 
 
+# Each kind's constructor, pinned: positional construction depends on the
+# names, order, types and default of the fields its layout declares.
+SIGNATURES = {
+    "gaussian_blob": "(center: 'np.ndarray', scale: 'np.ndarray', amplitude: 'float', color: 'np.ndarray', "
+                     "sigma_max: 'float | None' = 10.0) -> None",
+    "soft_sphere": "(center: 'np.ndarray', radius: 'float', softness: 'float', amplitude: 'float', "
+                   "color: 'np.ndarray', sigma_max: 'float | None' = 10.0) -> None",
+    "soft_box": "(center: 'np.ndarray', half_size: 'np.ndarray', softness: 'float', amplitude: 'float', "
+                "color: 'np.ndarray', sigma_max: 'float | None' = 10.0) -> None",
+    "ground_plane": "(softness: 'float', amplitude: 'float', color_a: 'np.ndarray', color_b: 'np.ndarray', "
+                    "checker_size: 'float', dome_radius: 'float', dome_color: 'np.ndarray', "
+                    "sigma_max: 'float | None' = 10.0) -> None",
+}
+
+
 @pytest.mark.parametrize("cls", fields.FIELD_KINDS.values(), ids=lambda cls: cls.kind)
 def test_field_kind_follows_its_layout(cls):
+    assert str(inspect.signature(cls)) == SIGNATURES[cls.kind]
     names = [f.name for f in dataclasses.fields(cls) if f.name != "sigma_max"]
     assert [name for name, _, _ in cls.layout] == names
     assert {domain for _, _, domain in cls.layout} <= set(fields._DOMAINS)
     domain_of = [domain for _, size, domain in cls.layout for _ in range(size)]
+    assert fields.field_from_params(cls.kind, [1.0] * len(domain_of)).n_params == len(domain_of)
     starts = [sum(size for _, size, _ in cls.layout[:i]) for i in range(len(cls.layout))]
-    color_starts = {at for at, (_, size, domain) in zip(starts, cls.layout) if domain == "unit" and size == 3}
-    offsets = [int(at) for at in getattr(cls, "color_offsets", [getattr(cls, "color_offset", -1)])]
-    assert offsets and set(offsets) <= color_starts
+    color_starts = [at for at, (_, size, domain) in zip(starts, cls.layout) if domain == "unit" and size == 3]
+    assert color_starts and cls.color_offsets == tuple(color_starts)
+    assert all(type(at) is int for at in cls.color_offsets)
     assert len(set(cls.density_params)) == len(cls.density_params)
     assert set(cls.density_params) <= set(range(len(domain_of)))
     assert all(domain_of[i] != "unit" for i in cls.density_params)

@@ -32,6 +32,16 @@ class TestRay:
         with pytest.raises(ValueError, match="finite"):
             Ray((np.inf, 0, 0), (1, 0, 0), 1.0)
 
+    @pytest.mark.parametrize("origin", [("1", "0", "0"), (True, False, True), np.array([1, 0, 0], dtype=object),
+                                        np.ones(3, dtype=complex)])
+    def test_vectors_must_hold_integers_or_floats(self, origin):
+        with pytest.raises(TypeError, match="^origin must hold integers or floats, got dtype "):
+            Ray(origin, (1, 0, 0), 1.0)
+
+    @pytest.mark.parametrize("origin", [(1, 0, 0), np.array([1, 0, 0], dtype=np.uint8), np.ones(3, np.float32)])
+    def test_integer_and_float_vectors_convert(self, origin):
+        assert Ray(origin, (1, 0, 0), 1.0).origin.dtype == np.float64
+
 
 class TestCamera:
     def test_basis_is_orthonormal(self):
@@ -50,6 +60,31 @@ class TestCamera:
     def test_field_of_view_bounds(self):
         with pytest.raises(ValueError, match="vertical_fov"):
             Camera(position=(1, 0, 0), look_at=(0, 0, 0), width=4, height=4, vertical_fov=math.pi)
+
+    @pytest.mark.parametrize("kwargs,error,words", [
+        ({"width": 8.9}, TypeError, "width must be an integer, got 8.9"),
+        ({"width": 8.0}, TypeError, "width must be an integer"),
+        ({"width": True}, TypeError, "width must be an integer, got True"),
+        ({"height": "8"}, TypeError, "height must be an integer, got '8'"),
+        ({"width": 0}, ValueError, "width must be >= 1, got 0"),
+        ({"height": np.int64(-2)}, ValueError, "height must be >= 1, got -2"),
+        ({"vertical_fov": "0.8"}, TypeError, "vertical_fov must be a number, got '0.8'"),
+        ({"vertical_fov": True}, TypeError, "vertical_fov must be a number"),
+        ({"vertical_fov": np.bool_(True)}, TypeError, "vertical_fov must be a number"),
+        ({"vertical_fov": None}, TypeError, "vertical_fov must be a number"),
+        ({"position": ("4.6", "0", "2.4")}, TypeError, "position must hold integers or floats"),
+        ({"up": (False, False, True)}, TypeError, "up must hold integers or floats"),
+    ])
+    def test_rejects_what_it_would_coerce(self, kwargs, error, words):
+        base = {"position": (4.6, 0, 2.4), "look_at": (0, 0, 0.5), "width": 8, "height": 8}
+        with pytest.raises(error, match=f"^{words}"):
+            Camera(**{**base, **kwargs})
+
+    def test_numpy_numbers_are_stored_as_python_numbers(self):
+        cam = Camera(position=(4.6, 0, 2.4), look_at=(0, 0, 0.5), width=np.int32(8), height=np.uint16(6),
+                     vertical_fov=np.float32(0.5))
+        assert (type(cam.width), type(cam.height), type(cam.vertical_fov)) == (int, int, float)
+        assert (cam.width, cam.height, cam.vertical_fov) == (8, 6, float(np.float32(0.5)))
 
 
 class TestPinholeRays:

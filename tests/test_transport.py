@@ -466,6 +466,12 @@ class TestRaySamplesValidation:
         assert hierarchical_render(_constant_field(0.5), X_RAY, quad).t.shape == (8,)
 
 
+@pytest.mark.parametrize("t", [1.0, [], [[1.0]]])
+def test_ray_samples_need_one_dimensional_depths(t):
+    with pytest.raises(ValueError, match="t must be a non-empty 1-D array"):
+        RaySamples(t=t, sigma=[1.0], color=[(1, 1, 1)], delta=[1.0])
+
+
 def _render_bytes(result):
     return {k: np.asarray(v).tobytes() for k, v in vars(result).items()}
 
