@@ -45,7 +45,7 @@ from . import transport
 from ._threads import block_rows, chunked_row_map
 from .fields import (Field, UnsupportedGradient, _channel_rows, _check_points, _density_total, _PointQueries,
                      _scene_layout, _total)
-from .geometry import Ray, RayGrid, ray_at
+from .geometry import Ray, RayGrid, _real, ray_at
 from .transport import EMPTY_WEIGHT_EPS, QuadratureConfig, RenderResult, _sum_samples
 
 __all__ = [
@@ -109,9 +109,9 @@ class CompositeScene(_PointQueries):
         if not all(isinstance(c, Field) for c in comps):
             raise TypeError("components must be Field instances")
         object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "t_far", float(self.t_far))
-        if not 0 < self.t_far < np.inf:
-            raise ValueError("t_far must be positive and finite")
+        object.__setattr__(self, "t_far", _real(self.t_far, "t_far"))
+        if not self.t_far > 0:
+            raise ValueError("t_far must be positive")
 
     @property
     def n(self) -> int:
@@ -164,12 +164,12 @@ class CompositeScene(_PointQueries):
 
     def with_params(self, vector) -> "CompositeScene":
         """The scene with parameters ``vector``, checked once, whole, against the scene's layout
-        (shape, finiteness, each domain rule); if it passes, each component is built from its span
+        (float64, shape, finiteness, each domain rule); if it passes, each component is built from its span
         unchecked.  Else, or with a kind that has no layout, each component's ``with_params`` runs
         in turn, so the first failing constructor's error is raised."""
-        v = np.asarray(vector, dtype=np.float64)
+        v = np.asarray(vector)
         layout = _scene_layout(tuple(map(type, self.components)))
-        if (layout is not None and v.shape == (layout.size,) and np.isfinite(v).all()
+        if (layout is not None and v.dtype == np.float64 and v.shape == (layout.size,) and np.isfinite(v).all()
                 and all(test(v[slots]).all() for slots, test in layout.rules)):
             spans = zip(self.components, layout.spans)
             return CompositeScene(tuple(c._with_checked_params(v[a:b]) for c, (a, b) in spans), self.t_far)

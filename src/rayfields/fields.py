@@ -64,7 +64,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .geometry import _hit_box, _hit_ellipsoid, _smallest_positive_root
+from .geometry import _hit_box, _hit_ellipsoid, _real, _smallest_positive_root
 
 __all__ = [
     "DEFAULT_SIGMA_MAX",
@@ -92,22 +92,6 @@ HALF_MAX_RADIUS = math.sqrt(2.0 * math.log(2.0))
 
 class UnsupportedGradient(TypeError):
     """Raised when parameter gradients are requested from a non-differentiable kind."""
-
-
-def _vec(v, shape, name):
-    a = np.asarray(v, dtype=np.float64)
-    if a.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} must be finite")
-    return a
-
-
-def _scalar(v, name):
-    a = float(v)
-    if not math.isfinite(a):
-        raise ValueError(f"{name} must be finite")
-    return a
 
 
 # Per domain: the test a constructor puts to a group's least value beyond
@@ -228,14 +212,12 @@ def _zero_padded(table: np.ndarray) -> np.ndarray:
 
 
 def _check_points(points) -> tuple[np.ndarray, bool]:
-    pts = np.asarray(points, dtype=np.float64)
+    pts = np.asarray(points)
     single = pts.ndim == 1
     pts = np.atleast_2d(pts)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"points must be (N, 3) or (3,), got {pts.shape}")
-    if not np.isfinite(pts).all():
-        raise ValueError("points must be finite")
-    return pts, single
+    return _real(pts, "points", pts.shape), single
 
 
 class _PointQueries(abc.ABC):
@@ -318,8 +300,7 @@ class Field(_PointQueries):
         """Store each layout group, checked by its domain's rule, then the cap (``width`` rule)."""
         cap = () if self.sigma_max is None else (("sigma_max", 1, "width"),)
         for name, size, domain in self.layout + cap:
-            value = getattr(self, name)
-            value = _scalar(value, name) if size == 1 else _vec(value, (size,), name)
+            value = _real(getattr(self, name), name, () if size == 1 else (size,))
             test, words, _ = _DOMAINS[domain]
             if test is not None and not test(value if size == 1 else value.min()):
                 raise ValueError(f"{name} must be {words}")
@@ -369,12 +350,13 @@ class Field(_PointQueries):
 
     @classmethod
     def _groups(cls, vector) -> dict:
-        """Attribute values of a parameter vector laid out by ``layout``;
-        only its shape is checked here, each group by ``__post_init__``."""
-        v = np.asarray(vector, dtype=np.float64)
+        """Attribute values of a parameter vector laid out by ``layout``, as
+        given (a size-1 group as a Python scalar); only its shape is checked
+        here, each group by ``__post_init__``."""
+        v = np.asarray(vector)
         if v.shape != (cls._size,):
             raise ValueError(f"params must have shape {(cls._size,)}, got {v.shape}")
-        return {name: float(v[start]) if stop - start == 1 else v[start:stop] for name, start, stop, _ in cls._spans}
+        return {name: v.item(start) if stop - start == 1 else v[start:stop] for name, start, stop, _ in cls._spans}
 
     def _cap(self, raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``raw`` capped at ``sigma_max``, written into ``out`` when given
@@ -683,24 +665,22 @@ class PiecewiseConstantRayField(Field):
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "axis_origin", _vec(self.axis_origin, (3,), "axis_origin"))
-        d = _vec(self.axis_direction, (3,), "axis_direction")
+        object.__setattr__(self, "axis_origin", _real(self.axis_origin, "axis_origin", (3,)))
+        d = _real(self.axis_direction, "axis_direction", (3,))
         n = np.linalg.norm(d)
         if n == 0:
             raise ValueError("axis_direction must be nonzero")
         object.__setattr__(self, "axis_direction", d / n)
-        b = np.asarray(self.breakpoints, dtype=np.float64)
-        s = np.asarray(self.sigmas, dtype=np.float64)
-        c = np.asarray(self.colors, dtype=np.float64)
-        if b.ndim != 1 or b.shape[0] < 2 or not np.all(np.diff(b) > 0):
+        b = _real(self.breakpoints, "breakpoints", (len(self.breakpoints),))
+        if b.shape[0] < 2 or not np.all(np.diff(b) > 0):
             raise ValueError("breakpoints must be strictly increasing with >= 2 entries")
         if b[0] != 0.0:
             raise ValueError("breakpoints must start at 0")
         m = b.shape[0] - 1
-        if s.shape != (m,) or c.shape != (m, 3):
-            raise ValueError("sigmas must be (m,) and colors (m, 3) for m intervals")
-        if not (np.all((s >= 0) & (s < np.inf)) and np.isfinite(c).all()):
-            raise ValueError("interval densities must be finite and non-negative, and colors finite")
+        s = _real(self.sigmas, "sigmas", (m,))
+        c = _real(self.colors, "colors", (m, 3))
+        if np.any(s < 0):
+            raise ValueError("interval densities must be non-negative")
         object.__setattr__(self, "breakpoints", b)
         object.__setattr__(self, "sigmas", s)
         object.__setattr__(self, "colors", c)
@@ -728,7 +708,7 @@ class PiecewiseConstantRayField(Field):
 
     def with_params(self, vector: np.ndarray) -> "PiecewiseConstantRayField":
         m = self.sigmas.shape[0]
-        v = _vec(vector, (4 * m,), "params")
+        v = _real(vector, "params", (4 * m,))
         return replace(self, sigmas=v[:m], colors=v[m:].reshape(m, 3))
 
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .compose import CompositeScene
-from .fields import _scalar, _scene_layout
-from .geometry import _check_integer
+from .fields import _scene_layout
+from .geometry import _check_integer, _real
 from .losses import LossConfig, _as_batch, _loss_eval
 
 __all__ = [
@@ -60,12 +60,12 @@ class FitConfig:
     def __post_init__(self):
         for name, minimum in (("iterations", 1), ("batch_size", 1), ("decay_every", 1), ("seed", 0)):
             _check_integer(getattr(self, name), name, minimum)
+        for name in ("learning_rate", "decay_factor", "grad_clip_norm", "skip_norm"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if self.learning_rate <= 0 or not 0 < self.decay_factor <= 1:
             raise ValueError("bad learning-rate schedule")
         if self.grad_clip_norm <= 0 or self.skip_norm <= 0:
             raise ValueError("grad_clip_norm and skip_norm must be positive")
-        for name in ("learning_rate", "grad_clip_norm", "skip_norm"):
-            _scalar(getattr(self, name), name)
 
 
 @dataclass

@@ -1,11 +1,16 @@
 """Rays, pinhole cameras, the three-view turntable rig, and the ray-ellipsoid
 and ray-box intersections from which the field kinds in ``fields`` find
-their half-maximum surfaces."""
+their half-maximum surfaces.
+
+Every number a constructor or config takes passes one of two checks, kept
+here in the lowest module: ``_check_integer`` for counts and seeds, and
+``_real`` for reals, scalar or array.  Neither coerces: a bool, a string,
+None or any other non-number raises TypeError, and a bad shape, range or
+non-finite value raises ValueError."""
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,17 +41,24 @@ def _check_integer(value, what: str, minimum: int) -> None:
         raise ValueError(f"{what} must be >= {minimum}, got {value}")
 
 
-def _vec3(v, name: str) -> np.ndarray:
-    """``v`` as a finite float (3,) array; only integer and float arrays convert."""
-    a = np.asarray(v)
-    if a.dtype.kind not in "iuf":
-        raise TypeError(f"{name} must hold integers or floats, got dtype {a.dtype}")
-    a = a.astype(np.float64, copy=False)
-    if a.shape != (3,):
-        raise ValueError(f"{name} must be a 3-vector, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} must be finite")
-    return a
+def _real(value, what: str, shape: tuple[int, ...] = ()) -> float | np.ndarray:
+    """``value`` as a Python float (``shape`` ()) or a float64 array of
+    ``shape``.  Only integer and float dtypes (NumPy's included) pass; any
+    other dtype, or a non-scalar where a scalar is wanted, raises TypeError,
+    and a wrong shape or a non-finite entry ValueError."""
+    try:
+        a = np.asarray(value)
+    except ValueError:  # sequences nested to uneven depths
+        a = np.asarray(None)
+    if a.dtype.kind not in "iuf" or (a.ndim and not shape):
+        raise TypeError(f"{what} must hold integers or floats, got dtype {a.dtype}" if shape
+                        else f"{what} must be a number, got {value!r}")
+    if a.shape != shape:
+        raise ValueError(f"{what} must have shape {shape}, got {a.shape}")
+    real = a.astype(np.float64, copy=False) if shape else float(a)
+    if not (np.isfinite(real).all() if shape else math.isfinite(real)):  # a NumPy reduction costs ~1 us
+        raise ValueError(f"{what} must be finite")
+    return real
 
 
 @dataclass(frozen=True)
@@ -58,20 +70,20 @@ class Ray:
     t_far: float
 
     def __post_init__(self):
-        object.__setattr__(self, "origin", _vec3(self.origin, "origin"))
-        d = _vec3(self.direction, "direction")
+        object.__setattr__(self, "origin", _real(self.origin, "origin", (3,)))
+        d = _real(self.direction, "direction", (3,))
         if abs(np.linalg.norm(d) - 1.0) > _UNIT_TOL:
             raise ValueError("ray direction must be unit length")
         object.__setattr__(self, "direction", d)
-        object.__setattr__(self, "t_far", float(self.t_far))
+        object.__setattr__(self, "t_far", _real(self.t_far, "t_far"))
         if not self.t_far > 0:
             raise ValueError("t_far must be positive")
 
     @classmethod
     def towards(cls, origin, target, t_far: float) -> "Ray":
         """Ray from ``origin`` through ``target`` (direction normalized here)."""
-        o = _vec3(origin, "origin")
-        d = _vec3(target, "target") - o
+        o = _real(origin, "origin", (3,))
+        d = _real(target, "target", (3,)) - o
         n = np.linalg.norm(d)
         if n == 0.0:
             raise ValueError("target coincides with origin")
@@ -96,16 +108,13 @@ class Camera:
     up: np.ndarray = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "position", _vec3(self.position, "position"))
-        object.__setattr__(self, "look_at", _vec3(self.look_at, "look_at"))
-        object.__setattr__(self, "up", _vec3(self.up, "up"))
+        for name in ("position", "look_at", "up"):
+            object.__setattr__(self, name, _real(getattr(self, name), name, (3,)))
         _check_integer(self.width, "width", 1)
         _check_integer(self.height, "height", 1)
         object.__setattr__(self, "width", int(self.width))
         object.__setattr__(self, "height", int(self.height))
-        if isinstance(self.vertical_fov, bool) or not isinstance(self.vertical_fov, numbers.Real):
-            raise TypeError(f"vertical_fov must be a number, got {self.vertical_fov!r}")
-        object.__setattr__(self, "vertical_fov", float(self.vertical_fov))
+        object.__setattr__(self, "vertical_fov", _real(self.vertical_fov, "vertical_fov"))
         if not 0.0 < self.vertical_fov < math.pi:
             raise ValueError("vertical_fov must lie in (0, pi)")
         if np.allclose(self.position, self.look_at):
@@ -141,7 +150,7 @@ class RayGrid:
         return self.origins.shape[0]
 
     def ray(self, index: int) -> Ray:
-        return Ray(self.origins[index], self.directions[index], float(self.t_fars[index]))
+        return Ray(self.origins[index], self.directions[index], self.t_fars[index])
 
     def __iter__(self):
         return (self.ray(i) for i in range(len(self)))
@@ -153,6 +162,7 @@ def pinhole_rays(camera: Camera, t_far: float, clip_z: float | None = GROUND_CLI
     Descending rays get their cutoff shortened to the point where they reach
     height ``clip_z`` (pass None to disable the clip).
     """
+    t_far = _real(t_far, "t_far")
     if not t_far > 0:
         raise ValueError("t_far must be positive")
     forward, right, cam_up = camera.basis()
@@ -169,7 +179,7 @@ def pinhole_rays(camera: Camera, t_far: float, clip_z: float | None = GROUND_CLI
 
     n = h * w
     origins = np.broadcast_to(camera.position, (n, 3)).copy()
-    t_fars = np.full(n, float(t_far))
+    t_fars = np.full(n, t_far)
     if clip_z is not None:
         dz = dirs[:, 2]
         descending = dz < 0.0

@@ -122,7 +122,8 @@ def read_pfm(path) -> np.ndarray:
     w, h = _header_size(tokens)
     scale = _header_number(tokens[3], float)
     pixels = _payload(data, "<f4" if scale < 0 else ">f4", w * h, offset)
-    return np.flipud(pixels.reshape(h, w)).astype(np.float64)
+    with np.errstate(invalid="ignore"):  # a signalling NaN in the payload reads as NaN, without a warning
+        return np.flipud(pixels.reshape(h, w)).astype(np.float64)
 
 
 def write_pgm(path, labels: np.ndarray) -> None:

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compose import CompositeScene, _mix, _total
-from .fields import LOG_DENSITY_FLOOR, _check_points, _scalar, _scene_layout, _sum3
-from .geometry import _UNIT_TOL, Ray
+from .fields import LOG_DENSITY_FLOOR, _check_points, _scene_layout, _sum3
+from .geometry import _UNIT_TOL, Ray, _check_integer, _real
 
 __all__ = [
     "T_MIN_PROPOSAL",
@@ -63,11 +63,8 @@ class RgbdSample:
     depth: float
 
     def __post_init__(self):
-        c = np.asarray(self.color, dtype=np.float64)
-        if c.shape != (3,) or not np.all(np.isfinite(c)):
-            raise ValueError("observed color must be a finite 3-vector")
-        object.__setattr__(self, "color", c)
-        object.__setattr__(self, "depth", float(self.depth))
+        object.__setattr__(self, "color", _real(self.color, "observed color", (3,)))
+        object.__setattr__(self, "depth", _real(self.depth, "observed depth"))
         if not 0.0 < self.depth < self.ray.t_far:
             raise ValueError("observed depth must lie strictly inside (0, t_far)")
 
@@ -85,6 +82,10 @@ class LossConfig:
     n_free_samples: int = 1
 
     def __post_init__(self):
+        for name in ("sigma_c", "delta", "k_o_max"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
+        for name, minimum in (("ramp_start", 0), ("ramp_end", 0), ("n_free_samples", 1)):
+            _check_integer(getattr(self, name), name, minimum)
         if self.sigma_c <= 0:
             raise ValueError("sigma_c must be positive")
         if self.delta < 0:
@@ -93,10 +94,6 @@ class LossConfig:
             raise ValueError("k_o_max must be non-negative")
         if self.ramp_start > self.ramp_end:
             raise ValueError("ramp_start must not exceed ramp_end")
-        if self.n_free_samples < 1:
-            raise ValueError("n_free_samples must be >= 1")
-        for name in ("sigma_c", "delta", "k_o_max"):
-            _scalar(getattr(self, name), name)
 
 
 def _as_rng(rng) -> np.random.Generator:
@@ -186,10 +183,10 @@ def color_nll(field, sample: RgbdSample, rng, config: LossConfig = LossConfig())
 
 def overlap_loss(scene: CompositeScene, point) -> float:
     """Density not explained by the dominant component at a point."""
-    pt = np.asarray(point, dtype=np.float64)
-    if pt.shape != (3,) or not np.all(np.isfinite(pt)):
-        raise ValueError("point must be a finite 3-vector")
-    sigmas = scene.density_components(pt)
+    pts, single = _check_points(point)
+    if not single:
+        raise ValueError(f"point must be one point (3,), got {np.shape(point)}")
+    sigmas = scene._density_components(pts)[:, 0]
     return float(sigmas.sum() - sigmas.max())
 
 
@@ -211,9 +208,9 @@ _UNIT_MARGIN = _UNIT_TOL - 64 * np.finfo(np.float64).eps
 class RgbdBatch:
     """Supervised rays as read-only channel-major rows ``packed`` (11, M) of
     origin, direction, observed depth, color and t_far, checked once, as
-    arrays: rows the check cannot pass for certain (a non-finite value, a
-    direction norm near the unit-length tolerance, a depth outside (0, t_far))
-    go through the ``Ray`` and ``RgbdSample`` constructors in row order, so the
+    arrays: rows the check cannot pass for certain (a value that is not a
+    finite integer or float, a direction norm near the unit-length tolerance,
+    a depth outside (0, t_far), an infinite t_far) go through the ``Ray`` and ``RgbdSample`` constructors in row order, so the
     first bad row raises their error.  ``len``, iteration and an integer index
     give ``RgbdSample``s viewing the rows; a slice or an index array gives a
     batch of those rows."""
@@ -221,17 +218,18 @@ class RgbdBatch:
     __slots__ = ("packed",)
 
     def __init__(self, origins, directions, t_fars, depths, colors):
-        origins, directions, t_fars, depths, colors = (np.asarray(a, dtype=np.float64)
-                                                       for a in (origins, directions, t_fars, depths, colors))
+        arrays = origins, directions, t_fars, depths, colors = [np.asarray(a) for a in
+                                                                (origins, directions, t_fars, depths, colors)]
         m = t_fars.shape[0]
         sure = np.zeros(m, dtype=bool)
-        if origins.shape == directions.shape == colors.shape == (m, 3) and depths.shape == (m,):
+        if (all(a.dtype.kind in "iuf" for a in arrays)
+                and origins.shape == directions.shape == colors.shape == (m, 3) and depths.shape == (m,)):
             norms = np.sqrt(np.einsum("ij,ij->i", directions, directions))
             sure = ((np.abs(norms - 1.0) <= _UNIT_MARGIN) & np.isfinite(origins).all(axis=1)
-                    & np.isfinite(colors).all(axis=1) & (depths > 0.0) & (depths < t_fars))
+                    & np.isfinite(colors).all(axis=1) & (depths > 0.0) & (depths < t_fars) & (t_fars < np.inf))
         for i in np.flatnonzero(~sure):
             RgbdSample(Ray(origins[i], directions[i], t_fars[i]), colors[i], depths[i])
-        self._set(np.vstack([origins.T, directions.T, depths, colors.T, t_fars]))
+        self._set(np.vstack([origins.T, directions.T, depths, colors.T, t_fars], dtype=np.float64))
 
     def _set(self, packed: np.ndarray) -> "RgbdBatch":
         packed.flags.writeable = False

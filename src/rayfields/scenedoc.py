@@ -16,7 +16,7 @@ import numpy as np
 
 from .compose import CompositeScene
 from .fields import DEFAULT_SIGMA_MAX, FIELD_KINDS, Field, GaussianBlobField, field_from_params
-from .geometry import Camera, rig_views
+from .geometry import Camera, _real, rig_views
 from .images import _atomic_write
 from .scenegen import _background
 from .transport import QuadratureConfig
@@ -113,11 +113,11 @@ def scene_to_doc(
     return doc
 
 
-def _number(value, what: str) -> float:
-    """A JSON number as a float; strings and booleans are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SceneFormatError(f"{what} must be a number, got {value!r}")
-    return float(value)
+def _entries(values, what: str) -> list:
+    """A JSON vector's entries, each checked as a number on its own, since
+    NumPy reads ``[0, 0, true]`` as integers.  A float (NaN included) passes
+    as it is, so the constructor's finiteness error names its vector."""
+    return [v if isinstance(v, float) else _real(v, what) for v in values]
 
 
 def _require(doc: dict, key: str):
@@ -135,8 +135,6 @@ def doc_to_scene(doc: dict) -> SceneDocument:
         raise SceneFormatError(f"unsupported scene document version {version!r}")
     t_far = _require(doc, "t_far")
     sigma_max = doc.get("sigma_max", DEFAULT_SIGMA_MAX)
-    if sigma_max is not None:
-        _number(sigma_max, "sigma_max")  # the field constructors check its range
     raw_components = _require(doc, "components")
     if not isinstance(raw_components, list) or not raw_components:
         raise SceneFormatError("components must be a non-empty list")
@@ -148,8 +146,7 @@ def doc_to_scene(doc: dict) -> SceneDocument:
         kind = _require(entry, "kind")
         params = _require(entry, "params")
         try:
-            values = [_number(v, "params entry") for v in params]
-            fields.append(field_from_params(kind, values, sigma_max=sigma_max))
+            fields.append(field_from_params(kind, _entries(params, "params entry"), sigma_max=sigma_max))
         except (ValueError, TypeError) as exc:
             raise SceneFormatError(f"component {i} ({kind!r}): {exc}") from exc
         name = entry.get("name", f"component_{i}")
@@ -157,7 +154,7 @@ def doc_to_scene(doc: dict) -> SceneDocument:
             raise SceneFormatError(f"component {i} name must be a string, got {name!r}")
         names.append(name)
     try:
-        scene = CompositeScene(tuple(fields), t_far=_number(t_far, "t_far"))
+        scene = CompositeScene(tuple(fields), t_far=t_far)
     except (ValueError, TypeError) as exc:
         raise SceneFormatError(str(exc)) from exc
 
@@ -166,12 +163,12 @@ def doc_to_scene(doc: dict) -> SceneDocument:
         cb = doc["camera"]
         try:
             camera = Camera(
-                position=[_number(v, "position entry") for v in cb["position"]],
-                look_at=[_number(v, "look_at entry") for v in cb["look_at"]],
+                position=_entries(cb["position"], "position entry"),
+                look_at=_entries(cb["look_at"], "look_at entry"),
                 width=cb["width"],
                 height=cb["height"],
                 vertical_fov=cb.get("vertical_fov", Camera.vertical_fov),
-                up=[_number(v, "up entry") for v in cb.get("up", (0.0, 0.0, 1.0))],
+                up=_entries(cb.get("up", (0.0, 0.0, 1.0)), "up entry"),
             )
             # Commands render the rig's views of this camera: each needs a frame.
             for view in rig_views(camera):

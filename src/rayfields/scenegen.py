@@ -20,7 +20,7 @@ import numpy as np
 from ._threads import block_rows, chunked_row_map
 from .compose import CompositeScene, render_ray_grid
 from .fields import DEFAULT_SIGMA_MAX, FIELD_KINDS, HALF_MAX_RADIUS, Field, GroundPlaneField
-from .geometry import Camera, RayGrid, _check_integer, pinhole_rays
+from .geometry import Camera, RayGrid, _check_integer, _real, pinhole_rays
 from .losses import RgbdBatch
 from .transport import QuadratureConfig, _panels
 
@@ -72,11 +72,15 @@ class SceneGenConfig:
     checker_size: float = 0.0
 
     def __post_init__(self):
-        if not 1 <= self.n_objects_min <= self.n_objects_max:
+        for name in ("n_objects_min", "n_objects_max", "max_attempts", "max_restarts", "resolution"):
+            _check_integer(getattr(self, name), name, 1)
+        for name in ("placement_halfwidth", "min_separation_factor", "size_min", "size_max", "checker_size"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
+        if self.n_objects_min > self.n_objects_max:
             raise ValueError("need 1 <= n_objects_min <= n_objects_max")
         if self.size_min <= 0 or self.size_min > self.size_max:
             raise ValueError("bad size range")
-        if self.placement_halfwidth <= 0 or self.max_attempts < 1 or self.max_restarts < 1:
+        if self.placement_halfwidth <= 0:
             raise ValueError("bad placement settings")
         if isinstance(self.kinds, str):
             raise ValueError(f"kinds must be a sequence of object kind names, not the string {self.kinds!r}")
@@ -299,8 +303,7 @@ def sample_observations(scene: CompositeScene, grid: RayGrid, seed: int,
     panels.
     """
     _check_integer(n_panels, "n_panels", 2)
-    if not np.isfinite(depth_offset):
-        raise ValueError(f"depth_offset must be finite, got {depth_offset!r}")
+    depth_offset = _real(depth_offset, "depth_offset")
     if censored not in ("drop", "boundary"):
         raise ValueError("censored must be 'drop' or 'boundary'")
     u = np.random.default_rng(np.random.SeedSequence((seed, 17))).random(len(grid))

@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fields import PiecewiseConstantRayField, _check_points, _density_total, _total
-from .geometry import Ray, _check_integer, ray_at
+from .geometry import Ray, _check_integer, _real, ray_at
 
 __all__ = [
     "EMPTY_WEIGHT_EPS",
@@ -108,15 +108,11 @@ class RaySamples:
     delta: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=np.float64)
-        sigma = np.asarray(self.sigma, dtype=np.float64)
-        color = np.asarray(self.color, dtype=np.float64)
-        delta = np.asarray(self.delta, dtype=np.float64)
-        if t.ndim != 1 or t.shape[0] < 1:
+        t = _real(self.t, "t", np.asarray(self.t, dtype=object).shape)  # a ragged t has a shape as objects
+        if np.ndim(t) != 1 or len(t) < 1:
             raise ValueError("t must be a non-empty 1-D array")
-        k = t.shape[0]
-        if sigma.shape != (k,) or delta.shape != (k,) or color.shape != (k, 3):
-            raise ValueError("sigma/delta must be (k,) and color (k, 3)")
+        sigma, delta = (_real(getattr(self, name), name, t.shape) for name in ("sigma", "delta"))
+        color = _real(self.color, "color", t.shape + (3,))
         _check_samples(t, sigma, color, delta)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "sigma", sigma)
@@ -128,7 +124,7 @@ class RaySamples:
         """Evaluate ``field`` at depths ``t`` on ``ray``; widths assign each
         sample the span to the midpoints of its neighbors (first span starts
         at 0, last ends at t_far), so widths always sum to t_far."""
-        t = np.sort(np.asarray(t, dtype=np.float64))
+        t = np.sort(_real(t, "t", np.shape(t)))
         sigma, color = field.evaluate(ray_at(ray, t), ray.direction)
         delta = _ownership_deltas(t[:, None], np.array([ray.t_far]))[:, 0]
         return cls(t, sigma, color, delta)
@@ -219,6 +215,7 @@ def transmittance_grid(field, ray: Ray, ts, n_panels: int = 4096) -> np.ndarray:
     Uses cumulative midpoint sums over [0, max(ts)], so the returned values
     are monotone nonincreasing by construction.
     """
+    _check_integer(n_panels, "n_panels", 1)
     ts = np.asarray(ts, dtype=np.float64)
     if np.any(ts < 0) or np.any(ts > ray.t_far):
         raise ValueError("depths must lie in [0, ray.t_far]")
@@ -232,6 +229,7 @@ def transmittance_grid(field, ray: Ray, ts, n_panels: int = 4096) -> np.ndarray:
 def probability_balance(field, ray: Ray, n_panels: int = 4096) -> tuple[float, float]:
     """One-pass midpoint estimate of (integral of the depth density over
     [0, t_far], survival at t_far); the two must sum to ~1."""
+    _check_integer(n_panels, "n_panels", 1)
     sigma, h, cum = _ray_panels(field, ray, ray.t_far, n_panels)
     optical = sigma * h
     t_mid = np.exp(-(cum[1:] - 0.5 * optical))
@@ -253,8 +251,7 @@ def depth_cdf(field, ray: Ray, t: float, quad: QuadratureConfig) -> float:
 def stratified_samples(k: int, t_far: float, rng: np.random.Generator) -> np.ndarray:
     """One uniform draw per bin of the k-fold partition of [0, t_far]; sorted
     by construction."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_integer(k, "k", 1)
     if not t_far > 0:
         raise ValueError("t_far must be positive")
     return (np.arange(k) + rng.random(k)) / k * t_far

@@ -28,6 +28,12 @@ class TestRay:
         with pytest.raises(ValueError, match="t_far"):
             Ray((0, 0, 0), (1, 0, 0), 0.0)
 
+    @pytest.mark.parametrize("t_far,error", [(math.inf, ValueError), (math.nan, ValueError), ("5", TypeError),
+                                             (True, TypeError), (np.array([5.0]), TypeError)])
+    def test_t_far_is_a_finite_number(self, t_far, error):
+        with pytest.raises(error, match="^t_far must be"):
+            Ray((0, 0, 0), (1, 0, 0), t_far)
+
     def test_finite_vectors_required(self):
         with pytest.raises(ValueError, match="finite"):
             Ray((np.inf, 0, 0), (1, 0, 0), 1.0)
@@ -88,6 +94,12 @@ class TestCamera:
 
 
 class TestPinholeRays:
+    @pytest.mark.parametrize("t_far,error", [(math.inf, ValueError), (0.0, ValueError), ("10", TypeError)])
+    def test_cutoff_is_a_positive_finite_number(self, t_far, error):
+        cam = Camera(position=(4, 0, 2), look_at=(0, 0, 0.5), width=2, height=2)
+        with pytest.raises(error, match="^t_far must be"):
+            pinhole_rays(cam, t_far, clip_z=None)
+
     def test_shape_and_unit_directions(self):
         cam = Camera(position=(4, 0, 2), look_at=(0, 0, 0.5), width=6, height=4)
         grid = pinhole_rays(cam, 10.0)

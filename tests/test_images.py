@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rayfields.images import (
     GAMMA,
@@ -95,6 +97,11 @@ class TestPfm:
         path = tmp_path / "d.pfm"
         write_pfm(path, depth)
         assert np.array_equal(read_pfm(path), depth)
+
+    def test_signalling_nan_reads_as_nan(self, tmp_path):
+        path = tmp_path / "d.pfm"
+        path.write_bytes(b"Pf\n1 1\n-1.0\n" + np.array([0x7F800001], dtype="<u4").tobytes())
+        assert np.isnan(read_pfm(path)).all()
 
     def test_header_and_bottom_up_storage(self, tmp_path):
         depth = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -209,3 +216,33 @@ class TestAtomicity:
         write_pgm(path, np.zeros((1, 1), dtype=int))
         write_pgm(path, np.full((2, 3), 7))
         assert np.array_equal(read_pgm(path), np.full((2, 3), 7))
+
+
+_FORMATS = {
+    "ppm": (write_ppm, read_ppm, np.linspace(0.0, 1.0, 36).reshape(3, 4, 3)),
+    "pgm": (write_pgm, read_pgm, np.arange(12).reshape(3, 4)),
+    "pfm": (write_pfm, read_pfm, np.linspace(-1.0, 9.0, 12).reshape(3, 4)),
+}
+# Byte edits: at an offset, replace up to ``cut`` bytes with an insert (random
+# bytes or a token that a header might hold).
+_EDITS = st.lists(st.tuples(st.integers(0, 80), st.integers(0, 8),
+                            st.binary(max_size=8) | st.sampled_from([b"0", b"-1", b"99999999999", b"nan", b"#", b"\n"])),
+                  min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(sorted(_FORMATS)), _EDITS, st.integers(0, 130))
+def test_mutated_files_raise_only_image_format_errors(tmp_path, kind, edits, keep):
+    """A valid file with bytes replaced, inserted, deleted and cut short
+    reads or raises ImageFormatError, never another error."""
+    write, read, image = _FORMATS[kind]
+    path = tmp_path / f"image.{kind}"
+    write(path, image)
+    data = bytearray(path.read_bytes())
+    for at, cut, insert in edits:
+        data[at : at + cut] = insert
+    path.write_bytes(bytes(data[:keep]))
+    try:
+        read(path)
+    except ImageFormatError:
+        pass

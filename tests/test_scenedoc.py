@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import rayfields as rf
 from rayfields.geometry import Camera
@@ -19,6 +20,8 @@ from rayfields.scenedoc import (
 )
 from rayfields.transport import QuadratureConfig
 
+from references import SCENES, SIGMA_MAX
+
 
 class TestRoundtrip:
     def test_scene_params_survive(self):
@@ -30,6 +33,15 @@ class TestRoundtrip:
         assert np.array_equal(back.scene.params(), scene.params())
         for a, b in zip(back.scene.components, scene.components):
             assert a.kind == b.kind
+
+    @settings(max_examples=100, deadline=None)
+    @given(SCENES, SIGMA_MAX)
+    def test_canonical_dump_reloads_to_the_same_bytes_and_params(self, scene, sigma_max):
+        text = dumps_canonical(scene_to_doc(scene, sigma_max=sigma_max))
+        back = doc_to_scene(json.loads(text))
+        assert dumps_canonical(scene_to_doc(back.scene, sigma_max=back.sigma_max)) == text
+        assert back.scene.params().tobytes() == scene.params().tobytes()
+        assert [c.kind for c in back.scene.components] == [c.kind for c in scene.components]
 
     def test_names_default_and_custom(self):
         scene = two_blob_demo_scene()

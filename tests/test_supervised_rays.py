@@ -173,22 +173,32 @@ class TestSameErrors:
         self._same(_grid([(1.0, 0.0, 0.0)] * 3, origins=origins), "origin must be finite")
 
     def test_short_direction_rows(self):
-        self._same(_grid([(1.0, 0.0)] * 2), "direction must be a 3-vector, got shape (2,)")
+        self._same(_grid([(1.0, 0.0)] * 2), "direction must have shape (3,), got (2,)")
+
+    def test_infinite_t_far_row(self):
+        self._same(_grid([(1.0, 0.0, 0.0)] * 2, t_far=math.inf), "t_far must be finite")
+
+    def test_string_colors(self):
+        grid = _grid([(1.0, 0.0, 0.0)] * 2)
+        colors = np.full((2, 3), "0.5")
+        error = _error(lambda: RgbdBatch(grid.origins, grid.directions, grid.t_fars, np.ones(2), colors))
+        assert error == (TypeError, "observed color must hold integers or floats, got dtype <U3")
 
     def test_first_bad_row_decides(self):
         colors = np.full((3, 3), 0.5)
         colors[1, 0] = math.nan
         for grid, message in ((_grid([(1.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 3.0, 0.0)]),
-                               "observed color must be a finite 3-vector"),
+                               "observed color must be finite"),
                               (_grid([(0.0, 3.0, 0.0), (1.0, 0.0, 0.0), (1.0, 0.0, 0.0)]),
                                "ray direction must be unit length")):
             assert _error(lambda: _batch(grid, colors)) == _checked_error(grid, colors) == (ValueError, message)
 
     def test_depth_outside_the_ray(self):
         grid = _grid([(1.0, 0.0, 0.0)] * 3)
-        for depths in ([1.0, 5.0, 1.0], [1.0, 1.0, -0.0], [math.nan, 1.0, 1.0]):
+        for depths, words in (([1.0, 5.0, 1.0], "lie strictly inside (0, t_far)"),
+                              ([1.0, 1.0, -0.0], "lie strictly inside (0, t_far)"), ([math.nan, 1.0, 1.0], "be finite")):
             error = _error(lambda: RgbdBatch(grid.origins, grid.directions, grid.t_fars, depths, np.ones((3, 3))))
-            assert error == (ValueError, "observed depth must lie strictly inside (0, t_far)")
+            assert error == (ValueError, f"observed depth must {words}")
 
     def test_sample_observations_on_non_unit_direction_row(self):
         t_far = 4.0
@@ -226,7 +236,7 @@ class TestSameErrors:
                  GroundTruth(camera=camera, rgb=rgb, depth=depth, mask=mask)]
         want = _error(lambda: _checked_views([camera] * 2, [v.rgb for v in views], [depth] * 2, scene.t_far))
         assert _error(lambda: samples_from_views(views, scene.t_far)) == want
-        assert want == (ValueError, "observed color must be a finite 3-vector")
+        assert want == (ValueError, "observed color must be finite")
 
 
 def _near_tolerance_directions() -> list[np.ndarray]:

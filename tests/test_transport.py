@@ -88,6 +88,16 @@ class TestTransmittance:
         with pytest.raises(ValueError):
             transmittance_grid(field, X_RAY, [-1.0])
 
+    @pytest.mark.parametrize("n_panels,error", [(0, ValueError), (-3, ValueError), (True, TypeError),
+                                                (8.0, TypeError), ("8", TypeError)])
+    def test_panel_counts_are_checked(self, n_panels, error):
+        """A panel count is an integer >= 1: no empty grid, no NumPy error, no bool read as 1."""
+        blob = GaussianBlobField(center=(4.0, 0.0, 0.0), scale=(0.7, 0.7, 0.7), amplitude=3.0, color=(1, 1, 1))
+        with pytest.raises(error, match="^n_panels must be"):
+            transmittance_grid(blob, X_RAY, [2.0, 5.0], n_panels=n_panels)
+        with pytest.raises(error, match="^n_panels must be"):
+            probability_balance(blob, X_RAY, n_panels=n_panels)
+
 
 class TestDepthDistribution:
     def test_pdf_is_density_times_survival(self):
@@ -151,6 +161,11 @@ class TestStratifiedSamples:
             stratified_samples(0, 1.0, rng)
         with pytest.raises(ValueError):
             stratified_samples(4, 0.0, rng)
+
+    @pytest.mark.parametrize("k,error", [(-2, ValueError), (True, TypeError), (4.0, TypeError), (None, TypeError)])
+    def test_count_is_an_integer(self, k, error):
+        with pytest.raises(error, match="^k must be"):
+            stratified_samples(k, 1.0, np.random.default_rng(0))
 
 
 class TestQuadratureRender:
