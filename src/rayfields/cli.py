@@ -12,10 +12,12 @@ Exit codes: 0 success, 2 bad input, 3 scene generation failed, 4 numerical
 failure.  ``main`` maps each exception a command may raise to its code and
 one ``error:`` line on stderr: bad input, a missing or malformed file and
 an input too large for memory exit 2, a scene that cannot be placed 3, a
-diverged fit 4.  All randomness is seeded and all outputs are byte-stable:
-rerunning a command with the same arguments reproduces identical files
-regardless of the worker-thread count (see the OBSURF_THREADS environment
-variable).  Timings go to stderr only.
+diverged fit 4.  A view size or trial count whose arrays alone would not
+fit in the machine's memory is refused before any work starts.  All
+randomness is seeded and all outputs are byte-stable: rerunning a command
+with the same arguments reproduces identical files regardless of the
+worker-thread count (see the OBSURF_THREADS environment variable).  Timings
+go to stderr only.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import numpy as np
 from . import estimlab, images, metrics
 from ._threads import resolve_workers
 from .compose import CompositeScene, RenderedView, render_ray_grid
-from .fields import DEFAULT_SIGMA_MAX
 from .fitting import FitConfig, FitDivergence, fit
 from .geometry import Camera, pinhole_rays, rig_views
 from .losses import LossConfig, RgbdBatch
@@ -58,6 +59,12 @@ EXIT_NUMERICAL = 4
 _CHECKER_CELL = 8
 _CHECKER_DARK = 0.35
 _CHECKER_LIGHT = 0.65
+
+# Bytes held per pixel of a view by its rays (``pinhole_rays``: origin,
+# direction and cutoff in float64) and per bias-demo trial by its result (a
+# float64 color and a bool miss).
+_PIXEL_BYTES = 56
+_TRIAL_BYTES = 9
 
 
 class _InputError(Exception):
@@ -148,6 +155,14 @@ def _require_at_least(minimum: int, args, *flags: str) -> None:
             raise _InputError(f"{flag} must be >= {minimum}, got {value}")
 
 
+def _require_memory(what: str, nbytes: int) -> None:
+    """Reject as bad input a size whose arrays alone, ``nbytes``, would not
+    fit in the machine's memory, before any of them is allocated."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > memory:
+        raise _InputError(f"{what} needs more than this machine's {memory / 2**30:.3g} GiB of memory")
+
+
 # ----------------------------------------------------------------- render
 
 
@@ -160,6 +175,7 @@ def _cmd_render(args) -> int:
         camera = default_camera(SceneGenConfig(resolution=args.resolution or 64))
     if args.resolution is not None:
         camera = replace(camera, width=args.resolution, height=args.resolution)
+    _require_memory(f"a {camera.width}x{camera.height} view", camera.width * camera.height * _PIXEL_BYTES)
     quad = _quad_from_args(args, doc.quadrature)
     cameras = rig_views(camera)[: args.views]
 
@@ -196,9 +212,10 @@ def _cmd_generate(args) -> int:
         )
     except ValueError as exc:
         raise _InputError(f"bad object counts {args.n_objects_min}..{args.n_objects_max}: {exc}") from exc
+    camera = default_camera(config)
+    _require_memory(f"a {camera.width}x{camera.height} view", camera.width * camera.height * _PIXEL_BYTES)
     scene, meta = sample_scene(config, np.random.default_rng(args.scene_seed))
 
-    camera = default_camera(config)
     os.makedirs(args.out, exist_ok=True)
     started = time.perf_counter()
     views = render_dataset(scene, rig_views(camera)[: args.views], None, quad)
@@ -219,8 +236,7 @@ def _cmd_generate(args) -> int:
         for m in meta
     ]
     names = tuple(m["name"] for m in meta) + ("background",)
-    doc = scene_to_doc(scene, sigma_max=DEFAULT_SIGMA_MAX, camera=camera,
-                       quadrature=quad, names=names, objects=objects)
+    doc = scene_to_doc(scene, camera=camera, quadrature=quad, names=names, objects=objects)
     scene_path = os.path.join(args.out, "scene.json")
     save_scene(scene_path, doc)
     _stderr(f"generated {len(meta)} objects, {len(views)} view(s) in "
@@ -304,12 +320,7 @@ def _cmd_fit(args) -> int:
     _stderr(f"fit {len(samples)} samples for {config.iterations} iterations in {elapsed:.1f}s")
 
     os.makedirs(args.out, exist_ok=True)
-    fitted_doc = scene_to_doc(
-        report.final_scene,
-        sigma_max=data_doc.sigma_max,
-        camera=data_doc.camera,
-        quadrature=data_doc.quadrature,
-    )
+    fitted_doc = scene_to_doc(report.final_scene, camera=data_doc.camera, quadrature=data_doc.quadrature)
     scene_path = os.path.join(args.out, "scene.json")
     save_scene(scene_path, fitted_doc)
     trace_stride = max(1, -(-len(report.trace) // args.trace_points)) if report.trace else 1
@@ -342,6 +353,7 @@ def _cmd_bias_demo(args) -> int:
     # Two coarse samples is the quadrature minimum; a standard error needs two trials.
     _require_at_least(2, args, "--k", "--n-trials")
     _require_at_least(0, args, "--seed")
+    _require_memory(f"--n-trials {args.n_trials}", args.n_trials * _TRIAL_BYTES)
     started = time.perf_counter()
     result = estimlab.stratified_bias_demo(
         k=args.k, n_trials=args.n_trials, seed=args.seed or 0, hierarchical=args.hierarchical

@@ -212,7 +212,7 @@ def composite_eval(scene: CompositeScene, x, d=None) -> CompositePoint:
 def joint_depth_component_pdf(scene: CompositeScene, ray: Ray, t: float, quad: QuadratureConfig) -> np.ndarray:
     """Unnormalized joint density over (depth, component): sigma_i(r(t)) * T(t)
     with T taken under the total density."""
-    sigmas = scene.density_components(ray_at(ray, float(t)))
+    sigmas = scene.density_components(ray_at(ray, t))
     return sigmas * transport.transmittance(scene, ray, t, quad)
 
 
@@ -335,9 +335,9 @@ def render_ray_grid(scene: CompositeScene, grid: RayGrid, quad: QuadratureConfig
 def mixture_render_constant(sigmas, colors) -> np.ndarray:
     """Closed-form color of constant densities over an unbounded ray: the
     density-share mixture of the component colors."""
-    s = np.asarray(sigmas, dtype=np.float64)
-    c = np.asarray(colors, dtype=np.float64)
-    if s.ndim != 1 or c.shape != (s.shape[0], 3):
+    s = _real(sigmas, "sigmas", None)
+    c = _real(colors, "colors", None)
+    if np.ndim(s) != 1 or np.shape(c) != (len(s), 3):
         raise ValueError("need sigmas (n,) and colors (n, 3)")
     if np.any(s < 0):
         raise ValueError("densities must be non-negative")

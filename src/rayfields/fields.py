@@ -10,12 +10,12 @@ single (3,) row, which callers broadcast instead of copying per point.
 The layout is a kind's one description of its parameters: it declares the
 kind's dataclass fields, and ``Field.__init_subclass__`` compiles it once per
 kind into the vector size and each group's span.  Color offsets (the starts
-of the unit groups) and the constant-color kinds' density indices are read
-off it, and each group names a domain in ``_DOMAINS``, which holds what a
-constructor requires beyond finiteness and the box the fitter projects
-into.  A scene's vector is laid out once per tuple of kinds
-(``_scene_layout``), for the scene's rebuild, the fitter's box and the loss
-gradient's slots.  Colors need only be finite, as they are clipped where
+of the unit groups) and the density indices (the slots of every group but
+the colors and the checker's cell) are read off it, and each group names a
+domain in ``_DOMAINS``, which holds what a constructor requires beyond
+finiteness and the box the fitter projects into.  A scene's vector is laid
+out once per tuple of kinds (``_scene_layout``), for the scene's rebuild,
+the fitter's box and the loss gradient's slots.  Colors need only be finite, as they are clipped where
 read.  ``checker_size`` takes any finite value (a cell <= 0 draws no
 checker) but is boxed to [0, inf): a ">= 0" rule would reject the step
 below 0 that ``fitting.finite_diff_gradient`` takes.
@@ -96,7 +96,9 @@ class UnsupportedGradient(TypeError):
 
 # Per domain: the test a constructor puts to a group's least value beyond
 # finiteness (None: none), its words in an error, and the fitter's box.  A unit
-# group is a color: its start is one of the kind's ``color_offsets``.
+# group is a color: its start is one of the kind's ``color_offsets``.  A cell
+# group is a color pattern that the density does not read.  The slots of every
+# other group are the kind's ``density_params``.
 _DOMAINS = {
     "free": (None, "finite", (-math.inf, math.inf)),
     "width": (lambda least: least > 0, "positive", (1e-3, math.inf)),
@@ -292,6 +294,8 @@ class Field(_PointQueries):
                            for (name, size, domain), stop in zip(cls.layout, stops))
         cls._size = stops[-1]
         cls.color_offsets = tuple(start for _, start, _, domain in cls._spans if domain == "unit")
+        cls.density_params = tuple(i for _, start, stop, domain in cls._spans if domain not in ("unit", "cell")
+                                   for i in range(start, stop))
         cls.__annotations__.update({name: "float" if size == 1 else "np.ndarray" for name, size, _ in cls.layout})
         cls.__annotations__["sigma_max"] = "float | None"
         cls.sigma_max = DEFAULT_SIGMA_MAX
@@ -397,10 +401,6 @@ class Field(_PointQueries):
 
 class _ConstantColorField(Field):
     """A kind with one color everywhere: its ``color`` group, after every density parameter."""
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls.density_params = tuple(range(cls.color_offsets[0]))
 
     def _raw_density(self, pts):
         """Amplitude times the unit profile ending ``_parts``, in place."""
@@ -552,7 +552,6 @@ class GroundPlaneField(Field):
     layout = (("softness", 1, "width"), ("amplitude", 1, "nonneg"), ("color_a", 3, "unit"),
               ("color_b", 3, "unit"), ("checker_size", 1, "cell"), ("dome_radius", 1, "width"),
               ("dome_color", 3, "unit"))
-    density_params = (0, 1, 9)  # softness, amplitude, dome_radius
 
     def _parts(self, pts, in_place=False):
         """Plane sigmoid (N,), distance rho from the origin (N,) and dome

@@ -2,11 +2,12 @@
 and ray-box intersections from which the field kinds in ``fields`` find
 their half-maximum surfaces.
 
-Every number a constructor or config takes passes one of two checks, kept
-here in the lowest module: ``_check_integer`` for counts and seeds, and
-``_real`` for reals, scalar or array.  Neither coerces: a bool, a string,
-None or any other non-number raises TypeError, and a bad shape, range or
-non-finite value raises ValueError."""
+Every number a constructor or config takes, and every depth, density or
+color a function takes, passes one of two checks, kept here in the lowest
+module: ``_check_integer`` for counts and seeds, and ``_real`` for reals,
+scalar or array.  Neither coerces: a bool, a string, None or any other
+non-number raises TypeError, and a bad shape, range or non-finite value
+raises ValueError."""
 
 from __future__ import annotations
 
@@ -41,15 +42,17 @@ def _check_integer(value, what: str, minimum: int) -> None:
         raise ValueError(f"{what} must be >= {minimum}, got {value}")
 
 
-def _real(value, what: str, shape: tuple[int, ...] = ()) -> float | np.ndarray:
+def _real(value, what: str, shape: tuple[int, ...] | None = ()) -> float | np.ndarray:
     """``value`` as a Python float (``shape`` ()) or a float64 array of
-    ``shape``.  Only integer and float dtypes (NumPy's included) pass; any
-    other dtype, or a non-scalar where a scalar is wanted, raises TypeError,
-    and a wrong shape or a non-finite entry ValueError."""
+    ``shape``; ``shape`` None takes a scalar or an array of any shape.  Only
+    integer and float dtypes (NumPy's included) pass; any other dtype, or a
+    non-scalar where a scalar is wanted, raises TypeError, and a wrong shape
+    or a non-finite entry ValueError."""
     try:
         a = np.asarray(value)
     except ValueError:  # sequences nested to uneven depths
         a = np.asarray(None)
+    shape = a.shape if shape is None else shape
     if a.dtype.kind not in "iuf" or (a.ndim and not shape):
         raise TypeError(f"{what} must hold integers or floats, got dtype {a.dtype}" if shape
                         else f"{what} must be a number, got {value!r}")
@@ -92,8 +95,8 @@ class Ray:
 
 def ray_at(ray: Ray, t) -> np.ndarray:
     """Point(s) on the ray at parameter ``t`` (scalar or array)."""
-    t = np.asarray(t, dtype=np.float64)
-    return ray.origin + t[..., None] * ray.direction if t.ndim else ray.origin + t * ray.direction
+    t = _real(t, "t", None)
+    return ray.origin + t[..., None] * ray.direction if np.ndim(t) else ray.origin + t * ray.direction
 
 
 @dataclass(frozen=True)
@@ -117,15 +120,21 @@ class Camera:
         object.__setattr__(self, "vertical_fov", _real(self.vertical_fov, "vertical_fov"))
         if not 0.0 < self.vertical_fov < math.pi:
             raise ValueError("vertical_fov must lie in (0, pi)")
-        if np.allclose(self.position, self.look_at):
-            raise ValueError("camera position coincides with look_at")
+        with np.errstate(over="ignore"):  # points too far apart to subtract are not close; ``basis`` says why
+            if np.allclose(self.position, self.look_at):
+                raise ValueError("camera position coincides with look_at")
 
     def basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Orthonormal (forward, right, up) frame; raises if up is degenerate."""
-        forward = self.look_at - self.position
-        forward = forward / np.linalg.norm(forward)
-        right = np.cross(forward, self.up)
-        n = np.linalg.norm(right)
+        """Orthonormal (forward, right, up) frame; raises ValueError if a
+        length in it overflows a float or up is degenerate."""
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, by name
+            forward = self.look_at - self.position
+            length = np.linalg.norm(forward)
+            forward = forward / length
+            right = np.cross(forward, self.up)
+            n = np.linalg.norm(right)
+        if not (math.isfinite(length) and math.isfinite(n)):
+            raise ValueError("the camera frame overflows a float: position, look_at or up is too large")
         if n < 1e-12:
             raise ValueError("up vector is parallel to the view direction")
         right = right / n

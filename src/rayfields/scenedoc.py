@@ -2,15 +2,21 @@
 
 A document is a plain dict (version "1") carrying the scene's cutoff,
 density cap, serializable components, and optionally the camera rig base
-and quadrature settings.  Serialization is canonical — sorted keys, fixed
-indentation, trailing newline — so identical scenes produce identical bytes.
+and quadrature settings.  The cap is the one ``sigma_max`` all components
+share (null: uncapped), so a scene with mixed caps cannot be written; a
+document without one caps its components at ``DEFAULT_SIGMA_MAX``.  A camera
+or quadrature block holds the fields of its dataclass, ``Camera`` or
+``QuadratureConfig``: a key that is no field, or a missing required one, is
+an error, and a key left out takes the dataclass's default.  Serialization
+is canonical — sorted keys, fixed indentation, trailing newline — so
+identical scenes produce identical bytes.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -45,7 +51,6 @@ class SceneDocument:
     """Parsed document: the scene plus its optional camera/quadrature blocks."""
 
     scene: CompositeScene
-    sigma_max: float | None
     camera: Camera | None
     quadrature: QuadratureConfig | None
     names: tuple[str, ...]
@@ -56,35 +61,22 @@ def _float_list(a) -> list:
     return [float(v) for v in np.asarray(a, dtype=np.float64).ravel()]
 
 
-def _camera_block(camera: Camera) -> dict:
-    return {
-        "position": _float_list(camera.position),
-        "look_at": _float_list(camera.look_at),
-        "width": camera.width,
-        "height": camera.height,
-        "vertical_fov": float(camera.vertical_fov),
-        "up": _float_list(camera.up),
-    }
-
-
-def _quad_block(quad: QuadratureConfig) -> dict:
-    return {
-        "n_coarse": quad.n_coarse,
-        "n_fine": quad.n_fine,
-        "seed": quad.seed,
-        "stratified": quad.stratified,
-    }
+def _block(config) -> dict:
+    """A camera or quadrature as a document block: one key per dataclass
+    field, an array as a list of floats and any other value as it is."""
+    return {f.name: _float_list(value) if isinstance(value := getattr(config, f.name), np.ndarray) else value
+            for f in fields(config)}
 
 
 def scene_to_doc(
     scene: CompositeScene,
-    sigma_max: float | None = DEFAULT_SIGMA_MAX,
     camera: Camera | None = None,
     quadrature: QuadratureConfig | None = None,
     names: tuple[str, ...] | None = None,
     objects: list | None = None,
 ) -> dict:
-    """Serialize a scene of registered field kinds to a document dict."""
+    """Serialize a scene of registered field kinds to a document dict; its
+    ``sigma_max`` is the one density cap every component has."""
     if names is None:
         names = tuple(f"component_{i}" for i in range(scene.n))
     if len(names) != scene.n:
@@ -98,16 +90,18 @@ def scene_to_doc(
             "name": name,
             "params": _float_list(comp.params()),
         })
+    caps = list(dict.fromkeys(comp.sigma_max for comp in scene.components))
+    if len(caps) > 1:
+        raise SceneFormatError(f"components must share one sigma_max, got {caps[0]} and {caps[1]}")
     doc = {
         "version": SCENE_DOC_VERSION,
         "t_far": float(scene.t_far),
-        "sigma_max": None if sigma_max is None else float(sigma_max),
+        "sigma_max": caps[0],
         "components": components,
     }
-    if camera is not None:
-        doc["camera"] = _camera_block(camera)
-    if quadrature is not None:
-        doc["quadrature"] = _quad_block(quadrature)
+    for key, config in (("camera", camera), ("quadrature", quadrature)):
+        if config is not None:
+            doc[key] = _block(config)
     if objects is not None:
         doc["objects"] = objects
     return doc
@@ -120,10 +114,32 @@ def _entries(values, what: str) -> list:
     return [v if isinstance(v, float) else _real(v, what) for v in values]
 
 
-def _require(doc: dict, key: str):
+def _require(doc: dict, key: str, where: str = "scene document"):
     if key not in doc:
-        raise SceneFormatError(f"scene document is missing {key!r}")
+        raise SceneFormatError(f"{where} is missing {key!r}")
     return doc[key]
+
+
+def _read_block(doc: dict, key: str, cls, required: tuple[str, ...], vectors: tuple[str, ...] = ()):
+    """The ``key`` block of ``doc`` as a ``cls``, None if there is none.  The
+    block holds the ``required`` keys and no key that is not a field of
+    ``cls``; each entry of a ``vectors`` field passes ``_entries``, every
+    other value goes to the constructor as it is."""
+    if key not in doc:
+        return None
+    block = doc[key]
+    if not isinstance(block, dict):
+        raise SceneFormatError(f"{key} block must be an object")
+    for name in required:
+        _require(block, name, f"{key} block")
+    unknown = sorted(set(block) - {f.name for f in fields(cls)})
+    if unknown:
+        raise SceneFormatError(f"{key} block has unknown key {unknown[0]!r}")
+    try:
+        return cls(**{name: _entries(value, f"{name} entry") if name in vectors else value
+                      for name, value in block.items()})
+    except (ValueError, TypeError) as exc:
+        raise SceneFormatError(f"{key} block: {exc}") from exc
 
 
 def doc_to_scene(doc: dict) -> SceneDocument:
@@ -138,7 +154,7 @@ def doc_to_scene(doc: dict) -> SceneDocument:
     raw_components = _require(doc, "components")
     if not isinstance(raw_components, list) or not raw_components:
         raise SceneFormatError("components must be a non-empty list")
-    fields: list[Field] = []
+    components: list[Field] = []
     names: list[str] = []
     for i, entry in enumerate(raw_components):
         if not isinstance(entry, dict):
@@ -146,7 +162,7 @@ def doc_to_scene(doc: dict) -> SceneDocument:
         kind = _require(entry, "kind")
         params = _require(entry, "params")
         try:
-            fields.append(field_from_params(kind, _entries(params, "params entry"), sigma_max=sigma_max))
+            components.append(field_from_params(kind, _entries(params, "params entry"), sigma_max=sigma_max))
         except (ValueError, TypeError) as exc:
             raise SceneFormatError(f"component {i} ({kind!r}): {exc}") from exc
         name = entry.get("name", f"component_{i}")
@@ -154,49 +170,22 @@ def doc_to_scene(doc: dict) -> SceneDocument:
             raise SceneFormatError(f"component {i} name must be a string, got {name!r}")
         names.append(name)
     try:
-        scene = CompositeScene(tuple(fields), t_far=t_far)
+        scene = CompositeScene(tuple(components), t_far=t_far)
     except (ValueError, TypeError) as exc:
         raise SceneFormatError(str(exc)) from exc
 
-    camera = None
-    if "camera" in doc:
-        cb = doc["camera"]
-        try:
-            camera = Camera(
-                position=_entries(cb["position"], "position entry"),
-                look_at=_entries(cb["look_at"], "look_at entry"),
-                width=cb["width"],
-                height=cb["height"],
-                vertical_fov=cb.get("vertical_fov", Camera.vertical_fov),
-                up=_entries(cb.get("up", (0.0, 0.0, 1.0)), "up entry"),
-            )
-            # Commands render the rig's views of this camera: each needs a frame.
-            for view in rig_views(camera):
-                view.basis()
-        except (KeyError, ValueError, TypeError) as exc:
-            raise SceneFormatError(f"camera block: {exc}") from exc
-    quadrature = None
-    if "quadrature" in doc:
-        qb = doc["quadrature"]
-        if not isinstance(qb, dict):
-            raise SceneFormatError("quadrature block must be an object")
-        try:
-            stratified = qb.get("stratified", True)
-            if not isinstance(stratified, bool):
-                raise SceneFormatError(f"stratified must be true or false, got {stratified!r}")
-            quadrature = QuadratureConfig(
-                n_coarse=qb["n_coarse"],
-                n_fine=qb["n_fine"],
-                seed=qb.get("seed", 0),
-                stratified=stratified,
-            )
-        except (KeyError, ValueError, TypeError) as exc:
-            raise SceneFormatError(f"quadrature block: {exc}") from exc
+    camera = _read_block(doc, "camera", Camera, ("position", "look_at", "width", "height"),
+                         ("position", "look_at", "up"))
+    try:
+        # Commands render the rig's views of this camera: each needs a frame.
+        for view in rig_views(camera) if camera is not None else ():
+            view.basis()
+    except ValueError as exc:
+        raise SceneFormatError(f"camera block: {exc}") from exc
     return SceneDocument(
         scene=scene,
-        sigma_max=sigma_max,
         camera=camera,
-        quadrature=quadrature,
+        quadrature=_read_block(doc, "quadrature", QuadratureConfig, ("n_coarse", "n_fine")),
         names=tuple(names),
         objects=doc.get("objects"),
     )

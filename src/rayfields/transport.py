@@ -82,7 +82,7 @@ class QuadratureConfig:
         _check_integer(self.n_fine, "n_fine", 0)
         _check_integer(self.seed, "seed", 0)
         if not isinstance(self.stratified, (bool, np.bool_)):
-            raise TypeError(f"stratified must be a bool, got {self.stratified!r}")
+            raise TypeError(f"stratified must be true or false, got {self.stratified!r}")
 
 
 def _check_samples(t, sigma, color, delta) -> None:
@@ -108,7 +108,7 @@ class RaySamples:
     delta: np.ndarray
 
     def __post_init__(self):
-        t = _real(self.t, "t", np.asarray(self.t, dtype=object).shape)  # a ragged t has a shape as objects
+        t = _real(self.t, "t", None)
         if np.ndim(t) != 1 or len(t) < 1:
             raise ValueError("t must be a non-empty 1-D array")
         sigma, delta = (_real(getattr(self, name), name, t.shape) for name in ("sigma", "delta"))
@@ -124,7 +124,7 @@ class RaySamples:
         """Evaluate ``field`` at depths ``t`` on ``ray``; widths assign each
         sample the span to the midpoints of its neighbors (first span starts
         at 0, last ends at t_far), so widths always sum to t_far."""
-        t = np.sort(_real(t, "t", np.shape(t)))
+        t = np.sort(_real(t, "t", None))
         sigma, color = field.evaluate(ray_at(ray, t), ray.direction)
         delta = _ownership_deltas(t[:, None], np.array([ray.t_far]))[:, 0]
         return cls(t, sigma, color, delta)
@@ -201,7 +201,7 @@ def _ray_panels(field, ray: Ray, t_end: float, n_panels: int):
 def transmittance(field, ray: Ray, t: float, quad: QuadratureConfig) -> float:
     """Survival probability at depth ``t``: midpoint rule with n_coarse panels
     over [0, t] (exact for constant densities)."""
-    t = float(t)
+    t = _real(t, "t")
     if not 0.0 <= t <= ray.t_far:
         raise ValueError("t must lie in [0, ray.t_far]")
     if t == 0.0:
@@ -216,10 +216,10 @@ def transmittance_grid(field, ray: Ray, ts, n_panels: int = 4096) -> np.ndarray:
     are monotone nonincreasing by construction.
     """
     _check_integer(n_panels, "n_panels", 1)
-    ts = np.asarray(ts, dtype=np.float64)
+    ts = _real(ts, "ts", None)
     if np.any(ts < 0) or np.any(ts > ray.t_far):
         raise ValueError("depths must lie in [0, ray.t_far]")
-    t_max = float(np.max(ts)) if ts.size else 0.0
+    t_max = float(np.max(ts)) if np.size(ts) else 0.0
     if t_max == 0.0:
         return np.ones_like(ts)
     cum = _ray_panels(field, ray, t_max, n_panels)[2]
@@ -239,7 +239,7 @@ def probability_balance(field, ray: Ray, n_panels: int = 4096) -> tuple[float, f
 
 def depth_pdf(field, ray: Ray, t: float, quad: QuadratureConfig) -> float:
     """Depth density sigma(r(t)) * T(t) (unnormalized; integrates to alpha)."""
-    sigma = field.density(ray_at(ray, float(t)))
+    sigma = field.density(ray_at(ray, t))
     return sigma * transmittance(field, ray, t, quad)
 
 
@@ -252,7 +252,7 @@ def stratified_samples(k: int, t_far: float, rng: np.random.Generator) -> np.nda
     """One uniform draw per bin of the k-fold partition of [0, t_far]; sorted
     by construction."""
     _check_integer(k, "k", 1)
-    if not t_far > 0:
+    if not _real(t_far, "t_far") > 0:
         raise ValueError("t_far must be positive")
     return (np.arange(k) + rng.random(k)) / k * t_far
 
@@ -481,7 +481,7 @@ def analytic_piecewise(field: PiecewiseConstantRayField, t: float) -> PiecewiseT
     [0, t] for the piecewise-constant oracle kind."""
     if not isinstance(field, PiecewiseConstantRayField):
         raise TypeError("analytic_piecewise needs a PiecewiseConstantRayField")
-    t = float(t)
+    t = _real(t, "t")
     if t < 0:
         raise ValueError("t must be >= 0")
     tau_t = float(_piecewise_tau(field, t))
@@ -499,6 +499,6 @@ def analytic_piecewise(field: PiecewiseConstantRayField, t: float) -> PiecewiseT
 
 def piecewise_interval_probability(field: PiecewiseConstantRayField, a: float, b: float) -> float:
     """Exact probability that the depth lands in [a, b]."""
-    if b < a:
+    if _real(a, "a") > _real(b, "b"):
         raise ValueError("need a <= b")
     return float(np.exp(-_piecewise_tau(field, a)) - np.exp(-_piecewise_tau(field, b)))

@@ -52,6 +52,11 @@ SIGNATURES = {
 }
 
 
+# The parameters each kind's density reads: every slot but the colors and the checker's cell.
+DENSITY_PARAMS = {"gaussian_blob": tuple(range(7)), "soft_sphere": tuple(range(6)), "soft_box": tuple(range(8)),
+                  "ground_plane": (0, 1, 9)}
+
+
 @pytest.mark.parametrize("cls", fields.FIELD_KINDS.values(), ids=lambda cls: cls.kind)
 def test_field_kind_follows_its_layout(cls):
     assert str(inspect.signature(cls)) == SIGNATURES[cls.kind]
@@ -67,6 +72,7 @@ def test_field_kind_follows_its_layout(cls):
     assert len(set(cls.density_params)) == len(cls.density_params)
     assert set(cls.density_params) <= set(range(len(domain_of)))
     assert all(domain_of[i] != "unit" for i in cls.density_params)
+    assert cls.density_params == DENSITY_PARAMS[cls.kind]
 
 
 def test_domain_table_is_in_fields_only():

@@ -1,16 +1,21 @@
 """End-to-end tests for the command-line interface: exit codes, file layout,
 determinism across worker-thread counts, and the JSON outputs."""
 
+import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from rayfields import cli, estimlab, scenegen
 from rayfields.cli import EXIT_GENERATION, EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
+from rayfields.compose import CompositeScene
+from rayfields.fields import DEFAULT_SIGMA_MAX
 from rayfields.images import read_pfm, read_pgm, read_ppm, write_pfm, write_pgm, write_ppm
-from rayfields.scenedoc import dumps_canonical, load_scene, scene_to_doc
+from rayfields.scenedoc import dumps_canonical, load_scene, save_scene, scene_to_doc, two_blob_demo_scene
 
 
 def run_cli(argv, capsys):
@@ -134,6 +139,13 @@ class TestGenerate:
         code = main(["generate", "--out", str(tmp_path / "g"), "--resolution", "6"])
         assert_one_error_line(code, capsys)
 
+    @pytest.mark.parametrize("resolution", [2**31, 2**63 - 1])
+    def test_resolution_beyond_memory_exits_2(self, tmp_path, capsys, resolution):
+        code = main(["generate", "--out", str(tmp_path / "g"), "--resolution", str(resolution)])
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: a {resolution}x{resolution} view needs more than this machine's ")
+        assert err.count("\n") == 1 and code == EXIT_INPUT and not (tmp_path / "g").exists()
+
     def test_impossible_placement_exits_3(self, tmp_path, capsys):
         code, _ = generate_small(
             tmp_path / "x", capsys,
@@ -206,6 +218,16 @@ class TestRender:
                      "--resolution", "6"])
         assert_one_error_line(code, capsys)
 
+    @pytest.mark.parametrize("resolution", [2**31, 2**63 - 1])
+    def test_resolution_beyond_memory_exits_2(self, tmp_path, capsys, resolution):
+        data = tmp_path / "data"
+        generate_small(data, capsys, views=1)
+        code = main(["render", "--scene", str(data / "scene.json"), "--out", str(tmp_path / "o"),
+                     "--resolution", str(resolution)])
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: a {resolution}x{resolution} view needs more than this machine's ")
+        assert err.count("\n") == 1 and code == EXIT_INPUT and not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("flags", [["--n-coarse", "1"], ["--n-coarse", "0"], ["--n-fine", "-1"]])
     def test_unusable_quadrature_exits_2(self, tmp_path, capsys, flags):
         data = tmp_path / "data"
@@ -263,7 +285,8 @@ class TestRender:
         generate_small(data, capsys, views=1)
         text = (data / "scene.json").read_text()
         doc = load_scene(data / "scene.json")
-        again = scene_to_doc(doc.scene, doc.sigma_max, doc.camera, doc.quadrature, doc.names, doc.objects)
+        assert [comp.sigma_max for comp in doc.scene.components] == [DEFAULT_SIGMA_MAX] * doc.scene.n
+        again = scene_to_doc(doc.scene, doc.camera, doc.quadrature, doc.names, doc.objects)
         assert dumps_canonical(again) == text
 
     @pytest.mark.parametrize("edit", [
@@ -324,6 +347,23 @@ class TestFit:
         monkeypatch.setenv("OBSURF_THREADS", "6")
         run_cli(argv + ["--out", str(tmp_path / "f2")], capsys)
         assert tree_bytes(tmp_path / "f1") == tree_bytes(tmp_path / "f2")
+
+    @pytest.mark.parametrize("cap", [5.0, None])
+    def test_fitted_scene_keeps_the_start_cap(self, tmp_path, capsys, cap):
+        """The fit runs at the start scene's cap, so the fitted document
+        carries that cap, not the dataset's."""
+        data = self.make_data(tmp_path, capsys)
+        start = two_blob_demo_scene()
+        start = CompositeScene(tuple(dataclasses.replace(c, sigma_max=cap) for c in start.components),
+                               t_far=start.t_far)
+        save_scene(tmp_path / "start.json", scene_to_doc(start))
+        code, _ = run_cli(["fit", "--data", str(data), "--out", str(tmp_path / "fit"), "--init",
+                           str(tmp_path / "start.json"), "--iterations", "2", "--batch-size", "8"], capsys)
+        assert code == EXIT_OK
+        assert load_scene(data / "scene.json").scene.components[0].sigma_max == DEFAULT_SIGMA_MAX
+        assert json.loads((tmp_path / "fit" / "scene.json").read_text())["sigma_max"] == cap
+        fitted = load_scene(tmp_path / "fit" / "scene.json").scene
+        assert [c.sigma_max for c in fitted.components] == [cap] * fitted.n
 
     def test_both_init_flags_exit_2(self, tmp_path, capsys):
         data = self.make_data(tmp_path, capsys)
@@ -437,6 +477,19 @@ class TestBiasDemo:
         assert captured.out == ""
         assert captured.err.startswith("error: not enough memory: Unable to allocate 7.28 TiB")
         assert captured.err.count("\n") == 1
+
+    def test_trials_beyond_memory_exit_2(self):
+        """Refused before any block runs.  Run in a child process with a time
+        limit and a 2 GiB address space, so that a command which starts the
+        trials anyway fails the test instead of exhausting the memory."""
+        child = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)); "
+                 "from rayfields.cli import main; "
+                 "sys.exit(main(['bias-demo', '--k', '2', '--n-trials', str(2**62)]))")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, timeout=120, env=env)
+        assert done.returncode == EXIT_INPUT and done.stdout == ""
+        assert done.stderr.startswith(f"error: --n-trials {2**62} needs more than this machine's ")
+        assert done.stderr.count("\n") == 1
 
     def test_hierarchical_flag(self, capsys):
         code, stdout = run_cli(

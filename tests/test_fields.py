@@ -174,9 +174,10 @@ class TestLayoutIsTheSpec:
     @given(_in_domain_fields(), st.floats(1e-3, 1e3))
     def test_scene_document_dump_load_dump(self, drawn, t_far):
         field, _ = drawn
-        text = dumps_canonical(scene_to_doc(CompositeScene((field,), t_far=t_far), sigma_max=field.sigma_max))
+        text = dumps_canonical(scene_to_doc(CompositeScene((field,), t_far=t_far)))
         loaded = doc_to_scene(json.loads(text))
-        assert dumps_canonical(scene_to_doc(loaded.scene, sigma_max=loaded.sigma_max)) == text
+        assert loaded.scene.components[0].sigma_max == field.sigma_max
+        assert dumps_canonical(scene_to_doc(loaded.scene)) == text
 
     @settings(max_examples=120, deadline=None)
     @given(_in_domain_fields(), st.data())

@@ -63,6 +63,18 @@ class TestCamera:
         with pytest.raises(ValueError, match="parallel"):
             cam.basis()
 
+    @pytest.mark.parametrize("kwargs", [
+        {"position": (1e308, 0, 2.4)}, {"position": (-1e308, 0, 2.4), "look_at": (1e308, 0, 0.5)},
+        {"position": (4, 0, 2.4), "up": (0, 1e300, 1e300)},
+        {"position": (4, 4, 0), "look_at": (0, 0, 0), "up": (1.7e308, -1.7e308, 0)},
+    ])
+    def test_overflowing_frame_names_its_cause(self, kwargs):
+        """Raised without a RuntimeWarning (the suite makes one an error)."""
+        cam = Camera(**{"look_at": (0, 0, 0.5), "width": 8, "height": 8, **kwargs})
+        with pytest.raises(ValueError, match="^the camera frame overflows a float: position, look_at or up is too "
+                                             "large$"):
+            cam.basis()
+
     def test_field_of_view_bounds(self):
         with pytest.raises(ValueError, match="vertical_fov"):
             Camera(position=(1, 0, 0), look_at=(0, 0, 0), width=4, height=4, vertical_fov=math.pi)

@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rayfields as rf
+from rayfields.compose import joint_depth_component_pdf
 from rayfields.fields import FIELD_KINDS
 from rayfields.losses import RgbdSample
 from rayfields.scenegen import SceneGenConfig
-from rayfields.transport import RaySamples
+from rayfields.transport import RaySamples, piecewise_interval_probability
 
 _RAY = dict(origin=(0.0, 0.0, 0.0), direction=(1.0, 0.0, 0.0), t_far=5.0)
 _BLOB = rf.GaussianBlobField(center=(0, 0, 0), scale=(1, 1, 1), amplitude=5, color=(1, 0, 1))
@@ -140,3 +141,82 @@ def test_loss_config_counts_have_a_floor(kwargs, words):
 def test_scene_gen_counts_have_a_floor(name):
     with pytest.raises(ValueError, match=f"^{name} must be >= 1, got 0$"):
         SceneGenConfig(**{name: 0})
+
+
+# Function arguments that are depths, densities or colors, checked as constructor fields are.
+_SCENE = rf.CompositeScene((_BLOB,), t_far=5.0)
+_QUAD = rf.QuadratureConfig(n_coarse=8, n_fine=0)
+_SLAB = rf.PiecewiseConstantRayField(axis_origin=(0.0, 0.0, 0.0), axis_direction=(1.0, 0.0, 0.0),
+                                     breakpoints=(0.0, 1.0, 2.0), sigmas=(1.0, 2.0),
+                                     colors=((1.0, 0.0, 1.0), (0.0, 1.0, 0.0)))
+_COLORS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+# (call of the one argument, a valid value of it: whole numbers, so that every kind of number holds it)
+ARGUMENTS = {
+    "transmittance.t": (lambda t: rf.transmittance(_SCENE, rf.Ray(**_RAY), t, _QUAD), 2.0),
+    "depth_pdf.t": (lambda t: rf.depth_pdf(_SCENE, rf.Ray(**_RAY), t, _QUAD), 2.0),
+    "depth_cdf.t": (lambda t: rf.depth_cdf(_SCENE, rf.Ray(**_RAY), t, _QUAD), 2.0),
+    "joint_depth_component_pdf.t": (lambda t: joint_depth_component_pdf(_SCENE, rf.Ray(**_RAY), t, _QUAD), 2.0),
+    "ray_at.t": (lambda t: rf.ray_at(rf.Ray(**_RAY), t), 2.0),
+    "ray_at.t-array": (lambda t: rf.ray_at(rf.Ray(**_RAY), t), ((1.0, 2.0), (3.0, 4.0))),
+    "transmittance_grid.ts": (lambda ts: rf.transmittance_grid(_SCENE, rf.Ray(**_RAY), ts), (1.0, 2.0)),
+    "transmittance_grid.ts-scalar": (lambda ts: rf.transmittance_grid(_SCENE, rf.Ray(**_RAY), ts), 2.0),
+    "analytic_piecewise.t": (lambda t: np.hstack(rf.analytic_piecewise(_SLAB, t)), 1.0),
+    "piecewise_interval_probability.a": (lambda a: piecewise_interval_probability(_SLAB, a, 2.0), 1.0),
+    "piecewise_interval_probability.b": (lambda b: piecewise_interval_probability(_SLAB, 1.0, b), 2.0),
+    "stratified_samples.t_far": (lambda t_far: rf.stratified_samples(4, t_far, np.random.default_rng(0)), 5.0),
+    "mixture_render_constant.sigmas": (lambda sigmas: rf.mixture_render_constant(sigmas, _COLORS), (1.0, 2.0)),
+    "mixture_render_constant.colors": (lambda colors: rf.mixture_render_constant((1.0, 2.0), colors), _COLORS),
+}
+
+
+def _first_entry(value, entry):
+    """``value`` with its first number replaced by ``entry``, nesting kept."""
+    return (_first_entry(value[0], entry),) + value[1:] if isinstance(value, tuple) else entry
+
+
+@pytest.mark.parametrize("name", ARGUMENTS)
+def test_argument_takes_integers_and_numpy_numbers(name):
+    call, good = ARGUMENTS[name]
+    want = call(good)
+    for kind in (np.float32, np.int64, float):
+        np.testing.assert_array_equal(call(_each(good, lambda v: kind(v))), want)
+    np.testing.assert_array_equal(call(np.array(good)), want)
+
+
+@pytest.mark.parametrize("name", ARGUMENTS)
+@pytest.mark.parametrize("bad", ["2.0", True, np.bool_(True), None, 2 + 0j, "entrywise-str", "entrywise-bool"])
+def test_argument_non_number_is_rejected(name, bad):
+    call, good = ARGUMENTS[name]
+    if isinstance(bad, str) and bad.startswith("entrywise"):
+        bad = _each(good, str if bad.endswith("str") else bool)
+    with pytest.raises(TypeError, match="must (be a number|hold integers or floats)"):
+        call(bad)
+
+
+@pytest.mark.parametrize("name", ARGUMENTS)
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_argument_must_be_finite(name, entry):
+    call, good = ARGUMENTS[name]
+    with pytest.raises(ValueError, match="must be finite"):
+        call(_first_entry(good, entry))
+
+
+@pytest.mark.parametrize("call, error, words", [
+    (lambda: rf.transmittance(_SCENE, rf.Ray(**_RAY), "2.0", _QUAD), TypeError, "^t must be a number, got '2.0'$"),
+    (lambda: rf.transmittance(_SCENE, rf.Ray(**_RAY), True, _QUAD), TypeError, "^t must be a number, got True$"),
+    (lambda: rf.transmittance(_SCENE, rf.Ray(**_RAY), 6.0, _QUAD), ValueError, r"^t must lie in \[0, ray.t_far\]$"),
+    (lambda: rf.transmittance_grid(_SCENE, rf.Ray(**_RAY), ["1", "2"]), TypeError, "^ts must hold integers"),
+    (lambda: rf.analytic_piecewise(_SLAB, np.nan), ValueError, "^t must be finite$"),
+    (lambda: rf.analytic_piecewise(_SLAB, -1.0), ValueError, "^t must be >= 0$"),
+    (lambda: piecewise_interval_probability(_SLAB, np.nan, 1.0), ValueError, "^a must be finite$"),
+    (lambda: piecewise_interval_probability(_SLAB, 1.0, 0.5), ValueError, "^need a <= b$"),
+    (lambda: rf.stratified_samples(4, np.inf, np.random.default_rng(0)), ValueError, "^t_far must be finite$"),
+    (lambda: rf.stratified_samples(4, "1", np.random.default_rng(0)), TypeError, "^t_far must be a number"),
+    (lambda: rf.stratified_samples(4, 0.0, np.random.default_rng(0)), ValueError, "^t_far must be positive$"),
+    (lambda: rf.mixture_render_constant([np.nan, 1.0], _COLORS), ValueError, "^sigmas must be finite$"),
+    (lambda: rf.mixture_render_constant(["1", "2"], _COLORS), TypeError, "^sigmas must hold integers"),
+    (lambda: rf.mixture_render_constant([1.0], _COLORS), ValueError, r"^need sigmas \(n,\) and colors \(n, 3\)$"),
+])
+def test_function_argument_evidence(call, error, words):
+    with pytest.raises(error, match=words):
+        call()

@@ -1,12 +1,14 @@
 """Tests for JSON scene documents: roundtrips, canonical bytes, validation."""
 
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 import rayfields as rf
+from rayfields.fields import DEFAULT_SIGMA_MAX, GaussianBlobField
 from rayfields.geometry import Camera
 from rayfields.scenedoc import (
     SCENE_DOC_VERSION,
@@ -23,6 +25,11 @@ from rayfields.transport import QuadratureConfig
 from references import SCENES, SIGMA_MAX
 
 
+def with_cap(scene, cap):
+    """``scene`` with every component capped at ``cap``."""
+    return rf.CompositeScene(tuple(replace(c, sigma_max=cap) for c in scene.components), t_far=scene.t_far)
+
+
 class TestRoundtrip:
     def test_scene_params_survive(self):
         scene = two_blob_demo_scene()
@@ -37,11 +44,27 @@ class TestRoundtrip:
     @settings(max_examples=100, deadline=None)
     @given(SCENES, SIGMA_MAX)
     def test_canonical_dump_reloads_to_the_same_bytes_and_params(self, scene, sigma_max):
-        text = dumps_canonical(scene_to_doc(scene, sigma_max=sigma_max))
+        scene = with_cap(scene, sigma_max)
+        text = dumps_canonical(scene_to_doc(scene))
         back = doc_to_scene(json.loads(text))
-        assert dumps_canonical(scene_to_doc(back.scene, sigma_max=back.sigma_max)) == text
+        assert dumps_canonical(scene_to_doc(back.scene)) == text
         assert back.scene.params().tobytes() == scene.params().tobytes()
         assert [c.kind for c in back.scene.components] == [c.kind for c in scene.components]
+        assert [c.sigma_max for c in back.scene.components] == [sigma_max] * scene.n
+
+    @settings(max_examples=50, deadline=None)
+    @given(SCENES.filter(lambda scene: len({repr(c.sigma_max) for c in scene.components}) > 1))
+    def test_mixed_caps_cannot_be_written(self, scene):
+        with pytest.raises(SceneFormatError, match="components must share one sigma_max"):
+            scene_to_doc(scene)
+
+    @pytest.mark.parametrize("cap,amplitude", [(5.0, 4.0), (None, 30.0), (10.0, 8.0)])
+    def test_round_trip_keeps_each_component_cap(self, cap, amplitude):
+        blob = GaussianBlobField(center=(0, 0, 1), scale=(0.5, 0.5, 0.5), amplitude=amplitude,
+                                 color=(1, 0, 0), sigma_max=cap)
+        doc = json.loads(dumps_canonical(scene_to_doc(rf.CompositeScene((blob, blob)))))
+        assert doc["sigma_max"] == cap
+        assert [c.sigma_max for c in doc_to_scene(doc).scene.components] == [cap, cap]
 
     def test_names_default_and_custom(self):
         scene = two_blob_demo_scene()
@@ -85,11 +108,16 @@ class TestRoundtrip:
         assert not list(tmp_path.glob("*.tmp"))
 
     def test_sigma_max_none_means_uncapped(self):
-        scene = two_blob_demo_scene()
-        doc = scene_to_doc(scene, sigma_max=None)
+        scene = with_cap(two_blob_demo_scene(), None)
+        doc = scene_to_doc(scene)
+        assert doc["sigma_max"] is None
         back = doc_to_scene(doc)
-        assert back.sigma_max is None
-        assert back.scene.components[0].sigma_max is None
+        assert [c.sigma_max for c in back.scene.components] == [None] * scene.n
+
+    def test_missing_cap_means_the_default(self):
+        doc = scene_to_doc(with_cap(two_blob_demo_scene(), 5.0))
+        del doc["sigma_max"]
+        assert {c.sigma_max for c in doc_to_scene(doc).scene.components} == {DEFAULT_SIGMA_MAX}
 
 
 class TestCanonicalBytes:
@@ -120,6 +148,13 @@ class TestCanonicalBytes:
 class TestValidation:
     def good_doc(self):
         return scene_to_doc(two_blob_demo_scene())
+
+    def blocks_doc(self):
+        """A document with both blocks, every field away from its default."""
+        camera = Camera(position=(4.6, 0, 2.4), look_at=(0, 0, 0.5), width=8, height=6, vertical_fov=0.5,
+                        up=(0.0, 0.6, 0.8))
+        quad = QuadratureConfig(n_coarse=8, n_fine=4, seed=9, stratified=False)
+        return json.loads(dumps_canonical(scene_to_doc(two_blob_demo_scene(), camera=camera, quadrature=quad)))
 
     def test_not_a_dict(self):
         with pytest.raises(SceneFormatError):
@@ -214,6 +249,12 @@ class TestValidation:
         with pytest.raises(SceneFormatError, match=f"^camera block: {words}, got "):
             doc_to_scene(doc)
 
+    def test_camera_frame_overflow_is_named(self):
+        doc = self.blocks_doc()
+        doc["camera"]["position"] = [1e308, 0.0, 2.4]
+        with pytest.raises(SceneFormatError, match="^camera block: the camera frame overflows a float"):
+            doc_to_scene(doc)
+
     def test_bad_quadrature_block(self):
         doc = scene_to_doc(two_blob_demo_scene(), quadrature=QuadratureConfig(seed=0))
         doc["quadrature"]["n_coarse"] = "many"
@@ -248,6 +289,38 @@ class TestValidation:
         doc["quadrature"] = value
         with pytest.raises(SceneFormatError, match="quadrature block"):
             doc_to_scene(doc)
+
+    def test_camera_block_must_be_object(self):
+        doc = self.good_doc()
+        doc["camera"] = 5
+        with pytest.raises(SceneFormatError, match="^camera block must be an object$"):
+            doc_to_scene(doc)
+
+    @pytest.mark.parametrize("block,key", [("camera", "position"), ("camera", "look_at"), ("camera", "width"),
+                                           ("camera", "height"), ("quadrature", "n_coarse"),
+                                           ("quadrature", "n_fine")])
+    def test_missing_block_key_is_named(self, block, key):
+        doc = self.blocks_doc()
+        del doc[block][key]
+        with pytest.raises(SceneFormatError, match=f"^{block} block is missing '{key}'$"):
+            doc_to_scene(doc)
+
+    @pytest.mark.parametrize("block,key", [("camera", "fov"), ("camera", "sigma_max"), ("quadrature", "sed"),
+                                           ("quadrature", "n_samples")])
+    def test_unknown_block_key_is_named(self, block, key):
+        doc = self.blocks_doc()
+        doc[block][key] = 5
+        with pytest.raises(SceneFormatError, match=f"^{block} block has unknown key '{key}'$"):
+            doc_to_scene(doc)
+
+    @pytest.mark.parametrize("block,key", [("camera", "vertical_fov"), ("camera", "up"), ("quadrature", "seed"),
+                                           ("quadrature", "stratified")])
+    def test_optional_block_key_takes_the_dataclass_default(self, block, key):
+        doc = self.blocks_doc()
+        del doc[block][key]
+        cls = {"camera": Camera, "quadrature": QuadratureConfig}[block]
+        default = next(f.default for f in fields(cls) if f.name == key)
+        assert np.array_equal(getattr(getattr(doc_to_scene(doc), block), key), default)
 
     def test_quadrature_types_round_trip(self):
         quad = QuadratureConfig(n_coarse=2, n_fine=0, seed=2**40, stratified=False)

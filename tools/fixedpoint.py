@@ -24,6 +24,9 @@ under that tree and under ``--src`` (default: this checkout's ``src/``), at
   holds (a last block of 1 or 2 rows);
 - the files the CLI ``render`` command writes for a 3-view render, and the
   stdout of the CLI ``bias-demo`` command, plain and ``--hierarchical``;
+- for each of those scenes, the canonical bytes of its scene document, with
+  camera and quadrature blocks, names and objects, and the scene, the caps
+  and the blocks read back from them;
 - for generated scenes of each object-kind mix: ``sample_scene`` params and
   metadata, ``ground_truth_maps`` depth and mask and every component's
   ``surface_distance`` on a camera grid, ``sample_observations`` and
@@ -320,6 +323,33 @@ def _cli_bias_demo(p: dict, out: dict) -> None:
         out[f"{name}.stdout"] = np.frombuffer(stdout, dtype=np.uint8)
 
 
+def _scene_documents(rf, out: dict) -> None:
+    """The document of each fixed scene, with a camera block (a field of
+    view and an up vector away from their defaults), a quadrature block
+    (unstratified, a seed past 32 bits), names and objects: its canonical
+    bytes, and what ``doc_to_scene`` reads back from them: the params, each
+    component's cap (NaN: none), the camera's fields and the quadrature's."""
+    camera = rf.Camera(position=(4.5, 1.0, 2.2), look_at=(0.0, 0.0, 0.5), width=7, height=5, vertical_fov=0.6,
+                       up=(0.0, 0.6, 0.8))
+    quad = rf.QuadratureConfig(n_coarse=16, n_fine=8, seed=2**40, stratified=False)
+    for n in COMPONENT_COUNTS:
+        scene = _scene(rf, n)
+        names = tuple(f"object {i}" for i in range(n))
+        objects = [{"index": i, "kind": comp.kind} for i, comp in enumerate(scene.components)]
+        text = rf.dumps_canonical(rf.scene_to_doc(scene, camera=camera, quadrature=quad, names=names,
+                                                  objects=objects))
+        doc = rf.doc_to_scene(json.loads(text))
+        tag = f"scenedoc.scene{n}"
+        out[f"{tag}.bytes"] = np.frombuffer(text.encode(), dtype=np.uint8)
+        out[f"{tag}.params"] = doc.scene.params()
+        out[f"{tag}.sigma_max"] = np.array([np.nan if c.sigma_max is None else c.sigma_max
+                                            for c in doc.scene.components])
+        for name in ("position", "look_at", "width", "height", "vertical_fov", "up"):
+            out[f"{tag}.camera.{name}"] = np.asarray(getattr(doc.camera, name))
+        out[f"{tag}.quadrature"] = np.array([doc.quadrature.n_coarse, doc.quadrature.n_fine, doc.quadrature.seed,
+                                             doc.quadrature.stratified])
+
+
 def _cli_render(rf, p: dict, out: dict) -> None:
     from rayfields import cli
 
@@ -436,7 +466,8 @@ def _manifest(rf, p: dict) -> list:
         groups.append((f"scene{n}.rays", lambda out, n=n: _scene_rays(rf, n, p, out)))
     groups += [("bias_demo", lambda out: _bias_demo(p, out)),
                ("cli.bias-demo", lambda out: _cli_bias_demo(p, out)),
-               ("cli.render", lambda out: _cli_render(rf, p, out))]
+               ("cli.render", lambda out: _cli_render(rf, p, out)),
+               ("scenedoc", lambda out: _scene_documents(rf, out))]
     groups += [(f"scenegen.{mix}", lambda out, mix=mix: _generated(rf, mix, p, out)) for mix in KIND_MIXES]
     groups.append(("with_params", lambda out: _with_params(rf, p, out)))
     groups += [("fit_bench", lambda out: _fit_bench(rf, *p["fit_bench"], out)),
