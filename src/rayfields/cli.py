@@ -12,12 +12,18 @@ Exit codes: 0 success, 2 bad input, 3 scene generation failed, 4 numerical
 failure.  ``main`` maps each exception a command may raise to its code and
 one ``error:`` line on stderr: bad input, a missing or malformed file and
 an input too large for memory exit 2, a scene that cannot be placed 3, a
-diverged fit 4.  A view size or trial count whose arrays alone would not
-fit in the machine's memory is refused before any work starts.  All
-randomness is seeded and all outputs are byte-stable: rerunning a command
-with the same arguments reproduces identical files regardless of the
-worker-thread count (see the OBSURF_THREADS environment variable).  Timings
-go to stderr only.
+diverged fit 4.  A flag is checked by the config it feeds (``Camera``,
+``QuadratureConfig``, ``SceneGenConfig``, ``LossConfig``, ``FitConfig``, the
+bias demo's own checks), whose ValueError becomes bad input; only the two
+flags no config takes, ``--scene-seed`` and ``--trace-points``, are checked
+here.  A view whose rays and sample draws, or a bias demo whose trial
+results or one row of draws, would not fit in the machine's memory is
+refused before any work starts.  Mask files take the ids of
+``scenegen.GroundTruth``: 0 for nothing and for a trailing ground plane,
+i + 1 for any other component i.  All randomness is seeded and all outputs
+are byte-stable: rerunning a command with the same arguments reproduces
+identical files regardless of the worker-thread count (see the
+OBSURF_THREADS environment variable).  Timings go to stderr only.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from . import estimlab, images, metrics
 from ._threads import resolve_workers
 from .compose import CompositeScene, RenderedView, render_ray_grid
 from .fitting import FitConfig, FitDivergence, fit
-from .geometry import Camera, pinhole_rays, rig_views
+from .geometry import Camera, _check_integer, pinhole_rays, rig_views
 from .losses import LossConfig, RgbdBatch
 from .scenedoc import (
     SceneFormatError,
@@ -45,8 +51,8 @@ from .scenedoc import (
     save_scene,
     scene_to_doc,
 )
-from .scenegen import (PlacementError, SceneGenConfig, _view_samples, _view_seed, default_camera, render_dataset,
-                       sample_scene)
+from .scenegen import (PlacementError, SceneGenConfig, _mask_ids, _view_samples, _view_seed, default_camera,
+                       render_dataset, sample_scene)
 from .transport import QuadratureConfig
 
 __all__ = ["main"]
@@ -61,9 +67,11 @@ _CHECKER_DARK = 0.35
 _CHECKER_LIGHT = 0.65
 
 # Bytes held per pixel of a view by its rays (``pinhole_rays``: origin,
-# direction and cutoff in float64) and per bias-demo trial by its result (a
-# float64 color and a bool miss).
+# direction and cutoff in float64), per sample by its uniform draw (float64;
+# a render draws every sample of its rays before any work), and per bias-demo
+# trial by its result (a float64 color and a bool miss).
 _PIXEL_BYTES = 56
+_DRAW_BYTES = 8
 _TRIAL_BYTES = 9
 
 
@@ -90,32 +98,19 @@ def _view_color(view: RenderedView) -> np.ndarray:
     return view.color * alpha + _checkerboard(h, w) * (1.0 - alpha)
 
 
-def _background_component(scene: CompositeScene) -> int | None:
-    """Index of a trailing ground-plane component, if the scene has one."""
-    if scene.components[-1].kind == "ground_plane":
-        return scene.n - 1
-    return None
-
-
-def _labels_to_mask(labels: np.ndarray, background: int | None) -> np.ndarray:
-    """Component labels (-1 empty) -> mask ids (0 empty/background, 1..n objects)."""
-    mask = labels + 1
-    if background is not None:
-        mask = np.where(labels == background, 0, mask)
-    return np.where(labels < 0, 0, mask).astype(np.int32)
+def _view_paths(directory: str, index: int) -> tuple[str, str, str]:
+    """The color, depth and mask files of view ``index`` in ``directory``."""
+    stem = os.path.join(directory, f"view_{index}")
+    return f"{stem}.ppm", f"{stem}_depth.pfm", f"{stem}_mask.pgm"
 
 
 def _write_view_files(out_dir: str, index: int, rgb: np.ndarray, depth: np.ndarray,
                       mask: np.ndarray) -> list[str]:
-    paths = [
-        os.path.join(out_dir, f"view_{index}.ppm"),
-        os.path.join(out_dir, f"view_{index}_depth.pfm"),
-        os.path.join(out_dir, f"view_{index}_mask.pgm"),
-    ]
-    images.write_ppm(paths[0], rgb)
-    images.write_pfm(paths[1], np.where(np.isnan(depth), np.inf, depth))
-    images.write_pgm(paths[2], mask)
-    return paths
+    rgb_path, depth_path, mask_path = _view_paths(out_dir, index)
+    images.write_ppm(rgb_path, rgb)
+    images.write_pfm(depth_path, np.where(np.isnan(depth), np.inf, depth))
+    images.write_pgm(mask_path, mask)
+    return [rgb_path, depth_path, mask_path]
 
 
 def _load_document(path: str):
@@ -127,32 +122,26 @@ def _load_document(path: str):
         raise _InputError(f"bad scene document {path}: {exc}") from exc
 
 
+def _checked(what: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, a config or a check of one; the ValueError
+    its checks raise is bad input about ``what``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise _InputError(f"bad {what}: {exc}") from exc
+
+
 def _quad_from_args(args, doc_quad: QuadratureConfig | None) -> QuadratureConfig:
-    # Two coarse samples is the quadrature minimum; zero fine samples renders coarse-only.
-    _require_at_least(2, args, "--n-coarse")
-    _require_at_least(0, args, "--n-fine", "--seed")
-    quad = doc_quad or QuadratureConfig()
-    if args.n_coarse is not None:
-        quad = replace(quad, n_coarse=args.n_coarse)
-    if args.n_fine is not None:
-        quad = replace(quad, n_fine=args.n_fine)
-    if args.seed is not None:
-        quad = replace(quad, seed=args.seed)
-    return quad
+    """The document's quadrature (default: ``QuadratureConfig()``) with the
+    quadrature flags that were given."""
+    given = {name: value for name in ("n_coarse", "n_fine", "seed") if (value := getattr(args, name)) is not None}
+    return _checked("quadrature", replace, doc_quad or QuadratureConfig(), **given)
 
 
 def _add_quad_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-coarse", type=int, default=None, help="coarse samples per ray")
     p.add_argument("--n-fine", type=int, default=None, help="fine samples per ray")
     p.add_argument("--seed", type=int, default=None, help="sampling seed")
-
-
-def _require_at_least(minimum: int, args, *flags: str) -> None:
-    """Reject an integer flag below ``minimum`` as bad input."""
-    for flag in flags:
-        value = getattr(args, flag[2:].replace("-", "_"))
-        if value is not None and value < minimum:
-            raise _InputError(f"{flag} must be >= {minimum}, got {value}")
 
 
 def _require_memory(what: str, nbytes: int) -> None:
@@ -163,24 +152,26 @@ def _require_memory(what: str, nbytes: int) -> None:
         raise _InputError(f"{what} needs more than this machine's {memory / 2**30:.3g} GiB of memory")
 
 
+def _require_view_memory(camera: Camera, quad: QuadratureConfig) -> None:
+    """Reject a view whose rays and sample draws would not fit in memory."""
+    _require_memory(f"a {camera.width}x{camera.height} view",
+                    camera.width * camera.height * (_PIXEL_BYTES + _DRAW_BYTES * (quad.n_coarse + quad.n_fine)))
+
+
 # ----------------------------------------------------------------- render
 
 
 def _cmd_render(args) -> int:
-    _require_at_least(1, args, "--resolution")
     doc = _load_document(args.scene)
     scene = doc.scene
-    camera = doc.camera
-    if camera is None:
-        camera = default_camera(SceneGenConfig(resolution=args.resolution or 64))
+    camera = doc.camera if doc.camera is not None else default_camera(SceneGenConfig())
     if args.resolution is not None:
-        camera = replace(camera, width=args.resolution, height=args.resolution)
-    _require_memory(f"a {camera.width}x{camera.height} view", camera.width * camera.height * _PIXEL_BYTES)
+        camera = _checked("camera", replace, camera, width=args.resolution, height=args.resolution)
     quad = _quad_from_args(args, doc.quadrature)
+    _require_view_memory(camera, quad)
     cameras = rig_views(camera)[: args.views]
 
     os.makedirs(args.out, exist_ok=True)
-    background = _background_component(scene)
     started = time.perf_counter()
     written: list[str] = []
     for v, cam in enumerate(cameras):
@@ -188,8 +179,7 @@ def _cmd_render(args) -> int:
         if not np.all(np.isfinite(view.color)):
             _stderr("error: render produced non-finite colors")
             return EXIT_NUMERICAL
-        mask = _labels_to_mask(view.labels, background)
-        written += _write_view_files(args.out, v, _view_color(view), view.depth, mask)
+        written += _write_view_files(args.out, v, _view_color(view), view.depth, _mask_ids(scene, view.labels))
     _stderr(f"rendered {len(cameras)} view(s) in {time.perf_counter() - started:.2f}s "
             f"({resolve_workers()} worker threads)")
     for path in written:
@@ -201,19 +191,12 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    _require_at_least(1, args, "--resolution")
-    _require_at_least(0, args, "--scene-seed")
+    _checked("flag", _check_integer, args.scene_seed, "--scene-seed", 0)
     quad = _quad_from_args(args, None)
-    try:
-        config = SceneGenConfig(
-            n_objects_min=args.n_objects_min,
-            n_objects_max=args.n_objects_max,
-            resolution=args.resolution,
-        )
-    except ValueError as exc:
-        raise _InputError(f"bad object counts {args.n_objects_min}..{args.n_objects_max}: {exc}") from exc
+    config = _checked("scene settings", SceneGenConfig, n_objects_min=args.n_objects_min,
+                      n_objects_max=args.n_objects_max, resolution=args.resolution)
     camera = default_camera(config)
-    _require_memory(f"a {camera.width}x{camera.height} view", camera.width * camera.height * _PIXEL_BYTES)
+    _require_view_memory(camera, quad)
     scene, meta = sample_scene(config, np.random.default_rng(args.scene_seed))
 
     os.makedirs(args.out, exist_ok=True)
@@ -254,13 +237,9 @@ def _round_floats(a) -> list:
 
 
 def _dataset_views(data_dir: str) -> list[int]:
-    pat = re.compile(r"view_(\d+)\.ppm$")
-    found = []
-    for path in glob.glob(os.path.join(data_dir, "view_*.ppm")):
-        m = pat.search(os.path.basename(path))
-        if m:
-            found.append(int(m.group(1)))
-    return sorted(found)
+    """The indices of the ``view_N.ppm`` files in ``data_dir``, in order."""
+    names = (os.path.basename(path) for path in glob.glob(os.path.join(data_dir, "view_*.ppm")))
+    return sorted(int(m.group(1)) for name in names if (m := re.fullmatch(r"view_(\d+)\.ppm", name)))
 
 
 def _load_samples(data_dir: str, camera: Camera, t_far: float) -> RgbdBatch:
@@ -272,8 +251,9 @@ def _load_samples(data_dir: str, camera: Camera, t_far: float) -> RgbdBatch:
     for v in indices:
         if v >= len(cams):
             raise _InputError(f"view index {v} has no rig camera (rig has {len(cams)})")
-        rgb = images.read_ppm(os.path.join(data_dir, f"view_{v}.ppm"))
-        depth = images.read_pfm(os.path.join(data_dir, f"view_{v}_depth.pfm"))
+        rgb_path, depth_path, _ = _view_paths(data_dir, v)
+        rgb = images.read_ppm(rgb_path)
+        depth = images.read_pfm(depth_path)
         if rgb.shape[:2] != (camera.height, camera.width):
             raise _InputError(
                 f"view {v} is {rgb.shape[1]}x{rgb.shape[0]} but the scene camera is "
@@ -284,8 +264,10 @@ def _load_samples(data_dir: str, camera: Camera, t_far: float) -> RgbdBatch:
 
 
 def _cmd_fit(args) -> int:
-    _require_at_least(1, args, "--iterations", "--batch-size", "--trace-points", "--init-random")
-    _require_at_least(0, args, "--fit-seed")
+    _checked("flag", _check_integer, args.trace_points, "--trace-points", 1)
+    loss = _checked("fit settings", LossConfig, **({} if args.k_o_max is None else {"k_o_max": args.k_o_max}))
+    config = _checked("fit settings", FitConfig, iterations=args.iterations, batch_size=args.batch_size,
+                      learning_rate=args.learning_rate, seed=args.fit_seed, loss=loss)
     data_doc = _load_document(os.path.join(args.data, "scene.json"))
     if data_doc.camera is None:
         raise _InputError("dataset scene.json has no camera block")
@@ -294,24 +276,14 @@ def _cmd_fit(args) -> int:
     if args.init is not None:
         init_scene = _load_document(args.init).scene
     elif args.init_random is not None:
-        config = SceneGenConfig(n_objects_min=args.init_random, n_objects_max=args.init_random)
-        init_scene, _ = sample_scene(config, np.random.default_rng(args.fit_seed))
+        start = _checked("scene settings", SceneGenConfig, n_objects_min=args.init_random,
+                         n_objects_max=args.init_random)
+        init_scene, _ = sample_scene(start, np.random.default_rng(args.fit_seed))
         init_scene = CompositeScene(init_scene.components, t_far=data_doc.scene.t_far)
     else:
         raise _InputError("a start point is required: --init SCENE or --init-random N_OBJECTS")
 
     samples = _load_samples(args.data, data_doc.camera, data_doc.scene.t_far)
-    try:
-        loss = LossConfig(k_o_max=args.k_o_max) if args.k_o_max is not None else LossConfig()
-        config = FitConfig(
-            iterations=args.iterations,
-            batch_size=args.batch_size,
-            learning_rate=args.learning_rate,
-            seed=args.fit_seed,
-            loss=loss,
-        )
-    except ValueError as exc:
-        raise _InputError(f"bad fit settings: {exc}") from exc
     if not len(samples):
         raise _InputError(f"no pixel in {args.data} has a finite depth inside the scene's t_far")
     started = time.perf_counter()
@@ -323,9 +295,8 @@ def _cmd_fit(args) -> int:
     fitted_doc = scene_to_doc(report.final_scene, camera=data_doc.camera, quadrature=data_doc.quadrature)
     scene_path = os.path.join(args.out, "scene.json")
     save_scene(scene_path, fitted_doc)
-    trace_stride = max(1, -(-len(report.trace) // args.trace_points)) if report.trace else 1
-    kept_trace = report.trace[::trace_stride]
-    if report.trace and kept_trace[-1] is not report.trace[-1]:
+    kept_trace = report.trace[:: -(-len(report.trace) // args.trace_points)]  # a fit makes at least one step
+    if kept_trace[-1] is not report.trace[-1]:
         kept_trace.append(report.trace[-1])
     report_doc = {
         "version": "1",
@@ -336,7 +307,7 @@ def _cmd_fit(args) -> int:
         "k_o_max": config.loss.k_o_max,
         "n_samples": len(samples),
         "skipped_steps": report.skipped_steps,
-        "final_loss": report.trace[-1]["total"] if report.trace else None,
+        "final_loss": report.trace[-1]["total"],
         "trace": kept_trace,
     }
     report_path = os.path.join(args.out, "report.json")
@@ -350,14 +321,13 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_bias_demo(args) -> int:
-    # Two coarse samples is the quadrature minimum; a standard error needs two trials.
-    _require_at_least(2, args, "--k", "--n-trials")
-    _require_at_least(0, args, "--seed")
+    quad = _checked("bias-demo settings", estimlab._demo_quadrature, args.k, args.n_trials, args.seed or 0,
+                    args.hierarchical)
+    _require_memory(f"--k {args.k}", _DRAW_BYTES * (quad.n_coarse + quad.n_fine))
     _require_memory(f"--n-trials {args.n_trials}", args.n_trials * _TRIAL_BYTES)
     started = time.perf_counter()
-    result = estimlab.stratified_bias_demo(
-        k=args.k, n_trials=args.n_trials, seed=args.seed or 0, hierarchical=args.hierarchical
-    )
+    result = estimlab.stratified_bias_demo(k=args.k, n_trials=args.n_trials, seed=quad.seed,
+                                           hierarchical=args.hierarchical)
     _stderr(f"{args.n_trials} trials in {time.perf_counter() - started:.2f}s")
     print(dumps_canonical(result), end="")
     return EXIT_OK
@@ -374,10 +344,12 @@ def _cmd_eval(args) -> int:
         raise _InputError("the two directories share no view indices")
     per_view = []
     for v in common:
-        pred_mask = images.read_pgm(os.path.join(args.pred, f"view_{v}_mask.pgm"))
-        truth_mask = images.read_pgm(os.path.join(args.truth, f"view_{v}_mask.pgm"))
-        pred_rgb = images.read_ppm(os.path.join(args.pred, f"view_{v}.ppm"))
-        truth_rgb = images.read_ppm(os.path.join(args.truth, f"view_{v}.ppm"))
+        pred_rgb_path, pred_depth_path, pred_mask_path = _view_paths(args.pred, v)
+        truth_rgb_path, truth_depth_path, truth_mask_path = _view_paths(args.truth, v)
+        pred_mask = images.read_pgm(pred_mask_path)
+        truth_mask = images.read_pgm(truth_mask_path)
+        pred_rgb = images.read_ppm(pred_rgb_path)
+        truth_rgb = images.read_ppm(truth_rgb_path)
         if pred_mask.shape != truth_mask.shape or pred_rgb.shape != truth_rgb.shape:
             raise _InputError(f"view {v}: image shapes differ between directories")
         n_fg = int(np.count_nonzero(truth_mask > 0))
@@ -390,10 +362,8 @@ def _cmd_eval(args) -> int:
             "fg_ari": metrics.ari(pred_mask, truth_mask, restrict_to_fg=True),
             "mse": metrics.mse(pred_rgb, truth_rgb),
         }
-        depth_path = os.path.join(args.pred, f"view_{v}_depth.pfm")
-        truth_depth_path = os.path.join(args.truth, f"view_{v}_depth.pfm")
-        if os.path.exists(depth_path) and os.path.exists(truth_depth_path):
-            dp = images.read_pfm(depth_path)
+        if os.path.exists(pred_depth_path) and os.path.exists(truth_depth_path):
+            dp = images.read_pfm(pred_depth_path)
             dt = images.read_pfm(truth_depth_path)
             both = np.isfinite(dp) & np.isfinite(dt)
             if both.any():
@@ -475,11 +445,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        resolve_workers()
-    except ValueError as exc:
-        _stderr(f"error: {exc}")
-        return EXIT_INPUT
-    try:
+        _checked("environment", resolve_workers)
         return args.func(args)
     except (_InputError, SceneFormatError, images.ImageFormatError) as exc:
         _stderr(f"error: {exc}")

@@ -55,6 +55,14 @@ def _slab_color_reference(field: PiecewiseConstantRayField, t_far: float) -> flo
     return float(full.color[0] / alpha)
 
 
+def _demo_quadrature(k: int, n_trials: int, seed: int, hierarchical: bool) -> QuadratureConfig:
+    """The checks of ``stratified_bias_demo``'s arguments: ``n_trials`` first
+    (a standard error needs two trials), then its quadrature, which it
+    returns."""
+    _check_integer(n_trials, "n_trials", 2)
+    return QuadratureConfig(n_coarse=k, n_fine=k if hierarchical else 0, seed=seed, stratified=True)
+
+
 def stratified_bias_demo(k: int = 50, n_trials: int = 10_000, seed: int = 0,
                          hierarchical: bool = False) -> dict:
     """Measure the stratified color estimator on the slab field.
@@ -70,11 +78,10 @@ def stratified_bias_demo(k: int = 50, n_trials: int = 10_000, seed: int = 0,
     pool, joined in order.  Each trial's draws and result depend on it alone,
     so the output depends on neither the block size nor the worker count.
     """
-    _check_integer(n_trials, "n_trials", 2)
+    quad = _demo_quadrature(k, n_trials, seed, hierarchical)
     field = slab_demo_field()
     ray = slab_demo_ray()
     reference = _slab_color_reference(field, ray.t_far)
-    quad = QuadratureConfig(n_coarse=k, n_fine=k if hierarchical else 0, seed=seed, stratified=True)
 
     def run(lo: int, hi: int):
         draws = [transport._draw_uniforms(np.random.default_rng(np.random.SeedSequence((seed, trial))), 1, quad)

@@ -133,6 +133,14 @@ def _scene_layout(kinds: tuple[type, ...]) -> _SceneLayout | None:
     return _SceneLayout(starts[-1], list(zip(starts, starts[1:])), rules, *arrays)
 
 
+def _square(w: float) -> float:
+    """``w**2`` of a Python float, but inf where that raises OverflowError."""
+    try:
+        return w**2
+    except OverflowError:
+        return math.inf
+
+
 def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, both
     from e = exp(-|z|), which never overflows.  Written into ``out`` (which
@@ -187,9 +195,13 @@ def _total(rows: np.ndarray) -> np.ndarray:
     ``sum(axis=1)`` of the same values as a C-ordered (N, k) array.  NumPy
     adds such a contiguous axis from 0.0, left to right below 8 terms and
     pairwise from 8 on; both are reproduced here on whole rows.  A single
-    column is that contiguous axis already."""
+    column is that contiguous axis already, and a block of more rows than
+    columns sums that (N, k) copy itself: k/8 passes over rows that short
+    cost more than the copy."""
     if rows.shape[0] < 8 or rows.shape[1] == 1:
         return rows.sum(axis=0)  # an outer-axis sum: 0.0, then row by row
+    if rows.shape[0] > rows.shape[1]:
+        return np.ascontiguousarray(rows.T).sum(axis=1)
     out = _pairwise(rows)
     out += 0.0  # the 0.0 NumPy starts from: -0.0 becomes 0.0
     return out
@@ -479,7 +491,7 @@ class SoftSphereField(_ConstantColorField):
         rows = np.empty((6, pts.shape[0]))
         np.multiply(a_ds_dz / (r * w), diff, out=rows[0:3])
         np.divide(a_ds_dz, w, out=rows[3])
-        np.divide(a_ds_dz * (r - self.radius), w**2, out=rows[4])
+        np.divide(a_ds_dz * (r - self.radius), _square(w), out=rows[4])
         rows[5] = s
         return raw, rows
 
@@ -621,9 +633,10 @@ class GroundPlaneField(Field):
         dsd = s_dome * (1.0 - s_dome)
         du_dsp = 1.0 - s_dome
         du_dsd = 1.0 - s_plane
+        w2 = _square(w)
         rows = np.empty((3, pts.shape[0]))
         np.multiply(self.amplitude,
-                    du_dsp * dsp * (z / w**2) + du_dsd * dsd * (-(rho - self.dome_radius) / w**2),
+                    du_dsp * dsp * (z / w2) + du_dsd * dsd * (-(rho - self.dome_radius) / w2),
                     out=rows[0])
         rows[1] = union
         np.multiply(self.amplitude * du_dsd * dsd, -1.0 / w, out=rows[2])

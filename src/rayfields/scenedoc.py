@@ -108,10 +108,13 @@ def scene_to_doc(
 
 
 def _entries(values, what: str) -> list:
-    """A JSON vector's entries, each checked as a number on its own, since
-    NumPy reads ``[0, 0, true]`` as integers.  A float (NaN included) passes
-    as it is, so the constructor's finiteness error names its vector."""
-    return [v if isinstance(v, float) else _real(v, what) for v in values]
+    """The entries of the JSON vector ``what``, which must be a list, each
+    checked as a number on its own, since NumPy reads ``[0, 0, true]`` as
+    integers.  A float (NaN included) passes as it is, so the constructor's
+    finiteness error names its vector."""
+    if not isinstance(values, list):
+        raise TypeError(f"{what} must be a list, got {values!r}")
+    return [v if isinstance(v, float) else _real(v, f"{what} entry") for v in values]
 
 
 def _require(doc: dict, key: str, where: str = "scene document"):
@@ -136,7 +139,7 @@ def _read_block(doc: dict, key: str, cls, required: tuple[str, ...], vectors: tu
     if unknown:
         raise SceneFormatError(f"{key} block has unknown key {unknown[0]!r}")
     try:
-        return cls(**{name: _entries(value, f"{name} entry") if name in vectors else value
+        return cls(**{name: _entries(value, name) if name in vectors else value
                       for name, value in block.items()})
     except (ValueError, TypeError) as exc:
         raise SceneFormatError(f"{key} block: {exc}") from exc
@@ -162,7 +165,7 @@ def doc_to_scene(doc: dict) -> SceneDocument:
         kind = _require(entry, "kind")
         params = _require(entry, "params")
         try:
-            components.append(field_from_params(kind, _entries(params, "params entry"), sigma_max=sigma_max))
+            components.append(field_from_params(kind, _entries(params, "params"), sigma_max=sigma_max))
         except (ValueError, TypeError) as exc:
             raise SceneFormatError(f"component {i} ({kind!r}): {exc}") from exc
         name = entry.get("name", f"component_{i}")

@@ -78,6 +78,9 @@ class SceneGenConfig:
             object.__setattr__(self, name, _real(getattr(self, name), name))
         if self.n_objects_min > self.n_objects_max:
             raise ValueError("need 1 <= n_objects_min <= n_objects_max")
+        if self.n_objects_max >= 2**63:  # ``sample_scene`` draws the count below n_objects_max + 1, in int64
+            raise ValueError(f"n_objects_max must be < 2**63, the bound of NumPy's integer draw, "
+                             f"got {self.n_objects_max}")
         if self.size_min <= 0 or self.size_min > self.size_max:
             raise ValueError("bad size range")
         if self.placement_halfwidth <= 0:
@@ -182,8 +185,8 @@ def surface_distance(field: Field, origins, dirs) -> np.ndarray:
 class GroundTruth:
     """One view's supervision: rendered color, analytic depth, analytic mask.
 
-    Mask ids: 0 background (or nothing), 1..n the scene's objects in
-    component order.  Depth is inf where no surface is met.
+    Mask ids (``_mask_ids``): 0 for nothing and for a trailing ground plane,
+    i + 1 for any other component i.  Depth is inf where no surface is met.
     """
 
     camera: Camera
@@ -192,11 +195,18 @@ class GroundTruth:
     mask: np.ndarray
 
 
+def _mask_ids(scene: CompositeScene, labels: np.ndarray) -> np.ndarray:
+    """The ``GroundTruth`` mask ids (int32) of component labels (-1:
+    nothing): 0 for nothing and for a trailing ground plane, i + 1 for any
+    other component i."""
+    background = scene.n - 1 if isinstance(scene.components[-1], GroundPlaneField) else -1
+    return np.where(labels == background, 0, labels + 1).astype(np.int32)
+
+
 def ground_truth_maps(scene: CompositeScene, grid: RayGrid):
-    """Analytic depth (H, W) and mask (H, W) for a ray grid; the mask takes
-    the ids of ``GroundTruth``, the scene's last component being its
-    background."""
-    h, w = grid.shape
+    """Analytic depth (H, W) and mask (H, W) for a ray grid: the nearest
+    half-maximum surface inside each ray's cutoff, and its component's id as
+    ``GroundTruth`` gives it."""
     n = len(grid)
     hits = np.full((n, scene.n), np.inf)
     for i, comp in enumerate(scene.components):
@@ -204,9 +214,8 @@ def ground_truth_maps(scene: CompositeScene, grid: RayGrid):
     hits = np.where(hits <= grid.t_fars[:, None], hits, np.inf)
     nearest = np.argmin(hits, axis=1)
     depth = hits[np.arange(n), nearest]
-    labels = np.where(nearest == scene.n - 1, 0, nearest + 1)
-    labels = np.where(np.isfinite(depth), labels, 0)
-    return depth.reshape(h, w), labels.reshape(h, w).astype(np.int32)
+    labels = np.where(np.isfinite(depth), nearest, -1)
+    return depth.reshape(grid.shape), _mask_ids(scene, labels).reshape(grid.shape)
 
 
 def _view_seed(seed: int, view: int) -> int:

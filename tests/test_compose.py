@@ -487,6 +487,22 @@ class TestComponentMajorReferences:
         sigmas[rng.random((64, n)) < 0.2] = 0.0
         assert _total(np.ascontiguousarray(sigmas.T)).tobytes() == reference_total(sigmas).tobytes()
 
+    @pytest.mark.parametrize("shape", [(10_000, 3), (192, 170), (129, 128), (9, 2), (9, 1_024), (9, 32_768)])
+    def test_total_of_signed_values_and_negative_zeros(self, shape):
+        """Blocks with more rows than columns (the dense bias demo's, the
+        render's weights) as well as wide ones, with signed values and
+        columns of -0.0 only, contiguous and as rows of a wider block."""
+        rng = np.random.default_rng(shape[0] * shape[1])
+        k, n = shape
+        sigmas = rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-4, 4, (n, k))
+        sigmas[rng.random((n, k)) < 0.2] = -0.0
+        sigmas[::2 if n > 1 else 1] = -0.0
+        expected = reference_total(sigmas).tobytes()
+        assert _total(np.ascontiguousarray(sigmas.T)).tobytes() == expected
+        padded = np.zeros((k, n + 3))
+        padded[:, 3:] = sigmas.T
+        assert _total(padded[:, 3:]).tobytes() == expected
+
     @pytest.mark.parametrize("columns", [1, 2, 3, 32_768])
     def test_total_of_8_to_40_rows_leaves_them_untouched(self, columns):
         """Below 16 rows the pairwise lanes are the first eight rows themselves."""

@@ -117,6 +117,18 @@ class TestFitConfig:
 
 
 class TestGradients:
+    def test_softness_whose_square_overflows(self):
+        """A sphere's and a ground's softness past 1e154 (a step of a huge
+        learning rate lands there) gives a finite gradient, with no
+        OverflowError from squaring it as a Python float."""
+        sphere = rf.SoftSphereField(center=(0.0, 0.0, 0.5), radius=0.5, softness=1e200, amplitude=5.0,
+                                    color=(0.5, 0.5, 0.5))
+        ground = rf.GroundPlaneField(softness=1e200, amplitude=5.0, color_a=(0.6,) * 3, color_b=(0.5,) * 3,
+                                     checker_size=0.0, dome_radius=30.0, dome_color=(0.5, 0.6, 0.7))
+        scene = rf.CompositeScene((sphere, ground))
+        grad = loss_gradient(scene, scene_samples(two_blob_scene(), side=6), iteration=3, config=LossConfig(), rng=0)
+        assert np.all(np.isfinite(grad))
+
     def test_analytic_matches_central_differences(self):
         scene = two_blob_scene()
         batch = scene_samples(scene, side=8)[:24]

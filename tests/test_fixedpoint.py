@@ -48,6 +48,7 @@ def test_head_against_itself_is_identical(head_src):
     assert summary.endswith("all identical") and "OBSURF_THREADS 1" in summary
     assert "scene16.main.strip1.color: [1] identical" in run.stdout
     assert "cli.render.view_2.ppm: [1] identical" in run.stdout
+    assert "cli.render_two_blobs.view_0_mask.pgm: [1] identical" in run.stdout
     assert "scene1.points.scene.density: [1] identical" in run.stdout
     assert "scene16.points.merged.evaluate.single: [1] identical" in run.stdout
     for mode, n_trials in (("plain", 657), ("hierarchical", 328)):  # last blocks of 2 and 1 rows

@@ -1,6 +1,7 @@
 """Tests for JSON scene documents: roundtrips, canonical bytes, validation."""
 
 import json
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -247,6 +248,21 @@ class TestValidation:
                            camera=Camera(position=(4.6, 0, 2.4), look_at=(0, 0, 0.5), width=8, height=8))
         doc["camera"][key] = value
         with pytest.raises(SceneFormatError, match=f"^camera block: {words}, got "):
+            doc_to_scene(doc)
+
+    @pytest.mark.parametrize("value", [5, 2.5, "1.0", {"x": 1.0}, None, True])
+    @pytest.mark.parametrize("vector", ["position", "look_at", "up", "params"])
+    def test_vectors_must_be_lists(self, vector, value):
+        """A scalar, a string or an object in place of a vector is named, not
+        iterated."""
+        doc = self.blocks_doc()
+        if vector == "params":
+            doc["components"][0]["params"] = value
+            where = "component 0 ('gaussian_blob')"
+        else:
+            doc["camera"][vector] = value
+            where = "camera block"
+        with pytest.raises(SceneFormatError, match=re.escape(f"{where}: {vector} must be a list, got {value!r}")):
             doc_to_scene(doc)
 
     def test_camera_frame_overflow_is_named(self):

@@ -76,6 +76,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             SceneGenConfig(**kwargs)
 
+    @pytest.mark.parametrize("count", [2**63, 2**64])
+    def test_rejects_an_object_count_numpy_cannot_draw(self, count):
+        with pytest.raises(ValueError, match=r"^n_objects_max must be < 2\*\*63"):
+            SceneGenConfig(n_objects_min=1, n_objects_max=count)
+
+    def test_draws_the_largest_object_count(self):
+        config = SceneGenConfig(n_objects_min=2**63 - 1, n_objects_max=2**63 - 1)
+        with pytest.raises(PlacementError):  # drawn, then too many to place
+            sample_scene(config, np.random.default_rng(0))
+
     def test_default_camera_uses_resolution(self):
         cam = default_camera(SceneGenConfig(resolution=48))
         assert cam.width == 48 and cam.height == 48
@@ -322,6 +332,40 @@ class TestGroundTruthMaps:
         depth, labels = ground_truth_maps(scene, grid)
         assert np.all(np.isinf(depth))
         assert np.all(labels == 0)
+
+
+def two_blobs_without_ground():
+    """The demo scene's two blobs, with no ground plane behind them."""
+    demo = rf.two_blob_demo_scene()
+    return rf.CompositeScene(demo.components[:2], t_far=demo.t_far)
+
+
+class TestMaskIds:
+    """Mask ids: 0 for nothing and for a trailing ground plane, i + 1 for any
+    other component i."""
+
+    def test_last_object_is_not_background(self):
+        scene = two_blobs_without_ground()
+        grid = pinhole_rays(default_camera(SceneGenConfig(resolution=16)), scene.t_far)
+        depth, mask = ground_truth_maps(scene, grid)
+        ids, counts = np.unique(mask, return_counts=True)
+        assert dict(zip(ids.tolist(), counts.tolist())) == {0: 231, 1: 10, 2: 15}
+        assert np.array_equal(mask > 0, np.isfinite(depth))
+
+    def test_foreground_only_keeps_every_ray_that_hits_an_object(self):
+        scene = two_blobs_without_ground()
+        views = render_dataset(scene, [default_camera(SceneGenConfig(resolution=16))], None,
+                               QuadratureConfig(n_coarse=8, n_fine=8))
+        assert len(samples_from_views(views, scene.t_far, foreground_only=True)) == 25
+        assert len(samples_from_views(views, scene.t_far)) == 25
+
+    def test_trailing_ground_plane_is_background(self):
+        scene = rf.two_blob_demo_scene()
+        labels = np.array([-1, 0, 1, 2])
+        assert scenegen._mask_ids(scene, labels).tolist() == [0, 1, 2, 0]
+        assert scenegen._mask_ids(scene, labels).dtype == np.int32
+        moved = rf.CompositeScene(scene.components[::-1], t_far=scene.t_far)  # ground first: an object like any
+        assert scenegen._mask_ids(moved, labels).tolist() == [0, 1, 2, 3]
 
 
 class TestRenderDataset:

@@ -22,8 +22,10 @@ under that tree and under ``--src`` (default: this checkout's ``src/``), at
 - every value ``stratified_bias_demo`` returns, plain and hierarchical, for
   2 trials (one 2-row block) and for 1 and 2 trials more than a block
   holds (a last block of 1 or 2 rows);
-- the files the CLI ``render`` command writes for a 3-view render, and the
-  stdout of the CLI ``bias-demo`` command, plain and ``--hierarchical``;
+- the files the CLI ``render`` command writes for a 3-view render of the
+  5-component scene and of two blobs without a ground plane (whose masks
+  give each blob its own id), and the stdout of the CLI ``bias-demo``
+  command, plain and ``--hierarchical``;
 - for each of those scenes, the canonical bytes of its scene document, with
   camera and quadrature blocks, names and objects, and the scene, the caps
   and the blocks read back from them;
@@ -350,18 +352,25 @@ def _scene_documents(rf, out: dict) -> None:
                                              doc.quadrature.stratified])
 
 
-def _cli_render(rf, p: dict, out: dict) -> None:
+def _cli_render(rf, p: dict, out: dict, tag: str, scene) -> None:
+    """The files of a 3-view CLI ``render`` of ``scene``'s document."""
     from rayfields import cli
 
     n_coarse, n_fine = p["quads"][0][1:3]
     with tempfile.TemporaryDirectory() as work:
         scene_path = os.path.join(work, "scene.json")
-        rf.save_scene(scene_path, rf.scene_to_doc(_scene(rf, 5)))
+        rf.save_scene(scene_path, rf.scene_to_doc(scene))
         render_dir = os.path.join(work, "render")
         argv = ["render", "--scene", scene_path, "--out", render_dir, "--resolution", str(p["cli_resolution"]),
                 "--views", "3", "--n-coarse", str(n_coarse), "--n-fine", str(n_fine), "--seed", "7"]
-        out["cli.render.exit"] = np.asarray(_cli(cli, argv)[0])
-        _files(out, "cli.render", render_dir)
+        out[f"{tag}.exit"] = np.asarray(_cli(cli, argv)[0])
+        _files(out, tag, render_dir)
+
+
+def _two_blobs(rf):
+    """The demo scene's two blobs with no ground plane behind them."""
+    demo = rf.two_blob_demo_scene()
+    return rf.CompositeScene(demo.components[:2], t_far=demo.t_far)
 
 
 def _gen_config(rf, mix: str, p: dict):
@@ -466,7 +475,8 @@ def _manifest(rf, p: dict) -> list:
         groups.append((f"scene{n}.rays", lambda out, n=n: _scene_rays(rf, n, p, out)))
     groups += [("bias_demo", lambda out: _bias_demo(p, out)),
                ("cli.bias-demo", lambda out: _cli_bias_demo(p, out)),
-               ("cli.render", lambda out: _cli_render(rf, p, out)),
+               ("cli.render", lambda out: _cli_render(rf, p, out, "cli.render", _scene(rf, 5))),
+               ("cli.render_two_blobs", lambda out: _cli_render(rf, p, out, "cli.render_two_blobs", _two_blobs(rf))),
                ("scenedoc", lambda out: _scene_documents(rf, out))]
     groups += [(f"scenegen.{mix}", lambda out, mix=mix: _generated(rf, mix, p, out)) for mix in KIND_MIXES]
     groups.append(("with_params", lambda out: _with_params(rf, p, out)))
